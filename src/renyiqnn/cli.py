@@ -28,7 +28,7 @@ import numpy as np
 
 from .divergence import (
     SingularStateError,
-    fd_gradient,
+    fd_richardson,
     qbm_grad_forward,
     qbm_grad_forward_frechet,
     qbm_grad_reverse,
@@ -123,7 +123,7 @@ def _train_config(doc: dict, path: str) -> TrainConfig:
     if not isinstance(train, dict):
         raise ConfigError(f"config {path} lacks a train object")
     try:
-        return TrainConfig(**train)
+        return TrainConfig.from_json_dict(train)
     except TypeError as exc:
         raise ConfigError(f"config {path} train block: {exc}") from exc
     except ValueError as exc:
@@ -416,7 +416,7 @@ def _grad_checks(n_instances: int, fd_tol: float, rng: np.random.Generator) -> l
         results.append(
             _fd_check(
                 f"grad-uqnn-rev[{i}] n_v={n_v} n_h={n_h}",
-                uqnn_grad_reverse(p, rho), fd_gradient(loss_rev, p.thetas), abs_tol, rel_tol,
+                uqnn_grad_reverse(p, rho), fd_richardson(loss_rev, p.thetas), abs_tol, rel_tol,
             )
         )
     for i in range(n_instances):
@@ -435,7 +435,7 @@ def _grad_checks(n_instances: int, fd_tol: float, rng: np.random.Generator) -> l
         results.append(
             _fd_check(
                 f"grad-uqnn-fwd[{i}] n_v={n_v} n_h={n_h}",
-                uqnn_grad_forward(p, rho), fd_gradient(loss_fwd, p.thetas), abs_tol, rel_tol,
+                uqnn_grad_forward(p, rho), fd_richardson(loss_fwd, p.thetas), abs_tol, rel_tol,
             )
         )
     qbm_shapes = [(2, 0), (2, 1), (3, 0), (2, 2), (3, 1)]
@@ -462,16 +462,16 @@ def _grad_checks(n_instances: int, fd_tol: float, rng: np.random.Generator) -> l
         results.append(
             _fd_check(
                 f"grad-qbm-rev[{i}] n_v={n_v} n_h={n_h}",
-                qbm_grad_reverse(p, rho), fd_gradient(loss_qrev, p.thetas), abs_tol, rel_tol,
+                qbm_grad_reverse(p, rho), fd_richardson(loss_qrev, p.thetas), abs_tol, rel_tol,
             )
         )
         results.append(
             _fd_check(
                 f"grad-qbm-fwd[{i}] n_v={n_v} n_h={n_h}",
-                qbm_grad_forward(p, rho), fd_gradient(loss_qfwd, p.thetas), abs_tol, rel_tol,
+                qbm_grad_forward(p, rho), fd_richardson(loss_qfwd, p.thetas), abs_tol, rel_tol,
             )
         )
-    # dual route: commutator-series gradient against the eigenbasis
+    # dual route: adjoint-kernel gradient against the per-weight
     # divided-difference construction, small dims
     frechet_shapes = [(2, 0), (2, 1), (3, 0), (2, 2), (3, 1), (1, 1)]
     for i in range(max(1, n_instances * 3 // 5)):
@@ -484,7 +484,7 @@ def _grad_checks(n_instances: int, fd_tol: float, rng: np.random.Generator) -> l
         ok = d_rev < 1e-8 and d_fwd < 1e-8
         results.append(
             CheckResult(
-                f"grad-qbm-series-vs-frechet[{i}] n_v={n_v} n_h={n_h}",
+                f"grad-qbm-kernel-vs-frechet[{i}] n_v={n_v} n_h={n_h}",
                 ok, f"rev {d_rev:.3e} fwd {d_fwd:.3e} (tol 1e-8)",
             )
         )

@@ -6,9 +6,9 @@ Loss conventions (natural log throughout):
 
 Gradient entries are computed from the commutator form
 d sigma / d theta_k = -i [H~_k, sigma] for circuit models and from the
-operator-exponential derivative series for Boltzmann machines. Both have
-independent oracles: central finite differences, and (for the Boltzmann
-series) an exact divided-difference evaluation of the integral form.
+closed-form derivative of the operator exponential for Boltzmann machines.
+Both have independent oracles: finite differences, and (for Boltzmann
+machines) a per-weight evaluation of the integral form of that derivative.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from .models import (
     UQNNParams,
     apply_gate,
     apply_pauli,
+    qbm_thermal,
     uqnn_statevector,
     visible_from_statevector,
 )
 from .states import DensityMatrix
 
 DEFAULT_REL_CUTOFF = 1e-12
-DEFAULT_SERIES_TOL = 1e-10
-P_MAX = 60
 
 
 class SingularStateError(ValueError):
@@ -69,6 +68,23 @@ def _real_trace(m: np.ndarray, tol: float = 1e-9) -> float:
     if abs(t.imag) > tol * scale:
         raise ArithmeticError(f"trace expression has imaginary residue {t.imag:.3e}")
     return t.real
+
+
+def _renyi2_kernel(
+    sv: np.ndarray, rho: np.ndarray, direction: str, rel_cutoff: float
+) -> tuple[np.ndarray, float, float]:
+    """(Q, denominator, sign) with d D2 = sign Tr(d sigma_v Q) / denominator.
+
+    reverse: Q = {sigma_v, rho^-1},            denominator Tr(sigma_v^2 rho^-1), sign +1
+    forward: Q = sigma_v^-1 rho^2 sigma_v^-1,  denominator Tr(rho^2 sigma_v^-1), sign -1
+    """
+    if direction == "reverse":
+        rinv, _ = _checked_inverse(rho, rel_cutoff, "target state")
+        return sv @ rinv + rinv @ sv, _real_trace(sv @ rinv @ sv), 1.0
+    if direction == "forward":
+        svinv, _ = _checked_inverse(sv, rel_cutoff, "model state")
+        return svinv @ rho @ rho @ svinv, _real_trace(rho @ svinv @ rho), -1.0
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def renyi2_forward(
@@ -126,6 +142,13 @@ def _kernel_sweep(p: UQNNParams, kernel_v: np.ndarray, psi: np.ndarray) -> np.nd
     return out
 
 
+def _uqnn_grad(p: UQNNParams, rho: DensityMatrix, direction: str, rel_cutoff: float) -> np.ndarray:
+    psi = uqnn_statevector(p)
+    sv = visible_from_statevector(psi, p.n_v, p.n_h)
+    q, denom, sign = _renyi2_kernel(sv, rho.mat, direction, rel_cutoff)
+    return sign * _kernel_sweep(p, q, psi) / denom
+
+
 def uqnn_grad_reverse(
     p: UQNNParams, rho: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
 ) -> np.ndarray:
@@ -134,12 +157,7 @@ def uqnn_grad_reverse(
     Entry k is -i Tr({Tr_h([H~_k, sigma]), sigma_v} rho^-1) / Tr(sigma_v^2 rho^-1);
     entries are real by construction.
     """
-    rinv, _ = _checked_inverse(rho.mat, rel_cutoff, "target state")
-    psi = uqnn_statevector(p)
-    sv = visible_from_statevector(psi, p.n_v, p.n_h)
-    denom = _real_trace(sv @ rinv @ sv)
-    q = sv @ rinv + rinv @ sv
-    return _kernel_sweep(p, q, psi) / denom
+    return _uqnn_grad(p, rho, "reverse", rel_cutoff)
 
 
 def uqnn_grad_forward(
@@ -149,12 +167,7 @@ def uqnn_grad_forward(
 
     Entry k is i Tr(rho^2 sigma_v^-1 Tr_h([H~_k, sigma]) sigma_v^-1) / Tr(rho^2 sigma_v^-1).
     """
-    psi = uqnn_statevector(p)
-    sv = visible_from_statevector(psi, p.n_v, p.n_h)
-    svinv, _ = _checked_inverse(sv, rel_cutoff, "model state")
-    denom = _real_trace(rho.mat @ svinv @ rho.mat)
-    q = svinv @ rho.mat @ rho.mat @ svinv
-    return -_kernel_sweep(p, q, psi) / denom
+    return _uqnn_grad(p, rho, "forward", rel_cutoff)
 
 
 def uqnn_grad_linear(p: UQNNParams, observable: np.ndarray) -> np.ndarray:
@@ -171,136 +184,78 @@ def state_gradient_entry(
     reverse: Tr(dsigma {sigma, rho^-1}) / Tr(sigma^2 rho^-1)
     forward: -Tr(dsigma sigma^-1 rho^2 sigma^-1) / Tr(rho^2 sigma^-1)
     """
-    if direction == "reverse":
-        rinv, _ = _checked_inverse(rho, DEFAULT_REL_CUTOFF, "target state")
-        num = _real_trace(dsigma @ (sigma @ rinv + rinv @ sigma))
-        den = _real_trace(sigma @ rinv @ sigma)
-        return num / den
-    if direction == "forward":
-        sinv, _ = _checked_inverse(sigma, DEFAULT_REL_CUTOFF, "model state")
-        num = -_real_trace(dsigma @ sinv @ rho @ rho @ sinv)
-        den = _real_trace(rho @ sinv @ rho)
-        return num / den
-    raise ValueError(f"unknown direction {direction!r}")
+    q, denom, sign = _renyi2_kernel(sigma, rho, direction, DEFAULT_REL_CUTOFF)
+    return sign * _real_trace(dsigma @ q) / denom
 
 
 # ---------------------------------------------------------------------------
 # Boltzmann-machine gradients.
 #
-# d/dtheta_m e^{-H} = -G_m with G_m = sum_p Ad_{-H}^p(dH_m) e^{-H} / (p+1)!.
-# Production path: by trace cyclicity Tr(Ad_{-H}^p(X) Y) = Tr(X Ad_H^p(Y)), so
-# one kernel series R = sum_p Ad_H^p(E (Q x I_h)) / (p+1)! serves every weight,
-# each of which then costs a single O(dim) Pauli trace. The series is summed in
-# the eigenbasis of H, where Ad_H acts entrywise as (w_i - w_j); term norms
-# (Frobenius, unitarily invariant) and the truncation decisions are identical
-# to the matrix-commutator iteration, without its cancellation blow-up.
+# d/dtheta_m e^{-H} = -G_m, G_m = integral_0^1 e^{-sH} P_m e^{-(1-s)H} ds.
+# In the eigenbasis H = V diag(w) V^dag, G_m = V[(V^dag P_m V) o Phi]V^dag with
+# Phi_ij = -f[w_i, w_j] the negated divided difference of f(x) = e^{-x}
+# (Higham, Functions of Matrices, 2008, ch. 3). Phi is real symmetric, so
+# Tr(G_m X) = Tr(P_m R) with R = V[(V^dag X V) o Phi]V^dag: one kernel R serves
+# every weight, each of which then costs a single O(dim) Pauli trace.
 # ---------------------------------------------------------------------------
 
 
-def _qbm_state_parts(p: QBMParams):
-    hd = p.hamiltonian_dense()
-    w, v = np.linalg.eigh(hd)
-    ew = np.exp(-w)
-    e_mat = (v * ew) @ v.conj().T
-    z = float(np.sum(ew))
-    sv = qmath.partial_trace(e_mat, p.n_v, p.n_h) / z
-    return w, v, e_mat, z, sv
+def _exp_neg_adjoint(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R = V[(V^dag x V) o Phi]V^dag with Phi_ij = (e^{-w_j} - e^{-w_i}) / (w_i - w_j), Phi_ii = e^{-w_i}.
+
+    Phi is evaluated as e^{-min(w_i, w_j)} (1 - e^{-|d|}) / |d|, d = w_i - w_j,
+    whose factors are both at most 1: no cancellation and no overflow at any
+    spectral spread.
+    """
+    d = np.abs(w[:, None] - w[None, :])
+    nonzero = d > 0.0
+    safe = np.where(nonzero, d, 1.0)
+    phi = np.exp(-np.minimum.outer(w, w)) * np.where(nonzero, -np.expm1(-safe) / safe, 1.0)
+    return v @ ((v.conj().T @ x @ v) * phi) @ v.conj().T
 
 
-def _ad_series_kernel(
-    w: np.ndarray, v: np.ndarray, y: np.ndarray, series_tol: float, p_max: int
-) -> np.ndarray:
-    """sum_p Ad_H^p(y) / (p+1)! truncated when a term's Frobenius share drops
-    below series_tol; raises if p_max terms do not reach that."""
-    yb = v.conj().T @ y @ v
-    scale = float(np.linalg.norm(yb))
-    if scale == 0.0:
-        return np.zeros_like(y)
-    delta = w[:, None] - w[None, :]
-    term = yb.copy()
-    acc = yb.copy()  # p = 0 term, weight 1/1!
-    fact = 1.0
-    converged = False
-    for p in range(1, p_max + 1):
-        term = delta * term
-        fact *= p + 1
-        contrib = float(np.linalg.norm(term)) / fact
-        acc += term / fact
-        if contrib < series_tol * scale:
-            converged = True
-            break
-    if not converged:
-        raise ArithmeticError(f"series not converged after {p_max} commutator terms")
-    return v @ acc @ v.conj().T
-
-
-def _qbm_grad(
-    p: QBMParams,
-    rho: DensityMatrix,
-    series_tol: float,
-    p_max: int,
-    direction: str,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
-) -> np.ndarray:
-    w, v, e_mat, z, sv = _qbm_state_parts(p)
-    eye_h = np.eye(2**p.n_h)
-    if direction == "reverse":
-        rinv, _ = _checked_inverse(rho.mat, rel_cutoff, "target state")
-        denom = _real_trace(sv @ rinv @ sv)
-        q = sv @ rinv + rinv @ sv
-        r = _ad_series_kernel(w, v, e_mat @ np.kron(q, eye_h), series_tol, p_max)
-        kernel = -r / (z * denom) + 2.0 * e_mat / z
-    else:
-        svinv, _ = _checked_inverse(sv, rel_cutoff, "model state")
-        denom = _real_trace(rho.mat @ svinv @ rho.mat)
-        qf = svinv @ rho.mat @ rho.mat @ svinv
-        r = _ad_series_kernel(w, v, e_mat @ np.kron(qf, eye_h), series_tol, p_max)
-        kernel = r / (z * denom) - e_mat / z
+def _qbm_grad(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
+    # d sigma_v = (Tr(P_m E) sigma_v - Tr_h G_m) / Z, hence entry m is
+    # sign Tr(P_m (Tr(sigma_v Q) E - R)) / (Z denominator), R the adjoint kernel of Q x I_h
+    w, v, e_mat, z, sv = qbm_thermal(p)
+    q, denom, sign = _renyi2_kernel(sv, rho.mat, direction, DEFAULT_REL_CUTOFF)
+    r = _exp_neg_adjoint(w, v, np.kron(q, np.eye(2**p.n_h)))
+    kernel = sign * (_real_trace(sv @ q) * e_mat - r) / (z * denom)
     grads = np.empty(len(p.basis))
-    imag_tol = max(1e-9, 100.0 * series_tol)
     for m, t in enumerate(p.basis):
         idx, col_phase = t.action(p.n_qubits)
         g = string_trace(kernel, idx, col_phase)
-        if abs(g.imag) > imag_tol * max(1.0, abs(g.real)):
+        if abs(g.imag) > 1e-8 * max(1.0, abs(g.real)):
             raise ArithmeticError(f"gradient entry {m} has imaginary residue {g.imag:.3e}")
         grads[m] = g.real
     return grads
 
 
-def qbm_grad_reverse(
-    p: QBMParams,
-    rho: DensityMatrix,
-    series_tol: float = DEFAULT_SERIES_TOL,
-    p_max: int = P_MAX,
-) -> np.ndarray:
+def qbm_grad_reverse(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
     """Gradient of D2(sigma_v(theta) || rho) wrt the basis weights.
 
-    Entry m: -sum_p Tr(Ad_{-H}^p(dH_m) e^{-H} ({sigma_v, rho^-1} x I_h))
-    / (Tr(sigma_v^2 rho^-1) Z (p+1)!)  +  2 Tr(dH_m e^{-H}) / Z.
+    Entry m: -Tr(G_m ({sigma_v, rho^-1} x I_h)) / (Tr(sigma_v^2 rho^-1) Z)
+    +  2 Tr(dH_m e^{-H}) / Z, with d(e^{-H})/dtheta_m = -G_m.
     """
-    return _qbm_grad(p, rho, series_tol, p_max, "reverse")
+    return _qbm_grad(p, rho, "reverse")
 
 
-def qbm_grad_forward(
-    p: QBMParams,
-    rho: DensityMatrix,
-    series_tol: float = DEFAULT_SERIES_TOL,
-    p_max: int = P_MAX,
-) -> np.ndarray:
+def qbm_grad_forward(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
     """Gradient of D2(rho || sigma_v(theta)) wrt the basis weights.
 
-    Entry m: +sum_p Tr(rho^2 sigma_v^-1 Tr_h(Ad_{-H}^p(dH_m) e^{-H}) sigma_v^-1)
-    / (Tr(rho^2 sigma_v^-1) Z (p+1)!)  -  Tr(dH_m e^{-H}) / Z.
+    Entry m: +Tr(rho^2 sigma_v^-1 Tr_h(G_m) sigma_v^-1) / (Tr(rho^2 sigma_v^-1) Z)
+    -  Tr(dH_m e^{-H}) / Z, with d(e^{-H})/dtheta_m = -G_m.
     """
-    return _qbm_grad(p, rho, series_tol, p_max, "forward")
+    return _qbm_grad(p, rho, "forward")
 
 
 def frechet_exp_neg_derivative(w: np.ndarray, v: np.ndarray, pm: np.ndarray) -> np.ndarray:
     """G_m = integral_0^1 e^{-sH} P_m e^{-(1-s)H} ds, exactly, in the eigenbasis of H.
 
     Entrywise: G'_ij = B_ij exp(-(w_i+w_j)/2) sinh(d/2)/(d/2), d = w_i - w_j.
-    Satisfies d(e^{-H})/dtheta_m = -G_m. Independent of the commutator series;
-    used as a second oracle against it.
+    Satisfies d(e^{-H})/dtheta_m = -G_m. Evaluated per weight with its own
+    sinh form, independently of the adjoint kernel the production gradients
+    use; a second oracle against them.
     """
     b = v.conj().T @ pm @ v
     delta = w[:, None] - w[None, :]
@@ -314,25 +269,15 @@ def frechet_exp_neg_derivative(w: np.ndarray, v: np.ndarray, pm: np.ndarray) -> 
 
 
 def _qbm_grad_frechet(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
-    w, v, e_mat, z, sv = _qbm_state_parts(p)
-    if direction == "reverse":
-        rinv, _ = _checked_inverse(rho.mat, DEFAULT_REL_CUTOFF, "target state")
-        denom = _real_trace(sv @ rinv @ sv)
-        q = sv @ rinv + rinv @ sv
-    else:
-        svinv, _ = _checked_inverse(sv, DEFAULT_REL_CUTOFF, "model state")
-        denom = _real_trace(rho.mat @ svinv @ rho.mat)
-        q = svinv @ rho.mat @ rho.mat @ svinv
+    w, v, e_mat, z, sv = qbm_thermal(p)
+    q, denom, sign = _renyi2_kernel(sv, rho.mat, direction, DEFAULT_REL_CUTOFF)
     grads = np.empty(len(p.basis))
     for m, t in enumerate(p.basis):
         pm = t.dense(p.n_qubits)
         g_m = frechet_exp_neg_derivative(w, v, pm)
         trace_pm_e = _real_trace(pm @ e_mat)
         dsv = -qmath.partial_trace(g_m, p.n_v, p.n_h) / z + sv * (trace_pm_e / z)
-        if direction == "reverse":
-            grads[m] = _real_trace(dsv @ q) / denom
-        else:
-            grads[m] = -_real_trace(dsv @ q) / denom
+        grads[m] = sign * _real_trace(dsv @ q) / denom
     return grads
 
 
@@ -359,3 +304,12 @@ def fd_gradient(loss: Callable[[np.ndarray], float], thetas: np.ndarray, h: floa
         tm[k] -= h
         out[k] = (loss(tp) - loss(tm)) / (2.0 * h)
     return out
+
+
+def fd_richardson(loss: Callable[[np.ndarray], float], thetas: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Richardson-extrapolated central differences, O(h^4) truncation.
+
+    Plain central differences lose digits when the loss curvature is steep
+    (ill-conditioned inverted states); this stays accurate there.
+    """
+    return (4.0 * fd_gradient(loss, thetas, h / 2) - fd_gradient(loss, thetas, h)) / 3.0

@@ -78,12 +78,7 @@ class PauliTerm:
 
     def dense(self, n_qubits: int) -> np.ndarray:
         """Dense coeff * Pauli-string matrix."""
-        d = 2**n_qubits
-        qmath.check_dim(d)
-        idx, col_phase = self.action(n_qubits)
-        m = np.zeros((d, d), dtype=complex)
-        m[idx, np.arange(d)] = self.coeff * col_phase
-        return m
+        return weighted_sum_dense(n_qubits, [self.coeff], [self])
 
 
 def string_action(
@@ -97,15 +92,22 @@ def string_action(
     return idx, col_phase
 
 
-def apply_string(v: np.ndarray, idx: np.ndarray, col_phase: np.ndarray) -> np.ndarray:
-    """P v for a string in action form."""
-    return (col_phase * v)[idx]
-
-
 def string_trace(m: np.ndarray, idx: np.ndarray, col_phase: np.ndarray) -> complex:
     """Tr(P m) in O(dim): sum_k col_phase[k] * m[k, idx[k]]."""
     d = m.shape[0]
     return complex(np.sum(col_phase * m[np.arange(d), idx]))
+
+
+def weighted_sum_dense(n_qubits: int, coeffs, terms) -> np.ndarray:
+    """Dense sum_l coeffs[l] * P_l, P_l the unit-coefficient string of terms[l]."""
+    d = 2**n_qubits
+    qmath.check_dim(d)
+    m = np.zeros((d, d), dtype=complex)
+    cols = np.arange(d)
+    for c, t in zip(coeffs, terms):
+        idx, col_phase = t.action(n_qubits)
+        m[idx, cols] += c * col_phase
+    return m
 
 
 @dataclass
@@ -127,14 +129,7 @@ class LCUHamiltonian:
         return float(sum(abs(t.coeff) for t in self.terms))
 
     def dense(self) -> np.ndarray:
-        d = 2**self.n_qubits
-        qmath.check_dim(d)
-        m = np.zeros((d, d), dtype=complex)
-        cols = np.arange(d)
-        for t in self.terms:
-            idx, col_phase = t.action(self.n_qubits)
-            m[idx, cols] += t.coeff * col_phase
-        return m
+        return weighted_sum_dense(self.n_qubits, [t.coeff for t in self.terms], self.terms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,10 +156,6 @@ class LCUHamiltonian:
     def load_json(cls, path: str) -> "LCUHamiltonian":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-def dense(h: LCUHamiltonian) -> np.ndarray:
-    return h.dense()
 
 
 def single_axes(n: int) -> list[tuple[tuple[int, str], ...]]:

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .hamiltonians import LCUHamiltonian, PauliTerm, pair_axes, single_axes, two_local_terms
+from .hamiltonians import (
+    LCUHamiltonian,
+    PauliTerm,
+    pair_axes,
+    single_axes,
+    two_local_terms,
+    weighted_sum_dense,
+)
 from .states import DensityMatrix
 
 GateTable = tuple[np.ndarray, np.ndarray]
@@ -189,14 +196,7 @@ class QBMParams:
         return 2**self.n_qubits
 
     def hamiltonian_dense(self) -> np.ndarray:
-        d = self.dim
-        qmath.check_dim(d)
-        m = np.zeros((d, d), dtype=complex)
-        cols = np.arange(d)
-        for theta, t in zip(self.thetas, self.basis):
-            idx, col_phase = t.action(self.n_qubits)
-            m[idx, cols] += theta * col_phase
-        return m
+        return weighted_sum_dense(self.n_qubits, self.thetas, self.basis)
 
     def to_hamiltonian(self) -> LCUHamiltonian:
         terms = [PauliTerm(float(th), t.axes) for th, t in zip(self.thetas, self.basis)]
@@ -225,12 +225,24 @@ class QBMParams:
         return cls(int(doc["n_v"]), int(doc["n_h"]), basis, np.array(doc["thetas"], dtype=float))
 
 
+def qbm_thermal(p: QBMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+    """(w, V, E, Z, sigma_v) of the Boltzmann state in the eigenbasis H = V diag(w) V^dag.
+
+    w is shifted so that min(w) = 0; E = V diag(e^{-w}) V^dag, Z = Tr E and
+    sigma_v = Tr_h(E) / Z. The shift cancels in every ratio with Z and keeps
+    e^{-w} <= 1, so no spectral spread overflows.
+    """
+    w, v = np.linalg.eigh(p.hamiltonian_dense())
+    w = w - w[0]
+    ew = np.exp(-w)
+    e_mat = (v * ew) @ v.conj().T
+    z = float(np.sum(ew))
+    return w, v, e_mat, z, qmath.partial_trace(e_mat, p.n_v, p.n_h) / z
+
+
 def qbm_visible_state(p: QBMParams) -> DensityMatrix:
     """Tr_h(e^{-H(theta)}) / Tr(e^{-H(theta)}); full rank by construction."""
-    e = qmath.herm_expm(p.hamiltonian_dense(), -1.0)
-    z = float(np.real(np.trace(e)))
-    red = qmath.partial_trace(e, p.n_v, p.n_h) / z
-    return DensityMatrix(p.n_v, red)
+    return DensityMatrix(p.n_v, qbm_thermal(p)[-1])
 
 
 def brick_two_local_terms(n: int, coeff: float = 1.0) -> list[PauliTerm]:
@@ -299,6 +311,7 @@ __all__ = [
     "conjugated_generator",
     "conjugated_generator_vec",
     "uqnn_state_derivative",
+    "qbm_thermal",
     "qbm_visible_state",
     "build_uqnn",
     "build_qbm",

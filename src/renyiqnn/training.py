@@ -17,6 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -110,7 +111,6 @@ class TrainConfig:
     direction: str = "reverse"
     l2_penalty: float = 0.0
     seed: int = 0
-    series_tol: float = 1e-10
     log_every: int = 1
     target_locality: int = 2
     tau: float = 1.0
@@ -134,8 +134,6 @@ class TrainConfig:
             raise ValueError("lr must be >= 0")
         if self.l2_penalty < 0:
             raise ValueError("l2_penalty must be >= 0")
-        if self.series_tol <= 0:
-            raise ValueError("series_tol must be positive")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
         if self.target_locality not in (2, 3):
@@ -157,7 +155,9 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(**doc)
+        # Train blocks resolved while Boltzmann gradients were a truncated
+        # series carry its tolerance; the closed form has no use for it.
+        return cls(**{k: v for k, v in doc.items() if k != "series_tol"})
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)
@@ -293,13 +293,27 @@ def _loss_and_grad_fns(
         return (
             vis,
             lambda p: divergence.renyi2_reverse(vis(p), rho).value,
-            lambda p: divergence.qbm_grad_reverse(p, rho, series_tol=cfg.series_tol),
+            lambda p: divergence.qbm_grad_reverse(p, rho),
         )
     return (
         vis,
         lambda p: divergence.renyi2_forward(rho, vis(p)).value,
-        lambda p: divergence.qbm_grad_forward(p, rho, series_tol=cfg.series_tol),
+        lambda p: divergence.qbm_grad_forward(p, rho),
     )
+
+
+@contextmanager
+def _failing_epoch(epoch: int):
+    """Re-raise a numeric failure of one epoch as a TrainingError naming it.
+
+    Singular states, overflow, non-finite gradients (FloatingPointError) and
+    failed eigensolvers (LinAlgError) all end the run; the ensemble records
+    the TrainingError against its failure budget.
+    """
+    try:
+        yield
+    except (divergence.SingularStateError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise TrainingError(f"epoch {epoch}: {exc}") from exc
 
 
 def _train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str | None = None) -> MetricsLog:
@@ -312,17 +326,11 @@ def _train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str 
     log = MetricsLog(config_hash=cfg.config_hash(), seed=cfg.seed)
     opt = AdamState.init(len(model.thetas), cfg.lr)
 
-    def full_gradient(epoch: int) -> np.ndarray:
-        try:
-            return grad_fn(model) + 2.0 * lam * model.thetas
-        except (divergence.SingularStateError, ArithmeticError) as exc:
-            raise TrainingError(f"epoch {epoch}: {exc}") from exc
+    def full_gradient() -> np.ndarray:
+        return grad_fn(model) + 2.0 * lam * model.thetas
 
     def log_row(epoch: int, grad: np.ndarray, t_start: float) -> None:
-        try:
-            raw = loss_fn(model)
-        except (divergence.SingularStateError, ArithmeticError) as exc:
-            raise TrainingError(f"epoch {epoch}: {exc}") from exc
+        raw = loss_fn(model)
         penal = raw + lam * float(model.thetas @ model.thetas)
         fid = fidelity(vis_fn(model), rho)
         wall = (time.perf_counter() - t_start) * 1000.0
@@ -330,15 +338,17 @@ def _train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str 
 
     # One gradient per epoch: the vector logged at row e also drives update e+1.
     t0 = time.perf_counter()
-    grad = full_gradient(0)
-    log_row(0, grad, t0)
+    with _failing_epoch(0):
+        grad = full_gradient()
+        log_row(0, grad, t0)
     t0 = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
-        opt, model.thetas = adam_step(opt, model.thetas, grad)
-        grad = full_gradient(epoch)
-        if epoch % cfg.log_every == 0 or epoch == cfg.epochs:
-            log_row(epoch, grad, t0)
-            t0 = time.perf_counter()
+        with _failing_epoch(epoch):
+            opt, model.thetas = adam_step(opt, model.thetas, grad)
+            grad = full_gradient()
+            if epoch % cfg.log_every == 0 or epoch == cfg.epochs:
+                log_row(epoch, grad, t0)
+                t0 = time.perf_counter()
 
     log.checkpoint = model.to_checkpoint(rng_seed=cfg.seed, epoch=cfg.epochs)
     log.validate()

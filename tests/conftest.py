@@ -1,7 +1,7 @@
 """Shared fixtures and independent reference helpers.
 
 Reference implementations here deliberately avoid the package's own fast
-paths (gate tables, kernel sweeps, commutator series) so that tests compare
+paths (gate tables, kernel sweeps, the Boltzmann adjoint kernel) so that tests compare
 two independent routes to the same quantity.
 """
 
@@ -63,13 +63,3 @@ def rng_factory():
 
     return make
 
-
-def fd_richardson(loss, thetas: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Richardson-extrapolated central differences, O(h^4) truncation.
-
-    Plain central differences lose digits when the loss curvature is steep
-    (ill-conditioned inverted states); this stays accurate there.
-    """
-    from renyiqnn.divergence import fd_gradient
-
-    return (4.0 * fd_gradient(loss, thetas, h / 2) - fd_gradient(loss, thetas, h)) / 3.0

@@ -15,6 +15,7 @@ import pytest
 from renyiqnn.cli import bundled_config_path
 from renyiqnn.divergence import (
     fd_gradient,
+    fd_richardson,
     qbm_grad_forward,
     qbm_grad_forward_frechet,
     qbm_grad_reverse,
@@ -48,7 +49,6 @@ from renyiqnn.swaptest import (
     trace_power_estimate,
 )
 from renyiqnn.training import TrainConfig, run_ensemble
-from tests.conftest import fd_richardson
 
 
 def report(capsys, line: str) -> None:
@@ -279,10 +279,10 @@ def test_criterion_07_gradient_correctness(capsys):
         capsys,
         f"criterion 7 [{'PASS' if ok else 'FAIL'}] FD agreement on {uqnn_count} UQNN + "
         f"{qbm_count} QBM instances (worst {max(uqnn_worst, qbm_worst):.3f}x tolerance); "
-        f"series vs Frechet worst diff {frechet_worst:.2e} (need < 1e-8)",
+        f"kernel vs Frechet worst diff {frechet_worst:.2e} (need < 1e-8)",
     )
     assert uqnn_count >= 50 and qbm_count >= 30
-    assert ok, f"series vs Frechet worst difference {frechet_worst:.2e} >= 1e-8"
+    assert ok, f"kernel vs Frechet worst difference {frechet_worst:.2e} >= 1e-8"
 
 
 def test_criterion_08_swap_test_corpus(capsys):

@@ -1,0 +1,95 @@
+"""The benchmark under perfbench/ binds program names by attribute; a rename
+or deletion in the package must fail here rather than only when the
+benchmark runs (or, for traced layers, only under --trace 1)."""
+
+import ast
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", os.path.join(BENCH_DIR, "tracing.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _program_references(path: str) -> list[tuple[str, str]]:
+    """(module, dotted attribute path) for every renyiqnn name a benchmark file uses."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    aliases: dict[str, str] = {}
+    refs: list[tuple[str, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "renyiqnn":
+            for a in node.names:
+                full = f"{node.module}.{a.name}"
+                if _is_module(full):
+                    aliases[a.asname or a.name] = full
+                else:
+                    refs.append((node.module, a.name))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "renyiqnn":
+                    aliases[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain = []
+        inner = node
+        while isinstance(inner, ast.Attribute):
+            chain.append(inner.attr)
+            inner = inner.value
+        if isinstance(inner, ast.Name) and inner.id in aliases:
+            refs.append((aliases[inner.id], ".".join(reversed(chain))))
+    return refs
+
+
+def _is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:
+        return False
+
+
+def _resolve(module: str, dotted: str):
+    obj = importlib.import_module(module)
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_traced_layers_resolve():
+    tracing = _load_tracing()
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for targets in tracing.LAYERS.values()
+        for owner, attr in targets
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert not missing, f"traced names missing from the program: {missing}"
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(BENCH_DIR) if f.endswith(".py")))
+def test_program_names_used_by_benchmark_exist(name):
+    refs = _program_references(os.path.join(BENCH_DIR, name))
+    missing = []
+    for module, dotted in refs:
+        try:
+            _resolve(module, dotted)
+        except AttributeError:
+            missing.append(f"{module}.{dotted}")
+    assert not missing, f"{name} uses names missing from the program: {missing}"
+
+
+def test_workloads_reference_the_program():
+    # guards the scan itself: the training workload's calls must be found
+    refs = _program_references(os.path.join(BENCH_DIR, "workloads.py"))
+    assert ("renyiqnn.training", "run_ensemble") in refs
+    assert ("renyiqnn.divergence", "qbm_grad_reverse") in refs
+    assert ("renyiqnn.states", "DensityMatrix") in refs

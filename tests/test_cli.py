@@ -139,6 +139,19 @@ class TestLearnCommand:
         assert rc == 0
 
 
+class TestLegacyConfig:
+    def test_resolved_series_tol_key_accepted(self, tmp_path):
+        # config.json files resolved before the closed-form Boltzmann
+        # gradient carry series_tol in their train block
+        doc = thermal_doc(kind="qbm", n_h=0, series_tol=1e-10)
+        doc["experiment"] = "ham-learn"
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["ham-learn", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+        resolved = json.loads((out / "config.json").read_text())
+        assert "series_tol" not in resolved["train"]
+
+
 class TestConfigErrors:
     def exit_code(self, tmp_path, doc, experiment="thermal-learn", name="bad.json"):
         cfg = write_config(tmp_path, doc, name)
@@ -278,6 +291,10 @@ class TestValidate:
     def test_grad_suite_passes(self, tmp_path, capsys):
         rc = main(["validate", "grad", "--n-instances", "6", "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    def test_grad_suite_passes_at_defaults(self, capsys):
+        assert main(["validate", "grad"]) == 0
+        assert "45/45 checks passed" in capsys.readouterr().out
 
     def test_mc_suite_passes(self, tmp_path, capsys):
         rc = main(["validate", "mc", "--n-instances", "4", "--out", str(tmp_path / "o")])

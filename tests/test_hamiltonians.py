@@ -8,8 +8,6 @@ from scipy import stats
 from renyiqnn.hamiltonians import (
     LCUHamiltonian,
     PauliTerm,
-    apply_string,
-    dense,
     normalize,
     pair_axes,
     random_three_local,
@@ -19,6 +17,7 @@ from renyiqnn.hamiltonians import (
     triple_axes,
     two_local_terms,
 )
+from renyiqnn.models import apply_pauli
 from renyiqnn.qmath import op_norm
 from renyiqnn.states import thermal_state
 from tests.conftest import PAULI, pauli_string_dense, random_hermitian
@@ -45,9 +44,8 @@ class TestPauliTerm:
 
     def test_action_form_matches_dense(self, rng):
         t = PauliTerm(1.0, ((0, "y"), (1, "x")))
-        idx, col_phase = t.action(2)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert np.allclose(apply_string(v, idx, col_phase), t.dense(2) @ v)
+        assert np.allclose(apply_pauli(v, t.action(2)), t.dense(2) @ v)
 
     def test_rejects_unsorted_qubits(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -122,10 +120,6 @@ class TestLCUHamiltonian:
         b = PauliTerm(-1.2, ((0, "z"), (1, "z")))
         h = LCUHamiltonian(2, [a, b])
         assert np.allclose(h.dense(), a.dense(2) + b.dense(2))
-
-    def test_module_level_dense_wrapper(self, rng):
-        h = random_two_local(2, 0.5, 0.5, rng)
-        assert np.array_equal(dense(h), h.dense())
 
     def test_alpha_norm(self):
         h = LCUHamiltonian(2, [PauliTerm(0.3, ((0, "x"),)), PauliTerm(-1.2, ((1, "z"),))])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from renyiqnn import divergence
 from renyiqnn.divergence import SingularStateError
 from renyiqnn.models import QBMParams, UQNNParams
 from renyiqnn.states import fidelity, thermal_state
@@ -252,12 +253,12 @@ class TestTrainQBM:
         log = train_qbm(cfg)
         assert np.isfinite(log.column("grad_inf_norm")).all()
 
-    def test_unnormalized_large_init_fails_loud(self):
-        # skipping the init normalization leaves |H| large enough that the
-        # gradient series cannot converge; the failure surfaces with context
+    def test_unnormalized_large_init_trains(self):
+        # skipping the init normalization leaves a spectral spread near 22
         cfg = small_cfg(kind="qbm", epochs=2, normalize_init=False, seed=3)
-        with pytest.raises(TrainingError, match="commutator"):
-            train_qbm(cfg)
+        log = train_qbm(cfg)
+        assert np.isfinite(log.column("grad_inf_norm")).all()
+        assert len(log.rows) == cfg.epochs + 1
 
 
 class TestMetricsLog:
@@ -344,6 +345,27 @@ class TestRunEnsemble:
         cfg = small_cfg(n_h=0, direction="forward", epochs=2)
         with pytest.raises(TrainingError, match="failed"):
             run_ensemble(cfg, 4, vary="both")
+
+    @pytest.mark.parametrize("fault", ["nan", "linalg"])
+    def test_numeric_failure_counts_against_budget(self, monkeypatch, fault):
+        # one member's gradient goes bad; the ensemble records it and finishes
+        cfg = small_cfg(epochs=3)
+        bad_rho = draw_target(cfg, run_streams(cfg.seed, 2, "both")[0])[1].mat
+        exact = divergence.uqnn_grad_reverse
+
+        def faulty(p, rho):
+            g = exact(p, rho)
+            if np.array_equal(rho.mat, bad_rho):
+                if fault == "linalg":
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                g[0] = math.nan
+            return g
+
+        monkeypatch.setattr(divergence, "uqnn_grad_reverse", faulty)
+        logs, summary = run_ensemble(cfg, 5, vary="both")
+        assert len(logs) == 4
+        assert len(summary.failures) == 1
+        assert summary.failures[0].startswith("run 2: epoch ")
 
     def test_summary_stats_shape(self):
         cfg = small_cfg(epochs=2)
