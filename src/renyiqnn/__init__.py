@@ -75,8 +75,7 @@ from .training import (
     TrainingError,
     adam_step,
     run_ensemble,
-    train_qbm,
-    train_uqnn,
+    train,
 )
 
 __version__ = "0.1.0"
@@ -128,8 +127,7 @@ __all__ = [
     "swap_test_probability",
     "thermal_state",
     "trace_power_estimate",
-    "train_qbm",
-    "train_uqnn",
+    "train",
     "two_local_terms",
     "uqnn_full_state",
     "uqnn_grad_forward",

@@ -28,6 +28,7 @@ import numpy as np
 
 from .divergence import (
     SingularStateError,
+    evaluate,
     fd_richardson,
     qbm_grad_forward,
     qbm_grad_forward_frechet,
@@ -35,13 +36,12 @@ from .divergence import (
     qbm_grad_reverse_frechet,
     renyi2_forward,
     renyi2_reverse,
-    uqnn_grad_forward,
     uqnn_grad_reverse,
 )
 from .hamiltonians import LCUHamiltonian, PauliTerm, normalize, random_three_local, random_two_local
-from .models import build_qbm, build_uqnn, qbm_visible_state, uqnn_visible_state
+from .models import QBMParams, UQNNParams, build_qbm, build_uqnn, qbm_visible_state, uqnn_visible_state
 from .plateau import init_gradient_scan
-from .states import haar_unitary, random_density_matrix, thermal_state
+from .states import DensityMatrix, haar_unitary, random_density_matrix, thermal_state
 from .swaptest import SwapTestSpec, cyclic_shift, mc_reverse_gradient_thermal, trace_power_estimate, swap_test_probability
 from .training import TrainConfig, TrainingError, run_ensemble
 
@@ -137,20 +137,29 @@ def _write_resolved(out_dir: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _target_hamiltonian(n: int, target: dict, rng: np.random.Generator) -> LCUHamiltonian:
+def _target_spec(target: dict) -> dict:
+    """The target recipe with every default filled in, as resolved configs record it."""
     locality = target.get("locality", 2)
     tau = target.get("tau", 1.0)
     if locality not in (2, 3):
         raise ConfigError("target locality must be 2 or 3")
     if tau <= 0:
         raise ConfigError("target tau must be positive")
-    std_single = target.get("std_single", math.sqrt(0.1) if locality == 2 else 1.0)
-    std_pair = target.get("std_pair", 1.0)
-    if locality == 2:
-        h = random_two_local(n, std_single, std_pair, rng)
+    return {
+        "locality": locality,
+        "tau": tau,
+        "std_single": target.get("std_single", math.sqrt(0.1) if locality == 2 else 1.0),
+        "std_pair": target.get("std_pair", 1.0),
+    }
+
+
+def _target_hamiltonian(n: int, target: dict, rng: np.random.Generator) -> LCUHamiltonian:
+    spec = _target_spec(target)
+    if spec["locality"] == 2:
+        h = random_two_local(n, spec["std_single"], spec["std_pair"], rng)
     else:
-        h = random_three_local(n, std_single, rng)
-    return normalize(h, tau)
+        h = random_three_local(n, spec["std_single"], rng)
+    return normalize(h, spec["tau"])
 
 
 def _scale_alpha_norm(h: LCUHamiltonian, alpha_norm: float) -> LCUHamiltonian:
@@ -256,12 +265,7 @@ def cmd_plateau_scan(args: argparse.Namespace) -> int:
         "n_v": n_v,
         "n_h_list": n_h_list,
         "ensemble": ensemble,
-        "target": {
-            "locality": target_doc.get("locality", 2),
-            "tau": target_doc.get("tau", 1.0),
-            "std_single": target_doc.get("std_single", math.sqrt(0.1) if target_doc.get("locality", 2) == 2 else 1.0),
-            "std_pair": target_doc.get("std_pair", 1.0),
-        },
+        "target": _target_spec(target_doc),
         "layout": layout,
         "repetitions": repetitions,
         "out_dir": out_dir,
@@ -323,12 +327,7 @@ def cmd_mc_estimate(args: argparse.Namespace) -> int:
             "k": k,
             "shots": shots,
             "q_max": q_max,
-            "target": {
-                "locality": doc.get("target", {}).get("locality", 2),
-                "tau": doc.get("target", {}).get("tau", 1.0),
-                "std_single": doc.get("target", {}).get("std_single", math.sqrt(0.1)),
-                "std_pair": doc.get("target", {}).get("std_pair", 1.0),
-            },
+            "target": _target_spec(doc.get("target", {})),
             "target_alpha_norm": alpha_norm,
             "out_dir": out_dir,
         }
@@ -385,13 +384,34 @@ def _swap_checks(n_instances: int, rng: np.random.Generator) -> list[CheckResult
     return results
 
 
-def _fd_check(name: str, analytic: np.ndarray, fd: np.ndarray, abs_tol: float, rel_tol: float) -> CheckResult:
-    err = np.abs(analytic - fd)
-    tol = np.maximum(abs_tol, rel_tol * np.abs(analytic))
+def _fd_loss(p: UQNNParams | QBMParams, rho: DensityMatrix, direction: str):
+    """The raw training loss as a function of the parameter vector alone."""
+    visible = uqnn_visible_state if isinstance(p, UQNNParams) else qbm_visible_state
+
+    def loss(th: np.ndarray) -> float:
+        keep, p.thetas = p.thetas, th
+        try:
+            sv = visible(p)
+            return (renyi2_reverse(sv, rho) if direction == "reverse" else renyi2_forward(rho, sv)).value
+        finally:
+            p.thetas = keep
+
+    return loss
+
+
+def _fd_check(
+    name: str, p: UQNNParams | QBMParams, rho: DensityMatrix, direction: str, abs_tol: float, rel_tol: float
+) -> CheckResult:
+    """Analytic gradient against Richardson differences of the loss; reports conditioning."""
+    ev = evaluate(p, rho, direction)
+    err = np.abs(ev.grad - fd_richardson(_fd_loss(p, rho, direction), p.thetas))
+    tol = np.maximum(abs_tol, rel_tol * np.abs(ev.grad))
     worst = int(np.argmax(err - tol))
     ok = bool(np.all(err <= tol))
     return CheckResult(
-        name, ok, f"max err {err.max():.3e} (tol at worst coord {tol[worst]:.3e})"
+        name, ok,
+        f"max err {err.max():.3e} (tol at worst coord {tol[worst]:.3e}) "
+        f"inverted-state min eig {ev.loss.conditioning:.3e}",
     )
 
 
@@ -400,77 +420,23 @@ def _grad_checks(n_instances: int, fd_tol: float, rng: np.random.Generator) -> l
     results = []
     rev_shapes = [(2, 0), (2, 1), (3, 0), (2, 2), (3, 1), (1, 1)]
     fwd_shapes = [(1, 1), (2, 2), (1, 2), (2, 3), (3, 3), (2, 4)]
-    for i in range(n_instances):
-        n_v, n_h = rev_shapes[i % len(rev_shapes)]
-        rho = thermal_state(_target_hamiltonian(n_v, {}, rng))
-        p = build_uqnn(n_v, n_h, rng)
-        p.thetas = rng.normal(0.0, 0.6, size=len(p.thetas))
-
-        def loss_rev(th, p=p, rho=rho):
-            keep, p.thetas = p.thetas, th
-            try:
-                return renyi2_reverse(uqnn_visible_state(p), rho).value
-            finally:
-                p.thetas = keep
-
-        results.append(
-            _fd_check(
-                f"grad-uqnn-rev[{i}] n_v={n_v} n_h={n_h}",
-                uqnn_grad_reverse(p, rho), fd_richardson(loss_rev, p.thetas), abs_tol, rel_tol,
-            )
-        )
-    for i in range(n_instances):
-        n_v, n_h = fwd_shapes[i % len(fwd_shapes)]
-        rho = thermal_state(_target_hamiltonian(n_v, {}, rng))
-        p = build_uqnn(n_v, n_h, rng)
-        p.thetas = rng.normal(0.0, 0.6, size=len(p.thetas))
-
-        def loss_fwd(th, p=p, rho=rho):
-            keep, p.thetas = p.thetas, th
-            try:
-                return renyi2_forward(rho, uqnn_visible_state(p)).value
-            finally:
-                p.thetas = keep
-
-        results.append(
-            _fd_check(
-                f"grad-uqnn-fwd[{i}] n_v={n_v} n_h={n_h}",
-                uqnn_grad_forward(p, rho), fd_richardson(loss_fwd, p.thetas), abs_tol, rel_tol,
-            )
-        )
+    for direction, shapes, tag in (("reverse", rev_shapes, "rev"), ("forward", fwd_shapes, "fwd")):
+        for i in range(n_instances):
+            n_v, n_h = shapes[i % len(shapes)]
+            rho = thermal_state(_target_hamiltonian(n_v, {}, rng))
+            p = build_uqnn(n_v, n_h, rng)
+            p.thetas = rng.normal(0.0, 0.6, size=len(p.thetas))
+            name = f"grad-uqnn-{tag}[{i}] n_v={n_v} n_h={n_h}"
+            results.append(_fd_check(name, p, rho, direction, abs_tol, rel_tol))
     qbm_shapes = [(2, 0), (2, 1), (3, 0), (2, 2), (3, 1)]
     for i in range(max(1, n_instances * 3 // 5)):
         n_v, n_h = qbm_shapes[i % len(qbm_shapes)]
         rho = thermal_state(_target_hamiltonian(n_v, {}, rng))
         p = build_qbm(n_v, n_h, rng)
         p.thetas = rng.normal(0.0, 0.4, size=len(p.thetas))
-
-        def loss_qrev(th, p=p, rho=rho):
-            keep, p.thetas = p.thetas, th
-            try:
-                return renyi2_reverse(qbm_visible_state(p), rho).value
-            finally:
-                p.thetas = keep
-
-        def loss_qfwd(th, p=p, rho=rho):
-            keep, p.thetas = p.thetas, th
-            try:
-                return renyi2_forward(rho, qbm_visible_state(p)).value
-            finally:
-                p.thetas = keep
-
-        results.append(
-            _fd_check(
-                f"grad-qbm-rev[{i}] n_v={n_v} n_h={n_h}",
-                qbm_grad_reverse(p, rho), fd_richardson(loss_qrev, p.thetas), abs_tol, rel_tol,
-            )
-        )
-        results.append(
-            _fd_check(
-                f"grad-qbm-fwd[{i}] n_v={n_v} n_h={n_h}",
-                qbm_grad_forward(p, rho), fd_richardson(loss_qfwd, p.thetas), abs_tol, rel_tol,
-            )
-        )
+        for direction, tag in (("reverse", "rev"), ("forward", "fwd")):
+            name = f"grad-qbm-{tag}[{i}] n_v={n_v} n_h={n_h}"
+            results.append(_fd_check(name, p, rho, direction, abs_tol, rel_tol))
     # dual route: adjoint-kernel gradient against the per-weight
     # divided-difference construction, small dims
     frechet_shapes = [(2, 0), (2, 1), (3, 0), (2, 2), (3, 1), (1, 1)]

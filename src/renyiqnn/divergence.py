@@ -4,7 +4,8 @@ Loss conventions (natural log throughout):
     forward  D2(rho || sigma) = ln Tr(rho^2 sigma^-1)   (model state inverted)
     reverse  D2(sigma || rho) = ln Tr(sigma^2 rho^-1)   (target inverted)
 
-Gradient entries are computed from the commutator form
+`evaluate` builds the model state once and returns it with the loss and
+the gradient. Gradient entries are computed from the commutator form
 d sigma / d theta_k = -i [H~_k, sigma] for circuit models and from the
 closed-form derivative of the operator exponential for Boltzmann machines.
 Both have independent oracles: finite differences, and (for Boltzmann
@@ -72,37 +73,35 @@ def _real_trace(m: np.ndarray, tol: float = 1e-9) -> float:
 
 def _renyi2_kernel(
     sv: np.ndarray, rho: np.ndarray, direction: str, rel_cutoff: float
-) -> tuple[np.ndarray, float, float]:
-    """(Q, denominator, sign) with d D2 = sign Tr(d sigma_v Q) / denominator.
+) -> tuple[np.ndarray, LossValue, float]:
+    """(Q, loss, sign) with d D2 = sign Tr(d sigma_v Q) / loss.numerator.
 
-    reverse: Q = {sigma_v, rho^-1},            denominator Tr(sigma_v^2 rho^-1), sign +1
-    forward: Q = sigma_v^-1 rho^2 sigma_v^-1,  denominator Tr(rho^2 sigma_v^-1), sign -1
+    reverse: Q = {sigma_v, rho^-1},            numerator Tr(sigma_v^2 rho^-1), sign +1
+    forward: Q = sigma_v^-1 rho^2 sigma_v^-1,  numerator Tr(rho^2 sigma_v^-1), sign -1
     """
     if direction == "reverse":
-        rinv, _ = _checked_inverse(rho, rel_cutoff, "target state")
-        return sv @ rinv + rinv @ sv, _real_trace(sv @ rinv @ sv), 1.0
-    if direction == "forward":
-        svinv, _ = _checked_inverse(sv, rel_cutoff, "model state")
-        return svinv @ rho @ rho @ svinv, _real_trace(rho @ svinv @ rho), -1.0
-    raise ValueError(f"unknown direction {direction!r}")
+        rinv, wmin = _checked_inverse(rho, rel_cutoff, "target state")
+        q, num, sign = sv @ rinv + rinv @ sv, _real_trace(sv @ rinv @ sv), 1.0
+    elif direction == "forward":
+        svinv, wmin = _checked_inverse(sv, rel_cutoff, "model state")
+        q, num, sign = svinv @ rho @ rho @ svinv, _real_trace(rho @ svinv @ rho), -1.0
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return q, LossValue(math.log(num), num, wmin), sign
 
 
 def renyi2_forward(
     rho: DensityMatrix, sigma: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
 ) -> LossValue:
     """D2(rho || sigma) = ln Tr(rho^2 sigma^-1). sigma must be full rank."""
-    inv, wmin = _checked_inverse(sigma.mat, rel_cutoff, "model state")
-    num = _real_trace(rho.mat @ inv @ rho.mat)
-    return LossValue(math.log(num), num, wmin)
+    return _renyi2_kernel(sigma.mat, rho.mat, "forward", rel_cutoff)[1]
 
 
 def renyi2_reverse(
     sigma: DensityMatrix, rho: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
 ) -> LossValue:
     """D2(sigma || rho) = ln Tr(sigma^2 rho^-1). rho must be full rank."""
-    inv, wmin = _checked_inverse(rho.mat, rel_cutoff, "target state")
-    num = _real_trace(sigma.mat @ inv @ sigma.mat)
-    return LossValue(math.log(num), num, wmin)
+    return _renyi2_kernel(sigma.mat, rho.mat, "reverse", rel_cutoff)[1]
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -142,13 +141,6 @@ def _kernel_sweep(p: UQNNParams, kernel_v: np.ndarray, psi: np.ndarray) -> np.nd
     return out
 
 
-def _uqnn_grad(p: UQNNParams, rho: DensityMatrix, direction: str, rel_cutoff: float) -> np.ndarray:
-    psi = uqnn_statevector(p)
-    sv = visible_from_statevector(psi, p.n_v, p.n_h)
-    q, denom, sign = _renyi2_kernel(sv, rho.mat, direction, rel_cutoff)
-    return sign * _kernel_sweep(p, q, psi) / denom
-
-
 def uqnn_grad_reverse(
     p: UQNNParams, rho: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
 ) -> np.ndarray:
@@ -157,7 +149,7 @@ def uqnn_grad_reverse(
     Entry k is -i Tr({Tr_h([H~_k, sigma]), sigma_v} rho^-1) / Tr(sigma_v^2 rho^-1);
     entries are real by construction.
     """
-    return _uqnn_grad(p, rho, "reverse", rel_cutoff)
+    return evaluate(p, rho, "reverse", rel_cutoff).grad
 
 
 def uqnn_grad_forward(
@@ -167,7 +159,7 @@ def uqnn_grad_forward(
 
     Entry k is i Tr(rho^2 sigma_v^-1 Tr_h([H~_k, sigma]) sigma_v^-1) / Tr(rho^2 sigma_v^-1).
     """
-    return _uqnn_grad(p, rho, "forward", rel_cutoff)
+    return evaluate(p, rho, "forward", rel_cutoff).grad
 
 
 def uqnn_grad_linear(p: UQNNParams, observable: np.ndarray) -> np.ndarray:
@@ -184,8 +176,8 @@ def state_gradient_entry(
     reverse: Tr(dsigma {sigma, rho^-1}) / Tr(sigma^2 rho^-1)
     forward: -Tr(dsigma sigma^-1 rho^2 sigma^-1) / Tr(rho^2 sigma^-1)
     """
-    q, denom, sign = _renyi2_kernel(sigma, rho, direction, DEFAULT_REL_CUTOFF)
-    return sign * _real_trace(dsigma @ q) / denom
+    q, loss, sign = _renyi2_kernel(sigma, rho, direction, DEFAULT_REL_CUTOFF)
+    return sign * _real_trace(dsigma @ q) / loss.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +206,44 @@ def _exp_neg_adjoint(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v @ ((v.conj().T @ x @ v) * phi) @ v.conj().T
 
 
-def _qbm_grad(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# One evaluation per parameter vector: every model state, loss and gradient
+# the package computes for training is assembled here.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Evaluation:
+    """Visible model state, loss and raw gradient, all from one state build."""
+
+    sigma_v: DensityMatrix
+    loss: LossValue
+    grad: np.ndarray
+
+
+def evaluate(
+    p: UQNNParams | QBMParams,
+    rho: DensityMatrix,
+    direction: str,
+    rel_cutoff: float = DEFAULT_REL_CUTOFF,
+) -> Evaluation:
+    """sigma_v, the Renyi-2 loss in `direction` and its gradient wrt p.thetas.
+
+    A circuit model is simulated once (one statevector); a Boltzmann machine
+    is diagonalized once (one qbm_thermal call).
+    """
+    if isinstance(p, UQNNParams):
+        psi = uqnn_statevector(p)
+        sv = visible_from_statevector(psi, p.n_v, p.n_h)
+        q, loss, sign = _renyi2_kernel(sv, rho.mat, direction, rel_cutoff)
+        grad = sign * _kernel_sweep(p, q, psi) / loss.numerator
+        return Evaluation(DensityMatrix(p.n_v, sv), loss, grad)
     # d sigma_v = (Tr(P_m E) sigma_v - Tr_h G_m) / Z, hence entry m is
-    # sign Tr(P_m (Tr(sigma_v Q) E - R)) / (Z denominator), R the adjoint kernel of Q x I_h
+    # sign Tr(P_m (Tr(sigma_v Q) E - R)) / (Z numerator), R the adjoint kernel of Q x I_h
     w, v, e_mat, z, sv = qbm_thermal(p)
-    q, denom, sign = _renyi2_kernel(sv, rho.mat, direction, DEFAULT_REL_CUTOFF)
+    q, loss, sign = _renyi2_kernel(sv, rho.mat, direction, rel_cutoff)
     r = _exp_neg_adjoint(w, v, np.kron(q, np.eye(2**p.n_h)))
-    kernel = sign * (_real_trace(sv @ q) * e_mat - r) / (z * denom)
+    kernel = sign * (_real_trace(sv @ q) * e_mat - r) / (z * loss.numerator)
     grads = np.empty(len(p.basis))
     for m, t in enumerate(p.basis):
         idx, col_phase = t.action(p.n_qubits)
@@ -228,7 +251,7 @@ def _qbm_grad(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
         if abs(g.imag) > 1e-8 * max(1.0, abs(g.real)):
             raise ArithmeticError(f"gradient entry {m} has imaginary residue {g.imag:.3e}")
         grads[m] = g.real
-    return grads
+    return Evaluation(DensityMatrix(p.n_v, sv), loss, grads)
 
 
 def qbm_grad_reverse(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
@@ -237,7 +260,7 @@ def qbm_grad_reverse(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
     Entry m: -Tr(G_m ({sigma_v, rho^-1} x I_h)) / (Tr(sigma_v^2 rho^-1) Z)
     +  2 Tr(dH_m e^{-H}) / Z, with d(e^{-H})/dtheta_m = -G_m.
     """
-    return _qbm_grad(p, rho, "reverse")
+    return evaluate(p, rho, "reverse").grad
 
 
 def qbm_grad_forward(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
@@ -246,7 +269,7 @@ def qbm_grad_forward(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
     Entry m: +Tr(rho^2 sigma_v^-1 Tr_h(G_m) sigma_v^-1) / (Tr(rho^2 sigma_v^-1) Z)
     -  Tr(dH_m e^{-H}) / Z, with d(e^{-H})/dtheta_m = -G_m.
     """
-    return _qbm_grad(p, rho, "forward")
+    return evaluate(p, rho, "forward").grad
 
 
 def frechet_exp_neg_derivative(w: np.ndarray, v: np.ndarray, pm: np.ndarray) -> np.ndarray:
@@ -270,14 +293,14 @@ def frechet_exp_neg_derivative(w: np.ndarray, v: np.ndarray, pm: np.ndarray) -> 
 
 def _qbm_grad_frechet(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
     w, v, e_mat, z, sv = qbm_thermal(p)
-    q, denom, sign = _renyi2_kernel(sv, rho.mat, direction, DEFAULT_REL_CUTOFF)
+    q, loss, sign = _renyi2_kernel(sv, rho.mat, direction, DEFAULT_REL_CUTOFF)
     grads = np.empty(len(p.basis))
     for m, t in enumerate(p.basis):
         pm = t.dense(p.n_qubits)
         g_m = frechet_exp_neg_derivative(w, v, pm)
         trace_pm_e = _real_trace(pm @ e_mat)
         dsv = -qmath.partial_trace(g_m, p.n_v, p.n_h) / z + sv * (trace_pm_e / z)
-        grads[m] = sign * _real_trace(dsv @ q) / denom
+        grads[m] = sign * _real_trace(dsv @ q) / loss.numerator
     return grads
 
 

@@ -19,13 +19,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import divergence
 from .hamiltonians import LCUHamiltonian, normalize, random_three_local, random_two_local
-from .models import QBMParams, UQNNParams, build_qbm, build_uqnn, qbm_visible_state, uqnn_visible_state
+from .models import QBMParams, UQNNParams, build_qbm, build_uqnn
 from .states import DensityMatrix, fidelity, thermal_state
 
 DEFAULT_BETA1 = 0.9
@@ -271,37 +270,6 @@ def _build_model(cfg: TrainConfig, init_rng: np.random.Generator):
     return build_qbm(cfg.n_v, cfg.n_h, init_rng, normalize_init=cfg.normalize_init)
 
 
-def _loss_and_grad_fns(
-    cfg: TrainConfig, rho: DensityMatrix
-) -> tuple[Callable, Callable, Callable]:
-    """(visible_state, raw_loss, raw_grad) callables for the configured model."""
-    if cfg.kind == "uqnn":
-        vis = uqnn_visible_state
-        if cfg.direction == "reverse":
-            return (
-                vis,
-                lambda p: divergence.renyi2_reverse(vis(p), rho).value,
-                lambda p: divergence.uqnn_grad_reverse(p, rho),
-            )
-        return (
-            vis,
-            lambda p: divergence.renyi2_forward(rho, vis(p)).value,
-            lambda p: divergence.uqnn_grad_forward(p, rho),
-        )
-    vis = qbm_visible_state
-    if cfg.direction == "reverse":
-        return (
-            vis,
-            lambda p: divergence.renyi2_reverse(vis(p), rho).value,
-            lambda p: divergence.qbm_grad_reverse(p, rho),
-        )
-    return (
-        vis,
-        lambda p: divergence.renyi2_forward(rho, vis(p)).value,
-        lambda p: divergence.qbm_grad_forward(p, rho),
-    )
-
-
 @contextmanager
 def _failing_epoch(epoch: int):
     """Re-raise a numeric failure of one epoch as a TrainingError naming it.
@@ -316,38 +284,44 @@ def _failing_epoch(epoch: int):
         raise TrainingError(f"epoch {epoch}: {exc}") from exc
 
 
-def _train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str | None = None) -> MetricsLog:
+def train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str | None = None) -> MetricsLog:
+    """Train one model of either kind against one seeded target.
+
+    `run_idx` and `vary` pick the ensemble member's target and init streams
+    (see run_streams); with out_dir the run's CSV and checkpoint land there.
+    """
     target_rng, init_rng = run_streams(cfg.seed, run_idx, vary)
     _, rho = draw_target(cfg, target_rng)
     model = _build_model(cfg, init_rng)
-    vis_fn, loss_fn, grad_fn = _loss_and_grad_fns(cfg, rho)
     lam = cfg.l2_penalty
 
     log = MetricsLog(config_hash=cfg.config_hash(), seed=cfg.seed)
     opt = AdamState.init(len(model.thetas), cfg.lr)
 
-    def full_gradient() -> np.ndarray:
-        return grad_fn(model) + 2.0 * lam * model.thetas
+    def full_evaluation() -> tuple[divergence.Evaluation, np.ndarray]:
+        ev = divergence.evaluate(model, rho, cfg.direction)
+        return ev, ev.grad + 2.0 * lam * model.thetas
 
-    def log_row(epoch: int, grad: np.ndarray, t_start: float) -> None:
-        raw = loss_fn(model)
+    def log_row(epoch: int, ev: divergence.Evaluation, grad: np.ndarray, t_start: float) -> None:
+        raw = ev.loss.value
         penal = raw + lam * float(model.thetas @ model.thetas)
-        fid = fidelity(vis_fn(model), rho)
+        fid = fidelity(ev.sigma_v, rho)
         wall = (time.perf_counter() - t_start) * 1000.0
         log.rows.append(MetricsRow(epoch, raw, penal, fid, float(np.max(np.abs(grad))), wall))
 
-    # One gradient per epoch: the vector logged at row e also drives update e+1.
+    # One evaluation per epoch: the state, loss and gradient logged at row e
+    # come from one state build, and that gradient also drives update e+1.
     t0 = time.perf_counter()
     with _failing_epoch(0):
-        grad = full_gradient()
-        log_row(0, grad, t0)
+        ev, grad = full_evaluation()
+        log_row(0, ev, grad, t0)
     t0 = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
         with _failing_epoch(epoch):
             opt, model.thetas = adam_step(opt, model.thetas, grad)
-            grad = full_gradient()
+            ev, grad = full_evaluation()
             if epoch % cfg.log_every == 0 or epoch == cfg.epochs:
-                log_row(epoch, grad, t0)
+                log_row(epoch, ev, grad, t0)
                 t0 = time.perf_counter()
 
     log.checkpoint = model.to_checkpoint(rng_seed=cfg.seed, epoch=cfg.epochs)
@@ -358,20 +332,6 @@ def _train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str 
         with open(os.path.join(out_dir, f"run_{run_idx:03d}_checkpoint.json"), "w") as fh:
             json.dump(log.checkpoint, fh, indent=1)
     return log
-
-
-def train_uqnn(cfg: TrainConfig, out_dir: str | None = None) -> MetricsLog:
-    """Train a unitary circuit model against one seeded thermal target."""
-    if cfg.kind != "uqnn":
-        raise ValueError(f"config kind {cfg.kind!r} is not 'uqnn'")
-    return _train(cfg, out_dir=out_dir)
-
-
-def train_qbm(cfg: TrainConfig, out_dir: str | None = None) -> MetricsLog:
-    """Train a Boltzmann machine against one seeded thermal target."""
-    if cfg.kind != "qbm":
-        raise ValueError(f"config kind {cfg.kind!r} is not 'qbm'")
-    return _train(cfg, out_dir=out_dir)
 
 
 def load_checkpoint_model(doc: dict) -> UQNNParams | QBMParams:
@@ -415,7 +375,7 @@ class EnsembleSummary:
 
 def _ensemble_worker(args: tuple) -> MetricsLog:
     cfg_doc, run_idx, vary = args
-    return _train(TrainConfig.from_json_dict(cfg_doc), run_idx=run_idx, vary=vary)
+    return train(TrainConfig.from_json_dict(cfg_doc), run_idx=run_idx, vary=vary)
 
 
 def run_ensemble(
@@ -454,7 +414,7 @@ def run_ensemble(
     if jobs == 1:
         for run_idx in range(n_runs):
             try:
-                logs[run_idx] = _train(cfg, run_idx=run_idx, vary=vary)
+                logs[run_idx] = train(cfg, run_idx=run_idx, vary=vary)
             except TrainingError as exc:
                 note_failure(run_idx, exc)
     else:
@@ -506,8 +466,7 @@ __all__ = [
     "adam_step",
     "run_streams",
     "draw_target",
-    "train_uqnn",
-    "train_qbm",
+    "train",
     "run_ensemble",
     "load_checkpoint_model",
 ]

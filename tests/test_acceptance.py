@@ -168,11 +168,11 @@ def test_criterion_06_gradient_boundedness(capsys):
         target_locality=3,
         tau=10.0,
     )
-    from renyiqnn.training import train_qbm
+    from renyiqnn.training import train
 
-    reg_max = float(np.max(train_qbm(base).column("grad_inf_norm")))
+    reg_max = float(np.max(train(base).column("grad_inf_norm")))
     free_max = float(
-        np.max(train_qbm(dataclasses.replace(base, l2_penalty=0.0)).column("grad_inf_norm"))
+        np.max(train(dataclasses.replace(base, l2_penalty=0.0)).column("grad_inf_norm"))
     )
     ok_bounded = reg_max < 10.0
     ok_contrast = free_max >= 2.0 * reg_max

@@ -93,3 +93,27 @@ def test_workloads_reference_the_program():
     assert ("renyiqnn.training", "run_ensemble") in refs
     assert ("renyiqnn.divergence", "qbm_grad_reverse") in refs
     assert ("renyiqnn.states", "DensityMatrix") in refs
+
+
+def test_plateau_scan_looks_up_gradients_on_plateau_per_init(monkeypatch):
+    # The plateau workload's observer rebinds these names on `plateau`; the
+    # scan must resolve them there at call time, once per initialization.
+    import numpy as np
+
+    from renyiqnn import plateau
+    from renyiqnn.hamiltonians import normalize, random_two_local
+
+    calls = {"uqnn_grad_reverse": 0, "uqnn_grad_linear": 0}
+    for name in calls:
+        original = getattr(plateau, name)
+
+        def counted(p, target, name=name, original=original):
+            calls[name] += 1
+            return original(p, target)
+
+        monkeypatch.setattr(plateau, name, counted)
+    rng = np.random.default_rng(5)
+    target = normalize(random_two_local(2, 0.3, 1.0, rng), 1.0)
+    n_h_list, ensemble = [0, 1], 3
+    plateau.init_gradient_scan(2, target, n_h_list, ensemble, rng)
+    assert calls == {name: ensemble * len(n_h_list) for name in calls}

@@ -265,6 +265,26 @@ class TestMCEstimate:
         assert abs(est["z"]) < 6
         assert "z" in capsys.readouterr().out
 
+    def test_three_local_defaults_rerun_exactly(self, tmp_path):
+        # the resolved config must record the std_single the target was drawn with
+        doc = {
+            "schema_version": 1,
+            "experiment": "mc-estimate",
+            "seed": 0,
+            "n_v": 3,
+            "n_h": 0,
+            "k": 1,
+            "shots": 2000,
+            "target": {"locality": 3, "tau": 1.0},
+            "target_alpha_norm": 0.8,
+        }
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(first)]) == 0
+        resolved = json.loads((first / "config.json").read_text())
+        assert resolved["target"]["std_single"] == 1.0
+        assert main(["mc-estimate", "--config", str(first / "config.json"), "--out", str(second)]) == 0
+        assert (second / "estimate.json").read_text() == (first / "estimate.json").read_text()
+
     def test_alpha_norm_out_of_range(self, tmp_path):
         doc = {
             "schema_version": 1,

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from renyiqnn.divergence import (
     LossValue,
     SingularStateError,
+    evaluate,
     fd_gradient,
     fd_richardson,
     frechet_exp_neg_derivative,
@@ -90,6 +91,10 @@ class TestLossClosedForms:
         assert isinstance(lv, LossValue)
         assert lv.value == pytest.approx(math.log(lv.numerator), abs=1e-14)
         assert lv.conditioning == pytest.approx(np.linalg.eigvalsh(sigma.mat).min(), abs=1e-12)
+        # reverse inverts the target, so its conditioning is rho's
+        assert renyi2_reverse(sigma, rho).conditioning == pytest.approx(
+            np.linalg.eigvalsh(rho.mat).min(), abs=1e-12
+        )
 
     def test_asymmetry(self, rng):
         rho, sigma = random_density_matrix(2, rng), random_density_matrix(2, rng)
@@ -391,6 +396,29 @@ class TestQBMGradients:
         eps = 1e-6
         fd = (expm(-(h + eps * x)) - expm(-(h - eps * x))) / (2 * eps)
         assert np.max(np.abs(-g - fd)) < 1e-8
+
+
+class TestEvaluate:
+    GRADIENTS = {
+        ("uqnn", "reverse"): uqnn_grad_reverse,
+        ("uqnn", "forward"): uqnn_grad_forward,
+        ("qbm", "reverse"): qbm_grad_reverse,
+        ("qbm", "forward"): qbm_grad_forward,
+    }
+
+    @pytest.mark.parametrize("kind,direction", sorted(GRADIENTS))
+    def test_matches_public_loss_state_and_gradient(self, rng, kind, direction):
+        # forward needs a full-rank circuit reduction, hence n_h = n_v
+        p = build_uqnn(2, 2, rng) if kind == "uqnn" else build_qbm(2, 1, rng)
+        rho = random_density_matrix(2, rng)
+        ev = evaluate(p, rho, direction)
+        visible = uqnn_visible_state(p) if kind == "uqnn" else qbm_visible_state(p)
+        assert np.array_equal(ev.sigma_v.mat, visible.mat)
+        if direction == "reverse":
+            assert ev.loss == renyi2_reverse(ev.sigma_v, rho)
+        else:
+            assert ev.loss == renyi2_forward(rho, ev.sigma_v)
+        assert np.array_equal(ev.grad, self.GRADIENTS[kind, direction](p, rho))
 
 
 class TestFDGradient:

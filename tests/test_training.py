@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from renyiqnn import divergence
+from renyiqnn import divergence, models
 from renyiqnn.divergence import SingularStateError
-from renyiqnn.models import QBMParams, UQNNParams
+from renyiqnn.models import QBMParams, UQNNParams, qbm_visible_state, uqnn_visible_state
 from renyiqnn.states import fidelity, thermal_state
 from renyiqnn.training import (
     CSV_COLUMNS,
@@ -23,8 +23,7 @@ from renyiqnn.training import (
     load_checkpoint_model,
     run_ensemble,
     run_streams,
-    train_qbm,
-    train_uqnn,
+    train,
 )
 
 
@@ -161,104 +160,132 @@ class TestDrawTarget:
 class TestTrainUQNN:
     def test_seeded_run_converges(self):
         cfg = TrainConfig(kind="uqnn", n_v=3, n_h=3, epochs=100, lr=0.03, seed=0)
-        log = train_uqnn(cfg)
+        log = train(cfg)
         fid = log.column("fidelity")
         assert fid[0] < 0.8
         assert fid[-1] > 0.95
 
     def test_loss_windows_decrease(self):
         cfg = TrainConfig(kind="uqnn", n_v=3, n_h=3, epochs=100, lr=0.03, seed=0)
-        loss = train_uqnn(cfg).column("loss")
+        loss = train(cfg).column("loss")
         decreases = sum(loss[i + 10] < loss[i] for i in range(0, 90, 10))
         assert decreases == 9
 
     def test_loss_fidelity_anticorrelated(self):
         cfg = TrainConfig(kind="uqnn", n_v=3, n_h=3, epochs=100, lr=0.03, seed=0)
-        log = train_uqnn(cfg)
+        log = train(cfg)
         rho_s = spearmanr(log.column("loss"), log.column("fidelity")).statistic
         assert rho_s < -0.8
 
     def test_one_qubit_monotone_start(self):
         cfg = TrainConfig(kind="uqnn", n_v=1, n_h=1, epochs=10, lr=0.01, seed=1)
-        loss = train_uqnn(cfg).column("loss")
+        loss = train(cfg).column("loss")
         assert all(loss[i + 1] <= loss[i] + 1e-12 for i in range(len(loss) - 1))
 
     def test_zero_lr_freezes_parameters(self):
-        log = train_uqnn(small_cfg(lr=0.0))
+        log = train(small_cfg(lr=0.0))
         fid = log.column("fidelity")
         assert all(f == fid[0] for f in fid)
 
     def test_bitwise_deterministic(self):
-        a = train_uqnn(small_cfg())
-        b = train_uqnn(small_cfg())
+        a = train(small_cfg())
+        b = train(small_cfg())
         for name in ("loss", "fidelity", "grad_inf_norm"):
             assert np.array_equal(a.column(name), b.column(name))
 
     def test_log_every_keeps_first_and_last(self):
-        log = train_uqnn(small_cfg(epochs=7, log_every=3))
+        log = train(small_cfg(epochs=7, log_every=3))
         assert [r.epoch for r in log.rows] == [0, 3, 6, 7]
 
     def test_checkpoint_reproduces_final_state(self):
         cfg = small_cfg()
-        log = train_uqnn(cfg)
+        log = train(cfg)
         model = load_checkpoint_model(log.checkpoint)
         assert isinstance(model, UQNNParams)
         rng, _ = run_streams(cfg.seed, 0, "both")
         _, rho = draw_target(cfg, rng)
-        from renyiqnn.models import uqnn_visible_state
-
         f = fidelity(uqnn_visible_state(model), rho)
         assert f == pytest.approx(log.final_fidelity(), abs=1e-12)
         assert log.checkpoint["epoch"] == cfg.epochs
 
-    def test_kind_guard(self):
-        with pytest.raises(ValueError, match="kind"):
-            train_uqnn(small_cfg(kind="qbm"))
-        with pytest.raises(ValueError, match="kind"):
-            train_qbm(small_cfg())
-
     def test_forward_direction_runs(self):
         # forward needs a full-rank visible state: n_h >= n_v
-        log = train_uqnn(small_cfg(n_v=1, n_h=2, direction="forward", epochs=3))
+        log = train(small_cfg(n_v=1, n_h=2, direction="forward", epochs=3))
         assert len(log.rows) == 4
         assert np.isfinite(log.column("loss")).all()
 
     def test_forward_rank_deficiency_reported(self):
         # n_h = 0 keeps sigma_v pure, so the forward loss cannot be evaluated
         with pytest.raises(TrainingError, match="epoch 0") as exc_info:
-            train_uqnn(small_cfg(n_h=0, direction="forward"))
+            train(small_cfg(n_h=0, direction="forward"))
         assert isinstance(exc_info.value.__cause__, SingularStateError)
 
 
 class TestTrainQBM:
     def test_penalized_loss_tracks_penalty(self):
         cfg = small_cfg(kind="qbm", n_v=2, n_h=1, l2_penalty=2.0, epochs=4)
-        log = train_qbm(cfg)
+        log = train(cfg)
         for row in log.rows:
             assert row.penalized_loss >= row.loss - 1e-12
 
     def test_no_penalty_rows_match(self):
-        log = train_qbm(small_cfg(kind="qbm", epochs=3))
+        log = train(small_cfg(kind="qbm", epochs=3))
         for row in log.rows:
             assert row.penalized_loss == pytest.approx(row.loss, abs=1e-12)
 
     def test_checkpoint_roundtrip(self):
         cfg = small_cfg(kind="qbm", epochs=3)
-        log = train_qbm(cfg)
+        log = train(cfg)
         model = load_checkpoint_model(log.checkpoint)
         assert isinstance(model, QBMParams)
 
     def test_gradients_finite_at_init(self):
         cfg = small_cfg(kind="qbm", epochs=2, lr=0.0)
-        log = train_qbm(cfg)
+        log = train(cfg)
         assert np.isfinite(log.column("grad_inf_norm")).all()
 
     def test_unnormalized_large_init_trains(self):
         # skipping the init normalization leaves a spectral spread near 22
         cfg = small_cfg(kind="qbm", epochs=2, normalize_init=False, seed=3)
-        log = train_qbm(cfg)
+        log = train(cfg)
         assert np.isfinite(log.column("grad_inf_norm")).all()
         assert len(log.rows) == cfg.epochs + 1
+
+
+class TestOneEvaluationPerEpoch:
+    @pytest.mark.parametrize("log_every", [1, 3])
+    def test_evaluate_and_statevector_once_per_epoch(self, monkeypatch, log_every):
+        counts = {"evaluate": 0, "statevector": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(divergence, "evaluate", counting("evaluate", divergence.evaluate))
+        statevector = counting("statevector", models.uqnn_statevector)
+        monkeypatch.setattr(divergence, "uqnn_statevector", statevector)
+        monkeypatch.setattr(models, "uqnn_statevector", statevector)
+        cfg = small_cfg(epochs=7, log_every=log_every)
+        train(cfg)
+        assert counts == {"evaluate": cfg.epochs + 1, "statevector": cfg.epochs + 1}
+
+    @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    def test_last_row_is_the_checkpoint_state(self, kind, direction):
+        cfg = small_cfg(kind=kind, n_v=1, n_h=2, direction=direction, epochs=4)
+        log = train(cfg)
+        model = load_checkpoint_model(log.checkpoint)
+        _, rho = draw_target(cfg, run_streams(cfg.seed, 0, "both")[0])
+        sigma_v = uqnn_visible_state(model) if kind == "uqnn" else qbm_visible_state(model)
+        if direction == "reverse":
+            loss = divergence.renyi2_reverse(sigma_v, rho).value
+        else:
+            loss = divergence.renyi2_forward(rho, sigma_v).value
+        assert log.rows[-1].loss == pytest.approx(loss, abs=0)
+        assert log.rows[-1].fidelity == pytest.approx(fidelity(sigma_v, rho), abs=0)
 
 
 class TestMetricsLog:
@@ -306,7 +333,7 @@ class TestRunEnsemble:
     def test_single_run_matches_direct_training(self, tmp_path):
         cfg = small_cfg()
         logs, summary = run_ensemble(cfg, 1, vary="both", out_dir=str(tmp_path))
-        direct = train_uqnn(cfg)  # run 0 with vary=both uses run_idx 0 streams
+        direct = train(cfg)  # run 0 with vary=both uses run_idx 0 streams
         assert summary.n_runs == 1
         assert summary.failures == []
         assert summary.final("fidelity_mean") == pytest.approx(direct.final_fidelity(), abs=1e-12)
@@ -351,17 +378,17 @@ class TestRunEnsemble:
         # one member's gradient goes bad; the ensemble records it and finishes
         cfg = small_cfg(epochs=3)
         bad_rho = draw_target(cfg, run_streams(cfg.seed, 2, "both")[0])[1].mat
-        exact = divergence.uqnn_grad_reverse
+        exact = divergence.evaluate
 
-        def faulty(p, rho):
-            g = exact(p, rho)
+        def faulty(p, rho, direction):
+            ev = exact(p, rho, direction)
             if np.array_equal(rho.mat, bad_rho):
                 if fault == "linalg":
                     raise np.linalg.LinAlgError("Eigenvalues did not converge")
-                g[0] = math.nan
-            return g
+                ev.grad[0] = math.nan
+            return ev
 
-        monkeypatch.setattr(divergence, "uqnn_grad_reverse", faulty)
+        monkeypatch.setattr(divergence, "evaluate", faulty)
         logs, summary = run_ensemble(cfg, 5, vary="both")
         assert len(logs) == 4
         assert len(summary.failures) == 1
@@ -381,7 +408,7 @@ class TestTrainingErrorContext:
     def test_epoch_zero_context_and_cause(self):
         cfg = small_cfg(n_h=0, direction="forward")
         with pytest.raises(TrainingError) as exc_info:
-            train_uqnn(cfg)
+            train(cfg)
         assert str(exc_info.value).startswith("epoch 0:")
         assert isinstance(exc_info.value.__cause__, SingularStateError)
 
