@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import qmath
-from .hamiltonians import string_trace
+from .hamiltonians import pauli_traces
 from .models import (
     QBMParams,
     UQNNParams,
@@ -244,14 +244,12 @@ def evaluate(
     q, loss, sign = _renyi2_kernel(sv, rho.mat, direction, rel_cutoff)
     r = _exp_neg_adjoint(w, v, np.kron(q, np.eye(2**p.n_h)))
     kernel = sign * (_real_trace(sv @ q) * e_mat - r) / (z * loss.numerator)
-    grads = np.empty(len(p.basis))
-    for m, t in enumerate(p.basis):
-        idx, col_phase = t.action(p.n_qubits)
-        g = string_trace(kernel, idx, col_phase)
-        if abs(g.imag) > 1e-8 * max(1.0, abs(g.real)):
-            raise ArithmeticError(f"gradient entry {m} has imaginary residue {g.imag:.3e}")
-        grads[m] = g.real
-    return Evaluation(DensityMatrix(p.n_v, sv), loss, grads)
+    g = pauli_traces(kernel, p.tables())
+    bad = np.nonzero(np.abs(g.imag) > 1e-8 * np.maximum(1.0, np.abs(g.real)))[0]
+    if bad.size:
+        m = int(bad[0])
+        raise ArithmeticError(f"gradient entry {m} has imaginary residue {g[m].imag:.3e}")
+    return Evaluation(DensityMatrix(p.n_v, sv), loss, g.real)
 
 
 def qbm_grad_reverse(p: QBMParams, rho: DensityMatrix) -> np.ndarray:

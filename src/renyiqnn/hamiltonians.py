@@ -78,7 +78,7 @@ class PauliTerm:
 
     def dense(self, n_qubits: int) -> np.ndarray:
         """Dense coeff * Pauli-string matrix."""
-        return weighted_sum_dense(n_qubits, [self.coeff], [self])
+        return weighted_sum_dense([self.coeff], pauli_tables([self], n_qubits))
 
 
 def string_action(
@@ -98,15 +98,43 @@ def string_trace(m: np.ndarray, idx: np.ndarray, col_phase: np.ndarray) -> compl
     return complex(np.sum(col_phase * m[np.arange(d), idx]))
 
 
-def weighted_sum_dense(n_qubits: int, coeffs, terms) -> np.ndarray:
-    """Dense sum_l coeffs[l] * P_l, P_l the unit-coefficient string of terms[l]."""
+def pauli_tables(terms, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (idx, col_phase) of the unit-coefficient strings, shape (len(terms), 2^n).
+
+    Row l equals terms[l].action(n_qubits) bit for bit: same index
+    arithmetic, same parity signs, same i^{n_y} phase factors.
+    """
     d = 2**n_qubits
     qmath.check_dim(d)
+    masks = [t.masks(n_qubits) for t in terms]
+    xmask = np.array([x for x, _, _ in masks], dtype=np.int64).reshape(-1, 1)
+    zmask = np.array([z for _, z, _ in masks], dtype=np.int64).reshape(-1, 1)
+    phase = np.array([1j**ny for _, _, ny in masks], dtype=complex).reshape(-1, 1)
+    i = np.arange(d)
+    col_phase = phase * np.where(_parity(i & zmask) == 1, -1.0, 1.0).astype(complex)
+    return i ^ xmask, col_phase
+
+
+def pauli_traces(m: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Tr(P_l m) for every row l of stacked pauli_tables, in one gather.
+
+    Row l sums the same products in the same order as string_trace does.
+    """
+    idx, col_phase = tables
+    return np.sum(col_phase * m[np.arange(m.shape[0]), idx], axis=1)
+
+
+def weighted_sum_dense(coeffs, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Dense sum_l coeffs[l] * P_l from the stacked tables of pauli_tables.
+
+    One scatter; np.add.at accumulates in term order, so every entry sums
+    its terms in the same order as a per-term loop would.
+    """
+    idx, col_phase = tables
+    d = idx.shape[1]
     m = np.zeros((d, d), dtype=complex)
-    cols = np.arange(d)
-    for c, t in zip(coeffs, terms):
-        idx, col_phase = t.action(n_qubits)
-        m[idx, cols] += c * col_phase
+    vals = np.asarray(coeffs, dtype=float).reshape(-1, 1) * col_phase
+    np.add.at(m, (idx, np.arange(d)), vals)
     return m
 
 
@@ -129,7 +157,8 @@ class LCUHamiltonian:
         return float(sum(abs(t.coeff) for t in self.terms))
 
     def dense(self) -> np.ndarray:
-        return weighted_sum_dense(self.n_qubits, [t.coeff for t in self.terms], self.terms)
+        coeffs = [t.coeff for t in self.terms]
+        return weighted_sum_dense(coeffs, pauli_tables(self.terms, self.n_qubits))
 
     def to_json_dict(self) -> dict:
         return {

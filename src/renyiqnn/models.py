@@ -18,6 +18,7 @@ from .hamiltonians import (
     LCUHamiltonian,
     PauliTerm,
     pair_axes,
+    pauli_tables,
     single_axes,
     two_local_terms,
     weighted_sum_dense,
@@ -178,6 +179,7 @@ class QBMParams:
     n_h: int
     basis: list[PauliTerm]
     thetas: np.ndarray
+    _tables: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.thetas = np.asarray(self.thetas, dtype=float)
@@ -195,8 +197,15 @@ class QBMParams:
     def dim(self) -> int:
         return 2**self.n_qubits
 
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked (idx, col_phase) of the basis strings, shape (len(basis), dim)."""
+        # As for UQNNParams: the basis is fixed, only thetas change in training.
+        if self._tables is None:
+            self._tables = pauli_tables(self.basis, self.n_qubits)
+        return self._tables
+
     def hamiltonian_dense(self) -> np.ndarray:
-        return weighted_sum_dense(self.n_qubits, self.thetas, self.basis)
+        return weighted_sum_dense(self.thetas, self.tables())
 
     def to_hamiltonian(self) -> LCUHamiltonian:
         terms = [PauliTerm(float(th), t.axes) for th, t in zip(self.thetas, self.basis)]

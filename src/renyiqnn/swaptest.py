@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .hamiltonians import LCUHamiltonian
+from .hamiltonians import LCUHamiltonian, pauli_tables
 from .models import (
     UQNNParams,
     conjugated_generator_vec,
@@ -243,14 +243,9 @@ def mc_reverse_gradient_thermal(
     bs_den = [sv @ sv]
     bs_num = [a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T]
 
-    if terms:
-        actions = [t.action(p.n_v) for t in terms]
-        idx_tab = np.stack([a[0] for a in actions])
-        sign = np.where(alpha < 0.0, -1.0, 1.0)
-        cp_tab = sign[:, None] * np.stack([a[1] for a in actions])
-        p_idx = np.abs(alpha) / a1 if a1 > 0.0 else None
-    else:
-        idx_tab = cp_tab = p_idx = None
+    idx_tab, cp_tab = pauli_tables(terms, p.n_v)
+    cp_tab = np.where(alpha < 0.0, -1.0, 1.0)[:, None] * cp_tab
+    p_idx = np.abs(alpha) / a1 if a1 > 0.0 else None
 
     orders = np.arange(q_max + 1)
     weights = a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)

@@ -163,7 +163,7 @@ class TrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRow:
     epoch: int
     loss: float
@@ -184,12 +184,21 @@ class MetricsLog:
     updates, with loss, fidelity, and gradient all evaluated at that row's
     parameters. grad_inf_norm is the infinity norm of the full training
     gradient, penalty term included.
+
+    The final checkpoint is kept as the JSON text written to the checkpoint
+    file (a fraction of the size of the decoded dict, which matters once
+    many logs are held or pickled back from ensemble workers); `checkpoint`
+    decodes it.
     """
 
     config_hash: str
     seed: int
     rows: list[MetricsRow] = field(default_factory=list)
-    checkpoint: dict | None = None
+    checkpoint_json: str | None = None
+
+    @property
+    def checkpoint(self) -> dict | None:
+        return None if self.checkpoint_json is None else json.loads(self.checkpoint_json)
 
     def validate(self) -> "MetricsLog":
         last = -1
@@ -219,6 +228,12 @@ class MetricsLog:
                 writer.writerow(
                     [r.epoch] + [repr(float(getattr(r, c))) for c in CSV_COLUMNS[1:]]
                 )
+
+    def write(self, out_dir: str, run_idx: int) -> None:
+        """run_NNN.csv and run_NNN_checkpoint.json in the existing directory out_dir."""
+        self.to_csv(os.path.join(out_dir, f"run_{run_idx:03d}.csv"))
+        with open(os.path.join(out_dir, f"run_{run_idx:03d}_checkpoint.json"), "w") as fh:
+            fh.write(self.checkpoint_json)
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,13 +339,12 @@ def train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str |
                 log_row(epoch, ev, grad, t0)
                 t0 = time.perf_counter()
 
-    log.checkpoint = model.to_checkpoint(rng_seed=cfg.seed, epoch=cfg.epochs)
+    checkpoint = model.to_checkpoint(rng_seed=cfg.seed, epoch=cfg.epochs)
+    log.checkpoint_json = json.dumps(checkpoint, indent=1)
     log.validate()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        log.to_csv(os.path.join(out_dir, f"run_{run_idx:03d}.csv"))
-        with open(os.path.join(out_dir, f"run_{run_idx:03d}_checkpoint.json"), "w") as fh:
-            json.dump(log.checkpoint, fh, indent=1)
+        log.write(out_dir, run_idx)
     return log
 
 
@@ -447,9 +461,7 @@ def run_ensemble(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for run_idx, lg in zip(sorted(logs), ordered):
-            lg.to_csv(os.path.join(out_dir, f"run_{run_idx:03d}.csv"))
-            with open(os.path.join(out_dir, f"run_{run_idx:03d}_checkpoint.json"), "w") as fh:
-                json.dump(lg.checkpoint, fh, indent=1)
+            lg.write(out_dir, run_idx)
         summary.to_csv(os.path.join(out_dir, "summary.csv"))
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary.to_json_dict(), fh, indent=1)

@@ -23,7 +23,8 @@ from renyiqnn.divergence import (
     uqnn_grad_linear,
     uqnn_grad_reverse,
 )
-from renyiqnn.hamiltonians import PauliTerm
+from renyiqnn import divergence, hamiltonians
+from renyiqnn.hamiltonians import PauliTerm, string_trace
 from renyiqnn.models import (
     QBMParams,
     UQNNParams,
@@ -419,6 +420,37 @@ class TestEvaluate:
         else:
             assert ev.loss == renyi2_forward(rho, ev.sigma_v)
         assert np.array_equal(ev.grad, self.GRADIENTS[kind, direction](p, rho))
+
+    @staticmethod
+    def record_kernels(monkeypatch, inject=None) -> list:
+        """Record each kernel evaluate gathers from; `inject` may alter it first."""
+        kernels = []
+
+        def recording(m, tables):
+            m = m if inject is None else inject(m)
+            kernels.append(m)
+            return hamiltonians.pauli_traces(m, tables)
+
+        monkeypatch.setattr(divergence, "pauli_traces", recording)
+        return kernels
+
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    def test_qbm_gather_equals_per_term_traces(self, rng, monkeypatch, direction):
+        p = build_qbm(2, 1, rng)
+        rho = random_density_matrix(2, rng)
+        kernels = self.record_kernels(monkeypatch)
+        ev = evaluate(p, rho, direction)
+        (kernel,) = kernels
+        ref = [string_trace(kernel, *t.action(p.n_qubits)).real for t in p.basis]
+        assert np.array_equal(ev.grad, ref)
+
+    def test_qbm_imaginary_residue_names_first_entry(self, rng, monkeypatch):
+        # Tr(P_m i eps P_k) = i eps dim delta_mk: entries 3 and 5 turn imaginary
+        p = build_qbm(2, 1, rng)
+        leak = 1e-3j * (p.basis[5].dense(p.n_qubits) + p.basis[3].dense(p.n_qubits))
+        self.record_kernels(monkeypatch, inject=lambda m: m + leak)
+        with pytest.raises(ArithmeticError, match=r"gradient entry 3 has imaginary residue 8\.000e-03"):
+            evaluate(p, random_density_matrix(2, rng), "reverse")
 
 
 class TestFDGradient:

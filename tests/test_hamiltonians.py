@@ -10,12 +10,15 @@ from renyiqnn.hamiltonians import (
     PauliTerm,
     normalize,
     pair_axes,
+    pauli_tables,
+    pauli_traces,
     random_three_local,
     random_two_local,
     single_axes,
     string_trace,
     triple_axes,
     two_local_terms,
+    weighted_sum_dense,
 )
 from renyiqnn.models import apply_pauli
 from renyiqnn.qmath import op_norm
@@ -81,6 +84,68 @@ class TestStringTrace:
         t = PauliTerm(1.0, ())
         idx, col_phase = t.action(2)
         assert abs(string_trace(np.eye(4, dtype=complex), idx, col_phase) - 4.0) < 1e-14
+
+
+def random_terms(n: int, count: int, rng: np.random.Generator) -> list[PauliTerm]:
+    """Distinct random Pauli strings on n qubits, every axis (y included) equally likely."""
+    terms, seen = [], set()
+    while len(terms) < count:
+        qubits = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        axes = tuple((int(q), str(rng.choice(["x", "y", "z"]))) for q in qubits)
+        if axes not in seen:
+            seen.add(axes)
+            terms.append(PauliTerm(1.0, axes))
+    return terms
+
+
+def per_term_dense(n: int, coeffs, terms) -> np.ndarray:
+    """The per-term scatter loop dense assembly used before stacked tables."""
+    d = 2**n
+    m = np.zeros((d, d), dtype=complex)
+    cols = np.arange(d)
+    for c, t in zip(coeffs, terms):
+        idx, col_phase = t.action(n)
+        m[idx, cols] += c * col_phase
+    return m
+
+
+class TestPauliTables:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_equal_string_action(self, rng, n):
+        terms = random_terms(n, min(12, 4**n - 1), rng)
+        assert any(a == "y" for t in terms for _, a in t.axes)
+        idx, col_phase = pauli_tables(terms, n)
+        assert idx.shape == col_phase.shape == (len(terms), 2**n)
+        ref = [t.action(n) for t in terms]  # string_action, one string at a time
+        assert idx.dtype == ref[0][0].dtype and col_phase.dtype == ref[0][1].dtype
+        assert np.array_equal(idx, np.stack([r[0] for r in ref]))
+        assert np.array_equal(col_phase, np.stack([r[1] for r in ref]))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_term_list(self, n):
+        idx, col_phase = pauli_tables([], n)
+        assert idx.shape == col_phase.shape == (0, 2**n)
+        m = LCUHamiltonian(n, []).dense()
+        assert m.shape == (2**n, 2**n) and not np.any(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_scatter_equals_per_term_loop(self, rng, n):
+        terms = random_terms(n, min(20, 4**n - 1), rng)
+        coeffs = rng.standard_normal(len(terms))
+        m = weighted_sum_dense(coeffs, pauli_tables(terms, n))
+        assert np.array_equal(m, per_term_dense(n, coeffs, terms))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_gather_equals_string_trace_loop(self, rng, n):
+        terms = random_terms(n, min(15, 4**n - 1), rng)
+        d = 2**n
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ref = [string_trace(m, *t.action(n)) for t in terms]
+        assert np.array_equal(pauli_traces(m, pauli_tables(terms, n)), ref)
+
+    def test_out_of_range_qubit(self):
+        with pytest.raises(ValueError, match="out of range"):
+            pauli_tables([PauliTerm(1.0, ((0, "x"),)), PauliTerm(1.0, ((2, "y"),))], 2)
 
 
 class TestTermGeneration:

@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from renyiqnn import divergence, models
+from renyiqnn import cli, divergence, models, training
 from renyiqnn.divergence import SingularStateError
+from renyiqnn.hamiltonians import pauli_tables
 from renyiqnn.models import QBMParams, UQNNParams, qbm_visible_state, uqnn_visible_state
 from renyiqnn.states import fidelity, thermal_state
 from renyiqnn.training import (
@@ -272,6 +275,18 @@ class TestOneEvaluationPerEpoch:
         train(cfg)
         assert counts == {"evaluate": cfg.epochs + 1, "statevector": cfg.epochs + 1}
 
+    def test_qbm_pauli_tables_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(terms, n_qubits):
+            calls.append(len(terms))
+            return pauli_tables(terms, n_qubits)
+
+        monkeypatch.setattr(models, "pauli_tables", counting)
+        log = train(small_cfg(kind="qbm", n_v=2, n_h=1, epochs=6))
+        assert len(log.rows) == 7
+        assert calls == [len(models.two_local_terms(3))]
+
     @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
     @pytest.mark.parametrize("direction", ["reverse", "forward"])
     def test_last_row_is_the_checkpoint_state(self, kind, direction):
@@ -328,6 +343,38 @@ class TestMetricsLog:
         doc = self.make_log().to_json_dict()
         assert json.loads(json.dumps(doc))["rows"][0]["loss"] == 1.0
 
+    @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
+    def test_checkpoint_is_the_written_json(self, monkeypatch, tmp_path, kind):
+        build, built = training._build_model, []
+
+        def recording(cfg, init_rng):
+            built.append(build(cfg, init_rng))
+            return built[-1]
+
+        monkeypatch.setattr(training, "_build_model", recording)
+        cfg = small_cfg(kind=kind, epochs=3)
+        log = train(cfg, out_dir=str(tmp_path))
+        expected = built[0].to_checkpoint(rng_seed=cfg.seed, epoch=cfg.epochs)
+        assert log.checkpoint == expected
+        assert log.to_json_dict()["checkpoint"] == expected
+        text = (tmp_path / "run_000_checkpoint.json").read_text()
+        assert text == json.dumps(expected, indent=1)
+
+    def test_pickled_fig3_log_is_compact(self):
+        # what an ensemble worker sends back: 21 logged rows and a 66-weight checkpoint
+        doc = cli.load_experiment_config(cli.bundled_config_path("fig3_tau10.json"), "ham-learn")
+        cfg = dataclasses.replace(TrainConfig(**doc["train"]), epochs=200)
+        blob = pickle.dumps(train(cfg))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            log = pickle.loads(blob)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(log.rows) == 21
+        assert held < 20_000
+
 
 class TestRunEnsemble:
     def test_single_run_matches_direct_training(self, tmp_path):
@@ -362,10 +409,14 @@ class TestRunEnsemble:
 
     def test_parallel_jobs_bitwise_equal(self, tmp_path):
         cfg = small_cfg(epochs=3)
-        _, s1 = run_ensemble(cfg, 2, vary="both", jobs=1)
-        _, s2 = run_ensemble(cfg, 2, vary="both", jobs=2)
+        logs1, s1 = run_ensemble(cfg, 2, vary="both", jobs=1, out_dir=str(tmp_path / "j1"))
+        logs2, s2 = run_ensemble(cfg, 2, vary="both", jobs=2, out_dir=str(tmp_path / "j2"))
         assert s1.stats["fidelity_mean"] == pytest.approx(s2.stats["fidelity_mean"], abs=0)
         assert s1.stats["loss_mean"] == pytest.approx(s2.stats["loss_mean"], abs=0)
+        assert [lg.checkpoint for lg in logs1] == [lg.checkpoint for lg in logs2]
+        for i in range(2):
+            name = f"run_{i:03d}_checkpoint.json"
+            assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
 
     def test_failure_abort_threshold(self):
         # forward direction with n_h=0 fails at epoch 0 in every run
