@@ -25,8 +25,6 @@ from .hamiltonians import pauli_traces
 from .models import (
     QBMParams,
     UQNNParams,
-    apply_gate,
-    apply_pauli,
     qbm_thermal,
     uqnn_statevector,
     visible_from_statevector,
@@ -53,8 +51,8 @@ class LossValue:
     conditioning: float
 
 
-def _checked_inverse(mat: np.ndarray, rel_cutoff: float, what: str) -> tuple[np.ndarray, float]:
-    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+def _checked_inverse(state: DensityMatrix, rel_cutoff: float, what: str) -> tuple[np.ndarray, float]:
+    w, v = state._eigh()
     wmin, wmax = float(w[0]), float(w[-1])
     if wmax <= 0.0 or wmin < rel_cutoff * wmax:
         raise SingularStateError(f"singular {what}", wmin)
@@ -72,18 +70,19 @@ def _real_trace(m: np.ndarray, tol: float = 1e-9) -> float:
 
 
 def _renyi2_kernel(
-    sv: np.ndarray, rho: np.ndarray, direction: str, rel_cutoff: float
+    sigma_v: DensityMatrix, target: DensityMatrix, direction: str, rel_cutoff: float
 ) -> tuple[np.ndarray, LossValue, float]:
     """(Q, loss, sign) with d D2 = sign Tr(d sigma_v Q) / loss.numerator.
 
     reverse: Q = {sigma_v, rho^-1},            numerator Tr(sigma_v^2 rho^-1), sign +1
     forward: Q = sigma_v^-1 rho^2 sigma_v^-1,  numerator Tr(rho^2 sigma_v^-1), sign -1
     """
+    sv, rho = sigma_v.mat, target.mat
     if direction == "reverse":
-        rinv, wmin = _checked_inverse(rho, rel_cutoff, "target state")
+        rinv, wmin = _checked_inverse(target, rel_cutoff, "target state")
         q, num, sign = sv @ rinv + rinv @ sv, _real_trace(sv @ rinv @ sv), 1.0
     elif direction == "forward":
-        svinv, wmin = _checked_inverse(sv, rel_cutoff, "model state")
+        svinv, wmin = _checked_inverse(sigma_v, rel_cutoff, "model state")
         q, num, sign = svinv @ rho @ rho @ svinv, _real_trace(rho @ svinv @ rho), -1.0
     else:
         raise ValueError(f"unknown direction {direction!r}")
@@ -94,14 +93,14 @@ def renyi2_forward(
     rho: DensityMatrix, sigma: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
 ) -> LossValue:
     """D2(rho || sigma) = ln Tr(rho^2 sigma^-1). sigma must be full rank."""
-    return _renyi2_kernel(sigma.mat, rho.mat, "forward", rel_cutoff)[1]
+    return _renyi2_kernel(sigma, rho, "forward", rel_cutoff)[1]
 
 
 def renyi2_reverse(
     sigma: DensityMatrix, rho: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
 ) -> LossValue:
     """D2(sigma || rho) = ln Tr(sigma^2 rho^-1). rho must be full rank."""
-    return _renyi2_kernel(sigma.mat, rho.mat, "reverse", rel_cutoff)[1]
+    return _renyi2_kernel(sigma, rho, "reverse", rel_cutoff)[1]
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -129,15 +128,15 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def _kernel_sweep(p: UQNNParams, kernel_v: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """2 Im <psi| (kernel_v x I_h) W_k H_k W_k^dag |psi> for every k."""
     dv, dh = 2**p.n_v, 2**p.n_h
-    a = (kernel_v @ psi.reshape(dv, dh)).reshape(-1)
-    b = psi.copy()
-    tables = p.tables()
-    out = np.empty(len(tables))
-    for k, table in enumerate(tables):
-        z = np.vdot(a, apply_pauli(b, table))
-        out[k] = 2.0 * z.imag
-        a = apply_gate(a, table, p.thetas[k], inverse=True)
-        b = apply_gate(b, table, p.thetas[k], inverse=True)
+    idx, phase = p.tables()
+    c, s = np.cos(p.thetas).tolist(), (1j * np.sin(p.thetas)).tolist()
+    # rows a and b advance together; take keeps the gathered rows C-ordered
+    ab = np.stack([(kernel_v @ psi.reshape(dv, dh)).reshape(-1), psi])
+    out = np.empty(len(c))
+    for k in range(len(c)):
+        pab = (phase[k] * ab).take(idx[k], axis=1)
+        out[k] = 2.0 * np.vdot(ab[0], pab[1]).imag
+        ab = c[k] * ab + s[k] * pab
     return out
 
 
@@ -176,7 +175,8 @@ def state_gradient_entry(
     reverse: Tr(dsigma {sigma, rho^-1}) / Tr(sigma^2 rho^-1)
     forward: -Tr(dsigma sigma^-1 rho^2 sigma^-1) / Tr(rho^2 sigma^-1)
     """
-    q, loss, sign = _renyi2_kernel(sigma, rho, direction, DEFAULT_REL_CUTOFF)
+    states = DensityMatrix.from_mat(sigma), DensityMatrix.from_mat(rho)
+    q, loss, sign = _renyi2_kernel(*states, direction, DEFAULT_REL_CUTOFF)
     return sign * _real_trace(dsigma @ q) / loss.numerator
 
 
@@ -234,22 +234,23 @@ def evaluate(
     """
     if isinstance(p, UQNNParams):
         psi = uqnn_statevector(p)
-        sv = visible_from_statevector(psi, p.n_v, p.n_h)
-        q, loss, sign = _renyi2_kernel(sv, rho.mat, direction, rel_cutoff)
+        sv = DensityMatrix(p.n_v, visible_from_statevector(psi, p.n_v, p.n_h))
+        q, loss, sign = _renyi2_kernel(sv, rho, direction, rel_cutoff)
         grad = sign * _kernel_sweep(p, q, psi) / loss.numerator
-        return Evaluation(DensityMatrix(p.n_v, sv), loss, grad)
+        return Evaluation(sv, loss, grad)
     # d sigma_v = (Tr(P_m E) sigma_v - Tr_h G_m) / Z, hence entry m is
     # sign Tr(P_m (Tr(sigma_v Q) E - R)) / (Z numerator), R the adjoint kernel of Q x I_h
-    w, v, e_mat, z, sv = qbm_thermal(p)
-    q, loss, sign = _renyi2_kernel(sv, rho.mat, direction, rel_cutoff)
+    w, v, e_mat, z, sv_mat = qbm_thermal(p)
+    sv = DensityMatrix(p.n_v, sv_mat)
+    q, loss, sign = _renyi2_kernel(sv, rho, direction, rel_cutoff)
     r = _exp_neg_adjoint(w, v, np.kron(q, np.eye(2**p.n_h)))
-    kernel = sign * (_real_trace(sv @ q) * e_mat - r) / (z * loss.numerator)
+    kernel = sign * (_real_trace(sv_mat @ q) * e_mat - r) / (z * loss.numerator)
     g = pauli_traces(kernel, p.tables())
     bad = np.nonzero(np.abs(g.imag) > 1e-8 * np.maximum(1.0, np.abs(g.real)))[0]
     if bad.size:
         m = int(bad[0])
         raise ArithmeticError(f"gradient entry {m} has imaginary residue {g[m].imag:.3e}")
-    return Evaluation(DensityMatrix(p.n_v, sv), loss, g.real)
+    return Evaluation(sv, loss, g.real)
 
 
 def qbm_grad_reverse(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
@@ -291,7 +292,7 @@ def frechet_exp_neg_derivative(w: np.ndarray, v: np.ndarray, pm: np.ndarray) -> 
 
 def _qbm_grad_frechet(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
     w, v, e_mat, z, sv = qbm_thermal(p)
-    q, loss, sign = _renyi2_kernel(sv, rho.mat, direction, DEFAULT_REL_CUTOFF)
+    q, loss, sign = _renyi2_kernel(DensityMatrix(p.n_v, sv), rho, direction, DEFAULT_REL_CUTOFF)
     grads = np.empty(len(p.basis))
     for m, t in enumerate(p.basis):
         pm = t.dense(p.n_qubits)

@@ -9,6 +9,7 @@ runs on statevectors in O(N 2^n).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,39 @@ def apply_gate(v: np.ndarray, table: GateTable, theta: float, inverse: bool = Fa
     return np.cos(theta) * v + s * np.sin(theta) * apply_pauli(v, table)
 
 
+@functools.lru_cache(maxsize=16)
+def _layout_tables(generators: tuple[PauliTerm, ...], n_qubits: int) -> GateTable:
+    """Read-only stacked (idx, phase) of a circuit layout, shape (len(generators), 2^n).
+
+    Row j equals gate_table(generators[j], n_qubits) bit for bit; every
+    parameter vector of the layout shares the pair.
+    """
+    coeffs = np.array([g.coeff for g in generators], dtype=float)
+    bad = coeffs[np.abs(np.abs(coeffs) - 1.0) > 1e-12]
+    if bad.size:
+        raise ValueError(f"generator coefficient must be +-1, got {bad[0]}")
+    idx, col_phase = pauli_tables(generators, n_qubits)
+    phase = coeffs[:, None] * col_phase
+    idx.flags.writeable = phase.flags.writeable = False
+    return idx, phase
+
+
+def _apply_prefix(p: "UQNNParams", v: np.ndarray, m: int, inverse: bool = False) -> np.ndarray:
+    """W v (or W^dag v) for W = e^{-i H_1 theta_1} ... e^{-i H_m theta_m}; v a vector or a matrix's columns.
+
+    The one gate kernel: with -+i sin(theta_j) folded into the shared phase
+    rows once per call, gate j maps v to c[j] v + (rows[j] v)[idx[j]].
+    """
+    idx, phase = p.tables()
+    th = p.thetas[:m]
+    c = np.cos(th).tolist()
+    rows = ((1j if inverse else -1j) * np.sin(th))[:, None] * phase[:m]
+    rows = rows.reshape(rows.shape + (1,) * (v.ndim - 1))
+    for j in range(m) if inverse else range(m - 1, -1, -1):
+        v = c[j] * v + (rows[j] * v)[idx[j]]
+    return v
+
+
 @dataclass
 class UQNNParams:
     """Ordered generators H_j with angles theta_j and a visible/hidden split."""
@@ -57,7 +91,7 @@ class UQNNParams:
     n_h: int
     generators: list[PauliTerm]
     thetas: np.ndarray
-    _tables: list[GateTable] | None = field(default=None, repr=False, compare=False)
+    _layout: GateTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.thetas = np.asarray(self.thetas, dtype=float)
@@ -72,12 +106,12 @@ class UQNNParams:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def tables(self) -> list[GateTable]:
-        # Generators are fixed for the life of the object; only thetas change
-        # during training, so the action tables are built once.
-        if self._tables is None:
-            self._tables = [gate_table(g, self.n_qubits) for g in self.generators]
-        return self._tables
+    def tables(self) -> GateTable:
+        """The layout's shared read-only (idx, phase) tables, one row per generator."""
+        # generators are fixed per object: hash the layout key once, not per call
+        if self._layout is None:
+            self._layout = _layout_tables(tuple(self.generators), self.n_qubits)
+        return self._layout
 
     def to_checkpoint(self, rng_seed: int | None = None, epoch: int = 0) -> dict:
         return {
@@ -109,10 +143,7 @@ def uqnn_statevector(p: UQNNParams) -> np.ndarray:
     qmath.check_dim(p.dim)
     psi = np.zeros(p.dim, dtype=complex)
     psi[0] = 1.0
-    tables = p.tables()
-    for j in range(len(tables) - 1, -1, -1):
-        psi = apply_gate(psi, tables[j], p.thetas[j])
-    return psi
+    return _apply_prefix(p, psi, len(p.generators))
 
 
 def uqnn_full_state(p: UQNNParams) -> DensityMatrix:
@@ -136,11 +167,7 @@ def circuit_prefix(p: UQNNParams, k: int) -> np.ndarray:
     """Dense W_k = e^{-i H_1 theta_1} ... e^{-i H_{k-1} theta_{k-1}}."""
     if not 1 <= k <= len(p.generators):
         raise IndexError(f"k={k} out of range 1..{len(p.generators)}")
-    w = np.eye(p.dim, dtype=complex)
-    tables = p.tables()
-    for j in range(k - 2, -1, -1):
-        w = apply_gate(w, tables[j], p.thetas[j])
-    return w
+    return _apply_prefix(p, np.eye(p.dim, dtype=complex), k - 1)
 
 
 def conjugated_generator(p: UQNNParams, k: int) -> np.ndarray:
@@ -161,14 +188,9 @@ def conjugated_generator_vec(p: UQNNParams, k: int, psi: np.ndarray) -> np.ndarr
     """W_k H_k W_k^dag |psi> by gate application, O(N 2^n) and matrix-free."""
     if not 1 <= k <= len(p.generators):
         raise IndexError(f"k={k} out of range 1..{len(p.generators)}")
-    tables = p.tables()
-    y = psi
-    for j in range(k - 1):
-        y = apply_gate(y, tables[j], p.thetas[j], inverse=True)
-    y = apply_pauli(y, tables[k - 1])
-    for j in range(k - 2, -1, -1):
-        y = apply_gate(y, tables[j], p.thetas[j])
-    return y
+    idx, phase = p.tables()
+    y = _apply_prefix(p, psi, k - 1, inverse=True)
+    return _apply_prefix(p, (phase[k - 1] * y)[idx[k - 1]], k - 1)
 
 
 @dataclass

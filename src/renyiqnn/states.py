@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,11 +18,19 @@ class DensityMatrix:
 
     n_qubits: int
     mat: np.ndarray
+    _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.shape != (self.dim, self.dim):
             raise ValueError(f"shape {self.mat.shape} does not match {self.n_qubits} qubits")
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) of the Hermitian part of mat, reused until mat is reassigned or written to other entries."""
+        m = self.mat
+        if self._eig is None or not np.array_equal(self._eig[0], m):
+            self._eig = (m.copy(), *np.linalg.eigh(qmath._symmetrize(m)))
+        return self._eig[1:]
 
     @property
     def dim(self) -> int:
@@ -74,8 +82,7 @@ def thermal_state(h) -> DensityMatrix:
     return DensityMatrix.from_mat(rho)
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+def _psd_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)  # roundoff guard: clamp tiny negatives
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -89,8 +96,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    sr = _psd_sqrt(rho.mat)
-    inner = _psd_sqrt(sr @ sigma.mat @ sr)
+    sr = _psd_sqrt(*rho._eigh())
+    inner = _psd_sqrt(*np.linalg.eigh(qmath._symmetrize(sr @ sigma.mat @ sr)))
     return float(np.real(np.trace(inner)))
 
 

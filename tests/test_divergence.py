@@ -37,7 +37,7 @@ from renyiqnn.models import (
     visible_from_statevector,
 )
 from renyiqnn.qmath import partial_trace
-from renyiqnn.states import DensityMatrix, haar_unitary, random_density_matrix
+from renyiqnn.states import DensityMatrix, fidelity, haar_unitary, random_density_matrix
 from tests.conftest import random_hermitian
 
 
@@ -451,6 +451,51 @@ class TestEvaluate:
         self.record_kernels(monkeypatch, inject=lambda m: m + leak)
         with pytest.raises(ArithmeticError, match=r"gradient entry 3 has imaginary residue 8\.000e-03"):
             evaluate(p, random_density_matrix(2, rng), "reverse")
+
+
+class TestFactorizationReuse:
+    """An inverted or square-rooted state keeps its eigendecomposition while its entries stay."""
+
+    @staticmethod
+    def count_eigh(monkeypatch) -> list:
+        calls, eigh = [], np.linalg.eigh
+
+        def counting(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_fixed_target_factorized_once(self, rng, monkeypatch):
+        rho = random_density_matrix(2, rng)
+        sigmas = [random_density_matrix(2, rng) for _ in range(4)]
+        calls = self.count_eigh(monkeypatch)
+        losses = [renyi2_reverse(sv, rho) for sv in sigmas]
+        assert len(calls) == 1
+        assert losses == [renyi2_reverse(sv, dm(rho.mat.copy())) for sv in sigmas]
+
+    @pytest.mark.parametrize("change", ["reassigned", "overwritten"])
+    def test_changed_matrix_never_served_stale(self, rng, change):
+        a, b, sv = (random_density_matrix(2, rng) for _ in range(3))
+        rho = DensityMatrix(2, a.mat.copy())
+        before = (renyi2_reverse(sv, rho), fidelity(rho, sv))
+        if change == "reassigned":
+            rho.mat = b.mat.copy()
+        else:
+            rho.mat[...] = b.mat
+        after = (renyi2_reverse(sv, rho), fidelity(rho, sv))
+        assert after == (renyi2_reverse(sv, dm(b.mat)), fidelity(dm(b.mat), sv))
+        assert after != before
+
+    def test_forward_fidelity_reuses_the_model_factorization(self, rng, monkeypatch):
+        p = build_uqnn(2, 2, rng)
+        rho = random_density_matrix(2, rng)
+        calls = self.count_eigh(monkeypatch)
+        ev = evaluate(p, rho, "forward")
+        f = fidelity(ev.sigma_v, rho)
+        assert len(calls) == 2  # sigma_v once (inverse and square root), the inner root once
+        assert f == fidelity(dm(ev.sigma_v.mat.copy()), rho)
 
 
 class TestFDGradient:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from renyiqnn import cli, divergence, models
 from renyiqnn.hamiltonians import PauliTerm, two_local_terms
 from renyiqnn.models import (
     QBMParams,
     UQNNParams,
     apply_gate,
+    apply_pauli,
     brick_two_local_terms,
     build_qbm,
     build_uqnn,
@@ -25,8 +27,8 @@ from renyiqnn.models import (
     visible_from_statevector,
 )
 from renyiqnn.qmath import op_norm, partial_trace
-from renyiqnn.states import thermal_state
-from tests.conftest import uqnn_state_reference
+from renyiqnn.states import random_density_matrix, thermal_state
+from tests.conftest import random_hermitian, uqnn_state_reference
 
 
 def single_x(n: int, q: int = 0) -> PauliTerm:
@@ -113,6 +115,149 @@ class TestGateTable:
         t = gate_table(single_x(2), 2)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         assert np.allclose(apply_gate(apply_gate(v, t, 0.9), t, 0.9, inverse=True), v)
+
+
+# Per-gate reference loops, one gate_table/apply_gate call per gate: the
+# arithmetic the stacked, phase-folded kernel must reproduce bit for bit.
+
+
+def ref_tables(p: UQNNParams) -> list:
+    return [gate_table(g, p.n_qubits) for g in p.generators]
+
+
+def statevector_loop(p: UQNNParams, tables: list) -> np.ndarray:
+    psi = np.zeros(p.dim, dtype=complex)
+    psi[0] = 1.0
+    for j in range(len(tables) - 1, -1, -1):
+        psi = apply_gate(psi, tables[j], p.thetas[j])
+    return psi
+
+
+def kernel_sweep_loop(p: UQNNParams, tables: list, kernel_v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    a = (kernel_v @ psi.reshape(2**p.n_v, 2**p.n_h)).reshape(-1)
+    b = psi.copy()
+    out = np.empty(len(p.generators))
+    for k, table in enumerate(tables):
+        out[k] = 2.0 * np.vdot(a, apply_pauli(b, table)).imag
+        a = apply_gate(a, table, p.thetas[k], inverse=True)
+        b = apply_gate(b, table, p.thetas[k], inverse=True)
+    return out
+
+
+def conjugated_generator_vec_loop(p: UQNNParams, tables: list, k: int, psi: np.ndarray) -> np.ndarray:
+    y = psi
+    for j in range(k - 1):
+        y = apply_gate(y, tables[j], p.thetas[j], inverse=True)
+    y = apply_pauli(y, tables[k - 1])
+    for j in range(k - 2, -1, -1):
+        y = apply_gate(y, tables[j], p.thetas[j])
+    return y
+
+
+def circuit_prefix_loop(p: UQNNParams, tables: list, k: int) -> np.ndarray:
+    w = np.eye(p.dim, dtype=complex)
+    for j in range(k - 2, -1, -1):
+        w = apply_gate(w, tables[j], p.thetas[j])
+    return w
+
+
+def with_signs(p: UQNNParams) -> UQNNParams:
+    """The same circuit with every third generator's coefficient set to -1."""
+    gens = [PauliTerm(-1.0 if j % 3 == 0 else 1.0, g.axes) for j, g in enumerate(p.generators)]
+    return UQNNParams(p.n_v, p.n_h, gens, p.thetas)
+
+
+class TestStackedGateKernel:
+    """The stacked kernel does the per-gate arithmetic of gate_table/apply_gate exactly."""
+
+    @pytest.mark.parametrize("signs", ["unit", "mixed"])
+    @pytest.mark.parametrize("n_h", [0, 1, 2, 3])
+    @pytest.mark.parametrize("repetitions", [1, 2])
+    @pytest.mark.parametrize("layout", ["exhaustive", "brick"])
+    def test_bit_identical_to_per_gate_loop(self, rng, layout, repetitions, n_h, signs):
+        p = build_uqnn(2, n_h, rng, layout=layout, repetitions=repetitions)
+        if signs == "mixed":
+            p = with_signs(p)
+            assert any(g.coeff == -1.0 for g in p.generators)
+        tables = ref_tables(p)
+        psi = uqnn_statevector(p)
+        assert np.array_equal(psi, statevector_loop(p, tables))
+        kernel = random_hermitian(4, rng)
+        assert np.array_equal(divergence._kernel_sweep(p, kernel, psi), kernel_sweep_loop(p, tables, kernel, psi))
+        n = len(p.generators)
+        for k in range(1, n + 1):
+            got = conjugated_generator_vec(p, k, psi)
+            assert np.array_equal(got, conjugated_generator_vec_loop(p, tables, k, psi)), f"k={k}"
+        for k in sorted({1, 2, n // 2, n}):
+            assert np.array_equal(circuit_prefix(p, k), circuit_prefix_loop(p, tables, k)), f"k={k}"
+
+
+class TestSharedLayoutTables:
+    @pytest.fixture
+    def pauli_table_builds(self, monkeypatch):
+        """Clears the layout cache and counts the stacked-table builds after it."""
+        calls, build = [], models.pauli_tables
+
+        def counting(terms, n_qubits):
+            calls.append((len(terms), n_qubits))
+            return build(terms, n_qubits)
+
+        models._layout_tables.cache_clear()
+        monkeypatch.setattr(models, "pauli_tables", counting)
+        yield calls
+        models._layout_tables.cache_clear()
+
+    def test_one_build_per_layout(self, rng, pauli_table_builds):
+        ps = [build_uqnn(3, 2, rng) for _ in range(50)]
+        for p in ps:
+            uqnn_statevector(p)
+        assert pauli_table_builds == [(len(ps[0].generators), 5)]
+        assert all(p.tables()[1] is ps[0].tables()[1] for p in ps)
+
+    def test_rows_equal_gate_table(self, rng):
+        p = with_signs(build_uqnn(2, 2, rng, layout="brick", repetitions=2))
+        idx, phase = p.tables()
+        assert idx.shape == phase.shape == (len(p.generators), p.dim)
+        for j, g in enumerate(p.generators):
+            ref_idx, ref_phase = gate_table(g, p.n_qubits)
+            assert np.array_equal(idx[j], ref_idx) and np.array_equal(phase[j], ref_phase)
+
+    def test_layouts_do_not_collide(self, rng, pauli_table_builds):
+        x0 = [PauliTerm(1.0, ((0, "x"),))]
+        one, two = UQNNParams(1, 0, x0, [0.3]).tables(), UQNNParams(1, 1, x0, [0.3]).tables()
+        assert one[0].shape == (1, 2) and two[0].shape == (1, 4)
+        exhaustive = build_uqnn(2, 1, rng).tables()
+        brick = build_uqnn(2, 1, rng, layout="brick").tables()
+        assert exhaustive[0].shape != brick[0].shape
+        flipped = with_signs(build_uqnn(2, 1, rng)).tables()
+        assert flipped[1] is not exhaustive[1]
+        assert np.array_equal(flipped[1][0], -exhaustive[1][0])
+        assert len(pauli_table_builds) == 5
+
+    def test_tables_are_read_only(self, rng):
+        idx, phase = build_uqnn(2, 1, rng).tables()
+        with pytest.raises(ValueError, match="read-only"):
+            idx[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            phase[0, 0] = 2.0
+
+    def test_non_unit_coefficient_rejected(self):
+        p = UQNNParams(1, 0, [PauliTerm(1.0, ((0, "z"),)), PauliTerm(0.5, ((0, "x"),))], [0.1, 0.2])
+        with pytest.raises(ValueError, match=r"generator coefficient must be \+-1, got 0.5"):
+            uqnn_statevector(p)
+
+    def test_probes_and_checkpoints_reuse_tables(self, rng, pauli_table_builds):
+        p = build_uqnn(2, 2, rng)
+        shared = p.tables()
+        rho = random_density_matrix(2, rng)
+        loss = cli._fd_loss(p, rho, "reverse")
+        for _ in range(3):
+            loss(p.thetas + 0.01 * rng.standard_normal(len(p.thetas)))
+        divergence.fd_gradient(lambda th: uqnn_statevector(UQNNParams(2, 2, p.generators, th))[0].real, p.thetas)
+        back = UQNNParams.from_checkpoint(p.to_checkpoint())
+        assert back.generators is not p.generators
+        assert back.tables()[0] is shared[0] and back.tables()[1] is shared[1]
+        assert len(pauli_table_builds) == 1
 
 
 class TestConjugatedGenerator:

@@ -287,6 +287,26 @@ class TestOneEvaluationPerEpoch:
         assert len(log.rows) == 7
         assert calls == [len(models.two_local_terms(3))]
 
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    def test_target_factorized_once_per_run(self, monkeypatch, direction):
+        calls, eigh = [], np.linalg.eigh
+
+        def counting(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cfg = small_cfg(n_v=2, n_h=2, epochs=7, log_every=3, direction=direction)
+        log = train(cfg)
+        rows, evaluations = len(log.rows), cfg.epochs + 1
+        # one eigh for the target's thermal state; a logged fidelity adds the
+        # inner square root, and the model state's own factorization unless
+        # the forward loss already inverted it in that evaluation
+        if direction == "reverse":
+            assert len(calls) == 1 + 1 + 2 * rows
+        else:
+            assert len(calls) == 1 + evaluations + rows
+
     @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
     @pytest.mark.parametrize("direction", ["reverse", "forward"])
     def test_last_row_is_the_checkpoint_state(self, kind, direction):
