@@ -297,6 +297,12 @@ def uqnn_layer_terms(n: int, layout: str = "exhaustive") -> list[PauliTerm]:
     raise ValueError(f"unknown layout {layout!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _layer_generators(n: int, layout: str) -> tuple[PauliTerm, ...]:
+    """One shared copy of a layout's generators; every network built on it holds these terms."""
+    return tuple(uqnn_layer_terms(n, layout))
+
+
 def build_uqnn(
     n_v: int,
     n_h: int,
@@ -305,8 +311,7 @@ def build_uqnn(
     repetitions: int = 1,
 ) -> UQNNParams:
     """Unitary network over the two-local generator set, thetas ~ N(0, 1)."""
-    layer = uqnn_layer_terms(n_v + n_h, layout)
-    gens = layer * repetitions
+    gens = list(_layer_generators(n_v + n_h, layout)) * repetitions
     thetas = rng.standard_normal(len(gens))
     return UQNNParams(n_v, n_h, gens, thetas)
 

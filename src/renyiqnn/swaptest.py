@@ -16,12 +16,13 @@ tiny fraction of the cost.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qmath
-from .hamiltonians import LCUHamiltonian, pauli_tables
+from .hamiltonians import LCUHamiltonian, _parity
 from .models import (
     UQNNParams,
     conjugated_generator_vec,
@@ -36,6 +37,14 @@ DEFAULT_Q_MAX = 30
 ALPHA_NORM_GUARD = 20.0
 
 _HAD1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_I_POW = np.array([1.0, 1j, -1.0, -1j])
+# shots per block of the Monte-Carlo sampler: its temporaries do not grow with the shot count
+_BLOCK = 2**14
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most _BLOCK items covering range(n)."""
+    return (slice(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK))
 
 
 @dataclass
@@ -211,6 +220,17 @@ def mc_reverse_gradient_thermal(
     `shots` counts samples per stream; the numerator and denominator streams
     are drawn independently and the ratio's std_error comes from first-order
     error propagation.
+
+    A product of Pauli strings is again one string times a power of i, so
+    each shot carries one small-integer label (x mask, z mask, phase
+    exponent), composed per sampled string with an XOR and a parity. The
+    trace is computed once per label that occurs (at most 4^(n_v+1)), and
+    the per-shot work runs in blocks of _BLOCK shots. Memory is O(shots)
+    bytes: a label and an order per shot plus the two float64 outcome
+    arrays. The random stream is consumed in a fixed order (all orders,
+    then each order's string picks in increasing order, the denominator
+    draws, then the four numerator draw rows), so estimates do not depend
+    on the block size.
     """
     if target_h.n_qubits != p.n_v:
         raise ValueError(
@@ -243,8 +263,15 @@ def mc_reverse_gradient_thermal(
     bs_den = [sv @ sv]
     bs_num = [a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T]
 
-    idx_tab, cp_tab = pauli_tables(terms, p.n_v)
-    cp_tab = np.where(alpha < 0.0, -1.0, 1.0)[:, None] * cp_tab
+    # Label i^e X^x Z^z as x << (n_v + 2) | z << 2 | e; a negative
+    # coefficient adds 2 to e. Slot 4^(n_v + 1) stands for q = 0.
+    n = p.n_v
+    masks = [t.masks(n) for t in terms]
+    term_lab = np.array(
+        [x << (n + 2) | z << 2 | (ny + 2 * (t.coeff < 0.0)) & 3 for t, (x, z, ny) in zip(terms, masks)],
+        dtype=np.int64,
+    )
+    q0_slot = 4 ** (n + 1)
     p_idx = np.abs(alpha) / a1 if a1 > 0.0 else None
 
     orders = np.arange(q_max + 1)
@@ -253,39 +280,61 @@ def mc_reverse_gradient_thermal(
     p_q = weights / t_mass
     tail = a1 ** (q_max + 1) / math.factorial(q_max + 1)
 
-    def sample_traces(bs: list[np.ndarray]) -> np.ndarray:
-        """Exact trace Tr(B U) of one sampled string product U per shot."""
-        t_vals = np.zeros((len(bs), shots), dtype=complex)
-        qs = rng.choice(q_max + 1, size=shots, p=p_q)
-        cols = np.arange(dv)[None, :]
-        for q in np.unique(qs):
-            rows = np.nonzero(qs == q)[0]
-            if q == 0:
-                for mi, b in enumerate(bs):
-                    t_vals[mi, rows] = np.trace(b)
-                continue
-            picks = rng.choice(len(terms), size=(rows.size, int(q)), p=p_idx)
-            perm = np.broadcast_to(np.arange(dv), (rows.size, dv)).copy()
-            phase = np.ones((rows.size, dv), dtype=complex)
-            for step in range(int(q)):
-                ip = idx_tab[picks[:, step]]
-                phase = cp_tab[picks[:, step]] * np.take_along_axis(phase, ip, axis=1)
-                perm = np.take_along_axis(perm, ip, axis=1)
-            for mi, b in enumerate(bs):
-                t_vals[mi, rows] = np.sum(phase * b[cols, perm], axis=1)
-        if float(np.max(np.abs(t_vals))) > 1.0 + 1e-9:
+    def sample_labels() -> np.ndarray:
+        """Label of the sampled string product U = P_1 ... P_q, one per shot."""
+        qs = np.empty(shots, dtype=np.min_scalar_type(q_max))
+        for blk in _blocks(shots):
+            qs[blk] = rng.choice(q_max + 1, size=qs[blk].size, p=p_q)
+        labels = np.full(shots, q0_slot, dtype=np.min_scalar_type(q0_slot))
+        for q in range(1, int(qs.max()) + 1):
+            rows = np.flatnonzero(qs == q)
+            for blk in _blocks(rows.size):
+                picks = term_lab[rng.choice(len(terms), size=(rows[blk].size, q), p=p_idx)]
+                lab = picks[:, 0]
+                for t in picks.T[1:]:
+                    # (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a+b+2|z&x'|) X^(x^x') Z^(z^z')
+                    flip = _parity((lab >> 2) & (t >> (n + 2)))
+                    lab = ((lab ^ t) & ~3) | ((lab + t + 2 * flip) & 3)
+                labels[rows[blk]] = lab
+        return labels
+
+    def label_traces(labels: np.ndarray, bs: list[np.ndarray]) -> np.ndarray:
+        """Exact Tr(B U) per circuit B and per label that occurs, (len(bs), q0_slot + 1)."""
+        seen = np.zeros(q0_slot + 1, dtype=bool)
+        for blk in _blocks(shots):
+            seen[labels[blk]] = True
+        used = np.flatnonzero(seen[:q0_slot])
+        cols = np.arange(dv)
+        perm = cols ^ (used >> (n + 2))[:, None]
+        sign = np.where(_parity(cols & ((used >> 2) & (dv - 1))[:, None]) == 1, -1.0, 1.0)
+        phase = _I_POW[used & 3][:, None] * sign
+        t_lab = np.zeros((len(bs), q0_slot + 1), dtype=complex)
+        for mi, b in enumerate(bs):
+            t_lab[mi, used] = np.sum(phase * b[cols, perm], axis=1)
+            if seen[q0_slot]:
+                t_lab[mi, q0_slot] = np.trace(b)
+        if float(np.max(np.abs(t_lab[:, seen]))) > 1.0 + 1e-9:
             raise ArithmeticError("sampled trace left the unit disc; not a valid shot probability")
-        return t_vals
+        return t_lab
 
-    t_den = sample_traces(bs_den)
-    p_den = np.clip(0.5 * (1.0 + t_den[0].real), 0.0, 1.0)
-    den_vals = t_mass * np.where(rng.random(shots) < p_den, 1.0, -1.0)
+    def outcomes(p_lab: np.ndarray, labels: np.ndarray, blk: slice) -> np.ndarray:
+        """One +-1 Bernoulli outcome per shot of the block."""
+        return np.where(rng.random(labels[blk].size) < p_lab[labels[blk]], 1.0, -1.0)
 
-    t_num = sample_traces(bs_num)
+    labels = sample_labels()
+    p_den = np.clip(0.5 * (1.0 + label_traces(labels, bs_den)[0].real), 0.0, 1.0)
+    den_vals = np.empty(shots)
+    for blk in _blocks(shots):
+        den_vals[blk] = t_mass * outcomes(p_den, labels, blk)
+
+    labels = sample_labels()
     # ancilla phase-gate variant: success probability carries Im, not Re
-    p_num = np.clip(0.5 * (1.0 + t_num.imag), 0.0, 1.0)
-    draws = np.where(rng.random((4, shots)) < p_num, 1.0, -1.0)
-    num_vals = t_mass * (draws[0] + draws[1] - draws[2] - draws[3])
+    p_num = np.clip(0.5 * (1.0 + label_traces(labels, bs_num).imag), 0.0, 1.0)
+    num_vals = np.zeros(shots)
+    for p_lab, sign in zip(p_num, (1.0, 1.0, -1.0, -1.0)):
+        for blk in _blocks(shots):
+            num_vals[blk] += sign * outcomes(p_lab, labels, blk)
+    num_vals *= t_mass
 
     n_bar = float(num_vals.mean())
     d_bar = float(den_vals.mean())

@@ -285,6 +285,19 @@ class TestMCEstimate:
         assert main(["mc-estimate", "--config", str(first / "config.json"), "--out", str(second)]) == 0
         assert (second / "estimate.json").read_text() == (first / "estimate.json").read_text()
 
+    @pytest.mark.parametrize(
+        "seed,mean,std_error",
+        [(0, -0.2899029982363316, 0.014321360705993888), (1, 0.1364633611232997, 0.015513446087772435)],
+    )
+    def test_bundled_estimate_is_pinned(self, tmp_path, seed, mean, std_error):
+        # values written by the per-shot row sampler; the labelled block sampler draws the same stream
+        out = tmp_path / "out"
+        cfg = bundled_config_path("mc_2q.json")
+        assert main(["mc-estimate", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        est = json.loads((out / "estimate.json").read_text())
+        assert est["mean"] == mean
+        assert est["std_error"] == std_error
+
     def test_alpha_norm_out_of_range(self, tmp_path):
         doc = {
             "schema_version": 1,

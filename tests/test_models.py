@@ -234,6 +234,13 @@ class TestSharedLayoutTables:
         assert np.array_equal(flipped[1][0], -exhaustive[1][0])
         assert len(pauli_table_builds) == 5
 
+    def test_builds_share_generator_terms(self, rng):
+        a, b = build_uqnn(3, 2, rng), build_uqnn(3, 2, rng, repetitions=2)
+        assert a.generators is not b.generators
+        assert all(g is h for g, h in zip(a.generators + a.generators, b.generators))
+        assert uqnn_layer_terms(5) is not uqnn_layer_terms(5)
+        assert uqnn_layer_terms(5) == a.generators
+
     def test_tables_are_read_only(self, rng):
         idx, phase = build_uqnn(2, 1, rng).tables()
         with pytest.raises(ValueError, match="read-only"):

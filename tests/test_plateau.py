@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from renyiqnn.divergence import SingularStateError, state_gradient_entry
+from renyiqnn.divergence import SingularStateError, _kernel_sweep, state_gradient_entry
 from renyiqnn.hamiltonians import normalize, random_two_local
+from renyiqnn.models import build_uqnn, uqnn_statevector, visible_from_statevector
 from renyiqnn.plateau import (
     PlateauRecord,
     PlateauReport,
+    _second_expr_mean,
     haar_gradient_moment,
     init_gradient_scan,
     lemma1_bounds,
@@ -191,6 +193,35 @@ class TestInitGradientScan:
         target = normalize(random_two_local(2, 0.5, 0.5, rng), 1.0)
         with pytest.raises(ValueError, match="ensemble"):
             init_gradient_scan(2, target, [0], ensemble=0, rng=rng)
+
+
+class TestSecondExpressionFromKernelSweep:
+    """The O(N^2) per-angle bound equals one O(N) sweep with sigma_v as kernel.
+
+    Tr(sigma_v dsigma_v/dtheta_k) = 2 Im Tr(sigma_v Tr_h(H~_k sigma)), which is
+    entry k of _kernel_sweep(p, sigma_v, psi).
+    """
+
+    @staticmethod
+    def both_sides(n_h: int, seed: int) -> tuple[float, float]:
+        p = build_uqnn(3, n_h, np.random.default_rng(seed))
+        psi = uqnn_statevector(p)
+        sv = visible_from_statevector(psi, 3, n_h)
+        wmax = float(np.linalg.eigvalsh(0.5 * (sv + sv.conj().T))[-1])
+        swept = _kernel_sweep(p, sv, psi)
+        return _second_expr_mean(p, psi, sv), float(np.mean(swept**2)) / (8.0**2 * wmax**4)
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3])
+    def test_mixed_visible_state(self, n_h):
+        for seed in range(3):
+            per_angle, swept = self.both_sides(n_h, seed)
+            assert swept == pytest.approx(per_angle, rel=1e-12, abs=0.0)
+
+    def test_pure_visible_state(self):
+        # without hidden qubits both sides are rounding noise near 1e-33
+        for seed in range(3):
+            per_angle, swept = self.both_sides(0, seed)
+            assert abs(per_angle) < 1e-30 and abs(swept - per_angle) < 1e-30
 
 
 class TestPlateauReport:

@@ -1,10 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from renyiqnn.hamiltonians import LCUHamiltonian, PauliTerm, normalize, random_two_local
-from renyiqnn.models import UQNNParams, build_uqnn, uqnn_visible_state
+from renyiqnn import cli, swaptest
+from renyiqnn.hamiltonians import (
+    LCUHamiltonian,
+    PauliTerm,
+    normalize,
+    pauli_tables,
+    random_two_local,
+)
+from renyiqnn.models import (
+    UQNNParams,
+    build_uqnn,
+    conjugated_generator_vec,
+    uqnn_statevector,
+    uqnn_visible_state,
+    visible_from_statevector,
+)
 from renyiqnn.states import DensityMatrix, haar_unitary, random_density_matrix, thermal_state
 from renyiqnn.swaptest import (
     MCEstimate,
@@ -264,3 +279,145 @@ class TestMCReverseGradient:
             mc_reverse_gradient_thermal(p, target, len(p.generators) + 1, shots=10, rng=rng)
         with pytest.raises(IndexError):
             mc_reverse_gradient_thermal(p, target, 0, shots=10, rng=rng)
+
+
+def reference_mc_gradient(p, target_h, k, shots, rng, q_max):
+    """The per-shot row sampler that the labelled block sampler replaced.
+
+    Every shot carries its own (perm, phase) rows of length d_v, composed
+    gate by gate; all arrays span every shot at once.
+    """
+    terms = [t for t in target_h.terms if t.coeff != 0.0]
+    alpha = np.array([t.coeff for t in terms])
+    a1 = float(np.sum(np.abs(alpha)))
+    dv = 2**p.n_v
+    psi = uqnn_statevector(p)
+    phi = conjugated_generator_vec(p, k, psi)
+    psi_m = psi.reshape(dv, -1)
+    phi_m = phi.reshape(dv, -1)
+    sv = visible_from_statevector(psi, p.n_v, p.n_h)
+    a_mat = phi_m @ psi_m.conj().T
+    bs_den = [sv @ sv]
+    bs_num = [a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T]
+    idx_tab, cp_tab = pauli_tables(terms, p.n_v)
+    cp_tab = np.where(alpha < 0.0, -1.0, 1.0)[:, None] * cp_tab
+    p_idx = np.abs(alpha) / a1 if a1 > 0.0 else None
+    orders = np.arange(q_max + 1)
+    weights = a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)
+    t_mass = float(weights.sum())
+    p_q = weights / t_mass
+    tail = a1 ** (q_max + 1) / math.factorial(q_max + 1)
+
+    def sample_traces(bs):
+        t_vals = np.zeros((len(bs), shots), dtype=complex)
+        qs = rng.choice(q_max + 1, size=shots, p=p_q)
+        cols = np.arange(dv)[None, :]
+        for q in np.unique(qs):
+            rows = np.nonzero(qs == q)[0]
+            if q == 0:
+                for mi, b in enumerate(bs):
+                    t_vals[mi, rows] = np.trace(b)
+                continue
+            picks = rng.choice(len(terms), size=(rows.size, int(q)), p=p_idx)
+            perm = np.broadcast_to(np.arange(dv), (rows.size, dv)).copy()
+            phase = np.ones((rows.size, dv), dtype=complex)
+            for step in range(int(q)):
+                ip = idx_tab[picks[:, step]]
+                phase = cp_tab[picks[:, step]] * np.take_along_axis(phase, ip, axis=1)
+                perm = np.take_along_axis(perm, ip, axis=1)
+            for mi, b in enumerate(bs):
+                t_vals[mi, rows] = np.sum(phase * b[cols, perm], axis=1)
+        if float(np.max(np.abs(t_vals))) > 1.0 + 1e-9:
+            raise ArithmeticError("sampled trace left the unit disc; not a valid shot probability")
+        return t_vals
+
+    t_den = sample_traces(bs_den)
+    p_den = np.clip(0.5 * (1.0 + t_den[0].real), 0.0, 1.0)
+    den_vals = t_mass * np.where(rng.random(shots) < p_den, 1.0, -1.0)
+    t_num = sample_traces(bs_num)
+    p_num = np.clip(0.5 * (1.0 + t_num.imag), 0.0, 1.0)
+    draws = np.where(rng.random((4, shots)) < p_num, 1.0, -1.0)
+    num_vals = t_mass * (draws[0] + draws[1] - draws[2] - draws[3])
+    n_bar = float(num_vals.mean())
+    d_bar = float(den_vals.mean())
+    if d_bar == 0.0:
+        raise ArithmeticError("denominator estimate is exactly zero; increase shots")
+    if shots > 1:
+        se_n = float(num_vals.std(ddof=1)) / math.sqrt(shots)
+        se_d = float(den_vals.std(ddof=1)) / math.sqrt(shots)
+    else:
+        se_n = se_d = 0.0
+    se = math.sqrt(se_n**2 / d_bar**2 + n_bar**2 * se_d**2 / d_bar**4)
+    return MCEstimate(mean=n_bar / d_bar, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
+
+
+B = swaptest._BLOCK
+# n_v, n_h, q_max, alpha norm, make every coefficient negative
+SAMPLER_CASES = [
+    (nv, nh, q_max, norm, flip)
+    for nv in (1, 2, 3)
+    for nh in (0, 1)
+    for q_max, norm, flip in ((0, 0.8, False), (5, 2.0, True), (30, 0.8, False))
+]
+
+
+def mc_pair(nv, nh, norm, flip, seed):
+    rng = np.random.default_rng(seed)
+    p = build_uqnn(nv, nh, rng)
+    h = small_target(rng, n=nv, norm=norm)
+    if flip:
+        h = LCUHamiltonian(h.n_qubits, [PauliTerm(-abs(t.coeff), t.axes) for t in h.terms])
+    return p, h
+
+
+def outcome(estimator, *args):
+    """(mean, std_error, tail_bound), or the message of an exactly zero denominator."""
+    try:
+        est = estimator(*args)
+    except ArithmeticError as exc:
+        return str(exc)
+    return est.mean, est.std_error, est.tail_bound
+
+
+class TestLabelledSamplerBitIdentity:
+    @pytest.mark.parametrize("nv,nh,q_max,norm,flip", SAMPLER_CASES)
+    def test_matches_row_sampler(self, nv, nh, q_max, norm, flip):
+        p, h = mc_pair(nv, nh, norm, flip, seed=100 * nv + 10 * nh + q_max)
+        shot_counts = [1, 2, B - 1, B, B + 1] + ([10**5] if q_max == 30 else [])
+        for i, shots in enumerate(shot_counts):
+            k = 1 + i % len(p.generators)
+            got_rng, ref_rng = np.random.default_rng(shots), np.random.default_rng(shots)
+            got = outcome(mc_reverse_gradient_thermal, p, h, k, shots, got_rng, q_max)
+            ref = outcome(reference_mc_gradient, p, h, k, shots, ref_rng, q_max)
+            assert got == ref, shots
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state, shots
+
+
+def mc_2q_inputs():
+    doc = cli.load_experiment_config(cli.bundled_config_path("mc_2q.json"), "mc-estimate")
+    rng = np.random.default_rng(0)
+    h = cli._target_hamiltonian(doc["n_v"], doc["target"], rng)
+    target = cli._scale_alpha_norm(h, doc["target_alpha_norm"])
+    return build_uqnn(doc["n_v"], doc["n_h"], rng), target, doc["q_max"]
+
+
+class TestSamplerMemoryAndFailures:
+    def test_million_shots_peak_under_32_mb(self):
+        p, target, q_max = mc_2q_inputs()
+        tracemalloc.start()
+        try:
+            est = mc_reverse_gradient_thermal(p, target, 1, 10**6, np.random.default_rng(1), q_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.std_error > 0
+        # the row sampler peaked at about 195 MB; per-shot arrays are now 1 + 1 + 8 + 8 bytes
+        assert peak < 32 * 2**20
+
+    def test_trace_outside_unit_disc_raises(self, monkeypatch):
+        p, target, q_max = mc_2q_inputs()
+        monkeypatch.setattr(
+            swaptest, "visible_from_statevector", lambda psi, n_v, n_h: 3.0 * visible_from_statevector(psi, n_v, n_h)
+        )
+        with pytest.raises(ArithmeticError, match="unit disc"):
+            mc_reverse_gradient_thermal(p, target, 1, 1000, np.random.default_rng(2), q_max)
