@@ -121,23 +121,33 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # For entry k the dense formulas reduce to +-2 Im <psi| M W_k H_k W_k^dag |psi>
 # over the common denominator, where M is a fixed Hermitian kernel. Sweeping
 # a_k = W_k^dag M|psi> and b_k = W_k^dag|psi> turns the whole gradient into
-# O(N) gate applications instead of O(N^2).
+# O(N) gate applications instead of O(N^2). The sweep advances block by
+# block: with A, B the (local, rest) matrices of a and b at a block's start
+# and V_k the in-block prefix before gate k, <a_k|P_k b_k> = Tr(V_k P_k V_k^dag K)
+# for the block's cross matrix K = B A^dag.
 # ---------------------------------------------------------------------------
 
 
 def _kernel_sweep(p: UQNNParams, kernel_v: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """2 Im <psi| (kernel_v x I_h) W_k H_k W_k^dag |psi> for every k."""
     dv, dh = 2**p.n_v, 2**p.n_h
-    idx, phase = p.tables()
-    c, s = np.cos(p.thetas).tolist(), (1j * np.sin(p.thetas)).tolist()
-    # rows a and b advance together; take keeps the gathered rows C-ordered
-    ab = np.stack([(kernel_v @ psi.reshape(dv, dh)).reshape(-1), psi])
-    out = np.empty(len(c))
-    for k in range(len(c)):
-        pab = (phase[k] * ab).take(idx[k], axis=1)
-        out[k] = 2.0 * np.vdot(ab[0], pab[1]).imag
-        ab = c[k] * ab + s[k] * pab
-    return out
+    table, prefixes = p.blocks(), p.block_products()
+    inverses = [v[:, :, -1].conj().swapaxes(-1, -2) for v in prefixes]
+    # the pair (a, b) at each block's start, as (local, rest, pair) per group
+    starts = [np.empty((len(v), v.shape[1], p.dim // v.shape[1], 2), dtype=complex) for v in prefixes]
+    ab = np.stack([(kernel_v @ psi.reshape(dv, dh)).reshape(-1), psi], axis=1).reshape(-1)
+    for (g, b), gather in zip(table.order, table.sweep_gather):
+        x = starts[g][b]
+        ab.take(gather, out=x.reshape(-1))
+        ab = (inverses[g][b] @ x.reshape(len(x), -1)).reshape(-1)
+    out = np.empty(len(p.thetas) + 1)  # the last slot takes the padded positions
+    for grp, v, x in zip(table.groups, prefixes, starts):
+        n_blocks, d = v.shape[:2]
+        cross = x[..., 1] @ x[..., 0].conj().swapaxes(-1, -2)
+        # Tr(V P V^dag K) = sum_mj conj(V)_mj (K V P)_mj, every in-block position at once
+        kvp = (cross @ v.reshape(n_blocks, d, -1)).reshape(-1)[grp.flip] * grp.phase[:, None]
+        out[grp.gates] = 2.0 * np.einsum("bmtj,bmtj->bt", v[:, :, :-1].conj(), kvp).imag
+    return out[:-1]
 
 
 def uqnn_grad_reverse(
@@ -243,7 +253,10 @@ def evaluate(
     w, v, e_mat, z, sv_mat = qbm_thermal(p)
     sv = DensityMatrix(p.n_v, sv_mat)
     q, loss, sign = _renyi2_kernel(sv, rho, direction, rel_cutoff)
-    r = _exp_neg_adjoint(w, v, np.kron(q, np.eye(2**p.n_h)))
+    # q x I_h by broadcasting: the products np.kron forms, without its overhead
+    dv, dh = q.shape[0], 2**p.n_h
+    q_ext = (q[:, None, :, None] * np.eye(dh)[None, :, None, :]).reshape(dv * dh, dv * dh)
+    r = _exp_neg_adjoint(w, v, q_ext)
     kernel = sign * (_real_trace(sv_mat @ q) * e_mat - r) / (z * loss.numerator)
     g = pauli_traces(kernel, p.tables())
     bad = np.nonzero(np.abs(g.imag) > 1e-8 * np.maximum(1.0, np.abs(g.real)))[0]

@@ -5,12 +5,20 @@ W = e^{-i H_1 theta_1} ... e^{-i H_N theta_N} (the N-th factor hits |0>
 first). Every generator H_j is a Hermitian-unitary Pauli string, so each
 factor has the closed form cos(theta) I - i sin(theta) H_j and the circuit
 runs on statevectors in O(N 2^n).
+
+The statevector and the adjoint gradient sweep run block by block: each
+maximal run of consecutive generators on one qubit support is multiplied
+out into one small block unitary (2^s x 2^s for s support qubits), the
+adjoint method of Jones & Gacon (arXiv:2009.02823) taken per block
+instead of per gate. The per-gate kernel `_apply_prefix` serves the
+circuit prefixes and the conjugated generators.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +58,14 @@ def apply_gate(v: np.ndarray, table: GateTable, theta: float, inverse: bool = Fa
     return np.cos(theta) * v + s * np.sin(theta) * apply_pauli(v, table)
 
 
+def _unit_coeffs(generators: tuple[PauliTerm, ...]) -> np.ndarray:
+    coeffs = np.array([g.coeff for g in generators], dtype=float)
+    bad = coeffs[np.abs(np.abs(coeffs) - 1.0) > 1e-12]
+    if bad.size:
+        raise ValueError(f"generator coefficient must be +-1, got {bad[0]}")
+    return coeffs
+
+
 @functools.lru_cache(maxsize=16)
 def _layout_tables(generators: tuple[PauliTerm, ...], n_qubits: int) -> GateTable:
     """Read-only stacked (idx, phase) of a circuit layout, shape (len(generators), 2^n).
@@ -57,10 +73,7 @@ def _layout_tables(generators: tuple[PauliTerm, ...], n_qubits: int) -> GateTabl
     Row j equals gate_table(generators[j], n_qubits) bit for bit; every
     parameter vector of the layout shares the pair.
     """
-    coeffs = np.array([g.coeff for g in generators], dtype=float)
-    bad = coeffs[np.abs(np.abs(coeffs) - 1.0) > 1e-12]
-    if bad.size:
-        raise ValueError(f"generator coefficient must be +-1, got {bad[0]}")
+    coeffs = _unit_coeffs(generators)
     idx, col_phase = pauli_tables(generators, n_qubits)
     phase = coeffs[:, None] * col_phase
     idx.flags.writeable = phase.flags.writeable = False
@@ -83,6 +96,144 @@ def _apply_prefix(p: "UQNNParams", v: np.ndarray, m: int, inverse: bool = False)
     return v
 
 
+class BlockGroup(NamedTuple):
+    """The blocks of a layout that act on s qubits, stacked; B blocks, at most L gates each.
+
+    gates: (B, L) generator index at each in-block position; positions past
+           a block's end hold len(generators), whose angle reads as 0.
+    phase: (B, L, 2^s) local generator P as a table, P|j> = phase[j] |idx[j]>,
+           with the +-1 coefficient folded in; zero at padded positions.
+    flip:  (B, 2^s, L, 2^s) flat index into a (B, 2^s, L + 1, 2^s) stack of
+           matrices V: entry [b, m, t, j] addresses V[b, m, t, idx[j]], so
+           V.reshape(-1)[flip] * phase[:, None] is every V_t P_t at once.
+    """
+
+    gates: np.ndarray
+    phase: np.ndarray
+    flip: np.ndarray
+
+
+class BlockTable(NamedTuple):
+    """A layout cut into blocks, stacked by support size into groups.
+
+    order[b] is the (group, slot) of block b in circuit order. Block b
+    works on the state as a (2^s, 2^(n-s)) matrix over (local, rest) basis
+    bits, flattened into "layout b". Each index table is composed with the
+    inverse of its neighbour's, so one gather moves the state between
+    layouts: state_gather[b] takes layout b+1 (natural order for the last
+    block) to layout b, state_out takes layout 0 back to natural order, and
+    sweep_gather[b] takes layout b-1 (natural order for b = 0) to layout b
+    for a pair of states interleaved as (basis index, pair).
+    """
+
+    groups: tuple[BlockGroup, ...]
+    order: tuple[tuple[int, int], ...]
+    state_gather: np.ndarray
+    state_out: np.ndarray
+    sweep_gather: np.ndarray
+
+
+def _block_index(support: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """Full basis index of layout position (local, rest), flattened; qubit 0 is the most significant bit."""
+
+    def spread(qubits: list[int]) -> np.ndarray:
+        k = np.arange(2 ** len(qubits))
+        out = np.zeros_like(k)
+        for i, q in enumerate(qubits):
+            out |= ((k >> (len(qubits) - 1 - i)) & 1) << (n_qubits - 1 - q)
+        return out
+
+    rest = [q for q in range(n_qubits) if q not in support]
+    return (spread(list(support))[:, None] | spread(rest)[None, :]).reshape(-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout_blocks(generators: tuple[PauliTerm, ...], n_qubits: int) -> BlockTable:
+    """Read-only block table of a circuit layout, shared by every parameter vector of it.
+
+    A block is a maximal run of consecutive generators on the same qubit
+    support; blocks of equal support size are stacked into one BlockGroup.
+    """
+    coeffs = _unit_coeffs(generators)
+    runs: list[tuple[tuple[int, ...], list[int]]] = []
+    for j, g in enumerate(generators):
+        support = tuple(q for q, _ in g.axes)
+        if support and support[-1] >= n_qubits:
+            raise ValueError(f"qubit {support[-1]} out of range for n={n_qubits}")
+        if runs and runs[-1][0] == support:
+            runs[-1][1].append(j)
+        else:
+            runs.append((support, [j]))
+    sizes = sorted({len(support) for support, _ in runs})
+    members: list[list[int]] = [[] for _ in sizes]
+    order = []
+    for r, (support, _) in enumerate(runs):
+        g = sizes.index(len(support))
+        order.append((g, len(members[g])))
+        members[g].append(r)
+    groups = []
+    for s, rs in zip(sizes, members):
+        d, length = 2**s, max(len(runs[r][1]) for r in rs)
+        gates = np.full((len(rs), length), len(generators))
+        idx = np.broadcast_to(np.arange(d), (len(rs), length, d)).copy()
+        phase = np.zeros((len(rs), length, d), dtype=complex)
+        for b, r in enumerate(rs):
+            for t, j in enumerate(runs[r][1]):
+                local = PauliTerm(1.0, tuple((i, a) for i, (_, a) in enumerate(generators[j].axes)))
+                gates[b, t] = j
+                idx[b, t], phase[b, t] = local.action(s)
+                phase[b, t] *= coeffs[j]
+        # flat position of V[b, m, t, idx[b, t, j]] in a (B, d, L + 1, d) array
+        rows = np.arange(len(rs))[:, None, None] * d + np.arange(d)[None, :, None]
+        flip = (rows[..., None] * (length + 1) + np.arange(length)[:, None]) * d + idx[:, None]
+        groups.append(BlockGroup(gates, phase, flip))
+    dim = 2**n_qubits
+    cols = np.array([_block_index(support, n_qubits) for support, _ in runs], dtype=int).reshape(-1, dim)
+    pos = np.argsort(cols, axis=1)  # pos[b][i]: where full index i sits in layout b
+    natural = np.arange(dim)
+    before = np.take_along_axis(np.vstack([natural, pos[:-1]]), cols, axis=1)
+    table = BlockTable(
+        tuple(groups),
+        tuple(order),
+        np.take_along_axis(np.vstack([pos[1:], natural]), cols, axis=1),
+        pos[0] if len(runs) else natural,
+        (2 * before[..., None] + np.arange(2)).reshape(len(runs), 2 * dim),
+    )
+    for a in [table.state_gather, table.state_out, table.sweep_gather]:
+        a.flags.writeable = False
+    for grp in groups:
+        for a in grp:
+            a.flags.writeable = False
+    return table
+
+
+def _block_products(table: BlockTable, thetas: np.ndarray) -> list[np.ndarray]:
+    """In-block prefix products per group, shape (B, 2^s, L + 1, 2^s).
+
+    V[b, :, t] = G_0 ... G_{t-1} over block b's first t gates, with
+    G = cos(theta) I - i sin(theta) P, built as V_{t+1} = cos V_t - i sin V_t P_t
+    (one gather per in-block position for all blocks of the group);
+    V[b, :, L] is block b's unitary. Padded positions have angle 0, so they
+    leave V as it is. Rows come first, so V[b] reshaped to
+    (2^s, (L + 1) 2^s) is [V_0 | V_1 | ...] and one product by a 2^s x 2^s
+    matrix reaches every prefix of a block.
+    """
+    th = np.append(thetas, 0.0)
+    prefixes = []
+    for grp in table.groups:
+        n_blocks, d, length, _ = grp.flip.shape
+        t = th[grp.gates]
+        c = np.cos(t)[:, None, :, None]
+        rows = (-1j * np.sin(t))[:, None, :, None] * grp.phase[:, None]
+        v = np.empty((n_blocks, d, length + 1, d), dtype=complex)
+        v[:, :, 0] = np.eye(d)
+        flat = v.reshape(-1)
+        for pos in range(length):
+            v[:, :, pos + 1] = c[:, :, pos] * v[:, :, pos] + rows[:, :, pos] * flat[grp.flip[:, :, pos]]
+        prefixes.append(v)
+    return prefixes
+
+
 @dataclass
 class UQNNParams:
     """Ordered generators H_j with angles theta_j and a visible/hidden split."""
@@ -92,6 +243,8 @@ class UQNNParams:
     generators: list[PauliTerm]
     thetas: np.ndarray
     _layout: GateTable | None = field(default=None, repr=False, compare=False)
+    _blocks: BlockTable | None = field(default=None, repr=False, compare=False)
+    _products: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.thetas = np.asarray(self.thetas, dtype=float)
@@ -112,6 +265,19 @@ class UQNNParams:
         if self._layout is None:
             self._layout = _layout_tables(tuple(self.generators), self.n_qubits)
         return self._layout
+
+    def blocks(self) -> BlockTable:
+        """The layout's shared read-only block table."""
+        if self._blocks is None:
+            self._blocks = _layout_blocks(tuple(self.generators), self.n_qubits)
+        return self._blocks
+
+    def block_products(self) -> list[np.ndarray]:
+        """_block_products of the current thetas, rebuilt only when thetas change."""
+        if self._products is None or not np.array_equal(self._products[0], self.thetas):
+            thetas = np.array(self.thetas, dtype=float)
+            self._products = (thetas, _block_products(self.blocks(), thetas))
+        return self._products[1]
 
     def to_checkpoint(self, rng_seed: int | None = None, epoch: int = 0) -> dict:
         return {
@@ -139,11 +305,15 @@ class UQNNParams:
 
 
 def uqnn_statevector(p: UQNNParams) -> np.ndarray:
-    """W |0...0> with the last generator applied first."""
+    """W |0...0> with the last block applied first: one gather and one product per block."""
     qmath.check_dim(p.dim)
     psi = np.zeros(p.dim, dtype=complex)
     psi[0] = 1.0
-    return _apply_prefix(p, psi, len(p.generators))
+    table, prefixes = p.blocks(), p.block_products()
+    for (g, b), gather in zip(reversed(table.order), table.state_gather[::-1]):
+        u = prefixes[g][b, :, -1]
+        psi = u @ psi.reshape(-1)[gather].reshape(len(u), -1)
+    return psi.reshape(-1)[table.state_out]
 
 
 def uqnn_full_state(p: UQNNParams) -> DensityMatrix:

@@ -16,9 +16,11 @@ import json
 import math
 import os
 import time
+import zlib
+from collections.abc import Iterable, MutableSequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -176,7 +178,44 @@ class MetricsRow:
 CSV_COLUMNS = ["epoch", "loss", "penalized_loss", "fidelity", "grad_inf_norm", "wall_ms"]
 
 
-@dataclass
+class MetricsRows(MutableSequence):
+    """A list of MetricsRow kept as one float64 array, one row of CSV_COLUMNS per entry.
+
+    Indexing returns a fresh MetricsRow with the stored values (the epoch
+    as an int); every float is stored and returned exactly.
+    """
+
+    def __init__(self, rows: Iterable[MetricsRow] = ()):
+        self._data = np.array([_row_values(r) for r in rows], dtype=float).reshape(-1, len(CSV_COLUMNS))
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        epoch, *values = self._data[i].tolist()
+        return MetricsRow(int(epoch), *values)
+
+    def __setitem__(self, i: int, row: MetricsRow) -> None:
+        self._data[i] = _row_values(row)
+
+    def __delitem__(self, i: int) -> None:
+        self._data = np.delete(self._data, i, axis=0)
+
+    def insert(self, i: int, row: MetricsRow) -> None:
+        self._data = np.insert(self._data, i, _row_values(row), axis=0)
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in CSV_COLUMNS:
+            raise AttributeError(f"MetricsRow has no column {name!r}")
+        return self._data[:, CSV_COLUMNS.index(name)].copy()
+
+
+def _row_values(row: MetricsRow) -> list[float]:
+    return [getattr(row, c) for c in CSV_COLUMNS]
+
+
 class MetricsLog:
     """Per-epoch training curve plus run identity.
 
@@ -185,20 +224,45 @@ class MetricsLog:
     parameters. grad_inf_norm is the infinity norm of the full training
     gradient, penalty term included.
 
-    The final checkpoint is kept as the JSON text written to the checkpoint
-    file (a fraction of the size of the decoded dict, which matters once
-    many logs are held or pickled back from ensemble workers); `checkpoint`
-    decodes it.
+    Many logs are held at once (ensembles, or pickled back from workers),
+    so both parts are kept compact: `rows` is a MetricsRows (one float64
+    array), and the final checkpoint is kept zlib-compressed;
+    `checkpoint_json` gives back the exact JSON text written to the
+    checkpoint file, and `checkpoint` decodes it.
     """
 
-    config_hash: str
-    seed: int
-    rows: list[MetricsRow] = field(default_factory=list)
-    checkpoint_json: str | None = None
+    def __init__(
+        self,
+        config_hash: str,
+        seed: int,
+        rows: Iterable[MetricsRow] = (),
+        checkpoint_json: str | None = None,
+    ):
+        self.config_hash = config_hash
+        self.seed = seed
+        self.rows = rows
+        self.checkpoint_json = checkpoint_json
+
+    @property
+    def rows(self) -> MetricsRows:
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: Iterable[MetricsRow]) -> None:
+        self._rows = rows if isinstance(rows, MetricsRows) else MetricsRows(rows)
+
+    @property
+    def checkpoint_json(self) -> str | None:
+        return None if self._checkpoint is None else zlib.decompress(self._checkpoint).decode()
+
+    @checkpoint_json.setter
+    def checkpoint_json(self, text: str | None) -> None:
+        self._checkpoint = None if text is None else zlib.compress(text.encode())
 
     @property
     def checkpoint(self) -> dict | None:
-        return None if self.checkpoint_json is None else json.loads(self.checkpoint_json)
+        text = self.checkpoint_json
+        return None if text is None else json.loads(text)
 
     def validate(self) -> "MetricsLog":
         last = -1
@@ -212,7 +276,7 @@ class MetricsLog:
         return self
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
+        return self.rows.column(name)
 
     def initial_fidelity(self) -> float:
         return self.rows[0].fidelity
@@ -310,7 +374,7 @@ def train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str |
     model = _build_model(cfg, init_rng)
     lam = cfg.l2_penalty
 
-    log = MetricsLog(config_hash=cfg.config_hash(), seed=cfg.seed)
+    rows: list[MetricsRow] = []
     opt = AdamState.init(len(model.thetas), cfg.lr)
 
     def full_evaluation() -> tuple[divergence.Evaluation, np.ndarray]:
@@ -320,9 +384,9 @@ def train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str |
     def log_row(epoch: int, ev: divergence.Evaluation, grad: np.ndarray, t_start: float) -> None:
         raw = ev.loss.value
         penal = raw + lam * float(model.thetas @ model.thetas)
-        fid = fidelity(ev.sigma_v, rho)
+        fid = fidelity(rho, ev.sigma_v)  # the fixed target's square root is factorized once per run
         wall = (time.perf_counter() - t_start) * 1000.0
-        log.rows.append(MetricsRow(epoch, raw, penal, fid, float(np.max(np.abs(grad))), wall))
+        rows.append(MetricsRow(epoch, raw, penal, fid, float(np.max(np.abs(grad))), wall))
 
     # One evaluation per epoch: the state, loss and gradient logged at row e
     # come from one state build, and that gradient also drives update e+1.
@@ -340,7 +404,7 @@ def train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str |
                 t0 = time.perf_counter()
 
     checkpoint = model.to_checkpoint(rng_seed=cfg.seed, epoch=cfg.epochs)
-    log.checkpoint_json = json.dumps(checkpoint, indent=1)
+    log = MetricsLog(cfg.config_hash(), cfg.seed, rows, json.dumps(checkpoint, indent=1))
     log.validate()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

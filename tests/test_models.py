@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import expm
 
 from renyiqnn import cli, divergence, models
 from renyiqnn.hamiltonians import PauliTerm, two_local_terms
@@ -28,7 +29,7 @@ from renyiqnn.models import (
 )
 from renyiqnn.qmath import op_norm, partial_trace
 from renyiqnn.states import random_density_matrix, thermal_state
-from tests.conftest import random_hermitian, uqnn_state_reference
+from tests.conftest import pauli_string_dense, random_hermitian, uqnn_state_reference
 
 
 def single_x(n: int, q: int = 0) -> PauliTerm:
@@ -167,8 +168,44 @@ def with_signs(p: UQNNParams) -> UQNNParams:
     return UQNNParams(p.n_v, p.n_h, gens, p.thetas)
 
 
+# The block kernel multiplies each run of same-support gates out into one
+# small unitary, so the statevector and the kernel sweep round differently
+# from the per-gate loop. Stated tolerance: amplitudes agree to BLOCK_SV_ATOL,
+# sweep entries to BLOCK_SWEEP_RTOL times the kernel's operator norm (each
+# entry is at most twice that norm). Worst seen: 7.6e-16 and 1.7e-15.
+BLOCK_SV_ATOL = 1e-14
+BLOCK_SWEEP_RTOL = 1e-13
+
+
+def dense_sweep_reference(p: UQNNParams, kernel_v: np.ndarray) -> np.ndarray:
+    """2 Im <psi| (kernel_v x I_h) W_k H_k W_k^dag |psi> from dense expm products."""
+    psi = uqnn_state_reference(p)
+    m_psi = np.kron(kernel_v, np.eye(2**p.n_h)) @ psi
+    w = np.eye(p.dim, dtype=complex)
+    out = np.empty(len(p.generators))
+    for k, (g, th) in enumerate(zip(p.generators, p.thetas)):
+        h = g.coeff * pauli_string_dense(p.n_qubits, g.axes)
+        out[k] = 2.0 * np.vdot(m_psi, w @ h @ w.conj().T @ psi).imag
+        w = w @ expm(-1j * th * h)
+    return out
+
+
+def check_block_kernel(p: UQNNParams, rng) -> None:
+    """Block statevector and sweep against the per-gate loops (stated tolerance) and the dense expm route."""
+    tables, kernel = ref_tables(p), random_hermitian(2**p.n_v, rng)
+    ref = statevector_loop(p, tables)
+    psi = uqnn_statevector(p)
+    assert np.max(np.abs(psi - ref)) <= BLOCK_SV_ATOL
+    assert np.max(np.abs(psi - uqnn_state_reference(p))) < 1e-12
+    norm = np.linalg.norm(kernel, 2)
+    got = divergence._kernel_sweep(p, kernel, ref)
+    assert np.max(np.abs(got - kernel_sweep_loop(p, tables, kernel, ref))) <= BLOCK_SWEEP_RTOL * norm
+    assert np.max(np.abs(got - dense_sweep_reference(p, kernel))) < 1e-11 * norm
+
+
 class TestStackedGateKernel:
-    """The stacked kernel does the per-gate arithmetic of gate_table/apply_gate exactly."""
+    """The per-gate kernel does the arithmetic of gate_table/apply_gate exactly;
+    the block kernel agrees with it within the stated tolerance."""
 
     @pytest.mark.parametrize("signs", ["unit", "mixed"])
     @pytest.mark.parametrize("n_h", [0, 1, 2, 3])
@@ -179,17 +216,83 @@ class TestStackedGateKernel:
         if signs == "mixed":
             p = with_signs(p)
             assert any(g.coeff == -1.0 for g in p.generators)
-        tables = ref_tables(p)
-        psi = uqnn_statevector(p)
-        assert np.array_equal(psi, statevector_loop(p, tables))
-        kernel = random_hermitian(4, rng)
-        assert np.array_equal(divergence._kernel_sweep(p, kernel, psi), kernel_sweep_loop(p, tables, kernel, psi))
+        check_block_kernel(p, rng)
+        tables, psi = ref_tables(p), uqnn_statevector(p)
         n = len(p.generators)
         for k in range(1, n + 1):
             got = conjugated_generator_vec(p, k, psi)
             assert np.array_equal(got, conjugated_generator_vec_loop(p, tables, k, psi)), f"k={k}"
         for k in sorted({1, 2, n // 2, n}):
             assert np.array_equal(circuit_prefix(p, k), circuit_prefix_loop(p, tables, k)), f"k={k}"
+
+
+class TestBlockKernel:
+    """Block statevector and sweep on circuits the bundled layouts do not cover."""
+
+    def test_identity_string_generators(self, rng):
+        x0, z1 = PauliTerm(1.0, ((0, "x"),)), PauliTerm(-1.0, ((1, "z"),))
+        ident = PauliTerm(1.0, ())
+        gens = [ident, x0, ident, PauliTerm(-1.0, ()), z1, x0, ident]
+        p = UQNNParams(1, 1, gens, 2.0 * rng.standard_normal(len(gens)))
+        check_block_kernel(p, rng)
+        assert [grp.phase.shape[-1] for grp in p.blocks().groups] == [1, 2]
+
+    def test_one_qubit_circuit(self, rng):
+        gens = [PauliTerm(c, ((0, a),)) for c, a in [(1.0, "x"), (-1.0, "y"), (1.0, "z"), (1.0, "y")]]
+        p = UQNNParams(1, 0, gens, 2.0 * rng.standard_normal(len(gens)))
+        check_block_kernel(p, rng)
+        assert p.blocks().order == ((0, 0),)
+
+    def test_weight_three_generator_from_checkpoint(self, rng):
+        doc = with_signs(build_uqnn(2, 1, rng, layout="brick")).to_checkpoint()
+        doc["generators"][4:4] = [
+            {"coeff": -1.0, "axes": [[0, "x"], [1, "y"], [2, "z"]]},
+            {"coeff": 1.0, "axes": [[0, "z"], [1, "z"], [2, "y"]]},
+        ]
+        doc["thetas"][4:4] = [0.8, -1.3]
+        p = UQNNParams.from_checkpoint(doc)
+        check_block_kernel(p, rng)
+        assert max(grp.phase.shape[-1] for grp in p.blocks().groups) == 8
+
+    def test_empty_circuit(self, rng):
+        p = UQNNParams(1, 1, [], [])
+        assert np.array_equal(uqnn_statevector(p), [1.0, 0.0, 0.0, 0.0])
+        assert divergence._kernel_sweep(p, random_hermitian(2, rng), uqnn_statevector(p)).shape == (0,)
+
+    def test_runs_of_one_support_form_one_block(self, rng):
+        p = build_uqnn(3, 3, rng, repetitions=2)
+        table = p.blocks()
+        assert len(table.order) == 2 * 21
+        assert [grp.gates.shape for grp in table.groups] == [(12, 3), (30, 9)]
+
+    def test_block_table_is_read_only(self, rng):
+        table = build_uqnn(2, 1, rng).blocks()
+        grp = table.groups[0]
+        for a in (*grp, table.state_gather, table.state_out, table.sweep_gather):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_products_follow_thetas(self, rng):
+        p = build_uqnn(2, 1, rng)
+        first = p.block_products()
+        assert p.block_products() is first
+        p.thetas[3] += 0.5
+        moved = p.block_products()
+        assert moved is not first
+        p.thetas = p.thetas - 0.25
+        assert p.block_products() is not moved
+        assert np.max(np.abs(uqnn_statevector(p) - uqnn_state_reference(p))) < 1e-12
+
+    def test_products_built_once_per_evaluate(self, rng, monkeypatch):
+        calls, build = [], models._block_products
+        monkeypatch.setattr(models, "_block_products", lambda t, th: calls.append(1) or build(t, th))
+        p = build_uqnn(2, 2, rng)
+        rho = random_density_matrix(2, rng)
+        for direction in ("reverse", "forward"):
+            p.thetas = p.thetas + 0.1
+            calls.clear()
+            divergence.evaluate(p, rho, direction)
+            assert len(calls) == 1
 
 
 class TestSharedLayoutTables:
@@ -203,16 +306,25 @@ class TestSharedLayoutTables:
             return build(terms, n_qubits)
 
         models._layout_tables.cache_clear()
+        models._layout_blocks.cache_clear()
         monkeypatch.setattr(models, "pauli_tables", counting)
         yield calls
         models._layout_tables.cache_clear()
+        models._layout_blocks.cache_clear()
 
     def test_one_build_per_layout(self, rng, pauli_table_builds):
+        # the block kernel (statevector, sweep) and the per-gate kernel
+        # (conjugated generators) each build their layout table once
         ps = [build_uqnn(3, 2, rng) for _ in range(50)]
+        kernel = random_hermitian(8, rng)
         for p in ps:
-            uqnn_statevector(p)
+            psi = uqnn_statevector(p)
+            divergence._kernel_sweep(p, kernel, psi)
+            conjugated_generator_vec(p, 2, psi)
         assert pauli_table_builds == [(len(ps[0].generators), 5)]
+        assert models._layout_blocks.cache_info().misses == 1
         assert all(p.tables()[1] is ps[0].tables()[1] for p in ps)
+        assert all(p.blocks() is ps[0].blocks() for p in ps)
 
     def test_rows_equal_gate_table(self, rng):
         p = with_signs(build_uqnn(2, 2, rng, layout="brick", repetitions=2))
@@ -264,7 +376,9 @@ class TestSharedLayoutTables:
         back = UQNNParams.from_checkpoint(p.to_checkpoint())
         assert back.generators is not p.generators
         assert back.tables()[0] is shared[0] and back.tables()[1] is shared[1]
+        assert back.blocks() is p.blocks()
         assert len(pauli_table_builds) == 1
+        assert models._layout_blocks.cache_info().misses == 1
 
 
 class TestConjugatedGenerator:

@@ -19,6 +19,7 @@ from renyiqnn.training import (
     EnsembleSummary,
     MetricsLog,
     MetricsRow,
+    MetricsRows,
     TrainConfig,
     TrainingError,
     adam_step,
@@ -207,7 +208,7 @@ class TestTrainUQNN:
         assert isinstance(model, UQNNParams)
         rng, _ = run_streams(cfg.seed, 0, "both")
         _, rho = draw_target(cfg, rng)
-        f = fidelity(uqnn_visible_state(model), rho)
+        f = fidelity(rho, uqnn_visible_state(model))
         assert f == pytest.approx(log.final_fidelity(), abs=1e-12)
         assert log.checkpoint["epoch"] == cfg.epochs
 
@@ -299,13 +300,14 @@ class TestOneEvaluationPerEpoch:
         cfg = small_cfg(n_v=2, n_h=2, epochs=7, log_every=3, direction=direction)
         log = train(cfg)
         rows, evaluations = len(log.rows), cfg.epochs + 1
-        # one eigh for the target's thermal state; a logged fidelity adds the
-        # inner square root, and the model state's own factorization unless
-        # the forward loss already inverted it in that evaluation
+        # one eigh for the target's thermal state and one for its square root
+        # (shared by the reverse loss and every logged fidelity); a logged
+        # fidelity adds the inner square root, and the forward loss inverts
+        # the model state once per evaluation
         if direction == "reverse":
-            assert len(calls) == 1 + 1 + 2 * rows
+            assert len(calls) == 1 + 1 + rows
         else:
-            assert len(calls) == 1 + evaluations + rows
+            assert len(calls) == 1 + 1 + evaluations + rows
 
     @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
     @pytest.mark.parametrize("direction", ["reverse", "forward"])
@@ -320,7 +322,7 @@ class TestOneEvaluationPerEpoch:
         else:
             loss = divergence.renyi2_forward(rho, sigma_v).value
         assert log.rows[-1].loss == pytest.approx(loss, abs=0)
-        assert log.rows[-1].fidelity == pytest.approx(fidelity(sigma_v, rho), abs=0)
+        assert log.rows[-1].fidelity == pytest.approx(fidelity(rho, sigma_v), abs=0)
 
 
 class TestMetricsLog:
@@ -394,6 +396,44 @@ class TestMetricsLog:
             tracemalloc.stop()
         assert len(log.rows) == 21
         assert held < 20_000
+
+    def test_fig2_log_is_compact(self):
+        # 101 rows and a 153-angle checkpoint: about 39 KB as row objects and JSON text
+        doc = cli.load_experiment_config(cli.bundled_config_path("fig2_3v3h.json"), "thermal-learn")
+        blob = pickle.dumps(train(TrainConfig(**doc["train"])))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            log = pickle.loads(blob)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(log.rows) == 101
+        assert held < 12_000
+
+    def test_rows_keep_every_value_exactly(self):
+        values = [(0, 0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1e-3), (7, math.pi, 2.0, 0.5, 3.0, 0.25)]
+        rows = MetricsRows(MetricsRow(*v) for v in values)
+        back = pickle.loads(pickle.dumps(rows))
+        for got in (list(rows), list(back)):
+            assert [dataclasses.astuple(r) for r in got] == values
+            assert all(type(r.epoch) is int for r in got)
+        assert math.copysign(1.0, rows[0].penalized_loss) == -1.0
+
+    def test_rows_behave_as_a_list(self):
+        log = self.make_log()
+        extra = MetricsRow(2, 0.8, 0.8, 0.7, 0.1, 1.0)
+        log.rows.append(extra)
+        assert log.rows[-1] == extra and len(log.rows) == 3
+        assert [r.epoch for r in log.rows[1:]] == [1, 2]
+        log.rows[0] = MetricsRow(0, 2.0, 2.0, 0.5, 0.3, 1.0)
+        assert log.column("loss").tolist() == [2.0, 0.9, 0.8]
+        del log.rows[1]
+        assert [r.epoch for r in log.rows] == [0, 2]
+        with pytest.raises(IndexError):
+            log.rows[2]
+        log.rows = [extra]
+        assert isinstance(log.rows, MetricsRows) and list(log.rows) == [extra]
 
 
 class TestRunEnsemble:
