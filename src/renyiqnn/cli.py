@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -38,12 +37,20 @@ from .divergence import (
     renyi2_reverse,
     uqnn_grad_reverse,
 )
-from .hamiltonians import LCUHamiltonian, PauliTerm, normalize, random_three_local, random_two_local
-from .models import QBMParams, UQNNParams, build_qbm, build_uqnn, qbm_visible_state, uqnn_visible_state
+from .hamiltonians import LCUHamiltonian, PauliTerm
+from .models import LAYOUTS, QBMParams, UQNNParams, build_qbm, build_uqnn, qbm_visible_state, uqnn_visible_state
 from .plateau import init_gradient_scan
 from .states import DensityMatrix, haar_unitary, random_density_matrix, thermal_state
-from .swaptest import SwapTestSpec, cyclic_shift, mc_reverse_gradient_thermal, trace_power_estimate, swap_test_probability
-from .training import TrainConfig, TrainingError, run_ensemble
+from .swaptest import (
+    ALPHA_NORM_GUARD,
+    DEFAULT_Q_MAX,
+    SwapTestSpec,
+    cyclic_shift,
+    mc_reverse_gradient_thermal,
+    swap_test_probability,
+    trace_power_estimate,
+)
+from .training import TrainConfig, TrainingError, default_std_single, run_ensemble, target_hamiltonian
 
 SCHEMA_VERSION = 1
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "configs")
@@ -148,18 +155,13 @@ def _target_spec(target: dict) -> dict:
     return {
         "locality": locality,
         "tau": tau,
-        "std_single": target.get("std_single", math.sqrt(0.1) if locality == 2 else 1.0),
+        "std_single": target.get("std_single", default_std_single(locality)),
         "std_pair": target.get("std_pair", 1.0),
     }
 
 
 def _target_hamiltonian(n: int, target: dict, rng: np.random.Generator) -> LCUHamiltonian:
-    spec = _target_spec(target)
-    if spec["locality"] == 2:
-        h = random_two_local(n, spec["std_single"], spec["std_pair"], rng)
-    else:
-        h = random_three_local(n, spec["std_single"], rng)
-    return normalize(h, spec["tau"])
+    return target_hamiltonian(n, rng, **_target_spec(target))
 
 
 def _scale_alpha_norm(h: LCUHamiltonian, alpha_norm: float) -> LCUHamiltonian:
@@ -249,6 +251,10 @@ def cmd_plateau_scan(args: argparse.Namespace) -> int:
     target_doc = doc.get("target", {})
     layout = doc.get("layout", "exhaustive")
     repetitions = doc.get("repetitions", 1)
+    if layout not in LAYOUTS:
+        raise ConfigError(f"layout must be one of {', '.join(LAYOUTS)}, got {layout!r}")
+    if not isinstance(repetitions, int) or repetitions < 1:
+        raise ConfigError("repetitions must be a positive integer")
     out_dir = args.out or doc.get("out_dir") or f"runs/plateau_scan_seed{seed}"
 
     target_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
@@ -290,14 +296,20 @@ def cmd_mc_estimate(args: argparse.Namespace) -> int:
     n_h = doc.get("n_h", 0)
     k = doc.get("k", 1)
     shots = doc.get("shots", 100000)
-    q_max = doc.get("q_max", 30)
+    q_max = doc.get("q_max", DEFAULT_Q_MAX)
     alpha_norm = doc.get("target_alpha_norm")
     if not isinstance(n_v, int) or n_v < 1:
         raise ConfigError("n_v must be a positive integer")
+    if not isinstance(n_h, int) or n_h < 0:
+        raise ConfigError("n_h must be a nonnegative integer")
+    if not isinstance(k, int) or k < 1:
+        raise ConfigError("k must be a positive integer")
     if not isinstance(shots, int) or shots < 1:
         raise ConfigError("shots must be a positive integer")
-    if alpha_norm is not None and not 0 < alpha_norm <= 20:
-        raise ConfigError("target_alpha_norm must lie in (0, 20]")
+    if not isinstance(q_max, int) or q_max < 0:
+        raise ConfigError("q_max must be a nonnegative integer")
+    if alpha_norm is not None and not 0 < alpha_norm <= ALPHA_NORM_GUARD:
+        raise ConfigError(f"target_alpha_norm must lie in (0, {ALPHA_NORM_GUARD:g}]")
 
     target_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
     init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 1)))

@@ -7,7 +7,6 @@ state-preparation and trace evaluation O(2^n) instead of O(4^n).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -16,12 +15,6 @@ import numpy as np
 from . import qmath
 
 AXES = ("x", "y", "z")
-
-PAULI_MATS = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _parity(v: np.ndarray) -> np.ndarray:
@@ -81,10 +74,12 @@ class PauliTerm:
         return weighted_sum_dense([self.coeff], pauli_tables([self], n_qubits))
 
 
-def string_action(
-    xmask: int, zmask: int, n_qubits: int, n_y: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Action arrays for i^{n_y} X^xmask Z^zmask on the 2^n basis."""
+def string_action(xmask, zmask, n_qubits: int, n_y=0) -> tuple[np.ndarray, np.ndarray]:
+    """Action arrays for i^{n_y} X^xmask Z^zmask on the 2^n basis.
+
+    The masks and n_y are ints, or stacked (L, 1) integer arrays for L
+    strings at once; the arrays then have shape (L, 2^n), one row per string.
+    """
     d = 2**n_qubits
     i = np.arange(d)
     idx = i ^ xmask
@@ -101,18 +96,12 @@ def string_trace(m: np.ndarray, idx: np.ndarray, col_phase: np.ndarray) -> compl
 def pauli_tables(terms, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (idx, col_phase) of the unit-coefficient strings, shape (len(terms), 2^n).
 
-    Row l equals terms[l].action(n_qubits) bit for bit: same index
-    arithmetic, same parity signs, same i^{n_y} phase factors.
+    string_action over the stacked masks, so row l equals
+    terms[l].action(n_qubits) bit for bit.
     """
-    d = 2**n_qubits
-    qmath.check_dim(d)
-    masks = [t.masks(n_qubits) for t in terms]
-    xmask = np.array([x for x, _, _ in masks], dtype=np.int64).reshape(-1, 1)
-    zmask = np.array([z for _, z, _ in masks], dtype=np.int64).reshape(-1, 1)
-    phase = np.array([1j**ny for _, _, ny in masks], dtype=complex).reshape(-1, 1)
-    i = np.arange(d)
-    col_phase = phase * np.where(_parity(i & zmask) == 1, -1.0, 1.0).astype(complex)
-    return i ^ xmask, col_phase
+    qmath.check_dim(2**n_qubits)
+    masks = np.array([t.masks(n_qubits) for t in terms], dtype=np.int64).reshape(-1, 3, 1)
+    return string_action(masks[:, 0], masks[:, 1], n_qubits, masks[:, 2])
 
 
 def pauli_traces(m: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -159,32 +148,6 @@ class LCUHamiltonian:
     def dense(self) -> np.ndarray:
         coeffs = [t.coeff for t in self.terms]
         return weighted_sum_dense(coeffs, pauli_tables(self.terms, self.n_qubits))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "terms": [
-                {"coeff": float(t.coeff), "axes": [[q, a] for q, a in t.axes]}
-                for t in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "LCUHamiltonian":
-        terms = [
-            PauliTerm(float(t["coeff"]), tuple((int(q), a) for q, a in t["axes"]))
-            for t in doc["terms"]
-        ]
-        return cls(int(doc["n_qubits"]), terms)
-
-    def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-
-    @classmethod
-    def load_json(cls, path: str) -> "LCUHamiltonian":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def single_axes(n: int) -> list[tuple[tuple[int, str], ...]]:

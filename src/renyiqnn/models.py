@@ -279,30 +279,6 @@ class UQNNParams:
             self._products = (thetas, _block_products(self.blocks(), thetas))
         return self._products[1]
 
-    def to_checkpoint(self, rng_seed: int | None = None, epoch: int = 0) -> dict:
-        return {
-            "kind": "uqnn",
-            "n_v": self.n_v,
-            "n_h": self.n_h,
-            "generators": [
-                {"coeff": float(g.coeff), "axes": [[q, a] for q, a in g.axes]}
-                for g in self.generators
-            ],
-            "thetas": [float(t) for t in self.thetas],
-            "rng_seed": rng_seed,
-            "epoch": epoch,
-        }
-
-    @classmethod
-    def from_checkpoint(cls, doc: dict) -> "UQNNParams":
-        if doc.get("kind") != "uqnn":
-            raise ValueError(f"checkpoint kind {doc.get('kind')!r} is not 'uqnn'")
-        gens = [
-            PauliTerm(float(g["coeff"]), tuple((int(q), a) for q, a in g["axes"]))
-            for g in doc["generators"]
-        ]
-        return cls(int(doc["n_v"]), int(doc["n_h"]), gens, np.array(doc["thetas"], dtype=float))
-
 
 def uqnn_statevector(p: UQNNParams) -> np.ndarray:
     """W |0...0> with the last block applied first: one gather and one product per block."""
@@ -403,27 +379,30 @@ class QBMParams:
         terms = [PauliTerm(float(th), t.axes) for th, t in zip(self.thetas, self.basis)]
         return LCUHamiltonian(self.n_qubits, [t for t in terms if t.coeff != 0.0])
 
-    def to_checkpoint(self, rng_seed: int | None = None, epoch: int = 0) -> dict:
-        return {
-            "kind": "qbm",
-            "n_v": self.n_v,
-            "n_h": self.n_h,
-            "generators": [
-                {"coeff": 1.0, "axes": [[q, a] for q, a in t.axes]} for t in self.basis
-            ],
-            "thetas": [float(t) for t in self.thetas],
-            "rng_seed": rng_seed,
-            "epoch": epoch,
-        }
 
-    @classmethod
-    def from_checkpoint(cls, doc: dict) -> "QBMParams":
-        if doc.get("kind") != "qbm":
-            raise ValueError(f"checkpoint kind {doc.get('kind')!r} is not 'qbm'")
-        basis = [
-            PauliTerm(1.0, tuple((int(q), a) for q, a in g["axes"])) for g in doc["generators"]
-        ]
-        return cls(int(doc["n_v"]), int(doc["n_h"]), basis, np.array(doc["thetas"], dtype=float))
+def checkpoint_doc(p: UQNNParams | QBMParams, rng_seed: int | None = None, epoch: int = 0) -> dict:
+    """The checkpoint of a model of either kind; load_checkpoint_model reads it back."""
+    kind, terms = ("uqnn", p.generators) if isinstance(p, UQNNParams) else ("qbm", p.basis)
+    return {
+        "kind": kind,
+        "n_v": p.n_v,
+        "n_h": p.n_h,
+        "generators": [{"coeff": float(t.coeff), "axes": [[q, a] for q, a in t.axes]} for t in terms],
+        "thetas": [float(t) for t in p.thetas],
+        "rng_seed": rng_seed,
+        "epoch": epoch,
+    }
+
+
+def load_checkpoint_model(doc: dict) -> UQNNParams | QBMParams:
+    """Rebuild the model a checkpoint dict describes; the model class checks the coefficients."""
+    cls = {"uqnn": UQNNParams, "qbm": QBMParams}.get(doc.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown checkpoint kind {doc.get('kind')!r}")
+    terms = [
+        PauliTerm(float(g["coeff"]), tuple((int(q), a) for q, a in g["axes"])) for g in doc["generators"]
+    ]
+    return cls(int(doc["n_v"]), int(doc["n_h"]), terms, np.array(doc["thetas"], dtype=float))
 
 
 def qbm_thermal(p: QBMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
@@ -459,12 +438,13 @@ def brick_two_local_terms(n: int, coeff: float = 1.0) -> list[PauliTerm]:
     return terms
 
 
+LAYOUTS = {"exhaustive": two_local_terms, "brick": brick_two_local_terms}
+
+
 def uqnn_layer_terms(n: int, layout: str = "exhaustive") -> list[PauliTerm]:
-    if layout == "exhaustive":
-        return two_local_terms(n)
-    if layout == "brick":
-        return brick_two_local_terms(n)
-    raise ValueError(f"unknown layout {layout!r}")
+    if layout not in LAYOUTS:
+        raise ValueError(f"unknown layout {layout!r}")
+    return LAYOUTS[layout](n)
 
 
 @functools.lru_cache(maxsize=16)
@@ -517,6 +497,8 @@ __all__ = [
     "conjugated_generator",
     "conjugated_generator_vec",
     "uqnn_state_derivative",
+    "checkpoint_doc",
+    "load_checkpoint_model",
     "qbm_thermal",
     "qbm_visible_state",
     "build_uqnn",

@@ -45,14 +45,6 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the dimension cap enforced on the result."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    check_dim(a.shape[0] * b.shape[0])
-    return np.kron(a, b)
-
-
 def partial_trace(m: np.ndarray, n_keep: int, n_drop: int) -> np.ndarray:
     """Trace out the trailing n_drop qubits, keeping the leading n_keep.
 
@@ -78,20 +70,6 @@ def herm_expm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     out = (v * np.exp(scale * w)) @ v.conj().T
     return _symmetrize(out)
-
-
-def pinv_psd(m: np.ndarray, rel_cutoff: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a Hermitian PSD matrix.
-
-    Eigenvalues below rel_cutoff * lambda_max are treated as exact zeros.
-    """
-    m = _symmetrize(np.asarray(m, dtype=complex))
-    w, v = np.linalg.eigh(m)
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        raise ValueError("rank zero: cannot pseudo-invert an all-zero PSD matrix")
-    inv_w = np.where(w >= rel_cutoff * wmax, 1.0, 0.0) / np.where(w >= rel_cutoff * wmax, w, 1.0)
-    return _symmetrize((v * inv_w) @ v.conj().T)
 
 
 def op_norm(m: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .hamiltonians import LCUHamiltonian, _parity
+from .hamiltonians import LCUHamiltonian, _parity, pauli_traces, string_action
 from .models import (
     UQNNParams,
     conjugated_generator_vec,
@@ -37,7 +37,6 @@ DEFAULT_Q_MAX = 30
 ALPHA_NORM_GUARD = 20.0
 
 _HAD1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-_I_POW = np.array([1.0, 1j, -1.0, -1j])
 # shots per block of the Monte-Carlo sampler: its temporaries do not grow with the shot count
 _BLOCK = 2**14
 
@@ -304,13 +303,11 @@ def mc_reverse_gradient_thermal(
         for blk in _blocks(shots):
             seen[labels[blk]] = True
         used = np.flatnonzero(seen[:q0_slot])
-        cols = np.arange(dv)
-        perm = cols ^ (used >> (n + 2))[:, None]
-        sign = np.where(_parity(cols & ((used >> 2) & (dv - 1))[:, None]) == 1, -1.0, 1.0)
-        phase = _I_POW[used & 3][:, None] * sign
+        lab = used[:, None]
+        tables = string_action(lab >> (n + 2), (lab >> 2) & (dv - 1), n, lab & 3)
         t_lab = np.zeros((len(bs), q0_slot + 1), dtype=complex)
         for mi, b in enumerate(bs):
-            t_lab[mi, used] = np.sum(phase * b[cols, perm], axis=1)
+            t_lab[mi, used] = pauli_traces(b, tables)
             if seen[q0_slot]:
                 t_lab[mi, q0_slot] = np.trace(b)
         if float(np.max(np.abs(t_lab[:, seen]))) > 1.0 + 1e-9:

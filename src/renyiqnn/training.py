@@ -17,16 +17,16 @@ import math
 import os
 import time
 import zlib
-from collections.abc import Iterable, MutableSequence
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from . import divergence
 from .hamiltonians import LCUHamiltonian, normalize, random_three_local, random_two_local
-from .models import QBMParams, UQNNParams, build_qbm, build_uqnn
+from .models import LAYOUTS, build_qbm, build_uqnn, checkpoint_doc, load_checkpoint_model
 from .states import DensityMatrix, fidelity, thermal_state
 
 DEFAULT_BETA1 = 0.9
@@ -145,11 +145,13 @@ class TrainConfig:
             raise ValueError("target_reg must lie in [0, 1)")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.layout not in LAYOUTS:
+            raise ValueError(f"unknown layout {self.layout!r}")
 
     def resolved_std_single(self) -> float:
         if self.target_std_single is not None:
             return self.target_std_single
-        return math.sqrt(0.1) if self.target_locality == 2 else 1.0
+        return default_std_single(self.target_locality)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -178,44 +180,6 @@ class MetricsRow:
 CSV_COLUMNS = ["epoch", "loss", "penalized_loss", "fidelity", "grad_inf_norm", "wall_ms"]
 
 
-class MetricsRows(MutableSequence):
-    """A list of MetricsRow kept as one float64 array, one row of CSV_COLUMNS per entry.
-
-    Indexing returns a fresh MetricsRow with the stored values (the epoch
-    as an int); every float is stored and returned exactly.
-    """
-
-    def __init__(self, rows: Iterable[MetricsRow] = ()):
-        self._data = np.array([_row_values(r) for r in rows], dtype=float).reshape(-1, len(CSV_COLUMNS))
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        epoch, *values = self._data[i].tolist()
-        return MetricsRow(int(epoch), *values)
-
-    def __setitem__(self, i: int, row: MetricsRow) -> None:
-        self._data[i] = _row_values(row)
-
-    def __delitem__(self, i: int) -> None:
-        self._data = np.delete(self._data, i, axis=0)
-
-    def insert(self, i: int, row: MetricsRow) -> None:
-        self._data = np.insert(self._data, i, _row_values(row), axis=0)
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in CSV_COLUMNS:
-            raise AttributeError(f"MetricsRow has no column {name!r}")
-        return self._data[:, CSV_COLUMNS.index(name)].copy()
-
-
-def _row_values(row: MetricsRow) -> list[float]:
-    return [getattr(row, c) for c in CSV_COLUMNS]
-
-
 class MetricsLog:
     """Per-epoch training curve plus run identity.
 
@@ -225,8 +189,10 @@ class MetricsLog:
     gradient, penalty term included.
 
     Many logs are held at once (ensembles, or pickled back from workers),
-    so both parts are kept compact: `rows` is a MetricsRows (one float64
-    array), and the final checkpoint is kept zlib-compressed;
+    so both parts are kept compact: the rows are one float64 array with a
+    row of CSV_COLUMNS per logged epoch, and the final checkpoint is kept
+    zlib-compressed. `rows` builds fresh MetricsRow objects from the array
+    (the epoch as an int, every float exactly as stored);
     `checkpoint_json` gives back the exact JSON text written to the
     checkpoint file, and `checkpoint` decodes it.
     """
@@ -240,16 +206,12 @@ class MetricsLog:
     ):
         self.config_hash = config_hash
         self.seed = seed
-        self.rows = rows
+        self._data = np.array([astuple(r) for r in rows], dtype=float).reshape(-1, len(CSV_COLUMNS))
         self.checkpoint_json = checkpoint_json
 
     @property
-    def rows(self) -> MetricsRows:
-        return self._rows
-
-    @rows.setter
-    def rows(self, rows: Iterable[MetricsRow]) -> None:
-        self._rows = rows if isinstance(rows, MetricsRows) else MetricsRows(rows)
+    def rows(self) -> list[MetricsRow]:
+        return [MetricsRow(int(epoch), *values) for epoch, *values in self._data.tolist()]
 
     @property
     def checkpoint_json(self) -> str | None:
@@ -266,17 +228,19 @@ class MetricsLog:
 
     def validate(self) -> "MetricsLog":
         last = -1
-        for r in self.rows:
-            if r.epoch <= last:
-                raise ValueError(f"epochs not strictly increasing at {r.epoch}")
-            last = r.epoch
-            for name in ("loss", "penalized_loss", "fidelity", "grad_inf_norm", "wall_ms"):
-                if not math.isfinite(getattr(r, name)):
-                    raise ValueError(f"non-finite {name} at epoch {r.epoch}")
+        for epoch, *values in self._data.tolist():
+            if epoch <= last:
+                raise ValueError(f"epochs not strictly increasing at {int(epoch)}")
+            last = epoch
+            for name, value in zip(CSV_COLUMNS[1:], values):
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite {name} at epoch {int(epoch)}")
         return self
 
     def column(self, name: str) -> np.ndarray:
-        return self.rows.column(name)
+        if name not in CSV_COLUMNS:
+            raise AttributeError(f"MetricsRow has no column {name!r}")
+        return self._data[:, CSV_COLUMNS.index(name)].copy()
 
     def initial_fidelity(self) -> float:
         return self.rows[0].fidelity
@@ -288,10 +252,8 @@ class MetricsLog:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow(
-                    [r.epoch] + [repr(float(getattr(r, c))) for c in CSV_COLUMNS[1:]]
-                )
+            for epoch, *values in self._data.tolist():
+                writer.writerow([int(epoch)] + [repr(v) for v in values])
 
     def write(self, out_dir: str, run_idx: int) -> None:
         """run_NNN.csv and run_NNN_checkpoint.json in the existing directory out_dir."""
@@ -328,13 +290,27 @@ def run_streams(
     return target_rng, init_rng
 
 
+def default_std_single(locality: int) -> float:
+    """Singles std of a target recipe that sets none."""
+    return math.sqrt(0.1) if locality == 2 else 1.0
+
+
+def target_hamiltonian(
+    n: int, rng: np.random.Generator, locality: int, tau: float, std_single: float, std_pair: float
+) -> LCUHamiltonian:
+    """Random two- or three-local Hamiltonian of one target recipe, normalized to operator norm tau."""
+    if locality == 2:
+        h = random_two_local(n, std_single, std_pair, rng)
+    else:
+        h = random_three_local(n, std_single, rng)
+    return normalize(h, tau)
+
+
 def draw_target(cfg: TrainConfig, rng: np.random.Generator) -> tuple[LCUHamiltonian, DensityMatrix]:
     """Random normalized target Hamiltonian and its (optionally mixed) thermal state."""
-    if cfg.target_locality == 2:
-        h = random_two_local(cfg.n_v, cfg.resolved_std_single(), cfg.target_std_pair, rng)
-    else:
-        h = random_three_local(cfg.n_v, cfg.resolved_std_single(), rng)
-    h = normalize(h, cfg.tau)
+    h = target_hamiltonian(
+        cfg.n_v, rng, cfg.target_locality, cfg.tau, cfg.resolved_std_single(), cfg.target_std_pair
+    )
     rho = thermal_state(h)
     if cfg.target_reg > 0.0:
         d = rho.dim
@@ -403,23 +379,13 @@ def train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str |
                 log_row(epoch, ev, grad, t0)
                 t0 = time.perf_counter()
 
-    checkpoint = model.to_checkpoint(rng_seed=cfg.seed, epoch=cfg.epochs)
+    checkpoint = checkpoint_doc(model, rng_seed=cfg.seed, epoch=cfg.epochs)
     log = MetricsLog(cfg.config_hash(), cfg.seed, rows, json.dumps(checkpoint, indent=1))
     log.validate()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log.write(out_dir, run_idx)
     return log
-
-
-def load_checkpoint_model(doc: dict) -> UQNNParams | QBMParams:
-    """Rebuild the trained model a checkpoint dict describes."""
-    kind = doc.get("kind")
-    if kind == "uqnn":
-        return UQNNParams.from_checkpoint(doc)
-    if kind == "qbm":
-        return QBMParams.from_checkpoint(doc)
-    raise ValueError(f"unknown checkpoint kind {kind!r}")
 
 
 @dataclass

@@ -207,6 +207,30 @@ class TestConfigErrors:
         rc = main(["thermal-learn", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "name,experiment,key,value",
+        [
+            ("plateau_3v.json", "plateau-scan", "repetitions", "two"),
+            ("plateau_3v.json", "plateau-scan", "repetitions", 0),
+            ("plateau_3v.json", "plateau-scan", "layout", "ring"),
+            ("fig2_3v3h.json", "thermal-learn", "train.layout", "ring"),
+            ("mc_2q.json", "mc-estimate", "k", "1"),
+            ("mc_2q.json", "mc-estimate", "q_max", -1),
+            ("mc_2q.json", "mc-estimate", "n_h", -1),
+        ],
+    )
+    def test_invalid_bundled_value(self, tmp_path, capsys, name, experiment, key, value):
+        with open(bundled_config_path(name)) as fh:
+            doc = json.load(fh)
+        *outer, last = key.split(".")
+        block = doc
+        for part in outer:
+            block = block[part]
+        block[last] = value
+        assert self.exit_code(tmp_path, doc, experiment) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
 
 class TestRuntimeFailures:
     def test_forward_without_hidden_units_exits_two(self, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -198,15 +197,6 @@ class TestLCUHamiltonian:
     def test_zero_std_gives_zero_hamiltonian(self, rng):
         h = random_two_local(3, 0.0, 0.0, rng)
         assert np.max(np.abs(h.dense())) == 0.0
-
-    def test_json_roundtrip(self, rng, tmp_path):
-        h = random_three_local(3, 0.8, rng)
-        path = tmp_path / "h.json"
-        h.save_json(str(path))
-        back = LCUHamiltonian.load_json(str(path))
-        assert back.n_qubits == h.n_qubits
-        assert [(t.coeff, t.axes) for t in back.terms] == [(t.coeff, t.axes) for t in h.terms]
-        json.loads(path.read_text())  # file is plain JSON
 
 
 class TestNormalize:

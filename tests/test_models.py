@@ -15,10 +15,12 @@ from renyiqnn.models import (
     brick_two_local_terms,
     build_qbm,
     build_uqnn,
+    checkpoint_doc,
     circuit_prefix,
     conjugated_generator,
     conjugated_generator_vec,
     gate_table,
+    load_checkpoint_model,
     qbm_visible_state,
     uqnn_full_state,
     uqnn_layer_terms,
@@ -244,13 +246,13 @@ class TestBlockKernel:
         assert p.blocks().order == ((0, 0),)
 
     def test_weight_three_generator_from_checkpoint(self, rng):
-        doc = with_signs(build_uqnn(2, 1, rng, layout="brick")).to_checkpoint()
+        doc = checkpoint_doc(with_signs(build_uqnn(2, 1, rng, layout="brick")))
         doc["generators"][4:4] = [
             {"coeff": -1.0, "axes": [[0, "x"], [1, "y"], [2, "z"]]},
             {"coeff": 1.0, "axes": [[0, "z"], [1, "z"], [2, "y"]]},
         ]
         doc["thetas"][4:4] = [0.8, -1.3]
-        p = UQNNParams.from_checkpoint(doc)
+        p = load_checkpoint_model(doc)
         check_block_kernel(p, rng)
         assert max(grp.phase.shape[-1] for grp in p.blocks().groups) == 8
 
@@ -373,7 +375,7 @@ class TestSharedLayoutTables:
         for _ in range(3):
             loss(p.thetas + 0.01 * rng.standard_normal(len(p.thetas)))
         divergence.fd_gradient(lambda th: uqnn_statevector(UQNNParams(2, 2, p.generators, th))[0].real, p.thetas)
-        back = UQNNParams.from_checkpoint(p.to_checkpoint())
+        back = load_checkpoint_model(checkpoint_doc(p))
         assert back.generators is not p.generators
         assert back.tables()[0] is shared[0] and back.tables()[1] is shared[1]
         assert back.blocks() is p.blocks()
@@ -487,8 +489,9 @@ class TestQBM:
 class TestCheckpoints:
     def test_uqnn_roundtrip(self, rng):
         p = build_uqnn(2, 1, rng)
-        doc = p.to_checkpoint(rng_seed=11, epoch=5)
-        back = UQNNParams.from_checkpoint(doc)
+        doc = checkpoint_doc(p, rng_seed=11, epoch=5)
+        back = load_checkpoint_model(doc)
+        assert isinstance(back, UQNNParams) and (doc["rng_seed"], doc["epoch"]) == (11, 5)
         assert back.n_v == p.n_v and back.n_h == p.n_h
         assert np.array_equal(back.thetas, p.thetas)
         assert [g.axes for g in back.generators] == [g.axes for g in p.generators]
@@ -496,18 +499,18 @@ class TestCheckpoints:
 
     def test_qbm_roundtrip(self, rng):
         p = build_qbm(2, 1, rng)
-        doc = p.to_checkpoint()
-        back = QBMParams.from_checkpoint(doc)
+        doc = checkpoint_doc(p)
+        assert all(g["coeff"] == 1.0 for g in doc["generators"])
+        back = load_checkpoint_model(doc)
+        assert isinstance(back, QBMParams)
         assert np.array_equal(back.thetas, p.thetas)
         assert np.allclose(qbm_visible_state(back).mat, qbm_visible_state(p).mat)
 
-    def test_wrong_kind_rejected(self, rng):
-        doc = build_uqnn(1, 0, rng).to_checkpoint()
-        with pytest.raises(ValueError, match="kind"):
-            QBMParams.from_checkpoint(doc)
-        doc2 = build_qbm(1, 0, rng).to_checkpoint()
-        with pytest.raises(ValueError, match="kind"):
-            UQNNParams.from_checkpoint(doc2)
+    def test_qbm_basis_coefficient_is_read_and_checked(self, rng):
+        doc = checkpoint_doc(build_qbm(1, 0, rng))
+        doc["generators"][1]["coeff"] = 2.0
+        with pytest.raises(ValueError, match="unit coefficient"):
+            load_checkpoint_model(doc)
 
 
 class TestBuilders:

@@ -8,39 +8,16 @@ from renyiqnn import qmath
 from tests.conftest import PAULI, random_hermitian
 
 
-class TestKron:
-    def test_identity_case(self):
-        assert np.array_equal(qmath.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_x_sigma_z_hand_expansion(self):
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = 1
-        expected[1, 3] = -1
-        expected[2, 0] = 1
-        expected[3, 1] = -1
-        assert np.allclose(qmath.kron(PAULI["x"], PAULI["z"]), expected)
-
-    def test_trace_multiplicativity(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert np.isclose(np.trace(qmath.kron(a, b)), np.trace(a) * np.trace(b))
-
-    def test_associativity(self, rng):
-        a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-        left = qmath.kron(qmath.kron(a, b), c)
-        right = qmath.kron(a, qmath.kron(b, c))
-        assert np.max(np.abs(left - right)) < 1e-14
-
+class TestCheckDim:
     def test_oversized_result_rejected(self):
-        with pytest.raises(ValueError):
-            qmath.kron(np.eye(2**7), np.eye(2**6))
+        with pytest.raises(ValueError, match="exceeds cap"):
+            qmath.check_dim(2**13)
 
     def test_env_cap_override(self, monkeypatch):
         monkeypatch.setenv("RENYIQNN_DIM_CAP", "4")
         assert qmath.dim_cap() == 4
         with pytest.raises(ValueError):
-            qmath.kron(np.eye(4), np.eye(2))
+            qmath.check_dim(8)
         monkeypatch.delenv("RENYIQNN_DIM_CAP")
         assert qmath.dim_cap() == 2**12
 
@@ -49,7 +26,7 @@ class TestPartialTrace:
     def test_product_state_factorization(self, rng):
         rho = random_hermitian(4, rng)
         tau = random_hermitian(2, rng)
-        out = qmath.partial_trace(qmath.kron(rho, tau), 2, 1)
+        out = qmath.partial_trace(np.kron(rho, tau), 2, 1)
         assert np.allclose(out, rho * np.trace(tau), atol=1e-12)
 
     def test_bell_projector_reduces_to_mixed(self):
@@ -94,31 +71,6 @@ class TestHermExpm:
     def test_against_scipy_expm(self, rng):
         h = random_hermitian(8, rng)
         assert np.max(np.abs(qmath.herm_expm(h, -1.0) - scipy_expm(-h))) < 1e-10
-
-
-class TestPinvPsd:
-    def test_scalar_inverse(self):
-        assert np.allclose(qmath.pinv_psd(np.eye(4) / 4), 4 * np.eye(4))
-
-    def test_null_space_zeroed(self):
-        out = qmath.pinv_psd(np.diag([1.0, 0.0]).astype(complex), rel_cutoff=1e-12)
-        assert np.allclose(out, np.diag([1.0, 0.0]))
-
-    def test_penrose_identity(self, rng):
-        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        m = g @ g.conj().T
-        out = qmath.pinv_psd(m)
-        assert np.max(np.abs(m @ out @ m - m)) < 1e-10 * np.linalg.norm(m)
-
-    def test_full_rank_true_inverse(self, rng):
-        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        m = g @ g.conj().T + np.eye(8)
-        rel = np.max(np.abs(qmath.pinv_psd(m) - np.linalg.inv(m))) / np.max(np.abs(np.linalg.inv(m)))
-        assert rel < 1e-10
-
-    def test_rank_zero_error(self):
-        with pytest.raises(ValueError, match="rank zero"):
-            qmath.pinv_psd(np.zeros((4, 4)))
 
 
 class TestOpNorm:

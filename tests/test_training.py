@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -19,7 +20,6 @@ from renyiqnn.training import (
     EnsembleSummary,
     MetricsLog,
     MetricsRow,
-    MetricsRows,
     TrainConfig,
     TrainingError,
     adam_step,
@@ -92,6 +92,8 @@ class TestTrainConfig:
             small_cfg(tau=0.0)
         with pytest.raises(ValueError):
             small_cfg(target_reg=1.0)
+        with pytest.raises(ValueError, match="layout"):
+            small_cfg(layout="ring")
 
     def test_hash_stable_and_sensitive(self):
         a, b = small_cfg(), small_cfg()
@@ -159,6 +161,16 @@ class TestDrawTarget:
         rng, _ = run_streams(cfg.seed, 0, "both")
         _, rho = draw_target(cfg, rng)
         assert np.linalg.eigvalsh(rho.mat).min() >= 0.01 / 4 * (1 - 1e-9)
+
+    @pytest.mark.parametrize("locality", [2, 3])
+    def test_cli_recipe_draws_the_same_target(self, locality):
+        cfg = small_cfg(n_v=3, target_locality=locality, tau=2.0)
+        recipe = {"locality": locality, "tau": 2.0}
+        assert cli._target_spec(recipe)["std_single"] == cfg.resolved_std_single()
+        h_train, _ = draw_target(cfg, np.random.default_rng(4))
+        h_cli = cli._target_hamiltonian(3, recipe, np.random.default_rng(4))
+        assert [t.axes for t in h_train.terms] == [t.axes for t in h_cli.terms]
+        assert [t.coeff for t in h_train.terms] == [t.coeff for t in h_cli.terms]
 
 
 class TestTrainUQNN:
@@ -326,10 +338,11 @@ class TestOneEvaluationPerEpoch:
 
 
 class TestMetricsLog:
-    def make_log(self):
+    def make_log(self, *extra):
         rows = [
             MetricsRow(0, 1.0, 1.0, 0.5, 0.3, 1.0),
             MetricsRow(1, 0.9, 0.9, 0.6, 0.2, 1.0),
+            *extra,
         ]
         return MetricsLog(config_hash="ab" * 8, seed=0, rows=rows)
 
@@ -342,15 +355,13 @@ class TestMetricsLog:
         assert len(lines) == 3
 
     def test_validate_rejects_unsorted_epochs(self):
-        log = self.make_log()
-        log.rows.append(MetricsRow(1, 0.8, 0.8, 0.7, 0.1, 1.0))
+        log = self.make_log(MetricsRow(1, 0.8, 0.8, 0.7, 0.1, 1.0))
         with pytest.raises(ValueError, match="increasing"):
             log.validate()
 
     def test_validate_rejects_non_finite(self):
-        log = self.make_log()
-        log.rows[1] = MetricsRow(1, math.inf, 0.9, 0.6, 0.2, 1.0)
-        with pytest.raises(ValueError):
+        log = self.make_log(MetricsRow(2, math.inf, 0.9, 0.6, 0.2, 1.0))
+        with pytest.raises(ValueError, match="non-finite loss at epoch 2"):
             log.validate()
 
     def test_column_and_endpoints(self):
@@ -376,7 +387,7 @@ class TestMetricsLog:
         monkeypatch.setattr(training, "_build_model", recording)
         cfg = small_cfg(kind=kind, epochs=3)
         log = train(cfg, out_dir=str(tmp_path))
-        expected = built[0].to_checkpoint(rng_seed=cfg.seed, epoch=cfg.epochs)
+        expected = models.checkpoint_doc(built[0], rng_seed=cfg.seed, epoch=cfg.epochs)
         assert log.checkpoint == expected
         assert log.to_json_dict()["checkpoint"] == expected
         text = (tmp_path / "run_000_checkpoint.json").read_text()
@@ -413,27 +424,49 @@ class TestMetricsLog:
 
     def test_rows_keep_every_value_exactly(self):
         values = [(0, 0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1e-3), (7, math.pi, 2.0, 0.5, 3.0, 0.25)]
-        rows = MetricsRows(MetricsRow(*v) for v in values)
-        back = pickle.loads(pickle.dumps(rows))
-        for got in (list(rows), list(back)):
+        log = MetricsLog("ab" * 8, 0, [MetricsRow(*v) for v in values])
+        back = pickle.loads(pickle.dumps(log))
+        for got in (log.rows, back.rows):
             assert [dataclasses.astuple(r) for r in got] == values
             assert all(type(r.epoch) is int for r in got)
-        assert math.copysign(1.0, rows[0].penalized_loss) == -1.0
+            assert math.copysign(1.0, got[0].penalized_loss) == -1.0
 
-    def test_rows_behave_as_a_list(self):
+    def test_rows_are_a_fresh_read_only_list(self):
         log = self.make_log()
-        extra = MetricsRow(2, 0.8, 0.8, 0.7, 0.1, 1.0)
-        log.rows.append(extra)
-        assert log.rows[-1] == extra and len(log.rows) == 3
-        assert [r.epoch for r in log.rows[1:]] == [1, 2]
-        log.rows[0] = MetricsRow(0, 2.0, 2.0, 0.5, 0.3, 1.0)
-        assert log.column("loss").tolist() == [2.0, 0.9, 0.8]
-        del log.rows[1]
-        assert [r.epoch for r in log.rows] == [0, 2]
-        with pytest.raises(IndexError):
-            log.rows[2]
-        log.rows = [extra]
-        assert isinstance(log.rows, MetricsRows) and list(log.rows) == [extra]
+        rows = log.rows
+        rows.append(MetricsRow(2, 0.8, 0.8, 0.7, 0.1, 1.0))
+        rows[0].loss = 5.0
+        assert len(log.rows) == 2 and log.rows[0].loss == 1.0
+        with pytest.raises(AttributeError):
+            log.rows = rows
+
+
+class TestPinnedFormats:
+    """SHA-256 of the files one 3-epoch member writes, as the two model kinds wrote them when pinned."""
+
+    @pytest.mark.parametrize(
+        "kind,n_v,n_h,checkpoint_sha,csv_sha",
+        [
+            (
+                "uqnn", 1, 1,
+                "a6ca087b3b10f6a310a352aedf68e185f1e33b6482483dc61c78b215e5d523f2",
+                "8bc019e7c9d596d28a501b737eaccea11bbc5e634cf4355352c918c1e8df071a",
+            ),
+            (
+                "qbm", 2, 0,
+                "a96fcf163d3e121b768850e3158995b9c955873496ccbb0ad6b759340d94b1f0",
+                "ff1a8048dfb53a061541d7de3ab7068502bb97acb8c6aaf4573215236d1780dd",
+            ),
+        ],
+    )
+    def test_member_files_are_pinned(self, tmp_path, kind, n_v, n_h, checkpoint_sha, csv_sha):
+        train(small_cfg(kind=kind, n_v=n_v, n_h=n_h, epochs=3), out_dir=str(tmp_path))
+        checkpoint = (tmp_path / "run_000_checkpoint.json").read_bytes()
+        # wall_ms, the last column, is a timing and is left out
+        lines = (tmp_path / "run_000.csv").read_text().splitlines()
+        science = "\n".join(line.rsplit(",", 1)[0] for line in lines)
+        assert hashlib.sha256(checkpoint).hexdigest() == checkpoint_sha
+        assert hashlib.sha256(science.encode()).hexdigest() == csv_sha
 
 
 class TestRunEnsemble:
