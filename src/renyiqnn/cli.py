@@ -144,20 +144,35 @@ def _write_resolved(out_dir: str, doc: dict) -> None:
         fh.write("\n")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _seed(args: argparse.Namespace, doc: dict) -> int:
+    """The command-line seed, else the config's, else 0."""
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
 def _target_spec(target: dict) -> dict:
     """The target recipe with every default filled in, as resolved configs record it."""
     locality = target.get("locality", 2)
-    tau = target.get("tau", 1.0)
     if locality not in (2, 3):
         raise ConfigError("target locality must be 2 or 3")
-    if tau <= 0:
-        raise ConfigError("target tau must be positive")
-    return {
+    spec = {
         "locality": locality,
-        "tau": tau,
+        "tau": target.get("tau", 1.0),
         "std_single": target.get("std_single", default_std_single(locality)),
         "std_pair": target.get("std_pair", 1.0),
     }
+    bad = [k for k in ("tau", "std_single", "std_pair") if not _is_number(spec[k])]
+    if bad:
+        raise ConfigError(f"target {bad[0]} must be a number, got {spec[bad[0]]!r}")
+    if spec["tau"] <= 0:
+        raise ConfigError("target tau must be positive")
+    return spec
 
 
 def _target_hamiltonian(n: int, target: dict, rng: np.random.Generator) -> LCUHamiltonian:
@@ -238,7 +253,7 @@ def cmd_ham_learn(args: argparse.Namespace) -> int:
 
 def cmd_plateau_scan(args: argparse.Namespace) -> int:
     doc = load_experiment_config(args.config, "plateau-scan")
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    seed = _seed(args, doc)
     n_v = doc.get("n_v")
     n_h_list = doc.get("n_h_list")
     ensemble = doc.get("ensemble")
@@ -291,7 +306,7 @@ def cmd_plateau_scan(args: argparse.Namespace) -> int:
 
 def cmd_mc_estimate(args: argparse.Namespace) -> int:
     doc = load_experiment_config(args.config, "mc-estimate")
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    seed = _seed(args, doc)
     n_v = doc.get("n_v")
     n_h = doc.get("n_h", 0)
     k = doc.get("k", 1)
@@ -308,7 +323,7 @@ def cmd_mc_estimate(args: argparse.Namespace) -> int:
         raise ConfigError("shots must be a positive integer")
     if not isinstance(q_max, int) or q_max < 0:
         raise ConfigError("q_max must be a nonnegative integer")
-    if alpha_norm is not None and not 0 < alpha_norm <= ALPHA_NORM_GUARD:
+    if alpha_norm is not None and not (_is_number(alpha_norm) and 0 < alpha_norm <= ALPHA_NORM_GUARD):
         raise ConfigError(f"target_alpha_norm must lie in (0, {ALPHA_NORM_GUARD:g}]")
 
     target_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
@@ -505,26 +520,25 @@ def _mc_checks(n_instances: int, rng: np.random.Generator) -> list[CheckResult]:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     kind = args.kind
-    seed = args.seed if args.seed is not None else 0
     n_instances = args.n_instances
     fd_tol = args.fd_tol
+    doc = {}
     if args.config:
         doc = load_experiment_config(args.config, "validate")
         if doc.get("kind") not in (None, kind):
             raise ConfigError(f"config kind {doc.get('kind')!r} does not match {kind!r}")
-        if args.seed is None:
-            seed = doc.get("seed", 0)
         if n_instances is None:
             n_instances = doc.get("n_instances")
         if fd_tol is None:
             fd_tol = doc.get("fd_tol")
+    seed = _seed(args, doc)
     if n_instances is None:
         n_instances = 12
     if fd_tol is None:
         fd_tol = 1e-6
-    if n_instances < 1:
+    if not isinstance(n_instances, int) or n_instances < 1:
         raise ConfigError("--n-instances must be >= 1")
-    if fd_tol <= 0:
+    if not _is_number(fd_tol) or fd_tol <= 0:
         raise ConfigError("--fd-tol must be positive")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 9)))

@@ -10,6 +10,11 @@ d sigma / d theta_k = -i [H~_k, sigma] for circuit models and from the
 closed-form derivative of the operator exponential for Boltzmann machines.
 Both have independent oracles: finite differences, and (for Boltzmann
 machines) a per-weight evaluation of the integral form of that derivative.
+
+Every step takes a leading member axis: models with member thetas (R, N),
+evaluated against a stack of R targets (or one shared target), give R
+states, losses and gradients from one pass, each member's numbers
+bit-identical to a one-member evaluation.
 """
 
 from __future__ import annotations
@@ -44,35 +49,54 @@ class SingularStateError(ValueError):
 
 @dataclass
 class LossValue:
-    """value = ln(numerator); conditioning = smallest eigenvalue of the inverted state."""
+    """value = ln(numerator); conditioning = smallest eigenvalue of the inverted state.
+
+    For member stacks each field is an array with one entry per member.
+    """
 
     value: float
     numerator: float
     conditioning: float
 
 
-def _checked_inverse(state: DensityMatrix, rel_cutoff: float, what: str) -> tuple[np.ndarray, float]:
-    w, v = state._eigh()
-    wmin, wmax = float(w[0]), float(w[-1])
-    if wmax <= 0.0 or wmin < rel_cutoff * wmax:
-        raise SingularStateError(f"singular {what}", wmin)
-    inv = (v / w) @ v.conj().T
-    return inv, wmin
+def _inverse(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list]:
+    """V diag(1/w) V^dag, and [smallest, largest] eigenvalue per member to check it by."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # singular states are never served
+        inv = (v / w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return inv, w[..., [0, -1]].reshape(-1, 2).tolist()
 
 
-def _real_trace(m: np.ndarray, tol: float = 1e-9) -> float:
-    # roundoff in Tr of a product scales with the operand norms, not the result
-    t = complex(np.trace(m))
-    scale = max(1.0, float(np.linalg.norm(m)), abs(t.real))
-    if abs(t.imag) > tol * scale:
-        raise ArithmeticError(f"trace expression has imaginary residue {t.imag:.3e}")
-    return t.real
+def _checked_inverse(state: DensityMatrix, rel_cutoff: float, what: str) -> tuple[np.ndarray, float | np.ndarray]:
+    """state^-1, kept with the state's eigendecomposition, and its smallest eigenvalue per member."""
+    inv, ends = state._factor(_inverse)
+    for wmin, wmax in ends:
+        if wmax <= 0.0 or wmin < rel_cutoff * wmax:
+            raise SingularStateError(f"singular {what}", wmin)
+    return inv, (ends[0][0] if inv.ndim == 2 else np.array([wmin for wmin, _ in ends]))
+
+
+def _real_trace(m: np.ndarray, tol: float = 1e-9) -> float | np.ndarray:
+    """Real Tr m, one per member of a stack; an imaginary part beyond roundoff raises."""
+    t = np.trace(m, axis1=-2, axis2=-1)
+    for i, z in enumerate(t.reshape(-1).tolist()):
+        # roundoff in Tr of a product scales with the operand norms, not the
+        # result; the norm is needed only where the residue beats max(1, |Re|)
+        if abs(z.imag) > tol * max(1.0, abs(z.real)):
+            norm = float(np.linalg.norm(m.reshape((-1,) + m.shape[-2:])[i]))
+            if abs(z.imag) > tol * max(1.0, norm, abs(z.real)):
+                raise ArithmeticError(f"trace expression has imaginary residue {z.imag:.3e}")
+    return float(t.real) if t.ndim == 0 else t.real
+
+
+def _log(x: float | np.ndarray) -> float | np.ndarray:
+    # math.log member by member: numpy's vectorized log may round differently
+    return math.log(x) if isinstance(x, float) else np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
 def _renyi2_kernel(
     sigma_v: DensityMatrix, target: DensityMatrix, direction: str, rel_cutoff: float
 ) -> tuple[np.ndarray, LossValue, float]:
-    """(Q, loss, sign) with d D2 = sign Tr(d sigma_v Q) / loss.numerator.
+    """(Q, loss, sign) with d D2 = sign Tr(d sigma_v Q) / loss.numerator, per member of a stack.
 
     reverse: Q = {sigma_v, rho^-1},            numerator Tr(sigma_v^2 rho^-1), sign +1
     forward: Q = sigma_v^-1 rho^2 sigma_v^-1,  numerator Tr(rho^2 sigma_v^-1), sign -1
@@ -80,13 +104,14 @@ def _renyi2_kernel(
     sv, rho = sigma_v.mat, target.mat
     if direction == "reverse":
         rinv, wmin = _checked_inverse(target, rel_cutoff, "target state")
-        q, num, sign = sv @ rinv + rinv @ sv, _real_trace(sv @ rinv @ sv), 1.0
+        sv_rinv = sv @ rinv
+        q, num, sign = sv_rinv + rinv @ sv, _real_trace(sv_rinv @ sv), 1.0
     elif direction == "forward":
         svinv, wmin = _checked_inverse(sigma_v, rel_cutoff, "model state")
         q, num, sign = svinv @ rho @ rho @ svinv, _real_trace(rho @ svinv @ rho), -1.0
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return q, LossValue(math.log(num), num, wmin), sign
+    return q, LossValue(_log(num), num, wmin), sign
 
 
 def renyi2_forward(
@@ -129,25 +154,31 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def _kernel_sweep(p: UQNNParams, kernel_v: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """2 Im <psi| (kernel_v x I_h) W_k H_k W_k^dag |psi> for every k."""
+    """2 Im <psi| (kernel_v x I_h) W_k H_k W_k^dag |psi> for every k.
+
+    With member thetas (R, N), psi (R, 2^n) and kernel_v (R, d_v, d_v) (or
+    one shared kernel), one row per member.
+    """
     dv, dh = 2**p.n_v, 2**p.n_h
+    n = len(psi) if psi.ndim == 2 else 1
+    psi = psi.reshape(n, -1)
     table, prefixes = p.blocks(), p.block_products()
-    inverses = [v[:, :, -1].conj().swapaxes(-1, -2) for v in prefixes]
-    # the pair (a, b) at each block's start, as (local, rest, pair) per group
-    starts = [np.empty((len(v), v.shape[1], p.dim // v.shape[1], 2), dtype=complex) for v in prefixes]
-    ab = np.stack([(kernel_v @ psi.reshape(dv, dh)).reshape(-1), psi], axis=1).reshape(-1)
+    inverses = [v[..., -1, :].conj().swapaxes(-1, -2) for v in prefixes]
+    # the pair (a, b) at each block's start, as (local, rest, pair) per group, block and member
+    starts = [np.empty((v.shape[1], n, v.shape[2], p.dim // v.shape[2], 2), dtype=complex) for v in prefixes]
+    ab = np.stack([(kernel_v @ psi.reshape(n, dv, dh)).reshape(n, -1), psi], axis=2).reshape(n, -1)
     for (g, b), gather in zip(table.order, table.sweep_gather):
         x = starts[g][b]
-        ab.take(gather, out=x.reshape(-1))
-        ab = (inverses[g][b] @ x.reshape(len(x), -1)).reshape(-1)
-    out = np.empty(len(p.thetas) + 1)  # the last slot takes the padded positions
+        ab.take(gather, axis=1, out=x.reshape(n, -1))
+        ab = (inverses[g][:, b] @ x.reshape(n, x.shape[1], -1)).reshape(n, -1)
+    out = np.empty((n, p.thetas.shape[-1] + 1))  # the last slot takes the padded positions
     for grp, v, x in zip(table.groups, prefixes, starts):
-        n_blocks, d = v.shape[:2]
-        cross = x[..., 1] @ x[..., 0].conj().swapaxes(-1, -2)
+        n_blocks, d = v.shape[1:3]
+        cross = (x[..., 1] @ x[..., 0].conj().swapaxes(-1, -2)).swapaxes(0, 1)
         # Tr(V P V^dag K) = sum_mj conj(V)_mj (K V P)_mj, every in-block position at once
-        kvp = (cross @ v.reshape(n_blocks, d, -1)).reshape(-1)[grp.flip] * grp.phase[:, None]
-        out[grp.gates] = 2.0 * np.einsum("bmtj,bmtj->bt", v[:, :, :-1].conj(), kvp).imag
-    return out[:-1]
+        kvp = (cross @ v.reshape(n, n_blocks, d, -1)).reshape(n, -1).take(grp.flip, axis=1) * grp.phase[:, None]
+        out[:, grp.gates] = 2.0 * np.einsum("rbmtj,rbmtj->rbt", v[..., :-1, :].conj(), kvp).imag
+    return out[:, :-1] if p.thetas.ndim == 2 else out[0, :-1]
 
 
 def uqnn_grad_reverse(
@@ -209,11 +240,12 @@ def _exp_neg_adjoint(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     whose factors are both at most 1: no cancellation and no overflow at any
     spectral spread.
     """
-    d = np.abs(w[:, None] - w[None, :])
+    d = np.abs(w[..., :, None] - w[..., None, :])
     nonzero = d > 0.0
     safe = np.where(nonzero, d, 1.0)
-    phi = np.exp(-np.minimum.outer(w, w)) * np.where(nonzero, -np.expm1(-safe) / safe, 1.0)
-    return v @ ((v.conj().T @ x @ v) * phi) @ v.conj().T
+    phi = np.exp(-np.minimum(w[..., :, None], w[..., None, :])) * np.where(nonzero, -np.expm1(-safe) / safe, 1.0)
+    vh = v.conj().swapaxes(-1, -2)
+    return v @ ((vh @ x @ v) * phi) @ vh
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +272,15 @@ def evaluate(
     """sigma_v, the Renyi-2 loss in `direction` and its gradient wrt p.thetas.
 
     A circuit model is simulated once (one statevector); a Boltzmann machine
-    is diagonalized once (one qbm_thermal call).
+    is diagonalized once (one qbm_thermal call). Member thetas (R, N) with
+    a stack of R targets (or one shared target) give every field a leading
+    member axis; an exception then means at least one member failed.
     """
     if isinstance(p, UQNNParams):
         psi = uqnn_statevector(p)
         sv = DensityMatrix(p.n_v, visible_from_statevector(psi, p.n_v, p.n_h))
         q, loss, sign = _renyi2_kernel(sv, rho, direction, rel_cutoff)
-        grad = sign * _kernel_sweep(p, q, psi) / loss.numerator
+        grad = sign * _kernel_sweep(p, q, psi) / np.asarray(loss.numerator)[..., None]
         return Evaluation(sv, loss, grad)
     # d sigma_v = (Tr(P_m E) sigma_v - Tr_h G_m) / Z, hence entry m is
     # sign Tr(P_m (Tr(sigma_v Q) E - R)) / (Z numerator), R the adjoint kernel of Q x I_h
@@ -254,15 +288,16 @@ def evaluate(
     sv = DensityMatrix(p.n_v, sv_mat)
     q, loss, sign = _renyi2_kernel(sv, rho, direction, rel_cutoff)
     # q x I_h by broadcasting: the products np.kron forms, without its overhead
-    dv, dh = q.shape[0], 2**p.n_h
-    q_ext = (q[:, None, :, None] * np.eye(dh)[None, :, None, :]).reshape(dv * dh, dv * dh)
+    dv, dh = q.shape[-1], 2**p.n_h
+    q_ext = (q[..., :, None, :, None] * np.eye(dh)[:, None, :]).reshape(q.shape[:-2] + (dv * dh, dv * dh))
     r = _exp_neg_adjoint(w, v, q_ext)
-    kernel = sign * (_real_trace(sv_mat @ q) * e_mat - r) / (z * loss.numerator)
+    trace_q = np.asarray(_real_trace(sv_mat @ q))[..., None, None]
+    kernel = sign * (trace_q * e_mat - r) / np.asarray(z * loss.numerator)[..., None, None]
     g = pauli_traces(kernel, p.tables())
-    bad = np.nonzero(np.abs(g.imag) > 1e-8 * np.maximum(1.0, np.abs(g.real)))[0]
-    if bad.size:
-        m = int(bad[0])
-        raise ArithmeticError(f"gradient entry {m} has imaginary residue {g[m].imag:.3e}")
+    leak = np.nonzero(np.abs(g.imag) > 1e-8 * np.maximum(1.0, np.abs(g.real)))
+    if leak[0].size:
+        at = tuple(int(i[0]) for i in leak)
+        raise ArithmeticError(f"gradient entry {at[-1]} has imaginary residue {g[at].imag:.3e}")
     return Evaluation(sv, loss, g.real)
 
 

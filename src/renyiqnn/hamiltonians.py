@@ -108,22 +108,26 @@ def pauli_traces(m: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.nda
     """Tr(P_l m) for every row l of stacked pauli_tables, in one gather.
 
     Row l sums the same products in the same order as string_trace does.
+    Leading axes of m index a stack of matrices, with one row of traces each.
     """
     idx, col_phase = tables
-    return np.sum(col_phase * m[np.arange(m.shape[0]), idx], axis=1)
+    d = m.shape[-1]
+    entries = m.reshape(m.shape[:-2] + (d * d,)).take(idx + np.arange(0, d * d, d), axis=-1)  # m[..., j, idx[l, j]]
+    return np.sum(col_phase * entries, axis=-1)
 
 
 def weighted_sum_dense(coeffs, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Dense sum_l coeffs[l] * P_l from the stacked tables of pauli_tables.
 
     One scatter; np.add.at accumulates in term order, so every entry sums
-    its terms in the same order as a per-term loop would.
+    its terms in the same order as a per-term loop would. Leading axes of
+    coeffs give a stack of matrices, one per coefficient row.
     """
     idx, col_phase = tables
     d = idx.shape[1]
-    m = np.zeros((d, d), dtype=complex)
-    vals = np.asarray(coeffs, dtype=float).reshape(-1, 1) * col_phase
-    np.add.at(m, (idx, np.arange(d)), vals)
+    vals = np.asarray(coeffs, dtype=float)[..., None] * col_phase
+    m = np.zeros(vals.shape[:-2] + (d, d), dtype=complex)
+    np.add.at(m, (..., idx, np.arange(d)), vals)
     return m
 
 

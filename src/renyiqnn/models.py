@@ -208,35 +208,41 @@ def _layout_blocks(generators: tuple[PauliTerm, ...], n_qubits: int) -> BlockTab
 
 
 def _block_products(table: BlockTable, thetas: np.ndarray) -> list[np.ndarray]:
-    """In-block prefix products per group, shape (B, 2^s, L + 1, 2^s).
+    """In-block prefix products per group, shape (R, B, 2^s, L + 1, 2^s) for thetas of shape (R, N).
 
-    V[b, :, t] = G_0 ... G_{t-1} over block b's first t gates, with
-    G = cos(theta) I - i sin(theta) P, built as V_{t+1} = cos V_t - i sin V_t P_t
-    (one gather per in-block position for all blocks of the group);
-    V[b, :, L] is block b's unitary. Padded positions have angle 0, so they
-    leave V as it is. Rows come first, so V[b] reshaped to
-    (2^s, (L + 1) 2^s) is [V_0 | V_1 | ...] and one product by a 2^s x 2^s
-    matrix reaches every prefix of a block.
+    V[r, b, :, t] = G_0 ... G_{t-1} over block b's first t gates at member
+    r's angles, with G = cos(theta) I - i sin(theta) P, built as
+    V_{t+1} = cos V_t - i sin V_t P_t (one gather per in-block position for
+    all blocks and members of the group); V[r, b, :, L] is block b's
+    unitary. Padded positions have angle 0, so they leave V as it is. Rows
+    come first, so V[r, b] reshaped to (2^s, (L + 1) 2^s) is
+    [V_0 | V_1 | ...] and one product by a 2^s x 2^s matrix reaches every
+    prefix of a block.
     """
-    th = np.append(thetas, 0.0)
+    th = np.concatenate([thetas, np.zeros((len(thetas), 1))], axis=1)
     prefixes = []
     for grp in table.groups:
         n_blocks, d, length, _ = grp.flip.shape
-        t = th[grp.gates]
-        c = np.cos(t)[:, None, :, None]
-        rows = (-1j * np.sin(t))[:, None, :, None] * grp.phase[:, None]
-        v = np.empty((n_blocks, d, length + 1, d), dtype=complex)
-        v[:, :, 0] = np.eye(d)
-        flat = v.reshape(-1)
+        t = th[:, grp.gates]
+        c = np.cos(t)[:, :, None, :, None]
+        rows = (-1j * np.sin(t))[:, :, None, :, None] * grp.phase[:, None]
+        v = np.empty((len(th), n_blocks, d, length + 1, d), dtype=complex)
+        v[..., 0, :] = np.eye(d)
+        flat = v.reshape(len(th), -1)
         for pos in range(length):
-            v[:, :, pos + 1] = c[:, :, pos] * v[:, :, pos] + rows[:, :, pos] * flat[grp.flip[:, :, pos]]
+            v[..., pos + 1, :] = c[..., pos, :] * v[..., pos, :] + rows[..., pos, :] * flat.take(grp.flip[:, :, pos], axis=1)
         prefixes.append(v)
     return prefixes
 
 
 @dataclass
 class UQNNParams:
-    """Ordered generators H_j with angles theta_j and a visible/hidden split."""
+    """Ordered generators H_j with angles theta_j and a visible/hidden split.
+
+    thetas of shape (R, N) hold R member networks of one layout, simulated
+    in lockstep: the statevector and the gradient sweep then carry a
+    leading member axis.
+    """
 
     n_v: int
     n_h: int
@@ -248,7 +254,7 @@ class UQNNParams:
 
     def __post_init__(self) -> None:
         self.thetas = np.asarray(self.thetas, dtype=float)
-        if len(self.thetas) != len(self.generators):
+        if self.thetas.ndim not in (1, 2) or self.thetas.shape[-1] != len(self.generators):
             raise ValueError("one theta per generator required")
 
     @property
@@ -273,23 +279,28 @@ class UQNNParams:
         return self._blocks
 
     def block_products(self) -> list[np.ndarray]:
-        """_block_products of the current thetas, rebuilt only when thetas change."""
+        """_block_products of the current thetas, rebuilt only when thetas change; always with a member axis."""
         if self._products is None or not np.array_equal(self._products[0], self.thetas):
             thetas = np.array(self.thetas, dtype=float)
-            self._products = (thetas, _block_products(self.blocks(), thetas))
+            self._products = (thetas, _block_products(self.blocks(), np.atleast_2d(thetas)))
         return self._products[1]
 
 
 def uqnn_statevector(p: UQNNParams) -> np.ndarray:
-    """W |0...0> with the last block applied first: one gather and one product per block."""
+    """W |0...0> with the last block applied first: one gather and one product per block.
+
+    Member thetas (R, N) give one state per row, shape (R, 2^n).
+    """
     qmath.check_dim(p.dim)
-    psi = np.zeros(p.dim, dtype=complex)
-    psi[0] = 1.0
+    n = len(p.thetas) if p.thetas.ndim == 2 else 1
+    psi = np.zeros((n, p.dim), dtype=complex)
+    psi[:, 0] = 1.0
     table, prefixes = p.blocks(), p.block_products()
     for (g, b), gather in zip(reversed(table.order), table.state_gather[::-1]):
-        u = prefixes[g][b, :, -1]
-        psi = u @ psi.reshape(-1)[gather].reshape(len(u), -1)
-    return psi.reshape(-1)[table.state_out]
+        u = prefixes[g][:, b, :, -1]
+        psi = u @ psi.reshape(n, -1).take(gather, axis=1).reshape(n, u.shape[1], -1)
+    psi = psi.reshape(n, -1).take(table.state_out, axis=1)
+    return psi if p.thetas.ndim == 2 else psi[0]
 
 
 def uqnn_full_state(p: UQNNParams) -> DensityMatrix:
@@ -299,9 +310,9 @@ def uqnn_full_state(p: UQNNParams) -> DensityMatrix:
 
 
 def visible_from_statevector(psi: np.ndarray, n_v: int, n_h: int) -> np.ndarray:
-    """Tr_h |psi><psi| without forming the full outer product."""
-    a = psi.reshape(2**n_v, 2**n_h)
-    return a @ a.conj().T
+    """Tr_h |psi><psi| without forming the full outer product; one per row of a member stack."""
+    a = psi.reshape(psi.shape[:-1] + (2**n_v, 2**n_h))
+    return a @ a.conj().swapaxes(-1, -2)
 
 
 def uqnn_visible_state(p: UQNNParams) -> DensityMatrix:
@@ -341,7 +352,11 @@ def conjugated_generator_vec(p: UQNNParams, k: int, psi: np.ndarray) -> np.ndarr
 
 @dataclass
 class QBMParams:
-    """Pauli-basis weights theta defining H(theta) = sum_m theta_m basis_m."""
+    """Pauli-basis weights theta defining H(theta) = sum_m theta_m basis_m.
+
+    thetas of shape (R, M) hold R member machines of one basis, evaluated
+    in lockstep with a leading member axis.
+    """
 
     n_v: int
     n_h: int
@@ -351,7 +366,7 @@ class QBMParams:
 
     def __post_init__(self) -> None:
         self.thetas = np.asarray(self.thetas, dtype=float)
-        if len(self.thetas) != len(self.basis):
+        if self.thetas.ndim not in (1, 2) or self.thetas.shape[-1] != len(self.basis):
             raise ValueError("one theta per basis term required")
         for t in self.basis:
             if abs(t.coeff - 1.0) > 1e-12:
@@ -405,19 +420,21 @@ def load_checkpoint_model(doc: dict) -> UQNNParams | QBMParams:
     return cls(int(doc["n_v"]), int(doc["n_h"]), terms, np.array(doc["thetas"], dtype=float))
 
 
-def qbm_thermal(p: QBMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+def qbm_thermal(p: QBMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | np.ndarray, np.ndarray]:
     """(w, V, E, Z, sigma_v) of the Boltzmann state in the eigenbasis H = V diag(w) V^dag.
 
     w is shifted so that min(w) = 0; E = V diag(e^{-w}) V^dag, Z = Tr E and
     sigma_v = Tr_h(E) / Z. The shift cancels in every ratio with Z and keeps
-    e^{-w} <= 1, so no spectral spread overflows.
+    e^{-w} <= 1, so no spectral spread overflows. Member thetas (R, M) give
+    every output a leading member axis.
     """
     w, v = np.linalg.eigh(p.hamiltonian_dense())
-    w = w - w[0]
+    w = w - w[..., :1]
     ew = np.exp(-w)
-    e_mat = (v * ew) @ v.conj().T
-    z = float(np.sum(ew))
-    return w, v, e_mat, z, qmath.partial_trace(e_mat, p.n_v, p.n_h) / z
+    e_mat = (v * ew[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    z = np.sum(ew, axis=-1)
+    sigma_v = qmath.partial_trace(e_mat, p.n_v, p.n_h) / z[..., None, None]
+    return w, v, e_mat, (float(z) if z.ndim == 0 else z), sigma_v
 
 
 def qbm_visible_state(p: QBMParams) -> DensityMatrix:

@@ -41,23 +41,24 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    # Suppress roundoff drift before eigendecomposition.
-    return 0.5 * (m + m.conj().T)
+    # Suppress roundoff drift before eigendecomposition; leading axes index a stack.
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def partial_trace(m: np.ndarray, n_keep: int, n_drop: int) -> np.ndarray:
     """Trace out the trailing n_drop qubits, keeping the leading n_keep.
 
     The kept qubits are the first tensor factors (visible registers live at
-    the front everywhere in this package).
+    the front everywhere in this package). Leading axes of m index a stack
+    of matrices, each traced on its own.
     """
     m = np.asarray(m)
     dk, dd = 2**n_keep, 2**n_drop
-    if m.shape != (dk * dd, dk * dd):
+    if m.shape[-2:] != (dk * dd, dk * dd):
         raise ValueError(f"matrix shape {m.shape} does not match {n_keep}+{n_drop} qubits")
     if n_drop == 0:
         return m.copy()
-    return np.einsum("ijkj->ik", m.reshape(dk, dd, dk, dd))
+    return np.einsum("...ijkj->...ik", m.reshape(m.shape[:-2] + (dk, dd, dk, dd)))
 
 
 def herm_expm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:

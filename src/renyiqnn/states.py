@@ -14,7 +14,12 @@ EIG_TOL = 1e-10
 
 @dataclass
 class DensityMatrix:
-    """Unit-trace PSD Hermitian operator on n_qubits qubits."""
+    """Unit-trace PSD Hermitian operator on n_qubits qubits.
+
+    mat may carry a leading member axis, (R, 2^n, 2^n): a stack of states
+    that the loss, gradient and fidelity code treats member by member;
+    validate and purity take one state.
+    """
 
     n_qubits: int
     mat: np.ndarray
@@ -22,15 +27,23 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.shape != (self.dim, self.dim):
+        if self.mat.ndim not in (2, 3) or self.mat.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"shape {self.mat.shape} does not match {self.n_qubits} qubits")
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, V) of the Hermitian part of mat, reused until mat is reassigned or written to other entries."""
         m = self.mat
-        if self._eig is None or not np.array_equal(self._eig[0], m):
-            self._eig = (m.copy(), *np.linalg.eigh(qmath._symmetrize(m)))
-        return self._eig[1:]
+        if self._eig is None or self._eig[0].shape != m.shape or not (self._eig[0] == m).all():
+            self._eig = (m.copy(), *np.linalg.eigh(qmath._symmetrize(m)), {})
+        return self._eig[1:3]
+
+    def _factor(self, build) -> np.ndarray:
+        """build(w, V), kept with the eigendecomposition it was built from (a square root, an inverse)."""
+        w, v = self._eigh()
+        built = self._eig[3]
+        if build not in built:
+            built[build] = build(w, v)
+        return built[build]
 
     @property
     def dim(self) -> int:
@@ -84,21 +97,24 @@ def thermal_state(h) -> DensityMatrix:
 
 def _psd_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)  # roundoff guard: clamp tiny negatives
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
     """Uhlmann fidelity F = Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
     Root (unsquared) convention: F(pure, mixed) = sqrt(<psi|sigma|psi>).
     Reported experiment fidelities use this convention; initial-state values
     for the thermal ensembles land in the documented windows only under it.
+    Member stacks give one fidelity per member; rho's square root is kept
+    with its eigendecomposition, so a fixed target factorizes once.
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    sr = _psd_sqrt(*rho._eigh())
+    sr = rho._factor(_psd_sqrt)
     inner = _psd_sqrt(*np.linalg.eigh(qmath._symmetrize(sr @ sigma.mat @ sr)))
-    return float(np.real(np.trace(inner)))
+    f = np.trace(inner, axis1=-2, axis2=-1).real
+    return float(f) if f.ndim == 0 else f
 
 
 def haar_unitary(n_qubits: int, rng: np.random.Generator) -> np.ndarray:

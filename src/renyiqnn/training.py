@@ -6,6 +6,14 @@ per-epoch full-batch gradients (the dataset is a single density matrix, so
 an epoch is exactly one ADAM update). Ensembles vary the target draw, the
 initialization draw, or both, over independent child RNG streams derived
 from the base seed, and reduce the per-epoch metrics to mean/std curves.
+
+One trainer runs every member: the members of a chunk train in lockstep,
+with their angles, targets and optimizer moments stacked on a leading
+member axis, so an epoch costs the same numpy calls for the whole chunk
+(one evaluation, one fidelity, one ADAM step). Every stacked step works
+member by member, so a member's numbers are bit-identical whatever chunk
+it trains in; `train` is a chunk of one. A member that fails an epoch is
+dropped from its chunk with the error; the others carry on unchanged.
 """
 
 from __future__ import annotations
@@ -14,19 +22,19 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 import zlib
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
 from . import divergence
 from .hamiltonians import LCUHamiltonian, normalize, random_three_local, random_two_local
-from .models import LAYOUTS, build_qbm, build_uqnn, checkpoint_doc, load_checkpoint_model
+from .models import LAYOUTS, QBMParams, UQNNParams, build_qbm, build_uqnn, checkpoint_doc, load_checkpoint_model
 from .states import DensityMatrix, fidelity, thermal_state
 
 DEFAULT_BETA1 = 0.9
@@ -61,14 +69,18 @@ class AdamState:
             raise ValueError("lr must be >= 0")
 
     @classmethod
-    def init(cls, n_params: int, lr: float, **kwargs) -> "AdamState":
+    def init(cls, n_params: int | tuple[int, int], lr: float, **kwargs) -> "AdamState":
         return cls(0, np.zeros(n_params), np.zeros(n_params), lr, **kwargs)
 
 
 def adam_step(
     state: AdamState, params: np.ndarray, grads: np.ndarray
 ) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected ADAM update; returns the new state and parameters."""
+    """One bias-corrected ADAM update; returns the new state and parameters.
+
+    Parameters of shape (R, N) update R members at the same step count; a
+    non-finite gradient names its index within the member's vector.
+    """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
     if params.shape != state.m.shape or grads.shape != state.m.shape:
@@ -76,7 +88,7 @@ def adam_step(
             f"parameter/gradient shape {params.shape}/{grads.shape} "
             f"does not match optimizer state {state.m.shape}"
         )
-    bad = np.nonzero(~np.isfinite(grads))[0]
+    bad = np.nonzero(~np.isfinite(grads))[-1]
     if bad.size:
         raise FloatingPointError(f"diverged gradient at index {int(bad[0])}")
     step = state.step + 1
@@ -123,6 +135,15 @@ class TrainConfig:
     normalize_init: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("n_v", "n_h", "epochs", "seed", "log_every", "target_locality", "repetitions"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("lr", "l2_penalty", "tau", "target_std_single", "target_std_pair", "target_reg"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) and not (name == "target_std_single" and value is None):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.kind not in ("uqnn", "qbm"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.direction not in ("reverse", "forward"):
@@ -186,7 +207,9 @@ class MetricsLog:
     Row 0 is the state before any update; row e is the state after e ADAM
     updates, with loss, fidelity, and gradient all evaluated at that row's
     parameters. grad_inf_norm is the infinity norm of the full training
-    gradient, penalty term included.
+    gradient, penalty term included. wall_ms is the wall time since the
+    previous row, divided by the number of members then training in the
+    run's chunk, so summed member time never exceeds the wall time.
 
     Many logs are held at once (ensembles, or pickled back from workers),
     so both parts are kept compact: the rows are one float64 array with a
@@ -325,63 +348,128 @@ def _build_model(cfg: TrainConfig, init_rng: np.random.Generator):
     return build_qbm(cfg.n_v, cfg.n_h, init_rng, normalize_init=cfg.normalize_init)
 
 
-@contextmanager
-def _failing_epoch(epoch: int):
-    """Re-raise a numeric failure of one epoch as a TrainingError naming it.
+# The numeric failures that end one member's run; they count against the
+# ensemble's failure budget instead of aborting it.
+_NUMERIC_ERRORS = (divergence.SingularStateError, ArithmeticError, np.linalg.LinAlgError)
 
-    Singular states, overflow, non-finite gradients (FloatingPointError) and
-    failed eigensolvers (LinAlgError) all end the run; the ensemble records
-    the TrainingError against its failure budget.
+
+@dataclass
+class _Members:
+    """The live members of a lockstep chunk: run indices, their stacked angles, targets, optimizer state and gradients.
+
+    `model` is the chunk's one model object; each epoch points its thetas
+    at that epoch's angles before evaluating.
     """
-    try:
-        yield
-    except (divergence.SingularStateError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        raise TrainingError(f"epoch {epoch}: {exc}") from exc
+
+    runs: list[int]
+    model: UQNNParams | QBMParams
+    thetas: np.ndarray
+    target: DensityMatrix
+    opt: AdamState
+    grad: np.ndarray | None = None
+
+    def take(self, keep: list[int]) -> "_Members":
+        return _Members(
+            [self.runs[i] for i in keep],
+            replace(self.model, thetas=self.thetas[keep]),
+            self.thetas[keep],
+            DensityMatrix(self.target.n_qubits, self.target.mat[keep]),
+            replace(self.opt, m=self.opt.m[keep], v=self.opt.v[keep]),
+            None if self.grad is None else self.grad[keep],
+        )
+
+
+def _advance(cfg: TrainConfig, members: _Members, epoch: int, log: bool) -> tuple[_Members, np.ndarray | None]:
+    """One epoch of every member: the ADAM update (past epoch 0), one evaluation, and the logged values.
+
+    The logged values are one row of (loss, penalized_loss, fidelity,
+    grad_inf_norm) per member. Raises if any member fails, leaving the
+    angles, moments and gradients of `members` as they were for a replay.
+    """
+    opt, th, lam = members.opt, members.thetas, cfg.l2_penalty
+    if epoch > 0:
+        opt, th = adam_step(opt, th, members.grad)
+    members.model.thetas = th
+    # the state, loss and gradient logged at row e come from one state
+    # build, and that gradient also drives update e+1
+    ev = divergence.evaluate(members.model, members.target, cfg.direction)
+    grad = ev.grad + 2.0 * lam * th
+    values = None
+    if log:
+        penalized = ev.loss.value + lam * (th[:, None, :] @ th[:, :, None])[:, 0, 0]
+        fid = fidelity(members.target, ev.sigma_v)  # the targets' square roots are factorized once per run
+        values = np.stack([ev.loss.value, penalized, fid, np.max(np.abs(grad), axis=1)], axis=1)
+    members.thetas, members.opt, members.grad = th, opt, grad
+    return members, values
+
+
+def _train_members(cfg: TrainConfig, runs: list[int], vary: str) -> list[MetricsLog | TrainingError]:
+    """Train the ensemble members `runs` in lockstep; each member's log, or the TrainingError that ended it.
+
+    Singular states, overflow, non-finite gradients (FloatingPointError)
+    and failed eigensolvers (LinAlgError) end a member at the epoch they
+    hit it: the epoch is replayed member by member to find who failed, and
+    the rest go on as one batch.
+    """
+    built, targets = {}, []
+    for run_idx in runs:
+        target_rng, init_rng = run_streams(cfg.seed, run_idx, vary)
+        targets.append(draw_target(cfg, target_rng)[1].mat)
+        built[run_idx] = _build_model(cfg, init_rng)
+    thetas = np.stack([m.thetas for m in built.values()])
+    members = _Members(
+        list(runs), replace(built[runs[0]], thetas=thetas), thetas,
+        DensityMatrix(cfg.n_v, np.stack(targets)), AdamState.init(thetas.shape, cfg.lr),
+    )
+    rows: dict[int, list[MetricsRow]] = {run_idx: [] for run_idx in runs}
+    failed: dict[int, TrainingError] = {}
+
+    def step(members: _Members, epoch: int, log: bool) -> tuple[_Members | None, np.ndarray | None]:
+        try:
+            return _advance(cfg, members, epoch, log)
+        except _NUMERIC_ERRORS as exc:
+            if len(members.runs) == 1:
+                error = TrainingError(f"epoch {epoch}: {exc}")
+                error.__cause__ = exc
+                failed[members.runs[0]] = error
+                return None, None
+            # replay the epoch one member at a time; the members that pass go on as one batch
+            alive = [i for i in range(len(members.runs)) if step(members.take([i]), epoch, log)[0] is not None]
+            if len(alive) == len(members.runs):
+                raise
+            return step(members.take(alive), epoch, log) if alive else (None, None)
+
+    t0 = time.perf_counter()
+    for epoch in range(cfg.epochs + 1):
+        logged = epoch % cfg.log_every == 0 or epoch == cfg.epochs
+        members, values = step(members, epoch, logged)
+        if members is None:
+            break
+        if logged:
+            wall = (time.perf_counter() - t0) * 1000.0 / len(members.runs)
+            for run_idx, row in zip(members.runs, values.tolist()):
+                rows[run_idx].append(MetricsRow(epoch, *row, wall))
+            t0 = time.perf_counter()
+
+    results: dict[int, MetricsLog | TrainingError] = dict(failed)
+    for i, run_idx in enumerate(members.runs if members is not None else []):
+        built[run_idx].thetas = members.thetas[i]  # each member's own model ends trained
+        checkpoint = checkpoint_doc(built[run_idx], cfg.seed, cfg.epochs)
+        log = MetricsLog(cfg.config_hash(), cfg.seed, rows[run_idx], json.dumps(checkpoint, indent=1))
+        results[run_idx] = log.validate()
+    return [results[run_idx] for run_idx in runs]
 
 
 def train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str | None = None) -> MetricsLog:
-    """Train one model of either kind against one seeded target.
+    """Train one model of either kind against one seeded target: a lockstep chunk of one member.
 
     `run_idx` and `vary` pick the ensemble member's target and init streams
     (see run_streams); with out_dir the run's CSV and checkpoint land there.
+    A numeric failure raises TrainingError, naming the epoch.
     """
-    target_rng, init_rng = run_streams(cfg.seed, run_idx, vary)
-    _, rho = draw_target(cfg, target_rng)
-    model = _build_model(cfg, init_rng)
-    lam = cfg.l2_penalty
-
-    rows: list[MetricsRow] = []
-    opt = AdamState.init(len(model.thetas), cfg.lr)
-
-    def full_evaluation() -> tuple[divergence.Evaluation, np.ndarray]:
-        ev = divergence.evaluate(model, rho, cfg.direction)
-        return ev, ev.grad + 2.0 * lam * model.thetas
-
-    def log_row(epoch: int, ev: divergence.Evaluation, grad: np.ndarray, t_start: float) -> None:
-        raw = ev.loss.value
-        penal = raw + lam * float(model.thetas @ model.thetas)
-        fid = fidelity(rho, ev.sigma_v)  # the fixed target's square root is factorized once per run
-        wall = (time.perf_counter() - t_start) * 1000.0
-        rows.append(MetricsRow(epoch, raw, penal, fid, float(np.max(np.abs(grad))), wall))
-
-    # One evaluation per epoch: the state, loss and gradient logged at row e
-    # come from one state build, and that gradient also drives update e+1.
-    t0 = time.perf_counter()
-    with _failing_epoch(0):
-        ev, grad = full_evaluation()
-        log_row(0, ev, grad, t0)
-    t0 = time.perf_counter()
-    for epoch in range(1, cfg.epochs + 1):
-        with _failing_epoch(epoch):
-            opt, model.thetas = adam_step(opt, model.thetas, grad)
-            ev, grad = full_evaluation()
-            if epoch % cfg.log_every == 0 or epoch == cfg.epochs:
-                log_row(epoch, ev, grad, t0)
-                t0 = time.perf_counter()
-
-    checkpoint = checkpoint_doc(model, rng_seed=cfg.seed, epoch=cfg.epochs)
-    log = MetricsLog(cfg.config_hash(), cfg.seed, rows, json.dumps(checkpoint, indent=1))
-    log.validate()
+    (log,) = _train_members(cfg, [run_idx], vary)
+    if isinstance(log, TrainingError):
+        raise log
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log.write(out_dir, run_idx)
@@ -417,9 +505,9 @@ class EnsembleSummary:
         }
 
 
-def _ensemble_worker(args: tuple) -> MetricsLog:
-    cfg_doc, run_idx, vary = args
-    return train(TrainConfig.from_json_dict(cfg_doc), run_idx=run_idx, vary=vary)
+def _ensemble_worker(args: tuple) -> list[MetricsLog | TrainingError]:
+    cfg_doc, runs, vary = args
+    return _train_members(TrainConfig.from_json_dict(cfg_doc), runs, vary)
 
 
 def run_ensemble(
@@ -432,10 +520,13 @@ def run_ensemble(
     """Many independent seeded runs of one config, reduced to mean/std curves.
 
     `vary` picks which draws differ between runs: the target, the
-    initialization, or both. Failed runs are recorded in the summary and
-    skipped in the statistics; once failures exceed 20% of n_runs the
-    ensemble aborts. Results are deterministic for a given (cfg, n_runs,
-    vary) regardless of `jobs`.
+    initialization, or both. The runs train in lockstep chunks: with
+    jobs == 1 all of them as one chunk in this process; otherwise split
+    into min(jobs, n_runs) contiguous chunks, one pool task each. Failed
+    runs are recorded in the summary, in run order, and skipped in the
+    statistics; once failures exceed 20% of n_runs the ensemble aborts.
+    Results are deterministic for a given (cfg, n_runs, vary) regardless
+    of `jobs`, and each run's numbers equal those of a solo `train`.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -444,36 +535,26 @@ def run_ensemble(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
+    if jobs == 1:
+        outcomes = _train_members(cfg, list(range(n_runs)), vary)
+    else:
+        k = min(jobs, n_runs)
+        bounds = [n_runs * i // k for i in range(k + 1)]
+        tasks = [(cfg.to_json_dict(), list(range(a, b)), vary) for a, b in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            outcomes = [o for part in pool.map(_ensemble_worker, tasks) for o in part]
+
     logs: dict[int, MetricsLog] = {}
     failures: list[str] = []
-    max_failures = 0.2 * n_runs
-
-    def note_failure(run_idx: int, exc: Exception) -> None:
-        failures.append(f"run {run_idx}: {exc}")
-        if len(failures) > max_failures:
+    for run_idx, outcome in enumerate(outcomes):
+        if isinstance(outcome, MetricsLog):
+            logs[run_idx] = outcome
+            continue
+        failures.append(f"run {run_idx}: {outcome}")
+        if len(failures) > 0.2 * n_runs:
             raise TrainingError(
                 f"{len(failures)} of {n_runs} runs failed (> 20%): " + "; ".join(failures)
             )
-
-    if jobs == 1:
-        for run_idx in range(n_runs):
-            try:
-                logs[run_idx] = train(cfg, run_idx=run_idx, vary=vary)
-            except TrainingError as exc:
-                note_failure(run_idx, exc)
-    else:
-        cfg_doc = cfg.to_json_dict()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(cfg_doc, run_idx, vary) for run_idx in range(n_runs)]
-            futures = {pool.submit(_ensemble_worker, a): a[1] for a in args}
-            for fut, run_idx in futures.items():
-                try:
-                    logs[run_idx] = fut.result()
-                except TrainingError as exc:
-                    note_failure(run_idx, exc)
-
-    if not logs:
-        raise TrainingError(f"all {n_runs} runs failed: " + "; ".join(failures))
 
     ordered = [logs[i] for i in sorted(logs)]
     epochs = [r.epoch for r in ordered[0].rows]

@@ -3,9 +3,12 @@ or deletion in the package must fail here rather than only when the
 benchmark runs (or, for traced layers, only under --trace 1)."""
 
 import ast
+import functools
 import importlib
 import importlib.util
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -117,3 +120,39 @@ def test_plateau_scan_looks_up_gradients_on_plateau_per_init(monkeypatch):
     n_h_list, ensemble = [0, 1], 3
     plateau.init_gradient_scan(2, target, n_h_list, ensemble, rng)
     assert calls == {name: ensemble * len(n_h_list) for name in calls}
+
+
+def test_ensemble_worker_runs_once_per_chunk_in_one_pool(monkeypatch, tmp_path):
+    # The training workloads time jobs == 1 in-process, and the worker hook
+    # counts tasks and pools on _ensemble_worker: one call per chunk, each
+    # with one tuple argument, from one pool per run_ensemble call.
+    from renyiqnn import training
+
+    pools = []
+
+    class ForkPool(ProcessPoolExecutor):
+        # the hook relies on workers forked with the wrapper installed
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
+    original = training._ensemble_worker
+
+    @functools.wraps(original)
+    def recording(*args):
+        with open(tmp_path / f"calls_{os.getpid()}.txt", "a") as fh:
+            fh.write(f"{len(args)} {type(args[0]).__name__}\n")
+        return original(*args)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", ForkPool)
+    monkeypatch.setattr(training, "_ensemble_worker", recording)
+    cfg = training.TrainConfig(kind="uqnn", n_v=1, n_h=1, epochs=2, seed=0)
+
+    def calls() -> list[str]:
+        return sorted(line for f in tmp_path.glob("calls_*.txt") for line in f.read_text().splitlines())
+
+    training.run_ensemble(cfg, 3, jobs=1)
+    assert calls() == [] and pools == []
+    training.run_ensemble(cfg, 2, jobs=2)
+    assert calls() == ["1 tuple", "1 tuple"]
+    assert pools == [1]

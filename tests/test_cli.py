@@ -217,6 +217,12 @@ class TestConfigErrors:
             ("mc_2q.json", "mc-estimate", "k", "1"),
             ("mc_2q.json", "mc-estimate", "q_max", -1),
             ("mc_2q.json", "mc-estimate", "n_h", -1),
+            ("plateau_3v.json", "plateau-scan", "seed", "x"),
+            ("mc_2q.json", "mc-estimate", "target_alpha_norm", "x"),
+            ("mc_2q.json", "mc-estimate", "target.tau", "x"),
+            ("plateau_3v.json", "plateau-scan", "target.std_single", "x"),
+            ("fig2_3v3h.json", "thermal-learn", "train.n_v", 1.5),
+            ("fig2_3v3h.json", "thermal-learn", "train.seed", "x"),
         ],
     )
     def test_invalid_bundled_value(self, tmp_path, capsys, name, experiment, key, value):

@@ -23,7 +23,7 @@ from renyiqnn.divergence import (
     uqnn_grad_linear,
     uqnn_grad_reverse,
 )
-from renyiqnn import divergence, hamiltonians
+from renyiqnn import divergence, hamiltonians, states
 from renyiqnn.hamiltonians import PauliTerm, string_trace
 from renyiqnn.models import (
     QBMParams,
@@ -474,6 +474,20 @@ class TestFactorizationReuse:
         losses = [renyi2_reverse(sv, rho) for sv in sigmas]
         assert len(calls) == 1
         assert losses == [renyi2_reverse(sv, dm(rho.mat.copy())) for sv in sigmas]
+
+    def test_fixed_target_inverse_and_root_built_once(self, rng, monkeypatch):
+        rho = random_density_matrix(2, rng)
+        sigmas = [random_density_matrix(2, rng) for _ in range(4)]
+        inverses, roots = [], []
+        inverse, root = divergence._inverse, states._psd_sqrt
+        monkeypatch.setattr(divergence, "_inverse", lambda w, v: inverses.append(1) or inverse(w, v))
+        monkeypatch.setattr(states, "_psd_sqrt", lambda w, v: roots.append(1) or root(w, v))
+        for sv in sigmas:
+            renyi2_reverse(sv, rho)
+            fidelity(rho, sv)
+        # one inverse and one square root of the target; each fidelity adds its inner root
+        assert len(inverses) == 1
+        assert len(roots) == 1 + len(sigmas)
 
     @pytest.mark.parametrize("change", ["reassigned", "overwritten"])
     def test_changed_matrix_never_served_stale(self, rng, change):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,14 @@ class TestTrainConfig:
             small_cfg(target_reg=1.0)
         with pytest.raises(ValueError, match="layout"):
             small_cfg(layout="ring")
+        with pytest.raises(ValueError, match="n_v must be an integer"):
+            small_cfg(n_v=1.5)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            small_cfg(seed="x")
+        with pytest.raises(ValueError, match="tau must be a number"):
+            small_cfg(tau="x")
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            small_cfg(seed=-1)
 
     def test_hash_stable_and_sensitive(self):
         a, b = small_cfg(), small_cfg()
@@ -519,17 +528,19 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("fault", ["nan", "linalg"])
     def test_numeric_failure_counts_against_budget(self, monkeypatch, fault):
-        # one member's gradient goes bad; the ensemble records it and finishes
+        # one member's gradient goes bad inside the batched evaluation; the
+        # ensemble records it and finishes
         cfg = small_cfg(epochs=3)
         bad_rho = draw_target(cfg, run_streams(cfg.seed, 2, "both")[0])[1].mat
         exact = divergence.evaluate
 
         def faulty(p, rho, direction):
             ev = exact(p, rho, direction)
-            if np.array_equal(rho.mat, bad_rho):
+            bad = [i for i, mat in enumerate(rho.mat) if np.array_equal(mat, bad_rho)]
+            if bad:
                 if fault == "linalg":
                     raise np.linalg.LinAlgError("Eigenvalues did not converge")
-                ev.grad[0] = math.nan
+                ev.grad[bad[0], 0] = math.nan
             return ev
 
         monkeypatch.setattr(divergence, "evaluate", faulty)
@@ -546,6 +557,78 @@ class TestRunEnsemble:
             assert len(s.stats[f"{name}_mean"]) == len(s.epoch)
             assert len(s.stats[f"{name}_std"]) == len(s.epoch)
         assert s.epoch[0] == 0 and s.epoch[-1] == cfg.epochs
+
+
+def science_files(out_dir, run_idx: int) -> tuple[str, bytes]:
+    """A member's CSV without the wall_ms column, and its checkpoint bytes."""
+    lines = (out_dir / f"run_{run_idx:03d}.csv").read_text().splitlines()
+    csv_text = "\n".join(line.rsplit(",", 1)[0] for line in lines)
+    return csv_text, (out_dir / f"run_{run_idx:03d}_checkpoint.json").read_bytes()
+
+
+class TestLockstepBatches:
+    """A member's numbers do not depend on the chunk it trains in."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
+    def test_members_equal_solo_runs(self, tmp_path, kind, direction, batch):
+        # forward needs a full-rank circuit reduction, hence n_h = n_v
+        cfg = small_cfg(kind=kind, n_v=2, n_h=2 if kind == "uqnn" else 1, direction=direction,
+                        epochs=5, log_every=2, l2_penalty=0.5)
+        run_ensemble(cfg, batch, vary="both", jobs=1, out_dir=str(tmp_path / "batch"))
+        for i in range(batch):
+            train(cfg, run_idx=i, vary="both", out_dir=str(tmp_path / f"solo{i}"))
+            assert science_files(tmp_path / "batch", i) == science_files(tmp_path / f"solo{i}", i)
+
+    @pytest.mark.parametrize("fault", ["nan", "linalg"])
+    def test_failed_member_leaves_the_others_unchanged(self, monkeypatch, tmp_path, fault):
+        cfg = small_cfg(epochs=5)
+        run_ensemble(cfg, 5, vary="both", out_dir=str(tmp_path / "clean"))
+        bad_rho = draw_target(cfg, run_streams(cfg.seed, 2, "both")[0])[1].mat
+        exact, calls = divergence.evaluate, []
+
+        def faulty(p, rho, direction):
+            # run 2 goes bad from the third batched evaluation (epoch 2) on
+            calls.append(len(rho.mat))
+            bad = [i for i, mat in enumerate(rho.mat) if np.array_equal(mat, bad_rho)]
+            if fault == "linalg" and bad and len(calls) >= 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            ev = exact(p, rho, direction)
+            if fault == "nan" and len(calls) == 3:
+                ev.grad[bad[0], 0] = math.nan
+            return ev
+
+        monkeypatch.setattr(divergence, "evaluate", faulty)
+        logs, summary = run_ensemble(cfg, 5, vary="both", out_dir=str(tmp_path / "faulty"))
+        # a non-finite gradient fails the next epoch's update
+        epoch = 3 if fault == "nan" else 2
+        message = "diverged gradient at index 0" if fault == "nan" else "Eigenvalues did not converge"
+        assert summary.failures == [f"run 2: epoch {epoch}: {message}"]
+        assert len(logs) == 4
+        assert not (tmp_path / "faulty" / "run_002.csv").exists()
+        for i in (0, 1, 3, 4):
+            assert science_files(tmp_path / "faulty", i) == science_files(tmp_path / "clean", i)
+
+    def test_jobs_split_runs_into_chunks_without_changing_files(self, tmp_path):
+        cfg = small_cfg(epochs=3)
+        for jobs in (1, 2, 3):
+            run_ensemble(cfg, 5, vary="both", jobs=jobs, out_dir=str(tmp_path / f"j{jobs}"))
+        for jobs in (2, 3):
+            for i in range(5):
+                assert science_files(tmp_path / f"j{jobs}", i) == science_files(tmp_path / "j1", i)
+            for name in ("summary.json", "summary.csv"):
+                assert (tmp_path / f"j{jobs}" / name).read_bytes() == (tmp_path / "j1" / name).read_bytes()
+
+    def test_wall_ms_shares_the_chunk_time(self):
+        start = time.perf_counter()
+        logs, _ = run_ensemble(small_cfg(epochs=20), 3, vary="both")
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        walls = np.array([lg.column("wall_ms") for lg in logs])
+        # every live member of a chunk is charged the same share of each
+        # epoch, so summed member time stays within the wall time
+        assert np.all(walls == walls[0]) and np.all(walls > 0)
+        assert walls.sum() <= elapsed_ms
 
 
 class TestTrainingErrorContext:
