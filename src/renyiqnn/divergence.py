@@ -11,6 +11,10 @@ closed-form derivative of the operator exponential for Boltzmann machines.
 Both have independent oracles: finite differences, and (for Boltzmann
 machines) a per-weight evaluation of the integral form of that derivative.
 
+No formed density matrix is inverted or rooted: losses, kernels and
+conditioning figures read each state's factor (U, s) (see `states`), and
+the Renyi-2 kernel is built in the basis of the model state's factor.
+
 Every step takes a leading member axis: models with member thetas (R, N),
 evaluated against a stack of R targets (or one shared target), give R
 states, losses and gradients from one pass, each member's numbers
@@ -27,13 +31,7 @@ import numpy as np
 
 from . import qmath
 from .hamiltonians import pauli_traces
-from .models import (
-    QBMParams,
-    UQNNParams,
-    qbm_thermal,
-    uqnn_statevector,
-    visible_from_statevector,
-)
+from .models import QBMParams, UQNNParams, qbm_thermal, uqnn_statevector
 from .states import DensityMatrix
 
 DEFAULT_REL_CUTOFF = 1e-12
@@ -59,20 +57,25 @@ class LossValue:
     conditioning: float
 
 
-def _inverse(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list]:
-    """V diag(1/w) V^dag, and [smallest, largest] eigenvalue per member to check it by."""
+def _inverse(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """D = U diag(s^-1/2), the inverse as a root factor: state^-1 = D D^dag, never formed."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # singular states are never served
-        inv = (v / w[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return inv, w[..., [0, -1]].reshape(-1, 2).tolist()
+        return u / np.sqrt(s)[..., None, :]
 
 
-def _checked_inverse(state: DensityMatrix, rel_cutoff: float, what: str) -> tuple[np.ndarray, float | np.ndarray]:
-    """state^-1, kept with the state's eigendecomposition, and its smallest eigenvalue per member."""
-    inv, ends = state._factor(_inverse)
-    for wmin, wmax in ends:
-        if wmax <= 0.0 or wmin < rel_cutoff * wmax:
-            raise SingularStateError(f"singular {what}", wmin)
-    return inv, (ends[0][0] if inv.ndim == 2 else np.array([wmin for wmin, _ in ends]))
+def _extremes(u: np.ndarray, s: np.ndarray) -> tuple[list, float | np.ndarray]:
+    """[smallest, largest] eigenvalue per member, and the smallest alone as the conditioning figure."""
+    smin = s.min(axis=-1)
+    return np.stack([smin, s.max(axis=-1)], axis=-1).reshape(-1, 2).tolist(), (float(smin) if smin.ndim == 0 else smin)
+
+
+def _checked_inverse(state: DensityMatrix, rel_cutoff: float, what: str) -> float | np.ndarray:
+    """The smallest eigenvalue of the factor of a state about to be inverted, per member; raises if singular."""
+    ends, conditioning = state.derived(_extremes)
+    for smin, smax in ends:
+        if smax <= 0.0 or smin < rel_cutoff * smax:
+            raise SingularStateError(f"singular {what}", smin)
+    return conditioning
 
 
 def _real_trace(m: np.ndarray, tol: float = 1e-9) -> float | np.ndarray:
@@ -93,25 +96,51 @@ def _log(x: float | np.ndarray) -> float | np.ndarray:
     return math.log(x) if isinstance(x, float) else np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def _renyi2_kernel(
     sigma_v: DensityMatrix, target: DensityMatrix, direction: str, rel_cutoff: float
 ) -> tuple[np.ndarray, LossValue, float]:
-    """(Q, loss, sign) with d D2 = sign Tr(d sigma_v Q) / loss.numerator, per member of a stack.
+    """(Q', loss, sign) with d D2 = sign Tr(d sigma_v Q) / loss.numerator, per member of a stack.
 
-    reverse: Q = {sigma_v, rho^-1},            numerator Tr(sigma_v^2 rho^-1), sign +1
-    forward: Q = sigma_v^-1 rho^2 sigma_v^-1,  numerator Tr(rho^2 sigma_v^-1), sign -1
+    Q' = U^dag Q U is the kernel in the basis of sigma_v's factor,
+    sigma_v = U diag(p) U^dag. With Y = C C^dag:
+
+    reverse: Q = {sigma_v, rho^-1},            C = U^dag D (rho^-1 = D D^dag),
+             Q'_ij = (p_i + p_j) Y_ij,         numerator sum_i p_i^2 Y_ii, sign +1
+    forward: Q = sigma_v^-1 rho^2 sigma_v^-1,  C = U^dag rho,
+             Q'_ij = Y_ij / (p_i p_j),         numerator sum_i Y_ii / p_i, sign -1
+
+    Re Y_ii = sum_k |C_ik|^2 is a sum of positive terms, so the numerator
+    has no cancellation, and Tr(sigma_v Q) equals 2 numerator (reverse) or
+    numerator (forward) exactly.
     """
-    sv, rho = sigma_v.mat, target.mat
+    u, p = sigma_v.factor()
     if direction == "reverse":
-        rinv, wmin = _checked_inverse(target, rel_cutoff, "target state")
-        sv_rinv = sv @ rinv
-        q, num, sign = sv_rinv + rinv @ sv, _real_trace(sv_rinv @ sv), 1.0
+        wmin = _checked_inverse(target, rel_cutoff, "target state")
+        c = _dagger(u) @ target.derived(_inverse)
     elif direction == "forward":
-        svinv, wmin = _checked_inverse(sigma_v, rel_cutoff, "model state")
-        q, num, sign = svinv @ rho @ rho @ svinv, _real_trace(rho @ svinv @ rho), -1.0
+        wmin = _checked_inverse(sigma_v, rel_cutoff, "model state")
+        c = _dagger(u) @ target.mat
     else:
         raise ValueError(f"unknown direction {direction!r}")
+    y = c @ _dagger(c)
+    y_diag = y.diagonal(axis1=-2, axis2=-1).real
+    if direction == "reverse":
+        q, num, sign = (p[..., :, None] + p[..., None, :]) * y, (p * p * y_diag).sum(axis=-1), 1.0
+    else:
+        inv = 1.0 / p
+        q, num, sign = inv[..., :, None] * y * inv[..., None, :], (y_diag * inv).sum(axis=-1), -1.0
+    num = float(num) if num.ndim == 0 else num
     return q, LossValue(_log(num), num, wmin), sign
+
+
+def _standard_basis(state: DensityMatrix, q: np.ndarray) -> np.ndarray:
+    """U Q' U^dag: a kernel from the basis of the state's factor back to the standard basis."""
+    u = state.factor()[0]
+    return u @ q @ _dagger(u)
 
 
 def renyi2_forward(
@@ -129,11 +158,11 @@ def renyi2_reverse(
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Umegaki relative entropy S(rho||sigma) = Tr rho (ln rho - ln sigma), in nats."""
-    wr, vr = np.linalg.eigh(rho.mat)
-    ws, vs = np.linalg.eigh(sigma.mat)
-    if float(ws[0]) <= 0.0:
-        raise SingularStateError("singular second argument", float(ws[0]))
+    """Umegaki relative entropy S(rho||sigma) = Tr rho (ln rho - ln sigma), in nats, from both factors."""
+    wr = rho.factor()[1]
+    vs, ws = sigma.factor()
+    if float(np.min(ws)) <= 0.0:
+        raise SingularStateError("singular second argument", float(np.min(ws)))
     wr_pos = np.clip(wr, 1e-300, None)
     s_rho = float(np.sum(np.where(wr > 1e-15, wr * np.log(wr_pos), 0.0)))
     log_sigma = (vs * np.log(ws)) @ vs.conj().T
@@ -216,9 +245,9 @@ def state_gradient_entry(
     reverse: Tr(dsigma {sigma, rho^-1}) / Tr(sigma^2 rho^-1)
     forward: -Tr(dsigma sigma^-1 rho^2 sigma^-1) / Tr(rho^2 sigma^-1)
     """
-    states = DensityMatrix.from_mat(sigma), DensityMatrix.from_mat(rho)
-    q, loss, sign = _renyi2_kernel(*states, direction, DEFAULT_REL_CUTOFF)
-    return sign * _real_trace(dsigma @ q) / loss.numerator
+    sv = DensityMatrix.from_mat(sigma)
+    q, loss, sign = _renyi2_kernel(sv, DensityMatrix.from_mat(rho), direction, DEFAULT_REL_CUTOFF)
+    return sign * _real_trace(dsigma @ _standard_basis(sv, q)) / loss.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +262,17 @@ def state_gradient_entry(
 # ---------------------------------------------------------------------------
 
 
-def _exp_neg_adjoint(w: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """R = V[(V^dag x V) o Phi]V^dag with Phi_ij = (e^{-w_j} - e^{-w_i}) / (w_i - w_j), Phi_ii = e^{-w_i}.
+def _exp_neg_divided_differences(w: np.ndarray) -> np.ndarray:
+    """Phi_ij = (e^{-w_j} - e^{-w_i}) / (w_i - w_j), Phi_ii = e^{-w_i}.
 
-    Phi is evaluated as e^{-min(w_i, w_j)} (1 - e^{-|d|}) / |d|, d = w_i - w_j,
+    Evaluated as e^{-min(w_i, w_j)} (1 - e^{-|d|}) / |d|, d = w_i - w_j,
     whose factors are both at most 1: no cancellation and no overflow at any
     spectral spread.
     """
     d = np.abs(w[..., :, None] - w[..., None, :])
     nonzero = d > 0.0
     safe = np.where(nonzero, d, 1.0)
-    phi = np.exp(-np.minimum(w[..., :, None], w[..., None, :])) * np.where(nonzero, -np.expm1(-safe) / safe, 1.0)
-    vh = v.conj().swapaxes(-1, -2)
-    return v @ ((vh @ x @ v) * phi) @ vh
+    return np.exp(-np.minimum(w[..., :, None], w[..., None, :])) * np.where(nonzero, -np.expm1(-safe) / safe, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +305,28 @@ def evaluate(
     """
     if isinstance(p, UQNNParams):
         psi = uqnn_statevector(p)
-        sv = DensityMatrix(p.n_v, visible_from_statevector(psi, p.n_v, p.n_h))
+        sv = DensityMatrix.from_root(psi.reshape(psi.shape[:-1] + (2**p.n_v, 2**p.n_h)))
         q, loss, sign = _renyi2_kernel(sv, rho, direction, rel_cutoff)
-        grad = sign * _kernel_sweep(p, q, psi) / np.asarray(loss.numerator)[..., None]
+        grad = sign * _kernel_sweep(p, _standard_basis(sv, q), psi) / np.asarray(loss.numerator)[..., None]
         return Evaluation(sv, loss, grad)
-    # d sigma_v = (Tr(P_m E) sigma_v - Tr_h G_m) / Z, hence entry m is
-    # sign Tr(P_m (Tr(sigma_v Q) E - R)) / (Z numerator), R the adjoint kernel of Q x I_h
-    w, v, e_mat, z, sv_mat = qbm_thermal(p)
-    sv = DensityMatrix(p.n_v, sv_mat)
+    # d sigma_v = (Tr(P_m E) sigma_v - Tr_h G_m) / Z with E = e^{-H}, hence entry m is
+    # sign Tr(P_m V K V^dag) / (Z numerator) with, in H's eigenbasis,
+    # K = Tr(sigma_v Q) diag(e^{-w}) - X o Phi = (Tr(sigma_v Q) I - X) o Phi
+    # (Phi_ii = e^{-w_i}) and X = V^dag (Q x I_h) V
+    w, v, z, sv = qbm_thermal(p)
     q, loss, sign = _renyi2_kernel(sv, rho, direction, rel_cutoff)
-    # q x I_h by broadcasting: the products np.kron forms, without its overhead
-    dv, dh = q.shape[-1], 2**p.n_h
-    q_ext = (q[..., :, None, :, None] * np.eye(dh)[:, None, :]).reshape(q.shape[:-2] + (dv * dh, dv * dh))
-    r = _exp_neg_adjoint(w, v, q_ext)
-    trace_q = np.asarray(_real_trace(sv_mat @ q))[..., None, None]
-    kernel = sign * (trace_q * e_mat - r) / np.asarray(z * loss.numerator)[..., None, None]
+    if p.n_h:
+        q = _standard_basis(sv, q)
+        # q x I_h by broadcasting: the products np.kron forms, without its overhead
+        dv, dh = q.shape[-1], 2**p.n_h
+        q_ext = (q[..., :, None, :, None] * np.eye(dh)[:, None, :]).reshape(q.shape[:-2] + (dv * dh, dv * dh))
+        x = _dagger(v) @ q_ext @ v
+    else:
+        x = q  # sigma_v's factor basis is H's eigenbasis
+    num = np.asarray(loss.numerator)[..., None, None]
+    trace_q = (2.0 if direction == "reverse" else 1.0) * num  # Tr(sigma_v Q), exactly
+    k = (np.eye(p.dim) * trace_q - x) * _exp_neg_divided_differences(w)
+    kernel = v @ k @ _dagger(v) * (sign / (np.asarray(z)[..., None, None] * num))
     g = pauli_traces(kernel, p.tables())
     leak = np.nonzero(np.abs(g.imag) > 1e-8 * np.maximum(1.0, np.abs(g.real)))
     if leak[0].size:
@@ -339,15 +373,33 @@ def frechet_exp_neg_derivative(w: np.ndarray, v: np.ndarray, pm: np.ndarray) -> 
 
 
 def _qbm_grad_frechet(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
-    w, v, e_mat, z, sv = qbm_thermal(p)
-    q, loss, sign = _renyi2_kernel(DensityMatrix(p.n_v, sv), rho, direction, DEFAULT_REL_CUTOFF)
+    """The gradient weight by weight, independently of `evaluate`.
+
+    sigma_v is formed densely from e^{-H}, and Q and the numerator from the
+    standard-basis formulas with formed matrices and dense inverses; no
+    state factor and no eigenbasis kernel is used.
+    """
+    w, v = np.linalg.eigh(p.hamiltonian_dense())
+    w = w - w[0]
+    e_mat = (v * np.exp(-w)) @ v.conj().T
+    z = float(np.trace(e_mat).real)
+    sv = qmath.partial_trace(e_mat, p.n_v, p.n_h) / z
+    r = rho.mat
+    if direction == "reverse":
+        rinv = np.linalg.inv(r)
+        q, num, sign = sv @ rinv + rinv @ sv, _real_trace(sv @ rinv @ sv), 1.0
+    elif direction == "forward":
+        svinv = np.linalg.inv(sv)
+        q, num, sign = svinv @ r @ r @ svinv, _real_trace(r @ svinv @ r), -1.0
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
     grads = np.empty(len(p.basis))
     for m, t in enumerate(p.basis):
         pm = t.dense(p.n_qubits)
         g_m = frechet_exp_neg_derivative(w, v, pm)
         trace_pm_e = _real_trace(pm @ e_mat)
         dsv = -qmath.partial_trace(g_m, p.n_v, p.n_h) / z + sv * (trace_pm_e / z)
-        grads[m] = sign * _real_trace(dsv @ q) / loss.numerator
+        grads[m] = sign * _real_trace(dsv @ q) / num
     return grads
 
 

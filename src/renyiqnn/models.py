@@ -316,8 +316,12 @@ def visible_from_statevector(psi: np.ndarray, n_v: int, n_h: int) -> np.ndarray:
 
 
 def uqnn_visible_state(p: UQNNParams) -> DensityMatrix:
+    """Tr_h |psi><psi| = M M^dag, M the statevector reshaped to d_v x d_h; its factor is the SVD of M.
+
+    Member thetas (R, N) give a stack of R states.
+    """
     psi = uqnn_statevector(p)
-    return DensityMatrix(p.n_v, visible_from_statevector(psi, p.n_v, p.n_h))
+    return DensityMatrix.from_root(psi.reshape(psi.shape[:-1] + (2**p.n_v, 2**p.n_h)))
 
 
 def circuit_prefix(p: UQNNParams, k: int) -> np.ndarray:
@@ -420,26 +424,33 @@ def load_checkpoint_model(doc: dict) -> UQNNParams | QBMParams:
     return cls(int(doc["n_v"]), int(doc["n_h"]), terms, np.array(doc["thetas"], dtype=float))
 
 
-def qbm_thermal(p: QBMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | np.ndarray, np.ndarray]:
-    """(w, V, E, Z, sigma_v) of the Boltzmann state in the eigenbasis H = V diag(w) V^dag.
+def qbm_thermal(p: QBMParams) -> tuple[np.ndarray, np.ndarray, float | np.ndarray, DensityMatrix]:
+    """(w, V, Z, sigma_v) of the Boltzmann state in the eigenbasis H = V diag(w) V^dag.
 
-    w is shifted so that min(w) = 0; E = V diag(e^{-w}) V^dag, Z = Tr E and
-    sigma_v = Tr_h(E) / Z. The shift cancels in every ratio with Z and keeps
-    e^{-w} <= 1, so no spectral spread overflows. Member thetas (R, M) give
-    every output a leading member axis.
+    w is shifted so that min(w) = 0 and Z = sum e^{-w}; the shift cancels
+    in every ratio with Z and keeps e^{-w} <= 1, so no spectral spread
+    overflows. sigma_v = Tr_h(e^{-H}) / Z comes with its factor: exactly
+    (V, e^{-w} / Z) when n_h = 0; otherwise sigma_v = B B^dag with B the
+    columns of V e^{-w/2} / sqrt(Z) reshaped by hidden index to
+    d_v x (d_h 2^n), factored by its SVD. Member thetas (R, M) give every
+    output a leading member axis.
     """
     w, v = np.linalg.eigh(p.hamiltonian_dense())
     w = w - w[..., :1]
     ew = np.exp(-w)
-    e_mat = (v * ew[..., None, :]) @ v.conj().swapaxes(-1, -2)
     z = np.sum(ew, axis=-1)
-    sigma_v = qmath.partial_trace(e_mat, p.n_v, p.n_h) / z[..., None, None]
-    return w, v, e_mat, (float(z) if z.ndim == 0 else z), sigma_v
+    weights = ew / z[..., None]
+    if p.n_h == 0:
+        sigma_v = DensityMatrix.from_factor(v, weights)
+    else:
+        b = v * np.sqrt(weights)[..., None, :]
+        sigma_v = DensityMatrix.from_root(b.reshape(b.shape[:-2] + (2**p.n_v, -1)))
+    return w, v, (float(z) if z.ndim == 0 else z), sigma_v
 
 
 def qbm_visible_state(p: QBMParams) -> DensityMatrix:
-    """Tr_h(e^{-H(theta)}) / Tr(e^{-H(theta)}); full rank by construction."""
-    return DensityMatrix(p.n_v, qbm_thermal(p)[-1])
+    """Tr_h(e^{-H(theta)}) / Tr(e^{-H(theta)}) with its factor; full rank by construction."""
+    return qbm_thermal(p)[-1]
 
 
 def brick_two_local_terms(n: int, coeff: float = 1.0) -> list[PauliTerm]:

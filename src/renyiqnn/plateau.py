@@ -153,8 +153,8 @@ def lemma1_bounds(sigma: DensityMatrix, dsigma: np.ndarray, n: int) -> tuple[flo
         raise ValueError(f"dsigma shape {dsigma.shape} does not match the state")
     if not qmath.is_hermitian(dsigma, 1e-10):
         raise ValueError("dsigma must be Hermitian")
-    w, v = np.linalg.eigh(0.5 * (sigma.mat + sigma.mat.conj().T))
-    wmin, wmax = float(w[0]), float(w[-1])
+    v, w = sigma.factor()
+    wmin, wmax = float(np.min(w)), float(np.max(w))
     if wmax <= 0.0 or wmin < 1e-12 * wmax:
         raise SingularStateError("singular state", wmin)
     inv2 = (v / w**2) @ v.conj().T

@@ -1,4 +1,16 @@
-"""Quantum-state construction, validation, and comparison."""
+"""Quantum-state construction, validation, and comparison.
+
+Every `DensityMatrix` carries one factor (U, s), mat = U diag(s) U^dag, and
+inverses, roots and conditioning figures are read from it, never from an
+inverted or rooted matrix, so small eigenvalues keep their relative
+accuracy. The factor comes from what a state's construction has in hand:
+H's eigenpairs with s = e^{-(w - w_min)}/Z for a thermal state (targets,
+and fully visible Boltzmann machines in `models.qbm_thermal`); the SVD
+B = U S W^dag, s = S^2, for a state B B^dag (`from_root`: a circuit's
+visible state with B the statevector as d_v x d_h, a Boltzmann machine
+with hidden units with B = V e^{-w/2} / sqrt(Z) reshaped by hidden index);
+`eigh` of the matrix, on first use, for any other state.
+"""
 
 from __future__ import annotations
 
@@ -12,37 +24,79 @@ TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 
 
+def _qubits(dim: int) -> int:
+    n = int(dim).bit_length() - 1
+    if 2**n != dim:
+        raise ValueError(f"dimension {dim} is not a power of 2")
+    return n
+
+
 @dataclass
 class DensityMatrix:
-    """Unit-trace PSD Hermitian operator on n_qubits qubits.
+    """Unit-trace PSD Hermitian operator on n_qubits qubits, with its factor (U, s).
 
     mat may carry a leading member axis, (R, 2^n, 2^n): a stack of states
     that the loss, gradient and fidelity code treats member by member;
-    validate and purity take one state.
+    validate and purity take one state. The factor, and whatever is built
+    from it (`derived`), is kept until mat is reassigned or written to.
     """
 
     n_qubits: int
     mat: np.ndarray
-    _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the one factor slot: (copy of mat it belongs to, U, s, {builder: what it built from U, s})
+    _slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.ndim not in (2, 3) or self.mat.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"shape {self.mat.shape} does not match {self.n_qubits} qubits")
 
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V) of the Hermitian part of mat, reused until mat is reassigned or written to other entries."""
-        m = self.mat
-        if self._eig is None or self._eig[0].shape != m.shape or not (self._eig[0] == m).all():
-            self._eig = (m.copy(), *np.linalg.eigh(qmath._symmetrize(m)), {})
-        return self._eig[1:3]
+    @classmethod
+    def _with_factor(cls, mat: np.ndarray, u: np.ndarray, s: np.ndarray) -> "DensityMatrix":
+        state = cls(_qubits(mat.shape[-1]), mat)
+        state._slot = (state.mat.copy(), u, s, {})
+        return state
 
-    def _factor(self, build) -> np.ndarray:
-        """build(w, V), kept with the eigendecomposition it was built from (a square root, an inverse)."""
-        w, v = self._eigh()
-        built = self._eig[3]
+    @classmethod
+    def from_factor(cls, u: np.ndarray, s: np.ndarray) -> "DensityMatrix":
+        """U diag(s) U^dag, keeping (U, s) as its factor."""
+        return cls._with_factor((u * s[..., None, :]) @ u.conj().swapaxes(-1, -2), u, s)
+
+    @classmethod
+    def from_root(cls, b: np.ndarray) -> "DensityMatrix":
+        """B B^dag for B of shape (..., d, k), its factor from the SVD of B."""
+        d, k = b.shape[-2:]
+        u, sv, _ = np.linalg.svd(b, full_matrices=k < d)
+        s = sv * sv
+        if k < d:
+            s = np.concatenate([s, np.zeros(s.shape[:-1] + (d - k,))], axis=-1)
+        return cls._with_factor(b @ b.conj().swapaxes(-1, -2), u, s)
+
+    @classmethod
+    def stack(cls, states: list["DensityMatrix"]) -> "DensityMatrix":
+        """A member stack of one-member states, their factors stacked alike."""
+        u, s = zip(*(st.factor() for st in states))
+        return cls._with_factor(np.stack([st.mat for st in states]), np.stack(u), np.stack(s))
+
+    def take(self, keep: list[int]) -> "DensityMatrix":
+        """The members `keep` of a stack, with their factors."""
+        u, s = self.factor()
+        return DensityMatrix._with_factor(self.mat[keep], u[keep], s[keep])
+
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, s) with mat = U diag(s) U^dag; by eigh of mat for a state built without one."""
+        m = self.mat
+        if self._slot is None or self._slot[0].shape != m.shape or not (self._slot[0] == m).all():
+            w, v = np.linalg.eigh(qmath._symmetrize(m))
+            self._slot = (m.copy(), v, w, {})
+        return self._slot[1:3]
+
+    def derived(self, build):
+        """build(U, s), kept with the factor it was built from (a root, an inverse's root)."""
+        u, s = self.factor()
+        built = self._slot[3]
         if build not in built:
-            built[build] = build(w, v)
+            built[build] = build(u, s)
         return built[build]
 
     @property
@@ -52,10 +106,7 @@ class DensityMatrix:
     @classmethod
     def from_mat(cls, mat: np.ndarray) -> "DensityMatrix":
         mat = np.asarray(mat, dtype=complex)
-        n = int(round(np.log2(mat.shape[0])))
-        if 2**n != mat.shape[0]:
-            raise ValueError(f"dimension {mat.shape[0]} is not a power of 2")
-        return cls(n, mat)
+        return cls(_qubits(mat.shape[0]), mat)
 
     def validate(self, herm_tol: float = qmath.HERM_TOL) -> "DensityMatrix":
         """Assert Hermiticity, unit trace, and positivity (within tolerances)."""
@@ -83,21 +134,23 @@ def _dense_hamiltonian(h) -> np.ndarray:
 def thermal_state(h) -> DensityMatrix:
     """Gibbs state e^{-H}/Tr(e^{-H}); always full rank.
 
-    `h` may be an LCUHamiltonian or a dense Hermitian array.
+    `h` may be an LCUHamiltonian or a dense Hermitian array. The factor is
+    H's eigenpairs with s = e^{-(w - w_min)} / Z, each entry at most 1, so
+    the smallest eigenvalues keep their relative accuracy.
     """
-    hd = _dense_hamiltonian(h)
-    norm = qmath.op_norm(hd)
+    w, v = np.linalg.eigh(qmath._symmetrize(_dense_hamiltonian(h)))
+    norm = float(np.max(np.abs(w)))
     if norm > 700.0:
         # e^{+-norm} would overflow/underflow float64 entirely.
         raise ValueError(f"operator norm {norm:.3g} too large for a stable exponential")
-    e = qmath.herm_expm(hd, -1.0)
-    rho = e / np.real(np.trace(e))
-    return DensityMatrix.from_mat(rho)
+    e = np.exp(-(w - w[0]))
+    return DensityMatrix.from_factor(v, e / np.sum(e))
 
 
-def _psd_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    w = np.clip(w, 0.0, None)  # roundoff guard: clamp tiny negatives
-    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+def _psd_sqrt(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Root factor R = U diag(sqrt s), with state = R R^dag."""
+    s = np.clip(s, 0.0, None)  # roundoff guard: clamp tiny negatives of an eigh factor
+    return u * np.sqrt(s)[..., None, :]
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
@@ -106,14 +159,15 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
     Root (unsquared) convention: F(pure, mixed) = sqrt(<psi|sigma|psi>).
     Reported experiment fidelities use this convention; initial-state values
     for the thermal ensembles land in the documented windows only under it.
-    Member stacks give one fidelity per member; rho's square root is kept
-    with its eigendecomposition, so a fixed target factorizes once.
+    With root factors rho = A A^dag and sigma = B B^dag, F is the sum of the
+    singular values of A^dag B, so no matrix is rooted. Member stacks give
+    one fidelity per member; each state's root factor is kept with its
+    factor, so a fixed target builds it once.
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    sr = rho._factor(_psd_sqrt)
-    inner = _psd_sqrt(*np.linalg.eigh(qmath._symmetrize(sr @ sigma.mat @ sr)))
-    f = np.trace(inner, axis1=-2, axis2=-1).real
+    a = rho.derived(_psd_sqrt).conj().swapaxes(-1, -2) @ sigma.derived(_psd_sqrt)
+    f = np.sum(np.linalg.svd(a, compute_uv=False), axis=-1)
     return float(f) if f.ndim == 0 else f
 
 

@@ -73,6 +73,13 @@ class AdamState:
         return cls(0, np.zeros(n_params), np.zeros(n_params), lr, **kwargs)
 
 
+def _check_finite(grads: np.ndarray) -> None:
+    """Raise FloatingPointError naming the first non-finite entry's index within its member's vector."""
+    finite = np.isfinite(grads)
+    if not finite.all():
+        raise FloatingPointError(f"diverged gradient at index {int(np.nonzero(~finite)[-1][0])}")
+
+
 def adam_step(
     state: AdamState, params: np.ndarray, grads: np.ndarray
 ) -> tuple[AdamState, np.ndarray]:
@@ -88,9 +95,7 @@ def adam_step(
             f"parameter/gradient shape {params.shape}/{grads.shape} "
             f"does not match optimizer state {state.m.shape}"
         )
-    bad = np.nonzero(~np.isfinite(grads))[-1]
-    if bad.size:
-        raise FloatingPointError(f"diverged gradient at index {int(bad[0])}")
+    _check_finite(grads)
     step = state.step + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * grads
     v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
@@ -195,10 +200,11 @@ class MetricsRow:
     penalized_loss: float
     fidelity: float
     grad_inf_norm: float
+    conditioning: float
     wall_ms: float
 
 
-CSV_COLUMNS = ["epoch", "loss", "penalized_loss", "fidelity", "grad_inf_norm", "wall_ms"]
+CSV_COLUMNS = ["epoch", "loss", "penalized_loss", "fidelity", "grad_inf_norm", "conditioning", "wall_ms"]
 
 
 class MetricsLog:
@@ -207,9 +213,12 @@ class MetricsLog:
     Row 0 is the state before any update; row e is the state after e ADAM
     updates, with loss, fidelity, and gradient all evaluated at that row's
     parameters. grad_inf_norm is the infinity norm of the full training
-    gradient, penalty term included. wall_ms is the wall time since the
-    previous row, divided by the number of members then training in the
-    run's chunk, so summed member time never exceeds the wall time.
+    gradient, penalty term included. conditioning is the smallest
+    eigenvalue of the inverted state, read from its factor: the target's in
+    reverse runs, the model state's in forward runs. wall_ms is the wall
+    time since the previous row, divided by the number of members then
+    training in the run's chunk, so summed member time never exceeds the
+    wall time.
 
     Many logs are held at once (ensembles, or pickled back from workers),
     so both parts are kept compact: the rows are one float64 array with a
@@ -336,9 +345,9 @@ def draw_target(cfg: TrainConfig, rng: np.random.Generator) -> tuple[LCUHamilton
     )
     rho = thermal_state(h)
     if cfg.target_reg > 0.0:
-        d = rho.dim
-        mixed = (1.0 - cfg.target_reg) * rho.mat + cfg.target_reg * np.eye(d) / d
-        rho = DensityMatrix(rho.n_qubits, mixed)
+        # mixing in I/d keeps the eigenvectors: the factor moves with the eigenvalues
+        u, s = rho.factor()
+        rho = DensityMatrix.from_factor(u, (1.0 - cfg.target_reg) * s + cfg.target_reg / rho.dim)
     return h, rho
 
 
@@ -373,7 +382,7 @@ class _Members:
             [self.runs[i] for i in keep],
             replace(self.model, thetas=self.thetas[keep]),
             self.thetas[keep],
-            DensityMatrix(self.target.n_qubits, self.target.mat[keep]),
+            self.target.take(keep),
             replace(self.opt, m=self.opt.m[keep], v=self.opt.v[keep]),
             None if self.grad is None else self.grad[keep],
         )
@@ -383,8 +392,9 @@ def _advance(cfg: TrainConfig, members: _Members, epoch: int, log: bool) -> tupl
     """One epoch of every member: the ADAM update (past epoch 0), one evaluation, and the logged values.
 
     The logged values are one row of (loss, penalized_loss, fidelity,
-    grad_inf_norm) per member. Raises if any member fails, leaving the
-    angles, moments and gradients of `members` as they were for a replay.
+    grad_inf_norm, conditioning) per member. Raises if any member fails,
+    a non-finite gradient included, leaving the angles, moments and
+    gradients of `members` as they were for a replay.
     """
     opt, th, lam = members.opt, members.thetas, cfg.l2_penalty
     if epoch > 0:
@@ -394,11 +404,13 @@ def _advance(cfg: TrainConfig, members: _Members, epoch: int, log: bool) -> tupl
     # build, and that gradient also drives update e+1
     ev = divergence.evaluate(members.model, members.target, cfg.direction)
     grad = ev.grad + 2.0 * lam * th
+    _check_finite(grad)  # here, not at the next update: the last epoch has none
     values = None
     if log:
         penalized = ev.loss.value + lam * (th[:, None, :] @ th[:, :, None])[:, 0, 0]
-        fid = fidelity(members.target, ev.sigma_v)  # the targets' square roots are factorized once per run
-        values = np.stack([ev.loss.value, penalized, fid, np.max(np.abs(grad), axis=1)], axis=1)
+        fid = fidelity(members.target, ev.sigma_v)  # the targets' root factors are built once per run
+        grad_inf = np.max(np.abs(grad), axis=1)
+        values = np.stack([ev.loss.value, penalized, fid, grad_inf, ev.loss.conditioning], axis=1)
     members.thetas, members.opt, members.grad = th, opt, grad
     return members, values
 
@@ -414,12 +426,12 @@ def _train_members(cfg: TrainConfig, runs: list[int], vary: str) -> list[Metrics
     built, targets = {}, []
     for run_idx in runs:
         target_rng, init_rng = run_streams(cfg.seed, run_idx, vary)
-        targets.append(draw_target(cfg, target_rng)[1].mat)
+        targets.append(draw_target(cfg, target_rng)[1])
         built[run_idx] = _build_model(cfg, init_rng)
     thetas = np.stack([m.thetas for m in built.values()])
     members = _Members(
         list(runs), replace(built[runs[0]], thetas=thetas), thetas,
-        DensityMatrix(cfg.n_v, np.stack(targets)), AdamState.init(thetas.shape, cfg.lr),
+        DensityMatrix.stack(targets), AdamState.init(thetas.shape, cfg.lr),
     )
     rows: dict[int, list[MetricsRow]] = {run_idx: [] for run_idx in runs}
     failed: dict[int, TrainingError] = {}

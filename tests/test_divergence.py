@@ -387,6 +387,50 @@ class TestQBMGradients:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - qbm_grad_reverse_frechet(p, rho))) < 1e-8
 
+    @pytest.mark.parametrize("spread", [None, 60.0, 500.0])
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    @pytest.mark.parametrize("n_h", [0, 1, 2])
+    def test_eigenbasis_kernel_matches_frechet(self, rng_factory, n_h, direction, spread):
+        # spreads of H's spectrum as in the large-spread test. The ground
+        # state's visible reduction has rank at most 2^n_h < 4 for n_h < 2,
+        # and in these draws the excited states add less than the cutoff
+        # there (both spreads at n_h = 0, the larger at n_h = 1): a singular
+        # model state, which forward runs must refuse with a typed error
+        rng = rng_factory(100 + n_h)
+        p = build_qbm(2, n_h, rng)
+        if spread is not None:
+            w = np.linalg.eigvalsh(p.hamiltonian_dense())
+            p.thetas = p.thetas * spread / (w[-1] - w[0])
+        rho = random_density_matrix(2, rng)
+        if direction == "forward" and (n_h, spread) in {(0, 60.0), (0, 500.0), (1, 500.0)}:
+            with pytest.raises(SingularStateError, match="model state"):
+                evaluate(p, rho, direction)
+            return
+        got = evaluate(p, rho, direction).grad
+        oracle = qbm_grad_reverse_frechet if direction == "reverse" else qbm_grad_forward_frechet
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - oracle(p, rho))) < 1e-8
+
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    def test_frechet_route_uses_no_factor_and_no_eigenbasis_kernel(self, rng, monkeypatch, direction):
+        p = build_qbm(2, 1, rng)
+        rho = random_density_matrix(2, rng)
+        expect = evaluate(p, rho, direction).grad
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Frechet route reached the production kernel")
+
+        for owner, name in [
+            (DensityMatrix, "factor"),
+            (divergence, "_renyi2_kernel"),
+            (divergence, "_exp_neg_divided_differences"),
+            (divergence, "qbm_thermal"),
+            (divergence, "pauli_traces"),
+        ]:
+            monkeypatch.setattr(owner, name, forbidden)
+        oracle = qbm_grad_reverse_frechet if direction == "reverse" else qbm_grad_forward_frechet
+        assert np.max(np.abs(oracle(p, rho) - expect)) < 1e-8
+
     def test_frechet_derivative_oracle(self, rng):
         # check the exact integral formula against a finite difference of expm;
         # the helper takes and returns matrices in the original basis
@@ -454,7 +498,7 @@ class TestEvaluate:
 
 
 class TestFactorizationReuse:
-    """An inverted or square-rooted state keeps its eigendecomposition while its entries stay."""
+    """A state keeps its factor, and the roots built from it, while its entries stay."""
 
     @staticmethod
     def count_eigh(monkeypatch) -> list:
@@ -472,7 +516,9 @@ class TestFactorizationReuse:
         sigmas = [random_density_matrix(2, rng) for _ in range(4)]
         calls = self.count_eigh(monkeypatch)
         losses = [renyi2_reverse(sv, rho) for sv in sigmas]
-        assert len(calls) == 1
+        # the target once for all losses; the reverse kernel reads each model
+        # state's factor too, which a state given as a plain matrix gets by eigh
+        assert len(calls) == 1 + len(sigmas)
         assert losses == [renyi2_reverse(sv, dm(rho.mat.copy())) for sv in sigmas]
 
     def test_fixed_target_inverse_and_root_built_once(self, rng, monkeypatch):
@@ -485,7 +531,7 @@ class TestFactorizationReuse:
         for sv in sigmas:
             renyi2_reverse(sv, rho)
             fidelity(rho, sv)
-        # one inverse and one square root of the target; each fidelity adds its inner root
+        # one inverse and one root factor of the target; each fidelity adds the model state's root factor
         assert len(inverses) == 1
         assert len(roots) == 1 + len(sigmas)
 
@@ -506,10 +552,18 @@ class TestFactorizationReuse:
         p = build_uqnn(2, 2, rng)
         rho = random_density_matrix(2, rng)
         calls = self.count_eigh(monkeypatch)
+        svds, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: svds.append(kw.get("compute_uv", True)) or svd(m, **kw))
         ev = evaluate(p, rho, "forward")
         f = fidelity(ev.sigma_v, rho)
-        assert len(calls) == 2  # sigma_v once (inverse and square root), the inner root once
-        assert f == fidelity(dm(ev.sigma_v.mat.copy()), rho)
+        # sigma_v's factor is the statevector's SVD, used by the loss, the
+        # kernel and the fidelity; rho, a plain matrix, is factorized by eigh
+        # once; the fidelity itself takes singular values only
+        assert svds == [True, False]
+        assert len(calls) == 1
+        u, s = ev.sigma_v.factor()
+        assert f == fidelity(DensityMatrix.from_factor(u, s), rho)
+        assert f == pytest.approx(fidelity(dm(ev.sigma_v.mat.copy()), rho), abs=1e-13)
 
 
 class TestFDGradient:

@@ -75,6 +75,52 @@ class TestThermalState:
             thermal_state(np.diag([800.0, -800.0]))
 
 
+class TestFactor:
+    """The factor (U, s) each construction fills reproduces the matrix it forms."""
+
+    @staticmethod
+    def rebuilt(state: DensityMatrix) -> np.ndarray:
+        u, s = state.factor()
+        return (u * s[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+    @pytest.mark.parametrize("d,k", [(4, 4), (4, 8), (8, 2), (4, 1)])
+    def test_from_root(self, rng, d, k):
+        b = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        state = DensityMatrix.from_root(b / np.linalg.norm(b))
+        u, s = state.factor()
+        assert u.shape == (d, d) and s.shape == (d,)
+        assert np.allclose(u.conj().T @ u, np.eye(d), atol=1e-13)
+        # fewer columns than rows: the missing eigenvalues are exact zeros
+        assert np.count_nonzero(s) == min(d, k)
+        assert np.allclose(self.rebuilt(state), state.mat, atol=1e-14)
+
+    def test_thermal_state_factor_is_the_gibbs_spectrum(self, rng):
+        h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = 3.0 * (h + h.conj().T)
+        rho = thermal_state(h)
+        u, s = rho.factor()
+        w = np.linalg.eigvalsh(h)
+        expect = np.exp(-(w - w[0])) / np.sum(np.exp(-(w - w[0])))
+        assert np.allclose(s, expect, rtol=1e-12, atol=0)
+        assert np.allclose(self.rebuilt(rho), rho.mat, atol=1e-15)
+        assert np.allclose(u @ np.diag(w) @ u.conj().T, h, atol=1e-12)
+
+    def test_stack_and_take_keep_member_factors(self, rng):
+        states = [random_density_matrix(2, rng) for _ in range(3)]
+        stacked = DensityMatrix.stack(states)
+        picked = stacked.take([2, 0])
+        for i, st in zip([2, 0], (picked.take([0]), picked.take([1]))):
+            assert np.array_equal(st.mat[0], states[i].mat)
+            assert all(np.array_equal(a[0], b) for a, b in zip(st.factor(), states[i].factor()))
+
+    def test_plain_matrix_factorized_by_eigh_and_refreshed_on_write(self, rng):
+        a, b = random_density_matrix(2, rng), random_density_matrix(2, rng)
+        state = DensityMatrix(2, a.mat.copy())
+        assert np.allclose(state.factor()[1], np.linalg.eigvalsh(a.mat), rtol=0, atol=1e-15)
+        state.mat[...] = b.mat
+        assert np.allclose(state.factor()[1], np.linalg.eigvalsh(b.mat), rtol=0, atol=1e-15)
+
+
 class TestFidelity:
     def test_self_fidelity(self, rng):
         rho = random_density_matrix(2, rng)

@@ -311,24 +311,28 @@ class TestOneEvaluationPerEpoch:
 
     @pytest.mark.parametrize("direction", ["reverse", "forward"])
     def test_target_factorized_once_per_run(self, monkeypatch, direction):
-        calls, eigh = [], np.linalg.eigh
+        calls, eigh, svd = [], np.linalg.eigh, np.linalg.svd
 
-        def counting(m):
-            calls.append(m.shape)
-            return eigh(m)
+        def counting(name, fn):
+            def wrapper(m, *args, **kwargs):
+                calls.append((name, kwargs.get("compute_uv", True)))
+                return fn(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
         cfg = small_cfg(n_v=2, n_h=2, epochs=7, log_every=3, direction=direction)
         log = train(cfg)
         rows, evaluations = len(log.rows), cfg.epochs + 1
-        # one eigh for the target's thermal state and one for its square root
-        # (shared by the reverse loss and every logged fidelity); a logged
-        # fidelity adds the inner square root, and the forward loss inverts
-        # the model state once per evaluation
-        if direction == "reverse":
-            assert len(calls) == 1 + 1 + rows
-        else:
-            assert len(calls) == 1 + 1 + evaluations + rows
+        # one eigh for the target's Hamiltonian, whose eigenpairs are its
+        # factor for the whole run (its inverse and root factors included);
+        # one SVD of the statevector per evaluation is the model state's
+        # factor, and a logged fidelity adds only singular values
+        assert calls.count(("eigh", True)) == 1
+        assert calls.count(("svd", True)) == evaluations
+        assert calls.count(("svd", False)) == rows
+        assert len(calls) == 1 + evaluations + rows
 
     @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
     @pytest.mark.parametrize("direction", ["reverse", "forward"])
@@ -349,8 +353,8 @@ class TestOneEvaluationPerEpoch:
 class TestMetricsLog:
     def make_log(self, *extra):
         rows = [
-            MetricsRow(0, 1.0, 1.0, 0.5, 0.3, 1.0),
-            MetricsRow(1, 0.9, 0.9, 0.6, 0.2, 1.0),
+            MetricsRow(0, 1.0, 1.0, 0.5, 0.3, 0.1, 1.0),
+            MetricsRow(1, 0.9, 0.9, 0.6, 0.2, 0.1, 1.0),
             *extra,
         ]
         return MetricsLog(config_hash="ab" * 8, seed=0, rows=rows)
@@ -364,12 +368,12 @@ class TestMetricsLog:
         assert len(lines) == 3
 
     def test_validate_rejects_unsorted_epochs(self):
-        log = self.make_log(MetricsRow(1, 0.8, 0.8, 0.7, 0.1, 1.0))
+        log = self.make_log(MetricsRow(1, 0.8, 0.8, 0.7, 0.1, 0.1, 1.0))
         with pytest.raises(ValueError, match="increasing"):
             log.validate()
 
     def test_validate_rejects_non_finite(self):
-        log = self.make_log(MetricsRow(2, math.inf, 0.9, 0.6, 0.2, 1.0))
+        log = self.make_log(MetricsRow(2, math.inf, 0.9, 0.6, 0.2, 0.1, 1.0))
         with pytest.raises(ValueError, match="non-finite loss at epoch 2"):
             log.validate()
 
@@ -432,7 +436,10 @@ class TestMetricsLog:
         assert held < 12_000
 
     def test_rows_keep_every_value_exactly(self):
-        values = [(0, 0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1e-3), (7, math.pi, 2.0, 0.5, 3.0, 0.25)]
+        values = [
+            (0, 0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308, 1e-3),
+            (7, math.pi, 2.0, 0.5, 3.0, 1e-9, 0.25),
+        ]
         log = MetricsLog("ab" * 8, 0, [MetricsRow(*v) for v in values])
         back = pickle.loads(pickle.dumps(log))
         for got in (log.rows, back.rows):
@@ -443,7 +450,7 @@ class TestMetricsLog:
     def test_rows_are_a_fresh_read_only_list(self):
         log = self.make_log()
         rows = log.rows
-        rows.append(MetricsRow(2, 0.8, 0.8, 0.7, 0.1, 1.0))
+        rows.append(MetricsRow(2, 0.8, 0.8, 0.7, 0.1, 0.1, 1.0))
         rows[0].loss = 5.0
         assert len(log.rows) == 2 and log.rows[0].loss == 1.0
         with pytest.raises(AttributeError):
@@ -458,13 +465,13 @@ class TestPinnedFormats:
         [
             (
                 "uqnn", 1, 1,
-                "a6ca087b3b10f6a310a352aedf68e185f1e33b6482483dc61c78b215e5d523f2",
-                "8bc019e7c9d596d28a501b737eaccea11bbc5e634cf4355352c918c1e8df071a",
+                "ad5b569d8378710ac84e9ec6af2518bc8033da0e6ea9aa8f099327e542fa8e0e",
+                "bea53e614f06f72aa278f0a4ac2f30454251ea85be4512ec47b10801c7469d9b",
             ),
             (
                 "qbm", 2, 0,
-                "a96fcf163d3e121b768850e3158995b9c955873496ccbb0ad6b759340d94b1f0",
-                "ff1a8048dfb53a061541d7de3ab7068502bb97acb8c6aaf4573215236d1780dd",
+                "660f9da97f87a53cf2779135320ee3125a7cb10d5458a9fbf372edadfd132498",
+                "5890ac9cd12c5a47647bd190caf4138cd36513967f035cccfc82271a9d3055d8",
             ),
         ],
     )
@@ -595,19 +602,41 @@ class TestLockstepBatches:
             if fault == "linalg" and bad and len(calls) >= 3:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             ev = exact(p, rho, direction)
-            if fault == "nan" and len(calls) == 3:
+            if fault == "nan" and bad and len(calls) >= 3:
                 ev.grad[bad[0], 0] = math.nan
             return ev
 
         monkeypatch.setattr(divergence, "evaluate", faulty)
         logs, summary = run_ensemble(cfg, 5, vary="both", out_dir=str(tmp_path / "faulty"))
-        # a non-finite gradient fails the next epoch's update
-        epoch = 3 if fault == "nan" else 2
+        # a non-finite gradient fails the epoch that evaluates it
         message = "diverged gradient at index 0" if fault == "nan" else "Eigenvalues did not converge"
-        assert summary.failures == [f"run 2: epoch {epoch}: {message}"]
+        assert summary.failures == [f"run 2: epoch 2: {message}"]
         assert len(logs) == 4
         assert not (tmp_path / "faulty" / "run_002.csv").exists()
         for i in (0, 1, 3, 4):
+            assert science_files(tmp_path / "faulty", i) == science_files(tmp_path / "clean", i)
+
+    def test_non_finite_gradient_in_the_last_epoch_counts_against_the_budget(self, monkeypatch, tmp_path):
+        # no ADAM step follows the last evaluation, so the gradient is checked where it is evaluated
+        cfg = small_cfg(epochs=2)
+        run_ensemble(cfg, 5, vary="both", out_dir=str(tmp_path / "clean"))
+        bad_rho = draw_target(cfg, run_streams(cfg.seed, 1, "both")[0])[1].mat
+        exact, calls = divergence.evaluate, []
+
+        def faulty(p, rho, direction):
+            calls.append(len(rho.mat))
+            ev = exact(p, rho, direction)
+            bad = [i for i, mat in enumerate(rho.mat) if np.array_equal(mat, bad_rho)]
+            if bad and len(calls) >= 3:  # run 1 from the third batched evaluation (epoch 2, the last) on
+                ev.grad[bad[0], 4] = math.nan
+            return ev
+
+        monkeypatch.setattr(divergence, "evaluate", faulty)
+        logs, summary = run_ensemble(cfg, 5, vary="both", out_dir=str(tmp_path / "faulty"))
+        assert summary.failures == ["run 1: epoch 2: diverged gradient at index 4"]
+        assert summary.n_runs == 5 and len(logs) == 4
+        assert not (tmp_path / "faulty" / "run_001.csv").exists()
+        for i in (0, 2, 3, 4):
             assert science_files(tmp_path / "faulty", i) == science_files(tmp_path / "clean", i)
 
     def test_jobs_split_runs_into_chunks_without_changing_files(self, tmp_path):
