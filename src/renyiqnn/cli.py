@@ -7,12 +7,13 @@ validate (self-check suites: swap, grad, mc), and mc-estimate (shot-based
 gradient estimate vs its exact value).
 
 Exit codes: 0 success, 1 config error (bad JSON, unknown keys, missing or
-wrong schema_version, invalid values, usage errors), 2 runtime failure,
-3 one or more validation checks failed.
+wrong schema_version, an invalid value in the config or on the command
+line, usage errors such as a flag the subcommand does not take), 2 runtime
+failure, 3 one or more validation checks failed.
 
-Every command that writes an output directory also writes the exact
-resolved config (all defaults filled in) so the run can be repeated from
-the artifact alone.
+Each experiment's config keys, with their defaults and checks, live in one
+table (`TABLES`). A command runs from the dict `resolve_config` returns and
+writes that same dict as config.json, so the run can be repeated from it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +51,15 @@ from .swaptest import (
     swap_test_probability,
     trace_power_estimate,
 )
-from .training import TrainConfig, TrainingError, default_std_single, run_ensemble, target_hamiltonian
+from .training import (
+    TrainConfig,
+    TrainingError,
+    default_std_single,
+    is_integer,
+    is_number,
+    run_ensemble,
+    target_hamiltonian,
+)
 
 SCHEMA_VERSION = 1
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "configs")
@@ -72,7 +81,162 @@ def bundled_config_path(name: str) -> str:
     return os.path.join(CONFIG_DIR, name)
 
 
-def _load_json(path: str) -> dict:
+# ------------------------------------------------------------ config tables
+#
+# A table maps each key to (default, check). The default is a value,
+# REQUIRED, or a function of the keys resolved before it; the check takes
+# the key's dotted name and its value and returns the resolved value.
+
+REQUIRED = object()
+
+
+def _need(ok, what: str):
+    """The check of a plain value: `ok(value)` must hold, and the value is kept as given."""
+
+    def check(key: str, value):
+        if not ok(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return value
+
+    return check
+
+
+def _one_of(*choices):
+    return _need(lambda v: v in choices, "one of " + ", ".join(map(repr, choices)))
+
+
+def _fixed(value):
+    """A required table entry that accepts `value` and nothing else."""
+    return REQUIRED, _need(lambda v: type(v) is type(value) and v == value, repr(value))
+
+
+def _object(resolve):
+    """The check of a nested block: it must be a JSON object, resolved by `resolve(key, value)`."""
+
+    def check(key: str, value):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object, got {value!r}")
+        return resolve(key, value)
+
+    return check
+
+
+def _train(kind: str):
+    """The check of a train block: a TrainConfig of model kind `kind`, as its full field dict."""
+
+    def resolve(key: str, value: dict) -> dict:
+        try:
+            cfg = TrainConfig.from_json_dict(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        if cfg.kind != kind:
+            raise ConfigError(f"{key}.kind must be {kind!r} for this experiment, got {cfg.kind!r}")
+        return cfg.to_json_dict()
+
+    return _object(resolve)
+
+
+_COUNT = _need(lambda v: is_integer(v) and v >= 1, "a positive integer")
+_NATURAL = _need(lambda v: is_integer(v) and v >= 0, "a nonnegative integer")
+_NUMBER = _need(is_number, "a number")
+_POSITIVE = _need(lambda v: is_number(v) and v > 0, "a positive number")
+_PATH = _need(lambda v: isinstance(v, str) and v != "", "a nonempty path")
+
+_TARGET = {
+    "locality": (2, _need(lambda v: is_integer(v) and v in (2, 3), "2 or 3")),
+    "tau": (1.0, _POSITIVE),
+    "std_single": (lambda t: default_std_single(t["locality"]), _NUMBER),
+    "std_pair": (1.0, _NUMBER),
+}
+_TARGET_BLOCK = _object(lambda key, value: _resolve(_TARGET, value, key + "."))
+
+
+def _learn_table(experiment: str, kind: str) -> dict:
+    return {
+        "train": (REQUIRED, _train(kind)),
+        "n_runs": (REQUIRED, _COUNT),
+        "full_n_runs": (lambda c: c["n_runs"], _COUNT),
+        "vary": ("both", _one_of("target", "init", "both")),
+        "out_dir": (lambda c: f"runs/{experiment}_{TrainConfig(**c['train']).config_hash()}", _PATH),
+    }
+
+
+TABLES = {
+    "thermal-learn": _learn_table("thermal-learn", "uqnn"),
+    "ham-learn": _learn_table("ham-learn", "qbm"),
+    "plateau-scan": {
+        "seed": (0, _NATURAL),
+        "n_v": (REQUIRED, _COUNT),
+        "n_h_list": (
+            REQUIRED,
+            _need(lambda v: isinstance(v, list) and all(is_integer(x) and x >= 0 for x in v),
+                  "a list of nonnegative integers"),
+        ),
+        "ensemble": (REQUIRED, _COUNT),
+        "target": ({}, _TARGET_BLOCK),
+        "layout": ("exhaustive", _one_of(*LAYOUTS)),
+        "repetitions": (1, _COUNT),
+        "out_dir": (lambda c: f"runs/plateau_scan_seed{c['seed']}", _PATH),
+    },
+    "mc-estimate": {
+        "seed": (0, _NATURAL),
+        "n_v": (REQUIRED, _COUNT),
+        "n_h": (0, _NATURAL),
+        "k": (1, _COUNT),
+        "shots": (100000, _COUNT),
+        "q_max": (DEFAULT_Q_MAX, _NATURAL),
+        "target": ({}, _TARGET_BLOCK),
+        "target_alpha_norm": (
+            None,
+            _need(lambda v: v is None or (is_number(v) and 0 < v <= ALPHA_NORM_GUARD),
+                  f"null or a number in (0, {ALPHA_NORM_GUARD:g}]"),
+        ),
+        "out_dir": (None, lambda key, v: v if v is None else _PATH(key, v)),
+    },
+    "validate": {
+        "kind": (None, _one_of(None, "swap", "grad", "mc")),
+        "seed": (0, _NATURAL),
+        "n_instances": (12, _COUNT),
+        "fd_tol": (1e-6, _POSITIVE),
+    },
+}
+
+
+def _resolve(table: dict, doc: dict, where: str = "") -> dict:
+    """Every key of `table`: its value in `doc`, else its default, passed through its check."""
+    out = {}
+    for key, (default, check) in table.items():
+        if key in doc:
+            value = doc[key]
+        elif default is REQUIRED:
+            raise ConfigError(f"config lacks {where}{key}")
+        else:
+            value = default(out) if callable(default) else default
+        out[key] = check(where + key, value)
+    unknown = sorted(set(doc) - set(table))
+    if unknown:
+        raise ConfigError(f"{where[:-1] or 'config'} has unknown keys: {', '.join(unknown)}")
+    return out
+
+
+def resolve_config(doc: dict, experiment: str, overrides: dict | None = None) -> dict:
+    """The config one run of `experiment` reads and writes as config.json.
+
+    `overrides` maps a key, or "block.key" in a nested block, to a flag's
+    value (None: not given); they are set before every key is checked.
+    Values are kept exactly as given; a resolved dict resolves to itself.
+    """
+    doc = dict(doc)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            block, _, sub = key.partition(".")
+            doc[block] = {**doc.get(block, {}), sub: value} if sub else value
+    table = {"schema_version": _fixed(SCHEMA_VERSION), "experiment": _fixed(experiment), **TABLES[experiment]}
+    return _resolve(table, doc)
+
+
+def load_experiment_config(path: str, experiment: str) -> dict:
+    """Read a config document for one subcommand and check every key; returns the document as read."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -82,59 +246,8 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    resolve_config(doc, experiment)
     return doc
-
-
-_TOP_KEYS = {
-    "thermal-learn": {"schema_version", "experiment", "train", "n_runs", "full_n_runs", "vary", "out_dir"},
-    "ham-learn": {"schema_version", "experiment", "train", "n_runs", "full_n_runs", "vary", "out_dir"},
-    "plateau-scan": {
-        "schema_version", "experiment", "out_dir", "seed", "n_v", "n_h_list",
-        "ensemble", "target", "layout", "repetitions",
-    },
-    "mc-estimate": {
-        "schema_version", "experiment", "out_dir", "seed", "n_v", "n_h", "k",
-        "shots", "q_max", "target", "target_alpha_norm",
-    },
-    "validate": {"schema_version", "experiment", "kind", "seed", "n_instances", "fd_tol"},
-}
-_TARGET_KEYS = {"locality", "tau", "std_single", "std_pair"}
-
-
-def load_experiment_config(path: str, experiment: str) -> dict:
-    """Parse and schema-check a config document for one subcommand."""
-    doc = _load_json(path)
-    version = doc.get("schema_version")
-    if version is None:
-        raise ConfigError(f"config {path} lacks schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"config {path} has schema_version {version!r}, expected {SCHEMA_VERSION}")
-    kind = doc.get("experiment")
-    if kind != experiment:
-        raise ConfigError(f"config {path} is for experiment {kind!r}, not {experiment!r}")
-    allowed = _TOP_KEYS[experiment]
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"config {path} has unknown keys: {', '.join(unknown)}")
-    target = doc.get("target", {})
-    if not isinstance(target, dict):
-        raise ConfigError("target must be an object")
-    bad = sorted(set(target) - _TARGET_KEYS)
-    if bad:
-        raise ConfigError(f"target has unknown keys: {', '.join(bad)}")
-    return doc
-
-
-def _train_config(doc: dict, path: str) -> TrainConfig:
-    train = doc.get("train")
-    if not isinstance(train, dict):
-        raise ConfigError(f"config {path} lacks a train object")
-    try:
-        return TrainConfig.from_json_dict(train)
-    except TypeError as exc:
-        raise ConfigError(f"config {path} train block: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config {path} train block: {exc}") from exc
 
 
 def _write_resolved(out_dir: str, doc: dict) -> None:
@@ -144,39 +257,8 @@ def _write_resolved(out_dir: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _seed(args: argparse.Namespace, doc: dict) -> int:
-    """The command-line seed, else the config's, else 0."""
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
-
-
-def _target_spec(target: dict) -> dict:
-    """The target recipe with every default filled in, as resolved configs record it."""
-    locality = target.get("locality", 2)
-    if locality not in (2, 3):
-        raise ConfigError("target locality must be 2 or 3")
-    spec = {
-        "locality": locality,
-        "tau": target.get("tau", 1.0),
-        "std_single": target.get("std_single", default_std_single(locality)),
-        "std_pair": target.get("std_pair", 1.0),
-    }
-    bad = [k for k in ("tau", "std_single", "std_pair") if not _is_number(spec[k])]
-    if bad:
-        raise ConfigError(f"target {bad[0]} must be a number, got {spec[bad[0]]!r}")
-    if spec["tau"] <= 0:
-        raise ConfigError("target tau must be positive")
-    return spec
-
-
 def _target_hamiltonian(n: int, target: dict, rng: np.random.Generator) -> LCUHamiltonian:
-    return target_hamiltonian(n, rng, **_target_spec(target))
+    return target_hamiltonian(n, rng, **_TARGET_BLOCK("target", target))
 
 
 def _scale_alpha_norm(h: LCUHamiltonian, alpha_norm: float) -> LCUHamiltonian:
@@ -190,44 +272,24 @@ def _scale_alpha_norm(h: LCUHamiltonian, alpha_norm: float) -> LCUHamiltonian:
 # ---------------------------------------------------------------- train cmds
 
 
-def _cmd_learn(args: argparse.Namespace, experiment: str, kind: str) -> int:
+def cmd_learn(args: argparse.Namespace) -> int:
+    experiment = args.command
     doc = load_experiment_config(args.config, experiment)
-    cfg = _train_config(doc, args.config)
-    if cfg.kind != kind:
-        raise ConfigError(f"{experiment} requires train.kind {kind!r}, got {cfg.kind!r}")
-
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.epochs is not None:
-        cfg = replace(cfg, epochs=args.epochs)
-    n_runs = doc.get("n_runs")
-    if not isinstance(n_runs, int) or n_runs < 1:
-        raise ConfigError("n_runs must be a positive integer")
-    full_n_runs = doc.get("full_n_runs", n_runs)
-    if args.full:
-        n_runs = full_n_runs
-    if args.runs is not None:
-        n_runs = args.runs
-        if n_runs < 1:
-            raise ConfigError("--runs must be >= 1")
-    vary = doc.get("vary", "both")
-    if vary not in ("target", "init", "both"):
-        raise ConfigError(f"unknown vary mode {vary!r}")
-    out_dir = args.out or doc.get("out_dir") or f"runs/{experiment}_{cfg.config_hash()}"
-    jobs = args.jobs or os.cpu_count() or 1
-
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": experiment,
-        "train": cfg.to_json_dict(),
-        "n_runs": n_runs,
-        "full_n_runs": full_n_runs,
-        "vary": vary,
-        "out_dir": out_dir,
-    }
+    # --runs, else --full, picks the ensemble size; the config's full size is kept as it was
+    full_n_runs = resolve_config(doc, experiment)["full_n_runs"]
+    runs = args.runs if args.runs is not None else full_n_runs if args.full else None
+    resolved = resolve_config(
+        doc,
+        experiment,
+        {"train.seed": args.seed, "train.epochs": args.epochs, "n_runs": runs,
+         "full_n_runs": full_n_runs, "out_dir": args.out},
+    )
+    jobs = _NATURAL("--jobs", args.jobs or 0) or os.cpu_count() or 1
+    cfg = TrainConfig(**resolved["train"])
+    n_runs, out_dir = resolved["n_runs"], resolved["out_dir"]
     _write_resolved(out_dir, resolved)
 
-    logs, summary = run_ensemble(cfg, n_runs, vary=vary, jobs=jobs, out_dir=out_dir)
+    logs, summary = run_ensemble(cfg, n_runs, vary=resolved["vary"], jobs=jobs, out_dir=out_dir)
     fid0 = summary.stats["fidelity_mean"][0]
     fid1 = summary.final("fidelity_mean")
     print(
@@ -240,58 +302,22 @@ def _cmd_learn(args: argparse.Namespace, experiment: str, kind: str) -> int:
     return 0
 
 
-def cmd_thermal_learn(args: argparse.Namespace) -> int:
-    return _cmd_learn(args, "thermal-learn", "uqnn")
-
-
-def cmd_ham_learn(args: argparse.Namespace) -> int:
-    return _cmd_learn(args, "ham-learn", "qbm")
-
-
 # ------------------------------------------------------------- plateau-scan
 
 
 def cmd_plateau_scan(args: argparse.Namespace) -> int:
     doc = load_experiment_config(args.config, "plateau-scan")
-    seed = _seed(args, doc)
-    n_v = doc.get("n_v")
-    n_h_list = doc.get("n_h_list")
-    ensemble = doc.get("ensemble")
-    if not isinstance(n_v, int) or n_v < 1:
-        raise ConfigError("n_v must be a positive integer")
-    if not isinstance(n_h_list, list) or not all(isinstance(x, int) and x >= 0 for x in n_h_list):
-        raise ConfigError("n_h_list must be a list of nonnegative integers")
-    if not isinstance(ensemble, int) or ensemble < 1:
-        raise ConfigError("ensemble must be a positive integer")
-    target_doc = doc.get("target", {})
-    layout = doc.get("layout", "exhaustive")
-    repetitions = doc.get("repetitions", 1)
-    if layout not in LAYOUTS:
-        raise ConfigError(f"layout must be one of {', '.join(LAYOUTS)}, got {layout!r}")
-    if not isinstance(repetitions, int) or repetitions < 1:
-        raise ConfigError("repetitions must be a positive integer")
-    out_dir = args.out or doc.get("out_dir") or f"runs/plateau_scan_seed{seed}"
+    cfg = resolve_config(doc, "plateau-scan", {"seed": args.seed, "out_dir": args.out})
+    n_v, n_h_list, out_dir = cfg["n_v"], cfg["n_h_list"], cfg["out_dir"]
 
-    target_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
-    scan_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 1)))
-    target = _target_hamiltonian(n_v, target_doc, target_rng)
+    target_rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(0, 0)))
+    scan_rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(0, 1)))
+    target = target_hamiltonian(n_v, target_rng, **cfg["target"])
     report = init_gradient_scan(
-        n_v, target, n_h_list, ensemble, scan_rng, layout=layout, repetitions=repetitions
+        n_v, target, n_h_list, cfg["ensemble"], scan_rng, layout=cfg["layout"], repetitions=cfg["repetitions"]
     )
 
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "plateau-scan",
-        "seed": seed,
-        "n_v": n_v,
-        "n_h_list": n_h_list,
-        "ensemble": ensemble,
-        "target": _target_spec(target_doc),
-        "layout": layout,
-        "repetitions": repetitions,
-        "out_dir": out_dir,
-    }
-    _write_resolved(out_dir, resolved)
+    _write_resolved(out_dir, cfg)
     report.save_json(os.path.join(out_dir, "report.json"))
     report.to_csv(os.path.join(out_dir, "report.csv"))
     for n_h in n_h_list:
@@ -306,59 +332,28 @@ def cmd_plateau_scan(args: argparse.Namespace) -> int:
 
 def cmd_mc_estimate(args: argparse.Namespace) -> int:
     doc = load_experiment_config(args.config, "mc-estimate")
-    seed = _seed(args, doc)
-    n_v = doc.get("n_v")
-    n_h = doc.get("n_h", 0)
-    k = doc.get("k", 1)
-    shots = doc.get("shots", 100000)
-    q_max = doc.get("q_max", DEFAULT_Q_MAX)
-    alpha_norm = doc.get("target_alpha_norm")
-    if not isinstance(n_v, int) or n_v < 1:
-        raise ConfigError("n_v must be a positive integer")
-    if not isinstance(n_h, int) or n_h < 0:
-        raise ConfigError("n_h must be a nonnegative integer")
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError("k must be a positive integer")
-    if not isinstance(shots, int) or shots < 1:
-        raise ConfigError("shots must be a positive integer")
-    if not isinstance(q_max, int) or q_max < 0:
-        raise ConfigError("q_max must be a nonnegative integer")
-    if alpha_norm is not None and not (_is_number(alpha_norm) and 0 < alpha_norm <= ALPHA_NORM_GUARD):
-        raise ConfigError(f"target_alpha_norm must lie in (0, {ALPHA_NORM_GUARD:g}]")
+    cfg = resolve_config(doc, "mc-estimate", {"seed": args.seed, "out_dir": args.out})
+    seed, k, shots, out_dir = cfg["seed"], cfg["k"], cfg["shots"], cfg["out_dir"]
 
     target_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
     init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 1)))
     shot_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 2)))
-    target = _target_hamiltonian(n_v, doc.get("target", {}), target_rng)
-    if alpha_norm is not None:
-        target = _scale_alpha_norm(target, alpha_norm)
-    p = build_uqnn(n_v, n_h, init_rng)
+    target = target_hamiltonian(cfg["n_v"], target_rng, **cfg["target"])
+    if cfg["target_alpha_norm"] is not None:
+        target = _scale_alpha_norm(target, cfg["target_alpha_norm"])
+    p = build_uqnn(cfg["n_v"], cfg["n_h"], init_rng)
     if not 1 <= k <= len(p.thetas):
         raise ConfigError(f"k={k} out of range 1..{len(p.thetas)}")
 
-    est = mc_reverse_gradient_thermal(p, target, k, shots, shot_rng, q_max=q_max)
+    est = mc_reverse_gradient_thermal(p, target, k, shots, shot_rng, q_max=cfg["q_max"])
     exact = float(uqnn_grad_reverse(p, thermal_state(target))[k - 1])
     z = (est.mean - exact) / est.std_error if est.std_error > 0 else 0.0
     print(
         f"mc-estimate: k={k} shots={shots} estimate {est.mean:.6f} +- {est.std_error:.6f}, "
         f"exact {exact:.6f}, z = {z:+.2f}"
     )
-    out_dir = args.out or doc.get("out_dir")
-    if out_dir:
-        resolved = {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": "mc-estimate",
-            "seed": seed,
-            "n_v": n_v,
-            "n_h": n_h,
-            "k": k,
-            "shots": shots,
-            "q_max": q_max,
-            "target": _target_spec(doc.get("target", {})),
-            "target_alpha_norm": alpha_norm,
-            "out_dir": out_dir,
-        }
-        _write_resolved(out_dir, resolved)
+    if out_dir is not None:
+        _write_resolved(out_dir, cfg)
         with open(os.path.join(out_dir, "estimate.json"), "w") as fh:
             json.dump(
                 {
@@ -517,35 +512,23 @@ def _mc_checks(n_instances: int, rng: np.random.Generator) -> list[CheckResult]:
         )
     return results
 
-
 def cmd_validate(args: argparse.Namespace) -> int:
     kind = args.kind
-    n_instances = args.n_instances
-    fd_tol = args.fd_tol
-    doc = {}
+    doc = {"schema_version": SCHEMA_VERSION, "experiment": "validate"}
     if args.config:
         doc = load_experiment_config(args.config, "validate")
-        if doc.get("kind") not in (None, kind):
-            raise ConfigError(f"config kind {doc.get('kind')!r} does not match {kind!r}")
-        if n_instances is None:
-            n_instances = doc.get("n_instances")
-        if fd_tol is None:
-            fd_tol = doc.get("fd_tol")
-    seed = _seed(args, doc)
-    if n_instances is None:
-        n_instances = 12
-    if fd_tol is None:
-        fd_tol = 1e-6
-    if not isinstance(n_instances, int) or n_instances < 1:
-        raise ConfigError("--n-instances must be >= 1")
-    if not _is_number(fd_tol) or fd_tol <= 0:
-        raise ConfigError("--fd-tol must be positive")
+    cfg = resolve_config(
+        doc, "validate", {"seed": args.seed, "n_instances": args.n_instances, "fd_tol": args.fd_tol}
+    )
+    if cfg["kind"] not in (None, kind):
+        raise ConfigError(f"config kind {cfg['kind']!r} does not match {kind!r}")
+    n_instances = cfg["n_instances"]
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 9)))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(0, 9)))
     if kind == "swap":
         results = _swap_checks(n_instances, rng)
     elif kind == "grad":
-        results = _grad_checks(n_instances, fd_tol, rng)
+        results = _grad_checks(n_instances, cfg["fd_tol"], rng)
     else:
         results = _mc_checks(n_instances, rng)
 
@@ -569,42 +552,38 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the flags its command reads."""
     parser = _Parser(prog="renyiqnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
+    def command(name: str, func, help: str, config_required: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=config_required, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=None, help="parallel ensemble workers")
+        p.set_defaults(func=func)
+        return p
+
+    def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="override the output directory")
+
+    for name, help in (
+        ("thermal-learn", "train circuit models against thermal targets"),
+        ("ham-learn", "train Boltzmann models against thermal targets"),
+    ):
+        p = command(name, cmd_learn, help)
+        add_out(p)
+        p.add_argument("--jobs", type=int, default=None, help="parallel ensemble workers (0: one per core)")
         p.add_argument("--full", action="store_true", help="use the config's full ensemble size")
+        p.add_argument("--epochs", type=int, default=None, help="override train.epochs")
+        p.add_argument("--runs", type=int, default=None, help="override the ensemble size")
 
-    p_th = sub.add_parser("thermal-learn", help="train circuit models against thermal targets")
-    add_common(p_th)
-    p_th.add_argument("--epochs", type=int, default=None, help="override train.epochs")
-    p_th.add_argument("--runs", type=int, default=None, help="override the ensemble size")
-    p_th.set_defaults(func=cmd_thermal_learn)
+    add_out(command("plateau-scan", cmd_plateau_scan, "epoch-0 gradient statistics over random inits"))
+    add_out(command("mc-estimate", cmd_mc_estimate, "shot-based gradient estimate vs exact value"))
 
-    p_hl = sub.add_parser("ham-learn", help="train Boltzmann models against thermal targets")
-    add_common(p_hl)
-    p_hl.add_argument("--epochs", type=int, default=None, help="override train.epochs")
-    p_hl.add_argument("--runs", type=int, default=None, help="override the ensemble size")
-    p_hl.set_defaults(func=cmd_ham_learn)
-
-    p_ps = sub.add_parser("plateau-scan", help="epoch-0 gradient statistics over random inits")
-    add_common(p_ps)
-    p_ps.set_defaults(func=cmd_plateau_scan)
-
-    p_mc = sub.add_parser("mc-estimate", help="shot-based gradient estimate vs exact value")
-    add_common(p_mc)
-    p_mc.set_defaults(func=cmd_mc_estimate)
-
-    p_va = sub.add_parser("validate", help="run a self-check suite")
+    p_va = command("validate", cmd_validate, "run a self-check suite", config_required=False)
     p_va.add_argument("kind", choices=["swap", "grad", "mc"], help="which suite to run")
-    add_common(p_va, config_required=False)
     p_va.add_argument("--n-instances", type=int, default=None, help="checks per suite")
     p_va.add_argument("--fd-tol", type=float, default=None, help="absolute FD tolerance (rel = 100x)")
-    p_va.set_defaults(func=cmd_validate)
     return parser
 
 

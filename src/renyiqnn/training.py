@@ -28,7 +28,7 @@ import time
 import zlib
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -106,6 +106,25 @@ def adam_step(
     return new_state, new_params
 
 
+def is_integer(x) -> bool:
+    """An integer that is not a bool (JSON true and false load as Python bools, which are ints)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    """A finite real number that is not a bool (JSON configs may hold NaN and Infinity)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# TrainConfig checks each field against its annotation ("float | None" also takes None)
+_FIELD_CHECKS = {
+    "int": (is_integer, "an integer"),
+    "float": (is_number, "a number"),
+    "bool": (lambda x: isinstance(x, bool), "a bool"),
+    "str": (lambda x: isinstance(x, str), "a string"),
+}
+
+
 @dataclass
 class TrainConfig:
     """Everything one seeded run needs: model, target recipe, optimizer knobs.
@@ -140,13 +159,12 @@ class TrainConfig:
     normalize_init: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("n_v", "n_h", "epochs", "seed", "log_every", "target_locality", "repetitions"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("lr", "l2_penalty", "tau", "target_std_single", "target_std_pair", "target_reg"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) and not (name == "target_std_single" and value is None):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            base, _, optional = f.type.partition(" | ")
+            ok, what = _FIELD_CHECKS[base]
+            if not (ok(value) or (optional and value is None)):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.kind not in ("uqnn", "qbm"):

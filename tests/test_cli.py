@@ -4,11 +4,14 @@ import time
 import pytest
 
 from renyiqnn.cli import (
+    TABLES,
     ConfigError,
     bundled_config_path,
     load_experiment_config,
     main,
+    resolve_config,
 )
+from renyiqnn.training import TrainConfig
 
 BUNDLED = [
     ("fig2_3v3h.json", "thermal-learn"),
@@ -58,6 +61,16 @@ class TestBundledConfigs:
     def test_wrong_experiment_rejected(self):
         with pytest.raises(ConfigError, match="experiment"):
             load_experiment_config(bundled_config_path("fig2_3v3h.json"), "ham-learn")
+
+    @pytest.mark.parametrize("name,experiment", BUNDLED)
+    def test_resolving_is_a_fixed_point(self, name, experiment):
+        resolved = resolve_config(load_experiment_config(bundled_config_path(name), experiment), experiment)
+        assert resolve_config(resolved, experiment) == resolved
+        assert set(resolved) == {"schema_version", "experiment", *TABLES[experiment]}
+        if "train" in resolved:
+            assert set(resolved["train"]) == set(TrainConfig.__dataclass_fields__)
+        if "target" in resolved:
+            assert set(resolved["target"]) == {"locality", "tau", "std_single", "std_pair"}
 
 
 class TestLearnCommand:
@@ -153,9 +166,10 @@ class TestLegacyConfig:
 
 
 class TestConfigErrors:
-    def exit_code(self, tmp_path, doc, experiment="thermal-learn", name="bad.json"):
+    def exit_code(self, tmp_path, doc, experiment="thermal-learn", name="bad.json", flags=()):
         cfg = write_config(tmp_path, doc, name)
-        return main([experiment, "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"])
+        jobs = ["--jobs", "1"] if experiment.endswith("-learn") else []
+        return main([experiment, "--config", cfg, "--out", str(tmp_path / "o"), *jobs, *flags])
 
     def test_missing_schema_version(self, tmp_path, capsys):
         doc = thermal_doc()
@@ -223,6 +237,15 @@ class TestConfigErrors:
             ("plateau_3v.json", "plateau-scan", "target.std_single", "x"),
             ("fig2_3v3h.json", "thermal-learn", "train.n_v", 1.5),
             ("fig2_3v3h.json", "thermal-learn", "train.seed", "x"),
+            ("fig2_3v3h.json", "thermal-learn", "full_n_runs", "x"),
+            ("fig2_3v3h.json", "thermal-learn", "full_n_runs", 0),
+            ("fig2_3v3h.json", "thermal-learn", "n_runs", True),
+            ("plateau_3v.json", "plateau-scan", "ensemble", True),
+            ("plateau_3v.json", "plateau-scan", "n_h_list", [True]),
+            ("mc_2q.json", "mc-estimate", "n_v", True),
+            ("mc_2q.json", "mc-estimate", "shots", True),
+            ("fig2_3v3h.json", "thermal-learn", "train.lr", float("nan")),
+            ("mc_2q.json", "mc-estimate", "target.std_pair", float("inf")),
         ],
     )
     def test_invalid_bundled_value(self, tmp_path, capsys, name, experiment, key, value):
@@ -236,6 +259,33 @@ class TestConfigErrors:
         assert self.exit_code(tmp_path, doc, experiment) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("experiment,name", [("thermal-learn", "fig2_3v3h.json"), ("ham-learn", "fig3_tau10.json")])
+    @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--seed", "-1"], ["--jobs", "-1"]], ids="".join)
+    def test_invalid_flag_value(self, tmp_path, capsys, experiment, name, flags):
+        cfg = bundled_config_path(name)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plateau-scan", "--config", bundled_config_path("plateau_3v.json"), "--jobs", "2"],
+            ["plateau-scan", "--config", bundled_config_path("plateau_3v.json"), "--full"],
+            ["mc-estimate", "--config", bundled_config_path("mc_2q.json"), "--jobs", "2"],
+            ["mc-estimate", "--config", bundled_config_path("mc_2q.json"), "--full"],
+            ["validate", "swap", "--jobs", "2"],
+            ["validate", "swap", "--full"],
+            ["validate", "swap", "--out", "o"],
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestRuntimeFailures:
@@ -346,28 +396,25 @@ class TestMCEstimate:
 
 
 class TestValidate:
-    def test_swap_suite_passes(self, tmp_path, capsys):
-        rc = main(["validate", "swap", "--n-instances", "6", "--out", str(tmp_path / "o")])
+    def test_swap_suite_passes(self, capsys):
+        rc = main(["validate", "swap", "--n-instances", "6"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_grad_suite_passes(self, tmp_path, capsys):
-        rc = main(["validate", "grad", "--n-instances", "6", "--out", str(tmp_path / "o")])
+    def test_grad_suite_passes(self, capsys):
+        rc = main(["validate", "grad", "--n-instances", "6"])
         assert rc == 0
 
     def test_grad_suite_passes_at_defaults(self, capsys):
         assert main(["validate", "grad"]) == 0
         assert "45/45 checks passed" in capsys.readouterr().out
 
-    def test_mc_suite_passes(self, tmp_path, capsys):
-        rc = main(["validate", "mc", "--n-instances", "4", "--out", str(tmp_path / "o")])
+    def test_mc_suite_passes(self, capsys):
+        rc = main(["validate", "mc", "--n-instances", "4"])
         assert rc == 0
 
-    def test_impossible_tolerance_exits_three(self, tmp_path, capsys):
-        rc = main(
-            ["validate", "grad", "--n-instances", "4", "--fd-tol", "1e-15",
-             "--out", str(tmp_path / "o")]
-        )
+    def test_impossible_tolerance_exits_three(self, capsys):
+        rc = main(["validate", "grad", "--n-instances", "4", "--fd-tol", "1e-15"])
         assert rc == 3
         err = capsys.readouterr().err
         payload = json.loads(err[err.index("[") :])

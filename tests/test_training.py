@@ -103,6 +103,16 @@ class TestTrainConfig:
             small_cfg(tau="x")
         with pytest.raises(ValueError, match="seed must be >= 0"):
             small_cfg(seed=-1)
+        with pytest.raises(ValueError, match="n_v must be an integer, got True"):
+            small_cfg(n_v=True)
+        with pytest.raises(ValueError, match="epochs must be an integer, got True"):
+            small_cfg(epochs=True)
+        with pytest.raises(ValueError, match="lr must be a number, got True"):
+            small_cfg(lr=True)
+        with pytest.raises(ValueError, match="normalize_init must be a bool, got 'no'"):
+            small_cfg(normalize_init="no")
+        with pytest.raises(ValueError, match="lr must be a number, got nan"):
+            small_cfg(lr=math.nan)
 
     def test_hash_stable_and_sensitive(self):
         a, b = small_cfg(), small_cfg()
@@ -175,7 +185,7 @@ class TestDrawTarget:
     def test_cli_recipe_draws_the_same_target(self, locality):
         cfg = small_cfg(n_v=3, target_locality=locality, tau=2.0)
         recipe = {"locality": locality, "tau": 2.0}
-        assert cli._target_spec(recipe)["std_single"] == cfg.resolved_std_single()
+        assert cli._TARGET_BLOCK("target", recipe)["std_single"] == cfg.resolved_std_single()
         h_train, _ = draw_target(cfg, np.random.default_rng(4))
         h_cli = cli._target_hamiltonian(3, recipe, np.random.default_rng(4))
         assert [t.axes for t in h_train.terms] == [t.axes for t in h_cli.terms]
