@@ -34,11 +34,12 @@ from .hamiltonians import pauli_traces
 from .models import QBMParams, UQNNParams, qbm_thermal, uqnn_statevector
 from .states import DensityMatrix
 
-DEFAULT_REL_CUTOFF = 1e-12
+REL_CUTOFF = 1e-12  # an inverted state is singular below this ratio of its extreme eigenvalues
+_IMAG_TOL = 1e-9  # relative imaginary residue a real trace may carry
 
 
 class SingularStateError(ValueError):
-    """Raised when an inverted state is rank-deficient beyond the cutoff."""
+    """Raised when an inverted state's smallest eigenvalue is below REL_CUTOFF times its largest."""
 
     def __init__(self, msg: str, conditioning: float):
         super().__init__(f"{msg} (smallest eigenvalue {conditioning:.3e})")
@@ -63,30 +64,25 @@ def _inverse(u: np.ndarray, s: np.ndarray) -> np.ndarray:
         return u / np.sqrt(s)[..., None, :]
 
 
-def _extremes(u: np.ndarray, s: np.ndarray) -> tuple[list, float | np.ndarray]:
-    """[smallest, largest] eigenvalue per member, and the smallest alone as the conditioning figure."""
-    smin = s.min(axis=-1)
-    return np.stack([smin, s.max(axis=-1)], axis=-1).reshape(-1, 2).tolist(), (float(smin) if smin.ndim == 0 else smin)
+def _checked_inverse(state: DensityMatrix, what: str) -> float | np.ndarray:
+    """The smallest eigenvalue of a state about to be inverted, per member; singular below REL_CUTOFF of the largest."""
+    s = state.factor()[1]
+    smin, smax = s.min(axis=-1), s.max(axis=-1)
+    for lo, hi in zip(smin.reshape(-1).tolist(), smax.reshape(-1).tolist()):
+        if hi <= 0.0 or lo < REL_CUTOFF * hi:
+            raise SingularStateError(f"singular {what}", lo)
+    return float(smin) if smin.ndim == 0 else smin
 
 
-def _checked_inverse(state: DensityMatrix, rel_cutoff: float, what: str) -> float | np.ndarray:
-    """The smallest eigenvalue of the factor of a state about to be inverted, per member; raises if singular."""
-    ends, conditioning = state.derived(_extremes)
-    for smin, smax in ends:
-        if smax <= 0.0 or smin < rel_cutoff * smax:
-            raise SingularStateError(f"singular {what}", smin)
-    return conditioning
-
-
-def _real_trace(m: np.ndarray, tol: float = 1e-9) -> float | np.ndarray:
+def _real_trace(m: np.ndarray) -> float | np.ndarray:
     """Real Tr m, one per member of a stack; an imaginary part beyond roundoff raises."""
     t = np.trace(m, axis1=-2, axis2=-1)
     for i, z in enumerate(t.reshape(-1).tolist()):
         # roundoff in Tr of a product scales with the operand norms, not the
         # result; the norm is needed only where the residue beats max(1, |Re|)
-        if abs(z.imag) > tol * max(1.0, abs(z.real)):
+        if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z.real)):
             norm = float(np.linalg.norm(m.reshape((-1,) + m.shape[-2:])[i]))
-            if abs(z.imag) > tol * max(1.0, norm, abs(z.real)):
+            if abs(z.imag) > _IMAG_TOL * max(1.0, norm, abs(z.real)):
                 raise ArithmeticError(f"trace expression has imaginary residue {z.imag:.3e}")
     return float(t.real) if t.ndim == 0 else t.real
 
@@ -101,7 +97,7 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _renyi2_kernel(
-    sigma_v: DensityMatrix, target: DensityMatrix, direction: str, rel_cutoff: float
+    sigma_v: DensityMatrix, target: DensityMatrix, direction: str
 ) -> tuple[np.ndarray, LossValue, float]:
     """(Q', loss, sign) with d D2 = sign Tr(d sigma_v Q) / loss.numerator, per member of a stack.
 
@@ -119,10 +115,10 @@ def _renyi2_kernel(
     """
     u, p = sigma_v.factor()
     if direction == "reverse":
-        wmin = _checked_inverse(target, rel_cutoff, "target state")
+        wmin = _checked_inverse(target, "target state")
         c = _dagger(u) @ target.derived(_inverse)
     elif direction == "forward":
-        wmin = _checked_inverse(sigma_v, rel_cutoff, "model state")
+        wmin = _checked_inverse(sigma_v, "model state")
         c = _dagger(u) @ target.mat
     else:
         raise ValueError(f"unknown direction {direction!r}")
@@ -143,18 +139,14 @@ def _standard_basis(state: DensityMatrix, q: np.ndarray) -> np.ndarray:
     return u @ q @ _dagger(u)
 
 
-def renyi2_forward(
-    rho: DensityMatrix, sigma: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
-) -> LossValue:
+def renyi2_forward(rho: DensityMatrix, sigma: DensityMatrix) -> LossValue:
     """D2(rho || sigma) = ln Tr(rho^2 sigma^-1). sigma must be full rank."""
-    return _renyi2_kernel(sigma, rho, "forward", rel_cutoff)[1]
+    return _renyi2_kernel(sigma, rho, "forward")[1]
 
 
-def renyi2_reverse(
-    sigma: DensityMatrix, rho: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
-) -> LossValue:
+def renyi2_reverse(sigma: DensityMatrix, rho: DensityMatrix) -> LossValue:
     """D2(sigma || rho) = ln Tr(sigma^2 rho^-1). rho must be full rank."""
-    return _renyi2_kernel(sigma, rho, "reverse", rel_cutoff)[1]
+    return _renyi2_kernel(sigma, rho, "reverse")[1]
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -210,25 +202,21 @@ def _kernel_sweep(p: UQNNParams, kernel_v: np.ndarray, psi: np.ndarray) -> np.nd
     return out[:, :-1] if p.thetas.ndim == 2 else out[0, :-1]
 
 
-def uqnn_grad_reverse(
-    p: UQNNParams, rho: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
-) -> np.ndarray:
+def uqnn_grad_reverse(p: UQNNParams, rho: DensityMatrix) -> np.ndarray:
     """Gradient of D2(sigma_v || rho) wrt every circuit angle.
 
     Entry k is -i Tr({Tr_h([H~_k, sigma]), sigma_v} rho^-1) / Tr(sigma_v^2 rho^-1);
     entries are real by construction.
     """
-    return evaluate(p, rho, "reverse", rel_cutoff).grad
+    return evaluate(p, rho, "reverse").grad
 
 
-def uqnn_grad_forward(
-    p: UQNNParams, rho: DensityMatrix, rel_cutoff: float = DEFAULT_REL_CUTOFF
-) -> np.ndarray:
+def uqnn_grad_forward(p: UQNNParams, rho: DensityMatrix) -> np.ndarray:
     """Gradient of D2(rho || sigma_v); requires a full-rank visible reduction.
 
     Entry k is i Tr(rho^2 sigma_v^-1 Tr_h([H~_k, sigma]) sigma_v^-1) / Tr(rho^2 sigma_v^-1).
     """
-    return evaluate(p, rho, "forward", rel_cutoff).grad
+    return evaluate(p, rho, "forward").grad
 
 
 def uqnn_grad_linear(p: UQNNParams, observable: np.ndarray) -> np.ndarray:
@@ -246,7 +234,7 @@ def state_gradient_entry(
     forward: -Tr(dsigma sigma^-1 rho^2 sigma^-1) / Tr(rho^2 sigma^-1)
     """
     sv = DensityMatrix.from_mat(sigma)
-    q, loss, sign = _renyi2_kernel(sv, DensityMatrix.from_mat(rho), direction, DEFAULT_REL_CUTOFF)
+    q, loss, sign = _renyi2_kernel(sv, DensityMatrix.from_mat(rho), direction)
     return sign * _real_trace(dsigma @ _standard_basis(sv, q)) / loss.numerator
 
 
@@ -290,12 +278,7 @@ class Evaluation:
     grad: np.ndarray
 
 
-def evaluate(
-    p: UQNNParams | QBMParams,
-    rho: DensityMatrix,
-    direction: str,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
-) -> Evaluation:
+def evaluate(p: UQNNParams | QBMParams, rho: DensityMatrix, direction: str) -> Evaluation:
     """sigma_v, the Renyi-2 loss in `direction` and its gradient wrt p.thetas.
 
     A circuit model is simulated once (one statevector); a Boltzmann machine
@@ -306,7 +289,7 @@ def evaluate(
     if isinstance(p, UQNNParams):
         psi = uqnn_statevector(p)
         sv = DensityMatrix.from_root(psi.reshape(psi.shape[:-1] + (2**p.n_v, 2**p.n_h)))
-        q, loss, sign = _renyi2_kernel(sv, rho, direction, rel_cutoff)
+        q, loss, sign = _renyi2_kernel(sv, rho, direction)
         grad = sign * _kernel_sweep(p, _standard_basis(sv, q), psi) / np.asarray(loss.numerator)[..., None]
         return Evaluation(sv, loss, grad)
     # d sigma_v = (Tr(P_m E) sigma_v - Tr_h G_m) / Z with E = e^{-H}, hence entry m is
@@ -314,7 +297,7 @@ def evaluate(
     # K = Tr(sigma_v Q) diag(e^{-w}) - X o Phi = (Tr(sigma_v Q) I - X) o Phi
     # (Phi_ii = e^{-w_i}) and X = V^dag (Q x I_h) V
     w, v, z, sv = qbm_thermal(p)
-    q, loss, sign = _renyi2_kernel(sv, rho, direction, rel_cutoff)
+    q, loss, sign = _renyi2_kernel(sv, rho, direction)
     if p.n_h:
         q = _standard_basis(sv, q)
         # q x I_h by broadcasting: the products np.kron forms, without its overhead

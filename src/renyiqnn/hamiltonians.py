@@ -174,13 +174,13 @@ def triple_axes(n: int) -> list[tuple[tuple[int, str], ...]]:
     ]
 
 
-def two_local_terms(n: int, coeff: float = 1.0) -> list[PauliTerm]:
+def two_local_terms(n: int) -> list[PauliTerm]:
     """All 3n + 9*C(n,2) two-local strings in canonical order.
 
     Order is deterministic: by locality, then qubit indices, then axes
     (x < y < z), so the same list always enumerates the same way.
     """
-    return [PauliTerm(coeff, ax) for ax in single_axes(n) + pair_axes(n)]
+    return [PauliTerm(1.0, ax) for ax in single_axes(n) + pair_axes(n)]
 
 
 def random_two_local(

@@ -26,7 +26,6 @@ from . import qmath
 from .hamiltonians import (
     LCUHamiltonian,
     PauliTerm,
-    pair_axes,
     pauli_tables,
     single_axes,
     two_local_terms,
@@ -37,12 +36,19 @@ from .states import DensityMatrix
 GateTable = tuple[np.ndarray, np.ndarray]
 
 
+def _unit_coeffs(generators: tuple[PauliTerm, ...]) -> np.ndarray:
+    coeffs = np.array([g.coeff for g in generators], dtype=float)
+    bad = coeffs[np.abs(np.abs(coeffs) - 1.0) > 1e-12]
+    if bad.size:
+        raise ValueError(f"generator coefficient must be +-1, got {bad[0]}")
+    return coeffs
+
+
 def gate_table(term: PauliTerm, n_qubits: int) -> GateTable:
     """(idx, col_phase) for the full generator including its +-1 coefficient."""
-    if abs(abs(term.coeff) - 1.0) > 1e-12:
-        raise ValueError(f"generator coefficient must be +-1, got {term.coeff}")
+    coeff = _unit_coeffs((term,))[0]
     idx, col_phase = term.action(n_qubits)
-    return idx, term.coeff * col_phase
+    return idx, coeff * col_phase
 
 
 def apply_pauli(v: np.ndarray, table: GateTable) -> np.ndarray:
@@ -56,14 +62,6 @@ def apply_gate(v: np.ndarray, table: GateTable, theta: float, inverse: bool = Fa
     """e^{-i H theta} v (or e^{+i H theta} v) via the cos/sin closed form."""
     s = 1j if inverse else -1j
     return np.cos(theta) * v + s * np.sin(theta) * apply_pauli(v, table)
-
-
-def _unit_coeffs(generators: tuple[PauliTerm, ...]) -> np.ndarray:
-    coeffs = np.array([g.coeff for g in generators], dtype=float)
-    bad = coeffs[np.abs(np.abs(coeffs) - 1.0) > 1e-12]
-    if bad.size:
-        raise ValueError(f"generator coefficient must be +-1, got {bad[0]}")
-    return coeffs
 
 
 @functools.lru_cache(maxsize=16)
@@ -453,14 +451,14 @@ def qbm_visible_state(p: QBMParams) -> DensityMatrix:
     return qbm_thermal(p)[-1]
 
 
-def brick_two_local_terms(n: int, coeff: float = 1.0) -> list[PauliTerm]:
+def brick_two_local_terms(n: int) -> list[PauliTerm]:
     """Nearest-neighbour layered layout: singles, then even bonds, then odd bonds."""
-    terms = [PauliTerm(coeff, ax) for ax in single_axes(n)]
+    terms = [PauliTerm(1.0, ax) for ax in single_axes(n)]
     for parity in (0, 1):
         bonds = [(i, i + 1) for i in range(parity, n - 1, 2)]
         for i, j in bonds:
             terms += [
-                PauliTerm(coeff, ((i, a), (j, b)))
+                PauliTerm(1.0, ((i, a), (j, b)))
                 for a, b in [(a, b) for a in ("x", "y", "z") for b in ("x", "y", "z")]
             ]
     return terms
@@ -510,7 +508,6 @@ def build_qbm(
     return p
 
 
-# pair_axes is re-exported for layout-aware callers
 __all__ = [
     "UQNNParams",
     "QBMParams",
@@ -534,5 +531,4 @@ __all__ = [
     "uqnn_layer_terms",
     "brick_two_local_terms",
     "two_local_terms",
-    "pair_axes",
 ]

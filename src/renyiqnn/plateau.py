@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .divergence import SingularStateError, state_gradient_entry, uqnn_grad_linear, uqnn_grad_reverse
+from .divergence import _checked_inverse, state_gradient_entry, uqnn_grad_linear, uqnn_grad_reverse
 from .hamiltonians import LCUHamiltonian
 from .models import build_uqnn, conjugated_generator_vec, uqnn_statevector, visible_from_statevector
 from .states import DensityMatrix, haar_unitary, thermal_state
@@ -98,6 +98,16 @@ class PlateauReport:
         raise KeyError(f"no record for (n_v={n_v}, n_h={n_h}, {loss_kind})")
 
 
+def _checked_derivative(sigma: DensityMatrix, dsigma: np.ndarray) -> np.ndarray:
+    """dsigma as a complex array; it must have the state's shape and be Hermitian."""
+    dsigma = np.asarray(dsigma, dtype=complex)
+    if dsigma.shape != sigma.mat.shape:
+        raise ValueError(f"dsigma shape {dsigma.shape} does not match the state")
+    if not qmath.is_hermitian(dsigma, 1e-10):
+        raise ValueError("dsigma must be Hermitian")
+    return dsigma
+
+
 def haar_gradient_moment(
     sigma: DensityMatrix,
     dsigma: np.ndarray,
@@ -118,11 +128,7 @@ def haar_gradient_moment(
         raise ValueError("n_samples must be >= 1")
     if sigma.dim != rho.dim:
         raise ValueError("sigma and rho dimensions differ")
-    dsigma = np.asarray(dsigma, dtype=complex)
-    if dsigma.shape != sigma.mat.shape:
-        raise ValueError(f"dsigma shape {dsigma.shape} does not match the state")
-    if not qmath.is_hermitian(dsigma, 1e-10):
-        raise ValueError("dsigma must be Hermitian")
+    dsigma = _checked_derivative(sigma, dsigma)
     n = sigma.n_qubits
     acc = 0.0
     for _ in range(n_samples):
@@ -148,15 +154,10 @@ def lemma1_bounds(sigma: DensityMatrix, dsigma: np.ndarray, n: int) -> tuple[flo
     """
     if 2**n != sigma.dim:
         raise ValueError(f"n={n} does not match a {sigma.dim}-dimensional state")
-    dsigma = np.asarray(dsigma, dtype=complex)
-    if dsigma.shape != sigma.mat.shape:
-        raise ValueError(f"dsigma shape {dsigma.shape} does not match the state")
-    if not qmath.is_hermitian(dsigma, 1e-10):
-        raise ValueError("dsigma must be Hermitian")
+    dsigma = _checked_derivative(sigma, dsigma)
+    _checked_inverse(sigma, "state")
     v, w = sigma.factor()
-    wmin, wmax = float(np.min(w)), float(np.max(w))
-    if wmax <= 0.0 or wmin < 1e-12 * wmax:
-        raise SingularStateError("singular state", wmin)
+    wmax = float(np.max(w))
     inv2 = (v / w**2) @ v.conj().T
     tr_inv = float(np.sum(1.0 / w))
     scale = 2.0 ** (2 * n)

@@ -37,7 +37,8 @@ def check_dim(dim: int) -> None:
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    """Every matrix of m (leading axes index a stack) within tol of its adjoint, entrywise."""
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= tol)
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:

@@ -36,9 +36,9 @@ class DensityMatrix:
     """Unit-trace PSD Hermitian operator on n_qubits qubits, with its factor (U, s).
 
     mat may carry a leading member axis, (R, 2^n, 2^n): a stack of states
-    that the loss, gradient and fidelity code treats member by member;
-    validate and purity take one state. The factor, and whatever is built
-    from it (`derived`), is kept until mat is reassigned or written to.
+    that validate and the loss, gradient and fidelity code treat member by
+    member; only purity takes a single state. The factor, and whatever is
+    built from it (`derived`), is kept until mat is reassigned or written to.
     """
 
     n_qubits: int
@@ -106,15 +106,15 @@ class DensityMatrix:
     @classmethod
     def from_mat(cls, mat: np.ndarray) -> "DensityMatrix":
         mat = np.asarray(mat, dtype=complex)
-        return cls(_qubits(mat.shape[0]), mat)
+        return cls(_qubits(mat.shape[-1]), mat)
 
-    def validate(self, herm_tol: float = qmath.HERM_TOL) -> "DensityMatrix":
-        """Assert Hermiticity, unit trace, and positivity (within tolerances)."""
-        if not qmath.is_hermitian(self.mat, herm_tol):
+    def validate(self) -> "DensityMatrix":
+        """Assert Hermiticity, unit trace, and positivity (within tolerances) of every member."""
+        if not qmath.is_hermitian(self.mat):
             raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(self.mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} is not 1")
+        for tr in np.trace(self.mat, axis1=-2, axis2=-1).reshape(-1).tolist():
+            if abs(tr - 1.0) > TRACE_TOL:
+                raise ValueError(f"trace {tr} is not 1")
         wmin = float(np.min(np.linalg.eigvalsh(self.mat)))
         if wmin < -EIG_TOL:
             raise ValueError(f"negative eigenvalue {wmin}")

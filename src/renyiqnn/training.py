@@ -37,9 +37,9 @@ from .hamiltonians import LCUHamiltonian, normalize, random_three_local, random_
 from .models import LAYOUTS, QBMParams, UQNNParams, build_qbm, build_uqnn, checkpoint_doc, load_checkpoint_model
 from .states import DensityMatrix, fidelity, thermal_state
 
-DEFAULT_BETA1 = 0.9
-DEFAULT_BETA2 = 0.999
-DEFAULT_EPS_ADAM = 1e-8
+BETA1 = 0.9  # ADAM's constants, those of Kingma & Ba (arXiv:1412.6980)
+BETA2 = 0.999
+EPS_ADAM = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -54,9 +54,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float
-    beta1: float = DEFAULT_BETA1
-    beta2: float = DEFAULT_BETA2
-    eps_adam: float = DEFAULT_EPS_ADAM
 
     def __post_init__(self) -> None:
         self.m = np.asarray(self.m, dtype=float)
@@ -69,8 +66,8 @@ class AdamState:
             raise ValueError("lr must be >= 0")
 
     @classmethod
-    def init(cls, n_params: int | tuple[int, int], lr: float, **kwargs) -> "AdamState":
-        return cls(0, np.zeros(n_params), np.zeros(n_params), lr, **kwargs)
+    def init(cls, n_params: int | tuple[int, int], lr: float) -> "AdamState":
+        return cls(0, np.zeros(n_params), np.zeros(n_params), lr)
 
 
 def _check_finite(grads: np.ndarray) -> None:
@@ -97,13 +94,12 @@ def adam_step(
         )
     _check_finite(grads)
     step = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = m / (1.0 - state.beta1**step)
-    v_hat = v / (1.0 - state.beta2**step)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_adam)
-    new_state = AdamState(step, m, v, state.lr, state.beta1, state.beta2, state.eps_adam)
-    return new_state, new_params
+    m = BETA1 * state.m + (1.0 - BETA1) * grads
+    v = BETA2 * state.v + (1.0 - BETA2) * grads**2
+    m_hat = m / (1.0 - BETA1**step)
+    v_hat = v / (1.0 - BETA2**step)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + EPS_ADAM)
+    return AdamState(step, m, v, state.lr), new_params
 
 
 def is_integer(x) -> bool:
@@ -222,7 +218,7 @@ class MetricsRow:
     wall_ms: float
 
 
-CSV_COLUMNS = ["epoch", "loss", "penalized_loss", "fidelity", "grad_inf_norm", "conditioning", "wall_ms"]
+CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
 
 
 class MetricsLog:

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from renyiqnn.divergence import SingularStateError, _kernel_sweep, state_gradient_entry
+from renyiqnn.divergence import (
+    REL_CUTOFF,
+    SingularStateError,
+    _kernel_sweep,
+    renyi2_forward,
+    renyi2_reverse,
+    state_gradient_entry,
+)
 from renyiqnn.hamiltonians import normalize, random_two_local
 from renyiqnn.models import build_uqnn, uqnn_statevector, visible_from_statevector
 from renyiqnn.plateau import (
@@ -15,7 +22,7 @@ from renyiqnn.plateau import (
     init_gradient_scan,
     lemma1_bounds,
 )
-from renyiqnn.states import DensityMatrix, random_density_matrix
+from renyiqnn.states import DensityMatrix, haar_unitary, random_density_matrix
 from tests.conftest import random_hermitian
 
 
@@ -67,6 +74,27 @@ class TestLemma1Bounds:
         sigma = dm(np.diag([1.0, 0.0]))
         with pytest.raises(SingularStateError):
             lemma1_bounds(sigma, np.eye(2), 1)
+
+    @pytest.mark.parametrize("ratio, singular", [(REL_CUTOFF * (1 + 1e-3), False), (REL_CUTOFF * (1 - 1e-3), True)])
+    def test_one_singular_state_rule(self, rng, ratio, singular):
+        # the losses in both directions and lemma1_bounds accept or reject a state together
+        u = haar_unitary(1, rng)
+        state = DensityMatrix.from_factor(u, np.array([ratio, 1.0]) / (1.0 + ratio))
+        other = random_density_matrix(1, rng)
+        smin = float(np.min(state.factor()[1]))
+        calls = [
+            lambda: renyi2_reverse(other, state).conditioning,
+            lambda: renyi2_forward(other, state).conditioning,
+            lambda: lemma1_bounds(state, np.eye(2), 1),
+        ]
+        if singular:
+            for call in calls:
+                with pytest.raises(SingularStateError) as exc_info:
+                    call()
+                assert exc_info.value.conditioning == smin
+        else:
+            assert calls[0]() == calls[1]() == smin
+            calls[2]()
 
     def test_dimension_check(self, rng):
         sigma = random_density_matrix(2, rng)

@@ -41,6 +41,20 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="power of 2"):
             DensityMatrix.from_mat(np.eye(3, dtype=complex) / 3)
 
+    def test_stack_validates_member_by_member(self, rng):
+        stack = np.stack([random_density_matrix(2, rng).mat for _ in range(3)])
+        DensityMatrix(2, stack).validate()
+        stack[1] *= 1.5
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(2, stack).validate()
+
+    @pytest.mark.parametrize("members", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_from_mat_reads_a_member_stack(self, rng, members, n):
+        stack = np.stack([random_density_matrix(n, rng).mat for _ in range(members)])
+        state = DensityMatrix.from_mat(stack)
+        assert state.n_qubits == n and np.array_equal(state.mat, stack)
+
     def test_purity(self, rng):
         v = random_state_vec(4, rng)
         assert abs(pure(v).purity() - 1.0) < 1e-12

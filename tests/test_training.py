@@ -71,6 +71,16 @@ class TestAdam:
         st2, _ = adam_step(st, np.zeros(1), np.array([1.0]))
         assert st2.m[0] == pytest.approx(0.1)  # (1 - beta1) * g
         assert st2.v[0] == pytest.approx(0.001)  # (1 - beta2) * g^2
+        # three updates follow Kingma & Ba (arXiv:1412.6980) at beta1 = 0.9, beta2 = 0.999, eps = 1e-8, bit for bit
+        st, params = AdamState.init(2, lr=0.1), np.array([0.3, -1.2])
+        m, v, theta = np.zeros(2), np.zeros(2), params.copy()
+        for t, g in enumerate([np.array([0.5, -2.0]), np.array([-0.25, 3.0]), np.array([1.5, 0.125])], start=1):
+            st, params = adam_step(st, params, g)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g**2
+            theta = theta - 0.1 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert np.array_equal(params, theta) and np.array_equal(st.m, m) and np.array_equal(st.v, v)
+        assert [f.name for f in dataclasses.fields(AdamState)] == ["step", "m", "v", "lr"]
 
 
 class TestTrainConfig:
