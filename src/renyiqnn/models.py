@@ -10,8 +10,9 @@ The statevector and the adjoint gradient sweep run block by block: each
 maximal run of consecutive generators on one qubit support is multiplied
 out into one small block unitary (2^s x 2^s for s support qubits), the
 adjoint method of Jones & Gacon (arXiv:2009.02823) taken per block
-instead of per gate. The per-gate kernel `_apply_prefix` serves the
-circuit prefixes and the conjugated generators.
+instead of per gate. The conjugated generators come from the same kernel
+by the parameter shift H~_k |psi(theta)> = i |psi(theta + (pi/2) e_k)>;
+only the dense circuit prefixes apply gates one at a time.
 """
 
 from __future__ import annotations
@@ -62,36 +63,6 @@ def apply_gate(v: np.ndarray, table: GateTable, theta: float, inverse: bool = Fa
     """e^{-i H theta} v (or e^{+i H theta} v) via the cos/sin closed form."""
     s = 1j if inverse else -1j
     return np.cos(theta) * v + s * np.sin(theta) * apply_pauli(v, table)
-
-
-@functools.lru_cache(maxsize=16)
-def _layout_tables(generators: tuple[PauliTerm, ...], n_qubits: int) -> GateTable:
-    """Read-only stacked (idx, phase) of a circuit layout, shape (len(generators), 2^n).
-
-    Row j equals gate_table(generators[j], n_qubits) bit for bit; every
-    parameter vector of the layout shares the pair.
-    """
-    coeffs = _unit_coeffs(generators)
-    idx, col_phase = pauli_tables(generators, n_qubits)
-    phase = coeffs[:, None] * col_phase
-    idx.flags.writeable = phase.flags.writeable = False
-    return idx, phase
-
-
-def _apply_prefix(p: "UQNNParams", v: np.ndarray, m: int, inverse: bool = False) -> np.ndarray:
-    """W v (or W^dag v) for W = e^{-i H_1 theta_1} ... e^{-i H_m theta_m}; v a vector or a matrix's columns.
-
-    The one gate kernel: with -+i sin(theta_j) folded into the shared phase
-    rows once per call, gate j maps v to c[j] v + (rows[j] v)[idx[j]].
-    """
-    idx, phase = p.tables()
-    th = p.thetas[:m]
-    c = np.cos(th).tolist()
-    rows = ((1j if inverse else -1j) * np.sin(th))[:, None] * phase[:m]
-    rows = rows.reshape(rows.shape + (1,) * (v.ndim - 1))
-    for j in range(m) if inverse else range(m - 1, -1, -1):
-        v = c[j] * v + (rows[j] * v)[idx[j]]
-    return v
 
 
 class BlockGroup(NamedTuple):
@@ -246,7 +217,6 @@ class UQNNParams:
     n_h: int
     generators: list[PauliTerm]
     thetas: np.ndarray
-    _layout: GateTable | None = field(default=None, repr=False, compare=False)
     _blocks: BlockTable | None = field(default=None, repr=False, compare=False)
     _products: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -262,13 +232,6 @@ class UQNNParams:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
-
-    def tables(self) -> GateTable:
-        """The layout's shared read-only (idx, phase) tables, one row per generator."""
-        # generators are fixed per object: hash the layout key once, not per call
-        if self._layout is None:
-            self._layout = _layout_tables(tuple(self.generators), self.n_qubits)
-        return self._layout
 
     def blocks(self) -> BlockTable:
         """The layout's shared read-only block table."""
@@ -323,10 +286,13 @@ def uqnn_visible_state(p: UQNNParams) -> DensityMatrix:
 
 
 def circuit_prefix(p: UQNNParams, k: int) -> np.ndarray:
-    """Dense W_k = e^{-i H_1 theta_1} ... e^{-i H_{k-1} theta_{k-1}}."""
+    """Dense W_k = e^{-i H_1 theta_1} ... e^{-i H_{k-1} theta_{k-1}}, one gate at a time, the last first."""
     if not 1 <= k <= len(p.generators):
         raise IndexError(f"k={k} out of range 1..{len(p.generators)}")
-    return _apply_prefix(p, np.eye(p.dim, dtype=complex), k - 1)
+    w = np.eye(p.dim, dtype=complex)
+    for j in range(k - 2, -1, -1):
+        w = apply_gate(w, gate_table(p.generators[j], p.n_qubits), p.thetas[j])
+    return w
 
 
 def conjugated_generator(p: UQNNParams, k: int) -> np.ndarray:
@@ -343,13 +309,18 @@ def uqnn_state_derivative(p: UQNNParams, k: int) -> np.ndarray:
     return -1j * (ht @ sigma - sigma @ ht)
 
 
-def conjugated_generator_vec(p: UQNNParams, k: int, psi: np.ndarray) -> np.ndarray:
-    """W_k H_k W_k^dag |psi> by gate application, O(N 2^n) and matrix-free."""
+def conjugated_generator_vec(p: UQNNParams, k: int) -> np.ndarray:
+    """W_k H_k W_k^dag |psi> for the circuit's own state |psi>; one vector per member row.
+
+    Every gate is e^{-i theta H} with H^2 = I, so e^{-i (theta + pi/2) H} =
+    -i H e^{-i theta H} and H~_k |psi(theta)> = i |psi(theta + (pi/2) e_k)>:
+    one block statevector at the shifted angles, on the layout's shared blocks.
+    """
     if not 1 <= k <= len(p.generators):
         raise IndexError(f"k={k} out of range 1..{len(p.generators)}")
-    idx, phase = p.tables()
-    y = _apply_prefix(p, psi, k - 1, inverse=True)
-    return _apply_prefix(p, (phase[k - 1] * y)[idx[k - 1]], k - 1)
+    thetas = p.thetas.copy()
+    thetas[..., k - 1] += np.pi / 2
+    return 1j * uqnn_statevector(UQNNParams(p.n_v, p.n_h, p.generators, thetas, _blocks=p.blocks()))
 
 
 @dataclass
@@ -384,7 +355,7 @@ class QBMParams:
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Stacked (idx, col_phase) of the basis strings, shape (len(basis), dim)."""
-        # As for UQNNParams: the basis is fixed, only thetas change in training.
+        # the basis is fixed per object; only thetas change in training
         if self._tables is None:
             self._tables = pauli_tables(self.basis, self.n_qubits)
         return self._tables

@@ -179,7 +179,7 @@ def _second_expr_mean(p, psi: np.ndarray, sv: np.ndarray) -> float:
     scale = float(dv) ** 2 * wmax**4
     acc = 0.0
     for k in range(1, len(p.generators) + 1):
-        phi_m = conjugated_generator_vec(p, k, psi).reshape(dv, -1)
+        phi_m = conjugated_generator_vec(p, k).reshape(dv, -1)
         a_mat = phi_m @ psi_m.conj().T
         dsv = -1j * (a_mat - a_mat.conj().T)
         acc += float(np.real(np.trace(sv @ dsv))) ** 2 / scale

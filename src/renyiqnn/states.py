@@ -136,15 +136,16 @@ def thermal_state(h) -> DensityMatrix:
 
     `h` may be an LCUHamiltonian or a dense Hermitian array. The factor is
     H's eigenpairs with s = e^{-(w - w_min)} / Z, each entry at most 1, so
-    the smallest eigenvalues keep their relative accuracy.
+    the smallest eigenvalues keep their relative accuracy. A stack of dense
+    Hamiltonians (R, d, d) gives one state per member.
     """
     w, v = np.linalg.eigh(qmath._symmetrize(_dense_hamiltonian(h)))
     norm = float(np.max(np.abs(w)))
     if norm > 700.0:
         # e^{+-norm} would overflow/underflow float64 entirely.
         raise ValueError(f"operator norm {norm:.3g} too large for a stable exponential")
-    e = np.exp(-(w - w[0]))
-    return DensityMatrix.from_factor(v, e / np.sum(e))
+    e = np.exp(-(w - w[..., :1]))
+    return DensityMatrix.from_factor(v, e / np.sum(e, axis=-1, keepdims=True))
 
 
 def _psd_sqrt(u: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -191,6 +192,8 @@ def random_density_matrix(
     """Random full-rank (or fixed-rank) state: normalized GG^dagger for Ginibre G."""
     d = 2**n_qubits
     r = d if rank is None else rank
+    if r < 1:
+        raise ValueError("rank must be >= 1")
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     m = g @ g.conj().T
     return DensityMatrix.from_mat(m / np.real(np.trace(m)))

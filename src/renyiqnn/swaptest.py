@@ -253,7 +253,7 @@ def mc_reverse_gradient_thermal(
 
     dv = 2**p.n_v
     psi = uqnn_statevector(p)
-    phi = conjugated_generator_vec(p, k, psi)
+    phi = conjugated_generator_vec(p, k)
     psi_m = psi.reshape(dv, -1)
     phi_m = phi.reshape(dv, -1)
     sv = visible_from_statevector(psi, p.n_v, p.n_h)

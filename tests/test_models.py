@@ -193,11 +193,15 @@ def dense_sweep_reference(p: UQNNParams, kernel_v: np.ndarray) -> np.ndarray:
 
 
 def check_block_kernel(p: UQNNParams, rng) -> None:
-    """Block statevector and sweep against the per-gate loops (stated tolerance) and the dense expm route."""
+    """Block statevector, sweep and conjugated generators against the per-gate loops
+    (stated tolerance) and the dense expm route."""
     tables, kernel = ref_tables(p), random_hermitian(2**p.n_v, rng)
     ref = statevector_loop(p, tables)
     psi = uqnn_statevector(p)
     assert np.max(np.abs(psi - ref)) <= BLOCK_SV_ATOL
+    for k in range(1, len(p.generators) + 1):
+        got = conjugated_generator_vec(p, k)
+        assert np.max(np.abs(got - conjugated_generator_vec_loop(p, tables, k, ref))) <= BLOCK_SV_ATOL, f"k={k}"
     assert np.max(np.abs(psi - uqnn_state_reference(p))) < 1e-12
     norm = np.linalg.norm(kernel, 2)
     got = divergence._kernel_sweep(p, kernel, ref)
@@ -206,8 +210,8 @@ def check_block_kernel(p: UQNNParams, rng) -> None:
 
 
 class TestStackedGateKernel:
-    """The per-gate kernel does the arithmetic of gate_table/apply_gate exactly;
-    the block kernel agrees with it within the stated tolerance."""
+    """circuit_prefix does the arithmetic of gate_table/apply_gate exactly; the
+    block kernel agrees with the per-gate loops within the stated tolerance."""
 
     @pytest.mark.parametrize("signs", ["unit", "mixed"])
     @pytest.mark.parametrize("n_h", [0, 1, 2, 3])
@@ -219,11 +223,7 @@ class TestStackedGateKernel:
             p = with_signs(p)
             assert any(g.coeff == -1.0 for g in p.generators)
         check_block_kernel(p, rng)
-        tables, psi = ref_tables(p), uqnn_statevector(p)
-        n = len(p.generators)
-        for k in range(1, n + 1):
-            got = conjugated_generator_vec(p, k, psi)
-            assert np.array_equal(got, conjugated_generator_vec_loop(p, tables, k, psi)), f"k={k}"
+        tables, n = ref_tables(p), len(p.generators)
         for k in sorted({1, 2, n // 2, n}):
             assert np.array_equal(circuit_prefix(p, k), circuit_prefix_loop(p, tables, k)), f"k={k}"
 
@@ -299,54 +299,37 @@ class TestBlockKernel:
 
 class TestSharedLayoutTables:
     @pytest.fixture
-    def pauli_table_builds(self, monkeypatch):
-        """Clears the layout cache and counts the stacked-table builds after it."""
-        calls, build = [], models.pauli_tables
-
-        def counting(terms, n_qubits):
-            calls.append((len(terms), n_qubits))
-            return build(terms, n_qubits)
-
-        models._layout_tables.cache_clear()
+    def block_builds(self):
+        """Clears the layout cache; returns a count of its misses since then."""
         models._layout_blocks.cache_clear()
-        monkeypatch.setattr(models, "pauli_tables", counting)
-        yield calls
-        models._layout_tables.cache_clear()
+        yield lambda: models._layout_blocks.cache_info().misses
         models._layout_blocks.cache_clear()
 
-    def test_one_build_per_layout(self, rng, pauli_table_builds):
-        # the block kernel (statevector, sweep) and the per-gate kernel
-        # (conjugated generators) each build their layout table once
+    def test_one_build_per_layout(self, rng, block_builds):
+        # the statevector, the sweep and the conjugated generators all run on
+        # the one block table of the layout
         ps = [build_uqnn(3, 2, rng) for _ in range(50)]
         kernel = random_hermitian(8, rng)
         for p in ps:
             psi = uqnn_statevector(p)
             divergence._kernel_sweep(p, kernel, psi)
-            conjugated_generator_vec(p, 2, psi)
-        assert pauli_table_builds == [(len(ps[0].generators), 5)]
-        assert models._layout_blocks.cache_info().misses == 1
-        assert all(p.tables()[1] is ps[0].tables()[1] for p in ps)
+            conjugated_generator_vec(p, 2)
+        assert block_builds() == 1
         assert all(p.blocks() is ps[0].blocks() for p in ps)
 
-    def test_rows_equal_gate_table(self, rng):
-        p = with_signs(build_uqnn(2, 2, rng, layout="brick", repetitions=2))
-        idx, phase = p.tables()
-        assert idx.shape == phase.shape == (len(p.generators), p.dim)
-        for j, g in enumerate(p.generators):
-            ref_idx, ref_phase = gate_table(g, p.n_qubits)
-            assert np.array_equal(idx[j], ref_idx) and np.array_equal(phase[j], ref_phase)
-
-    def test_layouts_do_not_collide(self, rng, pauli_table_builds):
+    def test_layouts_do_not_collide(self, rng, block_builds):
         x0 = [PauliTerm(1.0, ((0, "x"),))]
-        one, two = UQNNParams(1, 0, x0, [0.3]).tables(), UQNNParams(1, 1, x0, [0.3]).tables()
-        assert one[0].shape == (1, 2) and two[0].shape == (1, 4)
-        exhaustive = build_uqnn(2, 1, rng).tables()
-        brick = build_uqnn(2, 1, rng, layout="brick").tables()
-        assert exhaustive[0].shape != brick[0].shape
-        flipped = with_signs(build_uqnn(2, 1, rng)).tables()
-        assert flipped[1] is not exhaustive[1]
-        assert np.array_equal(flipped[1][0], -exhaustive[1][0])
-        assert len(pauli_table_builds) == 5
+        one, two = UQNNParams(1, 0, x0, [0.3]).blocks(), UQNNParams(1, 1, x0, [0.3]).blocks()
+        assert one.state_out.shape == (2,) and two.state_out.shape == (4,)
+        exhaustive = build_uqnn(2, 1, rng).blocks()
+        brick = build_uqnn(2, 1, rng, layout="brick").blocks()
+        assert [g.gates.shape for g in exhaustive.groups] != [g.gates.shape for g in brick.groups]
+        flipped = with_signs(build_uqnn(2, 1, rng)).blocks()
+        assert flipped is not exhaustive
+        for a, b in zip(flipped.groups, exhaustive.groups, strict=True):
+            assert np.array_equal(a.gates, b.gates)
+            assert np.array_equal(a.phase, np.where(a.gates % 3 == 0, -1.0, 1.0)[..., None] * b.phase)
+        assert block_builds() == 5
 
     def test_builds_share_generator_terms(self, rng):
         a, b = build_uqnn(3, 2, rng), build_uqnn(3, 2, rng, repetitions=2)
@@ -356,20 +339,20 @@ class TestSharedLayoutTables:
         assert uqnn_layer_terms(5) == a.generators
 
     def test_tables_are_read_only(self, rng):
-        idx, phase = build_uqnn(2, 1, rng).tables()
-        with pytest.raises(ValueError, match="read-only"):
-            idx[0, 0] = 1
-        with pytest.raises(ValueError, match="read-only"):
-            phase[0, 0] = 2.0
+        table = build_uqnn(2, 1, rng).blocks()
+        assert len(table.groups) == 2
+        for a in (*(a for grp in table.groups for a in grp), table.state_gather, table.state_out, table.sweep_gather):
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[0] = 0
 
     def test_non_unit_coefficient_rejected(self):
         p = UQNNParams(1, 0, [PauliTerm(1.0, ((0, "z"),)), PauliTerm(0.5, ((0, "x"),))], [0.1, 0.2])
         with pytest.raises(ValueError, match=r"generator coefficient must be \+-1, got 0.5"):
             uqnn_statevector(p)
 
-    def test_probes_and_checkpoints_reuse_tables(self, rng, pauli_table_builds):
+    def test_probes_and_checkpoints_reuse_tables(self, rng, block_builds):
         p = build_uqnn(2, 2, rng)
-        shared = p.tables()
+        shared = p.blocks()
         rho = random_density_matrix(2, rng)
         loss = cli._fd_loss(p, rho, "reverse")
         for _ in range(3):
@@ -377,10 +360,8 @@ class TestSharedLayoutTables:
         divergence.fd_gradient(lambda th: uqnn_statevector(UQNNParams(2, 2, p.generators, th))[0].real, p.thetas)
         back = load_checkpoint_model(checkpoint_doc(p))
         assert back.generators is not p.generators
-        assert back.tables()[0] is shared[0] and back.tables()[1] is shared[1]
-        assert back.blocks() is p.blocks()
-        assert len(pauli_table_builds) == 1
-        assert models._layout_blocks.cache_info().misses == 1
+        assert back.blocks() is shared
+        assert block_builds() == 1
 
 
 class TestConjugatedGenerator:
@@ -413,7 +394,20 @@ class TestConjugatedGenerator:
         psi = uqnn_statevector(p)
         for k in (1, 5, len(p.generators)):
             dense_route = conjugated_generator(p, k) @ psi
-            assert np.max(np.abs(conjugated_generator_vec(p, k, psi) - dense_route)) < 1e-12
+            assert np.max(np.abs(conjugated_generator_vec(p, k) - dense_route)) < 1e-12
+        with pytest.raises(IndexError):
+            conjugated_generator_vec(p, 0)
+        with pytest.raises(IndexError):
+            conjugated_generator_vec(p, len(p.generators) + 1)
+
+    def test_vec_member_stack_matches_solo_rows(self, rng):
+        solo = [build_uqnn(2, 1, rng) for _ in range(3)]
+        stack = UQNNParams(2, 1, solo[0].generators, np.stack([p.thetas for p in solo]))
+        for k in (1, 5, len(stack.generators)):
+            got = conjugated_generator_vec(stack, k)
+            assert got.shape == (3, stack.dim)
+            for row, p in zip(got, solo, strict=True):
+                assert np.array_equal(row, conjugated_generator_vec(p, k))
 
 
 class TestStateDerivative:

@@ -88,6 +88,16 @@ class TestThermalState:
         with pytest.raises(ValueError, match="norm"):
             thermal_state(np.diag([800.0, -800.0]))
 
+    def test_member_stack_rows_equal_solo_states(self, rng):
+        from renyiqnn.hamiltonians import random_two_local
+
+        hs = np.stack([random_two_local(2, 0.5, 0.5, rng).dense() + 3.0 * m * np.eye(4) for m in range(3)])
+        stack = thermal_state(hs)
+        for m, h in enumerate(hs):
+            solo = thermal_state(h)
+            assert np.array_equal(stack.mat[m], solo.mat)
+            assert all(np.array_equal(a[m], b) for a, b in zip(stack.factor(), solo.factor(), strict=True))
+
 
 class TestFactor:
     """The factor (U, s) each construction fills reproduces the matrix it forms."""
@@ -209,6 +219,11 @@ class TestRandomDensityMatrix:
         rho = random_density_matrix(2, rng, rank=1)
         w = np.linalg.eigvalsh(rho.mat)
         assert (w > 1e-12).sum() == 1
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_rejected(self, rng, rank):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            random_density_matrix(2, rng, rank=rank)
 
 
 class TestEntanglementEntropy:

@@ -292,7 +292,7 @@ def reference_mc_gradient(p, target_h, k, shots, rng, q_max):
     a1 = float(np.sum(np.abs(alpha)))
     dv = 2**p.n_v
     psi = uqnn_statevector(p)
-    phi = conjugated_generator_vec(p, k, psi)
+    phi = conjugated_generator_vec(p, k)
     psi_m = psi.reshape(dv, -1)
     phi_m = phi.reshape(dv, -1)
     sv = visible_from_statevector(psi, p.n_v, p.n_h)
