@@ -28,7 +28,8 @@ import time
 import zlib
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -219,6 +220,7 @@ class MetricsRow:
 
 
 CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
+_row_values = attrgetter(*CSV_COLUMNS)  # the fields as they are; astuple would deep-copy each
 
 
 class MetricsLog:
@@ -252,7 +254,7 @@ class MetricsLog:
     ):
         self.config_hash = config_hash
         self.seed = seed
-        self._data = np.array([astuple(r) for r in rows], dtype=float).reshape(-1, len(CSV_COLUMNS))
+        self._data = np.array([_row_values(r) for r in rows], dtype=float).reshape(-1, len(CSV_COLUMNS))
         self.checkpoint_json = checkpoint_json
 
     @property

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import expm
 
-from renyiqnn import cli, divergence, models
+from renyiqnn import cli, divergence, models, training
 from renyiqnn.hamiltonians import PauliTerm, two_local_terms
 from renyiqnn.models import (
     QBMParams,
@@ -170,11 +170,12 @@ def with_signs(p: UQNNParams) -> UQNNParams:
     return UQNNParams(p.n_v, p.n_h, gens, p.thetas)
 
 
-# The block kernel multiplies each run of same-support gates out into one
+# The block kernel multiplies each block of consecutive gates (a run whose
+# joint support is no wider than the layout's widest generator) out into one
 # small unitary, so the statevector and the kernel sweep round differently
 # from the per-gate loop. Stated tolerance: amplitudes agree to BLOCK_SV_ATOL,
 # sweep entries to BLOCK_SWEEP_RTOL times the kernel's operator norm (each
-# entry is at most twice that norm). Worst seen: 7.6e-16 and 1.7e-15.
+# entry is at most twice that norm). Worst seen: 1.4e-15 and 1.7e-15.
 BLOCK_SV_ATOL = 1e-14
 BLOCK_SWEEP_RTOL = 1e-13
 
@@ -192,9 +193,9 @@ def dense_sweep_reference(p: UQNNParams, kernel_v: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_block_kernel(p: UQNNParams, rng) -> None:
+def check_block_kernel(p: UQNNParams, rng, dense: bool = True) -> None:
     """Block statevector, sweep and conjugated generators against the per-gate loops
-    (stated tolerance) and the dense expm route."""
+    (stated tolerance) and, unless dense is False, the dense expm route."""
     tables, kernel = ref_tables(p), random_hermitian(2**p.n_v, rng)
     ref = statevector_loop(p, tables)
     psi = uqnn_statevector(p)
@@ -202,11 +203,12 @@ def check_block_kernel(p: UQNNParams, rng) -> None:
     for k in range(1, len(p.generators) + 1):
         got = conjugated_generator_vec(p, k)
         assert np.max(np.abs(got - conjugated_generator_vec_loop(p, tables, k, ref))) <= BLOCK_SV_ATOL, f"k={k}"
-    assert np.max(np.abs(psi - uqnn_state_reference(p))) < 1e-12
     norm = np.linalg.norm(kernel, 2)
     got = divergence._kernel_sweep(p, kernel, ref)
     assert np.max(np.abs(got - kernel_sweep_loop(p, tables, kernel, ref))) <= BLOCK_SWEEP_RTOL * norm
-    assert np.max(np.abs(got - dense_sweep_reference(p, kernel))) < 1e-11 * norm
+    if dense:
+        assert np.max(np.abs(psi - uqnn_state_reference(p))) < 1e-12
+        assert np.max(np.abs(got - dense_sweep_reference(p, kernel))) < 1e-11 * norm
 
 
 class TestStackedGateKernel:
@@ -227,6 +229,36 @@ class TestStackedGateKernel:
         for k in sorted({1, 2, n // 2, n}):
             assert np.array_equal(circuit_prefix(p, k), circuit_prefix_loop(p, tables, k)), f"k={k}"
 
+    @pytest.mark.parametrize(
+        "case", ["exhaustive-3v3h", "brick-3v3h", "identities-between-supports", "weight-three", "odd-qubit-count"]
+    )
+    def test_merged_blocks_within_tolerance(self, rng, case):
+        """Blocks that take in gates on more than one support, at the same stated tolerance."""
+        dense = True
+        if case in ("exhaustive-3v3h", "brick-3v3h"):
+            p = build_uqnn(3, 3, rng, layout=case.split("-")[0])
+            widths, dense = [4], False  # 153 dense 64 x 64 exponentials take seconds
+        elif case == "identities-between-supports":
+            gens = []
+            for g in with_signs(build_uqnn(2, 2, rng)).generators:
+                if gens and [q for q, _ in gens[-1].axes] != [q for q, _ in g.axes]:
+                    gens.append(PauliTerm(-1.0 if len(gens) % 2 else 1.0, ()))
+                gens.append(g)
+            p = UQNNParams(2, 2, gens, 2.0 * rng.standard_normal(len(gens)))
+            assert sum(not g.axes for g in gens) == 9  # 3 between singles, 1 before the pairs, 5 between pairs
+            widths = [4]
+        elif case == "weight-three":
+            gens = with_signs(build_uqnn(2, 2, rng)).generators
+            gens[12:12] = [PauliTerm(-1.0, ((0, "y"), (2, "x"), (3, "z")))]
+            p = UQNNParams(2, 2, gens, 2.0 * rng.standard_normal(len(gens)))
+            widths = [4, 8]
+        else:
+            p = with_signs(build_uqnn(3, 2, rng))
+            widths = [2, 4]
+            assert p.blocks().groups[0].gates.shape == (1, 3)
+        assert [grp.phase.shape[-1] for grp in p.blocks().groups] == widths
+        check_block_kernel(p, rng, dense)
+
 
 class TestBlockKernel:
     """Block statevector and sweep on circuits the bundled layouts do not cover."""
@@ -237,7 +269,9 @@ class TestBlockKernel:
         gens = [ident, x0, ident, PauliTerm(-1.0, ()), z1, x0, ident]
         p = UQNNParams(1, 1, gens, 2.0 * rng.standard_normal(len(gens)))
         check_block_kernel(p, rng)
-        assert [grp.phase.shape[-1] for grp in p.blocks().groups] == [1, 2]
+        # identities join whichever block is open: [I x0 I -I], [z1], [x0 I]
+        assert [grp.phase.shape[-1] for grp in p.blocks().groups] == [2]
+        assert [grp.gates.tolist() for grp in p.blocks().groups] == [[[0, 1, 2, 3], [4, 7, 7, 7], [5, 6, 7, 7]]]
 
     def test_one_qubit_circuit(self, rng):
         gens = [PauliTerm(c, ((0, a),)) for c, a in [(1.0, "x"), (-1.0, "y"), (1.0, "z"), (1.0, "y")]]
@@ -264,8 +298,43 @@ class TestBlockKernel:
     def test_runs_of_one_support_form_one_block(self, rng):
         p = build_uqnn(3, 3, rng, repetitions=2)
         table = p.blocks()
-        assert len(table.order) == 2 * 21
-        assert [grp.gates.shape for grp in table.groups] == [(12, 3), (30, 9)]
+        assert len(table.order) == 2 * 18
+        assert [grp.gates.shape for grp in table.groups] == [(36, 9)]
+
+    def test_blocks_grow_to_the_widest_generator(self, rng):
+        # singles on qubits 0 and 1 share a block; qubit 2's singles cannot join them
+        table = build_uqnn(3, 0, rng).blocks()
+        assert [grp.gates.tolist() for grp in table.groups] == [
+            [[6, 7, 8]],
+            [[0, 1, 2, 3, 4, 5, 36, 36, 36], [*range(9, 18)], [*range(18, 27)], [*range(27, 36)]],
+        ]
+        assert table.order == ((1, 0), (0, 0), (1, 1), (1, 2), (1, 3))
+
+    @pytest.mark.parametrize(
+        "config,experiment,n_h,shapes",
+        [
+            ("fig2_3v3h", "thermal-learn", 3, [(18, 9)]),
+            ("figF1_4v4h", "thermal-learn", 4, [(32, 9)]),
+            ("plateau_3v", "plateau-scan", 0, [(1, 3), (4, 9)]),
+            ("plateau_3v", "plateau-scan", 1, [(8, 9)]),
+            ("plateau_3v", "plateau-scan", 2, [(1, 3), (12, 9)]),
+            ("plateau_3v", "plateau-scan", 3, [(18, 9)]),
+            ("mc_2q", "mc-estimate", 0, [(1, 15)]),
+        ],
+    )
+    def test_bundled_circuit_blocks(self, rng, config, experiment, n_h, shapes):
+        """Block count and (blocks, gates) of each group for every circuit a bundled config builds."""
+        doc = cli.load_experiment_config(cli.bundled_config_path(f"{config}.json"), experiment)
+        if experiment == "thermal-learn":
+            cfg = training.TrainConfig(**doc["train"])
+            assert cfg.n_h == n_h
+            p = training._build_model(cfg, rng)
+        else:
+            assert n_h in doc.get("n_h_list", [doc.get("n_h")])
+            p = build_uqnn(doc["n_v"], n_h, rng, doc.get("layout", "exhaustive"), doc.get("repetitions", 1))
+        table = p.blocks()
+        assert [grp.gates.shape for grp in table.groups] == shapes
+        assert len(table.order) == sum(b for b, _ in shapes)
 
     def test_block_table_is_read_only(self, rng):
         table = build_uqnn(2, 1, rng).blocks()

@@ -467,6 +467,17 @@ class TestMetricsLog:
             assert all(type(r.epoch) is int for r in got)
             assert math.copysign(1.0, got[0].penalized_loss) == -1.0
 
+    def test_rows_round_trip_every_float_bit_for_bit(self, rng):
+        # random bit patterns cover every exponent, subnormals and both zeros
+        floats = rng.integers(0, 2**64, size=(50, 6), dtype=np.uint64).view(np.float64)
+        floats[~np.isfinite(floats)] = 1.5
+        floats[0] = [math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2250738585072014e-308]
+        values = [(e, *row) for e, row in enumerate(floats.tolist())]
+        log = MetricsLog("ab" * 8, 0, [MetricsRow(*v) for v in values])
+        got = [dataclasses.astuple(r) for r in log.rows]
+        assert [e for e, *_ in got] == list(range(50))
+        assert np.array([v[1:] for v in got]).view(np.uint64).tolist() == floats.view(np.uint64).tolist()
+
     def test_rows_are_a_fresh_read_only_list(self):
         log = self.make_log()
         rows = log.rows
@@ -485,8 +496,8 @@ class TestPinnedFormats:
         [
             (
                 "uqnn", 1, 1,
-                "ad5b569d8378710ac84e9ec6af2518bc8033da0e6ea9aa8f099327e542fa8e0e",
-                "bea53e614f06f72aa278f0a4ac2f30454251ea85be4512ec47b10801c7469d9b",
+                "48c290f622c8f42cd61a5e8e5656a3a6cdfc9a0a8a6bb4c71ac2adf52140e2a6",
+                "3a0b863f1eb3bdda54c97761662b4f376f3be680b73c2aac7797fd890b835a7f",
             ),
             (
                 "qbm", 2, 0,
@@ -503,6 +514,34 @@ class TestPinnedFormats:
         science = "\n".join(line.rsplit(",", 1)[0] for line in lines)
         assert hashlib.sha256(checkpoint).hexdigest() == checkpoint_sha
         assert hashlib.sha256(science.encode()).hexdigest() == csv_sha
+
+    def test_uqnn_member_matches_its_per_support_block_values(self, tmp_path):
+        # What the uqnn member above logged, and its checkpoint angles, when each
+        # block held one qubit support (1v+1h in 3 blocks, now 1): the hashes
+        # pin the files exactly, these literals bound how far the merged
+        # blocks' rounding may move them.
+        logged = [
+            [0, 1.1179975869111018, 1.1179975869111018, 0.8803431740781217, 1.7542326474251073, 0.1192029220221175],
+            [1, 1.028679653398145, 1.028679653398145, 0.8952929658347526, 1.8961515711572487, 0.1192029220221175],
+            [2, 0.9404772668955371, 0.9404772668955371, 0.9083709551666819, 2.025798306966205, 0.1192029220221175],
+            [3, 0.8554369740067088, 0.8554369740067088, 0.9195599155831196, 2.1334546554561604, 0.1192029220221175],
+        ]
+        thetas = [
+            -0.08754754102249859, 2.3682888650489557, 0.39998617659514984, -0.49302355026911,
+            -0.5041025022480283, 0.7903699222938194, -0.06817470642181489, 0.903949478770908,
+            0.023511629821367584, 2.2494410358507086, 1.2395660267886544, -0.2601134849617368,
+            -0.5058933775215501, 0.030572685515030916, -0.3198044133312628,
+        ]
+        log = train(small_cfg(n_v=1, n_h=1, epochs=3), out_dir=str(tmp_path))
+        assert np.allclose([dataclasses.astuple(r)[:-1] for r in log.rows], logged, rtol=1e-12, atol=0)
+        got = json.loads((tmp_path / "run_000_checkpoint.json").read_text())["thetas"]
+        # The exact gradient of angles 3-5 (the hidden qubit's singles, applied
+        # last) and 14 (ZZ on |00>) is 0; ADAM (eps 1e-8) turns its rounding
+        # noise of about 1e-16 into steps of about lr * 1e-8 per epoch.
+        zero = [3, 4, 5, 14]
+        rest = [k for k in range(15) if k not in zero]
+        assert np.allclose(np.take(got, rest), np.take(thetas, rest), rtol=1e-12, atol=0)
+        assert np.allclose(np.take(got, zero), np.take(thetas, zero), rtol=0, atol=1e-8)
 
 
 class TestRunEnsemble:
