@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -407,16 +407,12 @@ def _swap_checks(n_instances: int, rng: np.random.Generator) -> list[CheckResult
 
 
 def _fd_loss(p: UQNNParams | QBMParams, rho: DensityMatrix, direction: str):
-    """The raw training loss as a function of the parameter vector alone."""
+    """The raw training loss as a function of parameter vectors alone: (M, N) stacks to M values."""
     visible = uqnn_visible_state if isinstance(p, UQNNParams) else qbm_visible_state
 
-    def loss(th: np.ndarray) -> float:
-        keep, p.thetas = p.thetas, th
-        try:
-            sv = visible(p)
-            return (renyi2_reverse(sv, rho) if direction == "reverse" else renyi2_forward(rho, sv)).value
-        finally:
-            p.thetas = keep
+    def loss(th: np.ndarray) -> np.ndarray:
+        sv = visible(replace(p, thetas=th))
+        return (renyi2_reverse(sv, rho) if direction == "reverse" else renyi2_forward(rho, sv)).value
 
     return loss
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import qmath
-from .hamiltonians import pauli_traces
+from .hamiltonians import pauli_traces, weighted_sum_dense
 from .models import QBMParams, UQNNParams, qbm_thermal, uqnn_statevector
 from .states import DensityMatrix
 
@@ -227,11 +227,12 @@ def uqnn_grad_linear(p: UQNNParams, observable: np.ndarray) -> np.ndarray:
 
 def state_gradient_entry(
     sigma: np.ndarray, dsigma: np.ndarray, rho: np.ndarray, direction: str
-) -> float:
-    """Single gradient entry from an explicit state derivative (all-visible).
+) -> float | np.ndarray:
+    """Gradient entries from explicit state derivatives (all-visible), one per member.
 
     reverse: Tr(dsigma {sigma, rho^-1}) / Tr(sigma^2 rho^-1)
     forward: -Tr(dsigma sigma^-1 rho^2 sigma^-1) / Tr(rho^2 sigma^-1)
+    sigma and dsigma may be (R, d, d) stacks against one rho; each entry is bit-identical to a one-member call.
     """
     sv = DensityMatrix.from_mat(sigma)
     q, loss, sign = _renyi2_kernel(sv, DensityMatrix.from_mat(rho), direction)
@@ -342,7 +343,7 @@ def frechet_exp_neg_derivative(w: np.ndarray, v: np.ndarray, pm: np.ndarray) -> 
     Entrywise: G'_ij = B_ij exp(-(w_i+w_j)/2) sinh(d/2)/(d/2), d = w_i - w_j.
     Satisfies d(e^{-H})/dtheta_m = -G_m. Evaluated per weight with its own
     sinh form, independently of the adjoint kernel the production gradients
-    use; a second oracle against them.
+    use; a second oracle against them. A stack pm (M, d, d) gives one G_m each.
     """
     b = v.conj().T @ pm @ v
     delta = w[:, None] - w[None, :]
@@ -376,14 +377,11 @@ def _qbm_grad_frechet(p: QBMParams, rho: DensityMatrix, direction: str) -> np.nd
         q, num, sign = svinv @ r @ r @ svinv, _real_trace(r @ svinv @ r), -1.0
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    grads = np.empty(len(p.basis))
-    for m, t in enumerate(p.basis):
-        pm = t.dense(p.n_qubits)
-        g_m = frechet_exp_neg_derivative(w, v, pm)
-        trace_pm_e = _real_trace(pm @ e_mat)
-        dsv = -qmath.partial_trace(g_m, p.n_v, p.n_h) / z + sv * (trace_pm_e / z)
-        grads[m] = sign * _real_trace(dsv @ q) / num
-    return grads
+    pm = weighted_sum_dense(np.eye(len(p.basis)), p.tables())  # row m weights string m alone
+    g = frechet_exp_neg_derivative(w, v, pm)
+    trace_pm_e = _real_trace(pm @ e_mat)
+    dsv = -qmath.partial_trace(g, p.n_v, p.n_h) / z + sv * (trace_pm_e / z)[:, None, None]
+    return sign * _real_trace(dsv @ q) / num
 
 
 def qbm_grad_reverse_frechet(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
@@ -396,22 +394,24 @@ def qbm_grad_forward_frechet(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
     return _qbm_grad_frechet(p, rho, "forward")
 
 
-def fd_gradient(loss: Callable[[np.ndarray], float], thetas: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences (L(t + h e_k) - L(t - h e_k)) / 2h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+def fd_gradient(loss: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences (L(t + h e_k) - L(t - h e_k)) / 2h for every k.
+
+    `loss` maps an (M, N) stack of parameter vectors to their M values; it is
+    called once per side, on all N probes of that side as one stack.
+    """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h}")
     thetas = np.asarray(thetas, dtype=float)
-    out = np.empty(len(thetas))
-    for k in range(len(thetas)):
-        tp = thetas.copy()
-        tm = thetas.copy()
-        tp[k] += h
-        tm[k] -= h
-        out[k] = (loss(tp) - loss(tm)) / (2.0 * h)
-    return out
+    k = np.arange(len(thetas))
+    tp = np.tile(thetas, (len(thetas), 1))
+    tm = tp.copy()
+    tp[k, k] += h
+    tm[k, k] -= h
+    return (loss(tp) - loss(tm)) / (2.0 * h)
 
 
-def fd_richardson(loss: Callable[[np.ndarray], float], thetas: np.ndarray, h: float = 1e-4) -> np.ndarray:
+def fd_richardson(loss: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Richardson-extrapolated central differences, O(h^4) truncation.
 
     Plain central differences lose digits when the loss curvature is steep

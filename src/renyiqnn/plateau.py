@@ -21,7 +21,7 @@ from . import qmath
 from .divergence import _checked_inverse, state_gradient_entry, uqnn_grad_linear, uqnn_grad_reverse
 from .hamiltonians import LCUHamiltonian
 from .models import build_uqnn, conjugated_generator_vec, uqnn_statevector, visible_from_statevector
-from .states import DensityMatrix, haar_unitary, thermal_state
+from .states import DensityMatrix, _haar_unitaries, thermal_state
 
 
 @dataclass
@@ -129,15 +129,11 @@ def haar_gradient_moment(
     if sigma.dim != rho.dim:
         raise ValueError("sigma and rho dimensions differ")
     dsigma = _checked_derivative(sigma, dsigma)
-    n = sigma.n_qubits
-    acc = 0.0
-    for _ in range(n_samples):
-        u = haar_unitary(n, rng)
-        s_u = u @ sigma.mat @ u.conj().T
-        d_u = u @ dsigma @ u.conj().T
-        g = state_gradient_entry(s_u, d_u, rho.mat, direction)
-        acc += g * g
-    return acc / n_samples
+    u = _haar_unitaries(sigma.n_qubits, n_samples, rng)
+    u_dag = u.conj().swapaxes(-1, -2)
+    g = state_gradient_entry(u @ sigma.mat @ u_dag, u @ dsigma @ u_dag, rho.mat, direction)
+    # cumsum adds in sample order, as a running sum would; np.sum pairs terms up
+    return float(np.cumsum(g * g)[-1]) / n_samples
 
 
 def lemma1_bounds(sigma: DensityMatrix, dsigma: np.ndarray, n: int) -> tuple[float, float]:

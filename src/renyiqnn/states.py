@@ -140,10 +140,8 @@ def thermal_state(h) -> DensityMatrix:
     Hamiltonians (R, d, d) gives one state per member.
     """
     w, v = np.linalg.eigh(qmath._symmetrize(_dense_hamiltonian(h)))
-    norm = float(np.max(np.abs(w)))
-    if norm > 700.0:
-        # e^{+-norm} would overflow/underflow float64 entirely.
-        raise ValueError(f"operator norm {norm:.3g} too large for a stable exponential")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("Hamiltonian spectrum is not finite")
     e = np.exp(-(w - w[..., :1]))
     return DensityMatrix.from_factor(v, e / np.sum(e, axis=-1, keepdims=True))
 
@@ -178,12 +176,16 @@ def haar_unitary(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     The R diagonal's phases are divided out; without that fix QR output is not
     Haar-distributed.
     """
+    return _haar_unitaries(n_qubits, 1, rng)[0]
+
+
+def _haar_unitaries(n_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A (count, d, d) stack of Haar unitaries, drawn from rng as count haar_unitary calls would be."""
     d = 2**n_qubits
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return q
+    g = rng.standard_normal((count, 2, d, d))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    diag = r.diagonal(axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def random_density_matrix(

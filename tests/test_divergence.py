@@ -23,7 +23,7 @@ from renyiqnn.divergence import (
     uqnn_grad_linear,
     uqnn_grad_reverse,
 )
-from renyiqnn import divergence, hamiltonians, states
+from renyiqnn import cli, divergence, hamiltonians, states
 from renyiqnn.hamiltonians import PauliTerm, string_trace
 from renyiqnn.models import (
     QBMParams,
@@ -152,6 +152,30 @@ class TestRelativeEntropyBound:
         assert relative_entropy(rho, sigma) == pytest.approx(math.log(4), abs=1e-10)
 
 
+def frechet_gradient_loop(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
+    """Reference Frechet-route gradient, one basis weight at a time."""
+    w, v = np.linalg.eigh(p.hamiltonian_dense())
+    w = w - w[0]
+    e_mat = (v * np.exp(-w)) @ v.conj().T
+    z = float(np.trace(e_mat).real)
+    sv = partial_trace(e_mat, p.n_v, p.n_h) / z
+    r = rho.mat
+    if direction == "reverse":
+        rinv = np.linalg.inv(r)
+        q, num, sign = sv @ rinv + rinv @ sv, divergence._real_trace(sv @ rinv @ sv), 1.0
+    else:
+        svinv = np.linalg.inv(sv)
+        q, num, sign = svinv @ r @ r @ svinv, divergence._real_trace(r @ svinv @ r), -1.0
+    grads = np.empty(len(p.basis))
+    for m, t in enumerate(p.basis):
+        pm = t.dense(p.n_qubits)
+        g_m = frechet_exp_neg_derivative(w, v, pm)
+        trace_pm_e = divergence._real_trace(pm @ e_mat)
+        dsv = -partial_trace(g_m, p.n_v, p.n_h) / z + sv * (trace_pm_e / z)
+        grads[m] = sign * divergence._real_trace(dsv @ q) / num
+    return grads
+
+
 class TestUQNNGradients:
     def test_reverse_matches_fd(self, rng):
         for _ in range(6):
@@ -237,7 +261,7 @@ class TestUQNNGradients:
 
         def loss(th):
             sv = uqnn_visible_state(UQNNParams(2, 0, p.generators, th)).mat
-            return float(np.real(np.trace(m @ sv)))
+            return np.real(np.trace(m @ sv, axis1=-2, axis2=-1))
 
         fd = fd_gradient(loss, p.thetas)
         assert np.max(np.abs(uqnn_grad_linear(p, m) - fd)) < 1e-6
@@ -281,6 +305,15 @@ class TestStateGradientEntry:
 
         fd = (loss(h) - loss(-h)) / (2 * h)
         assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    def test_stack_equals_solo_rows(self, rng, direction):
+        rho = random_density_matrix(2, rng).mat
+        sigma = np.stack([random_density_matrix(2, rng).mat for _ in range(5)])
+        d = np.stack([random_hermitian(4, rng) for _ in range(5)])
+        got = state_gradient_entry(sigma, d, rho, direction)
+        assert got.shape == (5,)
+        assert all(got[i] == state_gradient_entry(sigma[i], d[i], rho, direction) for i in range(5))
 
     def test_unknown_direction(self, rng):
         m = random_density_matrix(1, rng).mat
@@ -431,6 +464,14 @@ class TestQBMGradients:
         oracle = qbm_grad_reverse_frechet if direction == "reverse" else qbm_grad_forward_frechet
         assert np.max(np.abs(oracle(p, rho) - expect)) < 1e-8
 
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    @pytest.mark.parametrize("n_v,n_h", [(1, 1), (2, 0), (2, 1), (3, 0), (2, 2), (3, 1), (4, 0)])
+    def test_stacked_frechet_equals_weight_loop(self, rng_factory, n_v, n_h, direction):
+        rng = rng_factory(400 + 10 * n_v + n_h)
+        p = build_qbm(n_v, n_h, rng)
+        rho = random_density_matrix(n_v, rng)
+        assert np.array_equal(divergence._qbm_grad_frechet(p, rho, direction), frechet_gradient_loop(p, rho, direction))
+
     def test_frechet_derivative_oracle(self, rng):
         # check the exact integral formula against a finite difference of expm;
         # the helper takes and returns matrices in the original basis
@@ -566,17 +607,29 @@ class TestFactorizationReuse:
         assert f == pytest.approx(fidelity(dm(ev.sigma_v.mat.copy()), rho), abs=1e-13)
 
 
+def fd_gradient_loop(loss, thetas: np.ndarray, h: float) -> np.ndarray:
+    """Reference central differences: one probe vector per loss call, one entry at a time."""
+    out = np.empty(len(thetas))
+    for k in range(len(thetas)):
+        tp = thetas.copy()
+        tm = thetas.copy()
+        tp[k] += h
+        tm[k] -= h
+        out[k] = (loss(tp) - loss(tm)) / (2.0 * h)
+    return out
+
+
 class TestFDGradient:
     def test_quadratic_is_exact(self):
         def loss(t):
-            return float(t @ t)
+            return np.sum(t * t, axis=-1)
 
         th = np.array([0.3, -1.2, 0.5])
         assert np.max(np.abs(fd_gradient(loss, th, h=1e-4) - 2 * th)) < 1e-9
 
     def test_error_scales_quadratically(self):
         def loss(t):
-            return float(np.sum(t**4))
+            return np.sum(t**4, axis=-1)
 
         th = np.array([1.1])
         exact = 4 * th**3
@@ -585,5 +638,31 @@ class TestFDGradient:
         assert e1 / e2 == pytest.approx(4.0, rel=0.05)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError, match="positive"):
-            fd_gradient(lambda t: 0.0, np.zeros(2), h=0.0)
+        for h in (0.0, -1e-5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                fd_gradient(lambda t: np.zeros(len(t)), np.zeros(2), h=h)
+
+    def test_one_loss_call_per_side(self):
+        calls = []
+
+        def loss(t):
+            calls.append(t.shape)
+            return np.sum(t * t, axis=-1)
+
+        fd_gradient(loss, np.zeros(3))
+        assert calls == [(3, 3)] * 2
+        calls.clear()
+        fd_richardson(loss, np.zeros(3))
+        assert calls == [(3, 3)] * 4
+
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    @pytest.mark.parametrize(
+        "kind,n_v,n_h", [("uqnn", 1, 1), ("uqnn", 2, 2), ("uqnn", 3, 3), ("qbm", 2, 1), ("qbm", 3, 1)]
+    )
+    def test_stacked_probes_equal_probe_loop(self, rng_factory, kind, n_v, n_h, direction):
+        rng = rng_factory(300 + 10 * n_v + n_h)
+        p = (build_uqnn if kind == "uqnn" else build_qbm)(n_v, n_h, rng)
+        loss = cli._fd_loss(p, random_density_matrix(n_v, rng), direction)
+        assert np.array_equal(fd_gradient(loss, p.thetas), fd_gradient_loop(loss, p.thetas, 1e-5))
+        richardson = (4.0 * fd_gradient_loop(loss, p.thetas, 1e-4 / 2) - fd_gradient_loop(loss, p.thetas, 1e-4)) / 3.0
+        assert np.array_equal(fd_richardson(loss, p.thetas), richardson)

@@ -426,7 +426,7 @@ class TestSharedLayoutTables:
         loss = cli._fd_loss(p, rho, "reverse")
         for _ in range(3):
             loss(p.thetas + 0.01 * rng.standard_normal(len(p.thetas)))
-        divergence.fd_gradient(lambda th: uqnn_statevector(UQNNParams(2, 2, p.generators, th))[0].real, p.thetas)
+        divergence.fd_gradient(lambda th: uqnn_statevector(UQNNParams(2, 2, p.generators, th))[..., 0].real, p.thetas)
         back = load_checkpoint_model(checkpoint_doc(p))
         assert back.generators is not p.generators
         assert back.blocks() is shared

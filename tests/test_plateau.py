@@ -108,7 +108,26 @@ class TestLemma1Bounds:
             lemma1_bounds(sigma, bad, 1)
 
 
+def haar_moment_loop(sigma, dsigma, rho, direction, n_samples, rng) -> float:
+    """Reference Haar moment: one unitary, conjugation and gradient entry per sample."""
+    acc = 0.0
+    for _ in range(n_samples):
+        u = haar_unitary(sigma.n_qubits, rng)
+        g = state_gradient_entry(u @ sigma.mat @ u.conj().T, u @ dsigma @ u.conj().T, rho.mat, direction)
+        acc += g * g
+    return acc / n_samples
+
+
 class TestHaarGradientMoment:
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_stacked_samples_equal_sample_loop(self, rng_factory, n, direction):
+        rng = rng_factory(500 + n)
+        sigma, rho = random_density_matrix(n, rng), random_density_matrix(n, rng)
+        d = traceless_hermitian(2**n, rng)
+        got = haar_gradient_moment(sigma, d, rho, direction, 40, rng_factory(600 + n))
+        assert got == haar_moment_loop(sigma, d, rho, direction, 40, rng_factory(600 + n))
+
     def test_zero_tangent_gives_zero(self, rng):
         sigma = random_density_matrix(2, rng)
         rho = random_density_matrix(2, rng)

@@ -84,9 +84,19 @@ class TestThermalState:
             assert abs(np.trace(rho.mat) - 1) < 1e-10
             assert np.linalg.eigvalsh(rho.mat).min() > 0
 
-    def test_rejects_huge_norm(self):
-        with pytest.raises(ValueError, match="norm"):
-            thermal_state(np.diag([800.0, -800.0]))
+    def test_huge_norm_gives_unit_trace_state(self, rng):
+        # the exponent is shifted by the smallest eigenvalue, so no norm overflows;
+        # the far end of the spectrum underflows to exact zeros
+        from renyiqnn.hamiltonians import normalize, random_two_local
+
+        rho = thermal_state(normalize(random_two_local(2, 0.5, 0.5, rng), 750.0))
+        assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(rho.mat))
+        assert np.array_equal(thermal_state(np.diag([800.0, -800.0])).mat, np.diag([0.0, 1.0]))
+
+    def test_rejects_non_finite_spectrum(self):
+        with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
+            thermal_state(np.diag([np.inf, 0.0]))
 
     def test_member_stack_rows_equal_solo_states(self, rng):
         from renyiqnn.hamiltonians import random_two_local

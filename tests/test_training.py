@@ -592,6 +592,16 @@ class TestRunEnsemble:
         with pytest.raises(TrainingError, match="failed"):
             run_ensemble(cfg, 4, vary="both")
 
+    def test_boltzmann_ensembles_at_tau_750(self):
+        # the target's far eigenvalues underflow to exact zeros: forward
+        # members train, reverse members (target inverted) fail with a typed error
+        cfg = small_cfg(kind="qbm", direction="forward", tau=750.0, epochs=3)
+        logs, summary = run_ensemble(cfg, 5, vary="both")
+        assert summary.failures == [] and len(logs) == 5
+        assert np.all(np.isfinite(summary.stats["loss_mean"]))
+        with pytest.raises(TrainingError, match="singular target state"):
+            run_ensemble(dataclasses.replace(cfg, direction="reverse"), 5, vary="both")
+
     @pytest.mark.parametrize("fault", ["nan", "linalg"])
     def test_numeric_failure_counts_against_budget(self, monkeypatch, fault):
         # one member's gradient goes bad inside the batched evaluation; the
