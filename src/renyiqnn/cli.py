@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -121,34 +121,62 @@ def _object(resolve):
     return check
 
 
+def _retiring(retired: dict, resolve):
+    """The check of a block that may hold retired keys: `resolve` of the rest, each retired key checked and dropped."""
+
+    def check(key: str, doc: dict) -> dict:
+        out = resolve(key, {k: v for k, v in doc.items() if k not in retired})
+        for name in (n for n in retired if n in doc):
+            value, accepted = doc[name], retired[name](out)
+            if accepted is not None and not any(v == value and isinstance(v, bool) == isinstance(value, bool)
+                                                for v in accepted):
+                raise ConfigError(f"{key}.{name} is no longer a setting; it is accepted only at "
+                                  f"{' or '.join(map(json.dumps, accepted))}, got {json.dumps(value)}")
+        return out
+
+    return check
+
+
+# Keys that config.json files of earlier versions carry, each mapped to the
+# values the program now always uses, given the resolved block (None: any
+# value; series_tol was the tolerance of a truncated Boltzmann series).
+_RETIRED_TRAIN = {
+    "series_tol": lambda c: None,
+    "target_std_single": lambda c: (None, default_std_single(c["target_locality"])),
+    "target_std_pair": lambda c: (1.0,),
+    "target_reg": lambda c: (0.0,),
+    "normalize_init": lambda c: (True,),
+    "layout": lambda c: ("exhaustive",),
+    "repetitions": lambda c: (1,),
+}
+_RETIRED_TARGET = {"std_single": lambda t: (default_std_single(t["locality"]),), "std_pair": lambda t: (1.0,)}
+
+
 def _train(kind: str):
     """The check of a train block: a TrainConfig of model kind `kind`, as its full field dict."""
 
     def resolve(key: str, value: dict) -> dict:
         try:
-            cfg = TrainConfig.from_json_dict(value)
+            cfg = TrainConfig(**value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
         if cfg.kind != kind:
             raise ConfigError(f"{key}.kind must be {kind!r} for this experiment, got {cfg.kind!r}")
-        return cfg.to_json_dict()
+        return asdict(cfg)
 
-    return _object(resolve)
+    return _object(_retiring(_RETIRED_TRAIN, resolve))
 
 
 _COUNT = _need(lambda v: is_integer(v) and v >= 1, "a positive integer")
 _NATURAL = _need(lambda v: is_integer(v) and v >= 0, "a nonnegative integer")
-_NUMBER = _need(is_number, "a number")
 _POSITIVE = _need(lambda v: is_number(v) and v > 0, "a positive number")
 _PATH = _need(lambda v: isinstance(v, str) and v != "", "a nonempty path")
 
 _TARGET = {
     "locality": (2, _need(lambda v: is_integer(v) and v in (2, 3), "2 or 3")),
     "tau": (1.0, _POSITIVE),
-    "std_single": (lambda t: default_std_single(t["locality"]), _NUMBER),
-    "std_pair": (1.0, _NUMBER),
 }
-_TARGET_BLOCK = _object(lambda key, value: _resolve(_TARGET, value, key + "."))
+_TARGET_BLOCK = _object(_retiring(_RETIRED_TARGET, lambda key, value: _resolve(_TARGET, value, key + ".")))
 
 
 def _learn_table(experiment: str, kind: str) -> dict:
@@ -169,8 +197,8 @@ TABLES = {
         "n_v": (REQUIRED, _COUNT),
         "n_h_list": (
             REQUIRED,
-            _need(lambda v: isinstance(v, list) and all(is_integer(x) and x >= 0 for x in v),
-                  "a list of nonnegative integers"),
+            _need(lambda v: isinstance(v, list) and v != [] and all(is_integer(x) and x >= 0 for x in v)
+                  and len(set(v)) == len(v), "a nonempty list of distinct nonnegative integers"),
         ),
         "ensemble": (REQUIRED, _COUNT),
         "target": ({}, _TARGET_BLOCK),
@@ -347,10 +375,10 @@ def cmd_mc_estimate(args: argparse.Namespace) -> int:
 
     est = mc_reverse_gradient_thermal(p, target, k, shots, shot_rng, q_max=cfg["q_max"])
     exact = float(uqnn_grad_reverse(p, thermal_state(target))[k - 1])
-    z = (est.mean - exact) / est.std_error if est.std_error > 0 else 0.0
+    z = (est.mean - exact) / est.std_error if est.std_error > 0 else None
     print(
         f"mc-estimate: k={k} shots={shots} estimate {est.mean:.6f} +- {est.std_error:.6f}, "
-        f"exact {exact:.6f}, z = {z:+.2f}"
+        f"exact {exact:.6f}, " + ("z undefined" if z is None else f"z = {z:+.2f}")
     )
     if out_dir is not None:
         _write_resolved(out_dir, cfg)

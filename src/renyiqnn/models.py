@@ -475,19 +475,12 @@ def build_uqnn(
     return UQNNParams(n_v, n_h, gens, thetas)
 
 
-def build_qbm(
-    n_v: int, n_h: int, rng: np.random.Generator, normalize_init: bool = True
-) -> QBMParams:
-    """Boltzmann machine over the two-local basis, weights ~ N(0, 1).
-
-    With normalize_init the initial weight vector is divided once by the
-    operator norm of H(theta); training does not re-normalize.
-    """
+def build_qbm(n_v: int, n_h: int, rng: np.random.Generator) -> QBMParams:
+    """Boltzmann machine over the two-local basis, weights ~ N(0, 1) divided once by the operator norm of H(theta)."""
     basis = two_local_terms(n_v + n_h)
     thetas = rng.standard_normal(len(basis))
     p = QBMParams(n_v, n_h, basis, thetas)
-    if normalize_init:
-        p.thetas = p.thetas / qmath.op_norm(p.hamiltonian_dense())
+    p.thetas = p.thetas / qmath.op_norm(p.hamiltonian_dense())
     return p
 
 

@@ -48,6 +48,9 @@ class PlateauReport:
     def __post_init__(self) -> None:
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
+        keys = [(r.n_v, r.n_h, r.loss_kind) for r in self.records]
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"two records for one (n_v, n_h, loss_kind) among {keys}")
         for rec in self.records:
             for name, value in rec.stats.items():
                 if not math.isfinite(value):

@@ -8,32 +8,17 @@ the leading factors.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 HERM_TOL = 1e-12
 
-# Dense storage of a 2^12 x 2^12 complex matrix is ~270 MB; refuse beyond that
-# unless the user raises the cap explicitly.
-_DEFAULT_DIM_CAP = 2**12
-
-
-def dim_cap() -> int:
-    """Maximum allowed Hilbert-space dimension (env RENYIQNN_DIM_CAP overrides)."""
-    raw = os.environ.get("RENYIQNN_DIM_CAP")
-    if raw is None:
-        return _DEFAULT_DIM_CAP
-    cap = int(raw)
-    if cap < 2:
-        raise ValueError(f"RENYIQNN_DIM_CAP must be >= 2, got {cap}")
-    return cap
+# Dense storage of a 2^12 x 2^12 complex matrix is ~270 MB; refuse beyond that.
+DIM_CAP = 2**12
 
 
 def check_dim(dim: int) -> None:
-    cap = dim_cap()
-    if dim > cap:
-        raise ValueError(f"dimension {dim} exceeds cap {cap} (set RENYIQNN_DIM_CAP to raise)")
+    if dim > DIM_CAP:
+        raise ValueError(f"dimension {dim} exceeds cap {DIM_CAP}")
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:

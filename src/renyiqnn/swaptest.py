@@ -263,14 +263,14 @@ def mc_reverse_gradient_thermal(
     bs_num = [a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T]
 
     # Label i^e X^x Z^z as x << (n_v + 2) | z << 2 | e; a negative
-    # coefficient adds 2 to e. Slot 4^(n_v + 1) stands for q = 0.
+    # coefficient adds 2 to e. Label 0 is the identity, the product at q = 0.
     n = p.n_v
     masks = [t.masks(n) for t in terms]
     term_lab = np.array(
         [x << (n + 2) | z << 2 | (ny + 2 * (t.coeff < 0.0)) & 3 for t, (x, z, ny) in zip(terms, masks)],
         dtype=np.int64,
     )
-    q0_slot = 4 ** (n + 1)
+    n_lab = 4 ** (n + 1)
     p_idx = np.abs(alpha) / a1 if a1 > 0.0 else None
 
     orders = np.arange(q_max + 1)
@@ -284,7 +284,7 @@ def mc_reverse_gradient_thermal(
         qs = np.empty(shots, dtype=np.min_scalar_type(q_max))
         for blk in _blocks(shots):
             qs[blk] = rng.choice(q_max + 1, size=qs[blk].size, p=p_q)
-        labels = np.full(shots, q0_slot, dtype=np.min_scalar_type(q0_slot))
+        labels = np.zeros(shots, dtype=np.min_scalar_type(n_lab - 1))
         for q in range(1, int(qs.max()) + 1):
             rows = np.flatnonzero(qs == q)
             for blk in _blocks(rows.size):
@@ -298,18 +298,16 @@ def mc_reverse_gradient_thermal(
         return labels
 
     def label_traces(labels: np.ndarray, bs: list[np.ndarray]) -> np.ndarray:
-        """Exact Tr(B U) per circuit B and per label that occurs, (len(bs), q0_slot + 1)."""
-        seen = np.zeros(q0_slot + 1, dtype=bool)
+        """Exact Tr(B U) per circuit B and per label that occurs, (len(bs), 4^(n_v + 1))."""
+        seen = np.zeros(n_lab, dtype=bool)
         for blk in _blocks(shots):
             seen[labels[blk]] = True
-        used = np.flatnonzero(seen[:q0_slot])
+        used = np.flatnonzero(seen)
         lab = used[:, None]
         tables = string_action(lab >> (n + 2), (lab >> 2) & (dv - 1), n, lab & 3)
-        t_lab = np.zeros((len(bs), q0_slot + 1), dtype=complex)
+        t_lab = np.zeros((len(bs), n_lab), dtype=complex)
         for mi, b in enumerate(bs):
             t_lab[mi, used] = pauli_traces(b, tables)
-            if seen[q0_slot]:
-                t_lab[mi, q0_slot] = np.trace(b)
         if float(np.max(np.abs(t_lab[:, seen]))) > 1.0 + 1e-9:
             raise ArithmeticError("sampled trace left the unit disc; not a valid shot probability")
         return t_lab

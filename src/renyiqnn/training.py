@@ -35,7 +35,7 @@ import numpy as np
 
 from . import divergence
 from .hamiltonians import LCUHamiltonian, normalize, random_three_local, random_two_local
-from .models import LAYOUTS, QBMParams, UQNNParams, build_qbm, build_uqnn, checkpoint_doc, load_checkpoint_model
+from .models import QBMParams, UQNNParams, build_qbm, build_uqnn, checkpoint_doc, load_checkpoint_model
 from .states import DensityMatrix, fidelity, thermal_state
 
 BETA1 = 0.9  # ADAM's constants, those of Kingma & Ba (arXiv:1412.6980)
@@ -113,11 +113,10 @@ def is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
-# TrainConfig checks each field against its annotation ("float | None" also takes None)
+# TrainConfig checks each field against its annotation
 _FIELD_CHECKS = {
     "int": (is_integer, "an integer"),
     "float": (is_number, "a number"),
-    "bool": (lambda x: isinstance(x, bool), "a bool"),
     "str": (lambda x: isinstance(x, str), "a string"),
 }
 
@@ -127,12 +126,11 @@ class TrainConfig:
     """Everything one seeded run needs: model, target recipe, optimizer knobs.
 
     The target is drawn from the run's target stream: a random two- or
-    three-local Hamiltonian (singles std target_std_single, defaulting to
-    sqrt(0.1) for locality 2 and 1.0 for locality 3; pairs/triples std
-    target_std_pair for locality 2), normalized to operator norm tau, then
-    exponentiated to its thermal state. target_reg mixes in the maximally
-    mixed state, rho <- (1-eps) rho + eps I/d, for deliberately
-    ill-conditioned targets; 0 leaves the thermal state untouched.
+    three-local Hamiltonian of locality target_locality (see
+    target_hamiltonian), normalized to operator norm tau, then
+    exponentiated to its thermal state. uqnn models use the exhaustive
+    two-local layout, one repetition; qbm weights start normalized (see
+    build_uqnn and build_qbm).
 
     lr = 0 is allowed and freezes the parameters (useful as a no-op probe).
     """
@@ -148,19 +146,12 @@ class TrainConfig:
     log_every: int = 1
     target_locality: int = 2
     tau: float = 1.0
-    target_std_single: float | None = None
-    target_std_pair: float = 1.0
-    target_reg: float = 0.0
-    layout: str = "exhaustive"
-    repetitions: int = 1
-    normalize_init: bool = True
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            base, _, optional = f.type.partition(" | ")
-            ok, what = _FIELD_CHECKS[base]
-            if not (ok(value) or (optional and value is None)):
+            ok, what = _FIELD_CHECKS[f.type]
+            if not ok(value):
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -182,26 +173,6 @@ class TrainConfig:
             raise ValueError("target_locality must be 2 or 3")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if not 0.0 <= self.target_reg < 1.0:
-            raise ValueError("target_reg must lie in [0, 1)")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"unknown layout {self.layout!r}")
-
-    def resolved_std_single(self) -> float:
-        if self.target_std_single is not None:
-            return self.target_std_single
-        return default_std_single(self.target_locality)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TrainConfig":
-        # Train blocks resolved while Boltzmann gradients were a truncated
-        # series carry its tolerance; the closed form has no use for it.
-        return cls(**{k: v for k, v in doc.items() if k != "series_tol"})
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)
@@ -339,38 +310,33 @@ def run_streams(
 
 
 def default_std_single(locality: int) -> float:
-    """Singles std of a target recipe that sets none."""
+    """Singles std of the target recipe of this locality."""
     return math.sqrt(0.1) if locality == 2 else 1.0
 
 
-def target_hamiltonian(
-    n: int, rng: np.random.Generator, locality: int, tau: float, std_single: float, std_pair: float
-) -> LCUHamiltonian:
-    """Random two- or three-local Hamiltonian of one target recipe, normalized to operator norm tau."""
+def target_hamiltonian(n: int, rng: np.random.Generator, locality: int, tau: float) -> LCUHamiltonian:
+    """Random two- or three-local target Hamiltonian, normalized to operator norm tau.
+
+    Locality 2 draws singles with std sqrt(0.1) and pairs with std 1;
+    locality 3 draws singles, pairs and triples with std 1.
+    """
     if locality == 2:
-        h = random_two_local(n, std_single, std_pair, rng)
+        h = random_two_local(n, default_std_single(2), 1.0, rng)
     else:
-        h = random_three_local(n, std_single, rng)
+        h = random_three_local(n, default_std_single(3), rng)
     return normalize(h, tau)
 
 
 def draw_target(cfg: TrainConfig, rng: np.random.Generator) -> tuple[LCUHamiltonian, DensityMatrix]:
-    """Random normalized target Hamiltonian and its (optionally mixed) thermal state."""
-    h = target_hamiltonian(
-        cfg.n_v, rng, cfg.target_locality, cfg.tau, cfg.resolved_std_single(), cfg.target_std_pair
-    )
-    rho = thermal_state(h)
-    if cfg.target_reg > 0.0:
-        # mixing in I/d keeps the eigenvectors: the factor moves with the eigenvalues
-        u, s = rho.factor()
-        rho = DensityMatrix.from_factor(u, (1.0 - cfg.target_reg) * s + cfg.target_reg / rho.dim)
-    return h, rho
+    """Random normalized target Hamiltonian of the config's recipe and its thermal state."""
+    h = target_hamiltonian(cfg.n_v, rng, cfg.target_locality, cfg.tau)
+    return h, thermal_state(h)
 
 
 def _build_model(cfg: TrainConfig, init_rng: np.random.Generator):
     if cfg.kind == "uqnn":
-        return build_uqnn(cfg.n_v, cfg.n_h, init_rng, layout=cfg.layout, repetitions=cfg.repetitions)
-    return build_qbm(cfg.n_v, cfg.n_h, init_rng, normalize_init=cfg.normalize_init)
+        return build_uqnn(cfg.n_v, cfg.n_h, init_rng)
+    return build_qbm(cfg.n_v, cfg.n_h, init_rng)
 
 
 # The numeric failures that end one member's run; they count against the
@@ -535,7 +501,7 @@ class EnsembleSummary:
 
 def _ensemble_worker(args: tuple) -> list[MetricsLog | TrainingError]:
     cfg_doc, runs, vary = args
-    return _train_members(TrainConfig.from_json_dict(cfg_doc), runs, vary)
+    return _train_members(TrainConfig(**cfg_doc), runs, vary)
 
 
 def run_ensemble(
@@ -568,7 +534,7 @@ def run_ensemble(
     else:
         k = min(jobs, n_runs)
         bounds = [n_runs * i // k for i in range(k + 1)]
-        tasks = [(cfg.to_json_dict(), list(range(a, b)), vary) for a, b in zip(bounds, bounds[1:])]
+        tasks = [(asdict(cfg), list(range(a, b)), vary) for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=k) as pool:
             outcomes = [o for part in pool.map(_ensemble_worker, tasks) for o in part]
 

@@ -70,7 +70,7 @@ class TestBundledConfigs:
         if "train" in resolved:
             assert set(resolved["train"]) == set(TrainConfig.__dataclass_fields__)
         if "target" in resolved:
-            assert set(resolved["target"]) == {"locality", "tau", "std_single", "std_pair"}
+            assert set(resolved["target"]) == {"locality", "tau"}
 
 
 class TestLearnCommand:
@@ -152,7 +152,112 @@ class TestLearnCommand:
         assert rc == 0
 
 
+def _old_train(**train):
+    """A train block as config.json held it before six settings were retired, those at the values now always used."""
+    return {"l2_penalty": 0.0, "log_every": 1, "layout": "exhaustive", "normalize_init": True, "repetitions": 1,
+            "target_reg": 0.0, "target_std_pair": 1.0, "target_std_single": None, **train}
+
+
+# The config.json each bundled config resolved to before the retired settings
+# were removed (thermal-learn and ham-learn at --runs 1 --epochs 2), out_dir
+# left out.
+OLD_RESOLVED = {
+    "fig2_3v3h.json": {
+        "experiment": "thermal-learn", "full_n_runs": 50, "n_runs": 1, "schema_version": 1, "vary": "both",
+        "train": _old_train(direction="reverse", epochs=2, kind="uqnn", lr=0.001, n_h=3, n_v=3, seed=0,
+                            target_locality=2, tau=1.0),
+    },
+    "figF1_4v4h.json": {
+        "experiment": "thermal-learn", "full_n_runs": 50, "n_runs": 1, "schema_version": 1, "vary": "both",
+        "train": _old_train(direction="reverse", epochs=2, kind="uqnn", lr=0.03, n_h=4, n_v=4, seed=0,
+                            target_locality=2, tau=1.0),
+    },
+    "fig3_tau10.json": {
+        "experiment": "ham-learn", "full_n_runs": 50, "n_runs": 1, "schema_version": 1, "vary": "both",
+        "train": _old_train(direction="reverse", epochs=2, kind="qbm", l2_penalty=2.0, log_every=10, lr=0.01,
+                            n_h=0, n_v=4, seed=0, target_locality=3, tau=10.0),
+    },
+    "figF4_tau5.json": {
+        "experiment": "ham-learn", "full_n_runs": 50, "n_runs": 1, "schema_version": 1, "vary": "both",
+        "train": _old_train(direction="reverse", epochs=2, kind="qbm", l2_penalty=2.0, lr=0.01, n_h=0, n_v=4,
+                            seed=0, target_locality=3, tau=5.0),
+    },
+    "plateau_3v.json": {
+        "ensemble": 50, "experiment": "plateau-scan", "layout": "exhaustive", "n_h_list": [0, 1, 2, 3], "n_v": 3,
+        "repetitions": 1, "schema_version": 1, "seed": 0,
+        "target": {"locality": 2, "std_pair": 1.0, "std_single": 0.31622776601683794, "tau": 1.0},
+    },
+    "mc_2q.json": {
+        "experiment": "mc-estimate", "k": 1, "n_h": 0, "n_v": 2, "q_max": 30, "schema_version": 1, "seed": 0,
+        "shots": 100000, "target": {"locality": 2, "std_pair": 1.0, "std_single": 0.31622776601683794, "tau": 1.0},
+        "target_alpha_norm": 0.8,
+    },
+}
+
+
+def science_outputs(out) -> dict:
+    """Every file a run wrote but config.json, with the wall_ms column cut from run CSVs."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        text = path.read_text()
+        if path.name.startswith("run_") and path.suffix == ".csv":
+            text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+        if path.name != "config.json":
+            files[path.name] = text
+    return files
+
+
 class TestLegacyConfig:
+    @pytest.mark.parametrize("name,experiment", BUNDLED)
+    def test_old_config_resolves_like_the_bundled_config(self, name, experiment):
+        with open(bundled_config_path(name)) as fh:
+            doc = json.load(fh)
+        smoke = {"n_runs": 1, "train.epochs": 2} if experiment.endswith("-learn") else {}
+        now = resolve_config(doc, experiment, {**smoke, "out_dir": "out"})
+        assert resolve_config({**OLD_RESOLVED[name], "out_dir": "out"}, experiment) == now
+
+    @pytest.mark.parametrize("name,experiment", [b for b in BUNDLED if b[1] != "plateau-scan"])
+    def test_old_config_reruns_exactly(self, tmp_path, name, experiment):
+        # the plateau scan takes seconds at its bundled ensemble; it resolves to the same dict above
+        old = write_config(tmp_path, OLD_RESOLVED[name])
+        flags = ["--runs", "1", "--epochs", "2", "--jobs", "1"] if experiment.endswith("-learn") else []
+        assert main([experiment, "--config", old, "--out", str(tmp_path / "old")]) == 0
+        assert main([experiment, "--config", bundled_config_path(name), "--out", str(tmp_path / "new"), *flags]) == 0
+        assert science_outputs(tmp_path / "old") == science_outputs(tmp_path / "new")
+        resolved = json.loads((tmp_path / "old" / "config.json").read_text())
+        assert resolved == resolve_config(resolved, experiment)
+
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("fig3_tau10.json", "train.target_reg", 0.1),
+            ("fig3_tau10.json", "train.target_std_pair", 2.0),
+            ("fig3_tau10.json", "train.target_std_single", 0.31622776601683794),
+            ("fig2_3v3h.json", "train.target_std_single", 1.0),
+            ("fig3_tau10.json", "train.normalize_init", False),
+            ("fig2_3v3h.json", "train.normalize_init", 1),
+            ("fig2_3v3h.json", "train.layout", "brick"),
+            ("fig2_3v3h.json", "train.repetitions", 2),
+            ("fig2_3v3h.json", "train.repetitions", True),
+            ("mc_2q.json", "target.std_single", 1.0),
+            ("mc_2q.json", "target.std_pair", 0.5),
+            ("plateau_3v.json", "target.std_single", None),
+        ],
+    )
+    def test_retired_key_at_another_value_is_a_config_error(self, tmp_path, capsys, name, key, value):
+        doc = OLD_RESOLVED[name]
+        block, sub = key.split(".")
+        doc = {**doc, block: {**doc[block], sub: value}}
+        experiment = doc["experiment"]
+        jobs = ["--jobs", "1"] if experiment.endswith("-learn") else []
+        assert main([experiment, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o"), *jobs]) == 1
+        assert f"{key} is no longer a setting" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_retired_key_values_are_accepted_as_numbers(self):
+        doc = {**OLD_RESOLVED["mc_2q.json"], "target": {"locality": 3, "std_single": 1, "std_pair": 1}}
+        assert resolve_config(doc, "mc-estimate")["target"] == {"locality": 3, "tau": 1.0}
+
     def test_resolved_series_tol_key_accepted(self, tmp_path):
         # config.json files resolved before the closed-form Boltzmann
         # gradient carry series_tol in their train block
@@ -246,6 +351,8 @@ class TestConfigErrors:
             ("mc_2q.json", "mc-estimate", "shots", True),
             ("fig2_3v3h.json", "thermal-learn", "train.lr", float("nan")),
             ("mc_2q.json", "mc-estimate", "target.std_pair", float("inf")),
+            ("plateau_3v.json", "plateau-scan", "n_h_list", []),
+            ("plateau_3v.json", "plateau-scan", "n_h_list", [1, 1]),
         ],
     )
     def test_invalid_bundled_value(self, tmp_path, capsys, name, experiment, key, value):
@@ -345,8 +452,18 @@ class TestMCEstimate:
         assert abs(est["z"]) < 6
         assert "z" in capsys.readouterr().out
 
+    def test_z_is_undefined_without_a_standard_error(self, tmp_path, capsys):
+        with open(bundled_config_path("mc_2q.json")) as fh:
+            doc = {**json.load(fh), "shots": 1}
+        out = tmp_path / "out"
+        assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        est = json.loads((out / "estimate.json").read_text())
+        assert est["std_error"] == 0.0 and est["mean"] != est["exact"]
+        assert est["z"] is None
+        assert "z undefined" in capsys.readouterr().out
+
     def test_three_local_defaults_rerun_exactly(self, tmp_path):
-        # the resolved config must record the std_single the target was drawn with
+        # the resolved config must rerun to the same estimate
         doc = {
             "schema_version": 1,
             "experiment": "mc-estimate",
@@ -360,8 +477,6 @@ class TestMCEstimate:
         }
         first, second = tmp_path / "first", tmp_path / "second"
         assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(first)]) == 0
-        resolved = json.loads((first / "config.json").read_text())
-        assert resolved["target"]["std_single"] == 1.0
         assert main(["mc-estimate", "--config", str(first / "config.json"), "--out", str(second)]) == 0
         assert (second / "estimate.json").read_text() == (first / "estimate.json").read_text()
 
@@ -412,6 +527,18 @@ class TestValidate:
     def test_mc_suite_passes(self, capsys):
         rc = main(["validate", "mc", "--n-instances", "4"])
         assert rc == 0
+
+    def test_config_kind_must_match_the_suite(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema_version": 1, "experiment": "validate", "kind": "mc"})
+        assert main(["validate", "swap", "--config", cfg]) == 1
+        assert "config kind 'mc' does not match 'swap'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,n_checks", [([], 3), (["--n-instances", "3"], 4)])
+    def test_config_sets_instances_and_the_flag_overrides(self, tmp_path, capsys, flags, n_checks):
+        # n instances give n trace checks and max(1, n // 3) gradient checks
+        cfg = write_config(tmp_path, {"schema_version": 1, "experiment": "validate", "kind": "mc", "n_instances": 2})
+        assert main(["validate", "mc", "--config", cfg, *flags]) == 0
+        assert f"validate mc: {n_checks}/{n_checks} checks passed" in capsys.readouterr().out
 
     def test_impossible_tolerance_exits_three(self, capsys):
         rc = main(["validate", "grad", "--n-instances", "4", "--fd-tol", "1e-15"])

@@ -23,7 +23,7 @@ from renyiqnn.divergence import (
     uqnn_grad_linear,
     uqnn_grad_reverse,
 )
-from renyiqnn import cli, divergence, hamiltonians, states
+from renyiqnn import cli, divergence, hamiltonians, states, training
 from renyiqnn.hamiltonians import PauliTerm, string_trace
 from renyiqnn.models import (
     QBMParams,
@@ -32,6 +32,7 @@ from renyiqnn.models import (
     build_uqnn,
     conjugated_generator,
     qbm_visible_state,
+    two_local_terms,
     uqnn_statevector,
     uqnn_visible_state,
     visible_from_statevector,
@@ -536,6 +537,19 @@ class TestEvaluate:
         self.record_kernels(monkeypatch, inject=lambda m: m + leak)
         with pytest.raises(ArithmeticError, match=r"gradient entry 3 has imaginary residue 8\.000e-03"):
             evaluate(p, random_density_matrix(2, rng), "reverse")
+
+    def test_large_spectral_spread_gives_finite_gradients(self):
+        # the raw N(0, 1) weights of a 2v+1h init draw (seed 3), not divided
+        # by their operator norm, spread the spectrum over about 22
+        target_rng, init_rng = training.run_streams(3, 0, "both")
+        basis = two_local_terms(3)
+        p = QBMParams(2, 1, basis, init_rng.standard_normal(len(basis)))
+        lam = np.linalg.eigvalsh(p.hamiltonian_dense())
+        assert 21 < lam[-1] - lam[0] < 23
+        rho = states.thermal_state(training.target_hamiltonian(2, target_rng, 2, 1.0))
+        for direction in ("reverse", "forward"):
+            ev = evaluate(p, rho, direction)
+            assert np.isfinite(ev.grad).all() and np.isfinite(ev.loss.value)
 
 
 class TestFactorizationReuse:

@@ -608,7 +608,8 @@ class TestBuilders:
         assert abs(op_norm(p.hamiltonian_dense()) - 1.0) < 1e-10
 
     def test_qbm_unnormalized_init(self, rng_factory):
-        raw = build_qbm(2, 0, rng_factory(9), normalize_init=False)
-        scaled = build_qbm(2, 0, rng_factory(9), normalize_init=True)
-        s = op_norm(raw.hamiltonian_dense())
-        assert np.allclose(scaled.thetas, raw.thetas / s)
+        # the init is the raw N(0, 1) draw divided once by its operator norm
+        basis = two_local_terms(2)
+        raw = QBMParams(2, 0, basis, rng_factory(9).standard_normal(len(basis)))
+        scaled = build_qbm(2, 0, rng_factory(9))
+        assert np.array_equal(scaled.thetas, raw.thetas / op_norm(raw.hamiltonian_dense()))

@@ -235,6 +235,12 @@ class TestInitGradientScan:
         with pytest.raises(ValueError, match="expected n_v"):
             init_gradient_scan(2, target, [0], ensemble=1, rng=rng)
 
+    def test_repeated_width_rejected(self, rng_factory):
+        rng = rng_factory(27)
+        target = normalize(random_two_local(2, 0.5, 0.5, rng), 1.0)
+        with pytest.raises(ValueError, match="two records"):
+            init_gradient_scan(2, target, [1, 1], ensemble=1, rng=rng)
+
     def test_ensemble_validated(self, rng_factory):
         rng = rng_factory(26)
         target = normalize(random_two_local(2, 0.5, 0.5, rng), 1.0)
@@ -303,3 +309,13 @@ class TestPlateauReport:
     def test_ensemble_size_validated(self):
         with pytest.raises(ValueError, match="ensemble_size"):
             PlateauReport(0, [])
+
+    def test_non_finite_statistic_rejected(self):
+        with pytest.raises(ValueError, match=r"non-finite statistic grad_sq_mean=nan in \(n_v=2, n_h=1, reverse\)"):
+            PlateauReport(3, [PlateauRecord(2, 1, "reverse", {"inf_norm_median": 0.5, "grad_sq_mean": math.nan})])
+
+    def test_one_record_per_configuration(self):
+        rec = PlateauRecord(2, 1, "reverse", {"inf_norm_median": 0.5})
+        PlateauReport(3, [rec, PlateauRecord(2, 1, "linear", {"inf_norm_median": 0.5})])
+        with pytest.raises(ValueError, match=r"two records .* \(2, 1, 'reverse'\)"):
+            PlateauReport(3, [rec, PlateauRecord(2, 1, "reverse", {"inf_norm_median": 0.7})])

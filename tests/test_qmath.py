@@ -13,14 +13,6 @@ class TestCheckDim:
         with pytest.raises(ValueError, match="exceeds cap"):
             qmath.check_dim(2**13)
 
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("RENYIQNN_DIM_CAP", "4")
-        assert qmath.dim_cap() == 4
-        with pytest.raises(ValueError):
-            qmath.check_dim(8)
-        monkeypatch.delenv("RENYIQNN_DIM_CAP")
-        assert qmath.dim_cap() == 2**12
-
 
 class TestPartialTrace:
     def test_product_state_factorization(self, rng):

@@ -12,7 +12,7 @@ from scipy.stats import spearmanr
 
 from renyiqnn import cli, divergence, models, training
 from renyiqnn.divergence import SingularStateError
-from renyiqnn.hamiltonians import pauli_tables
+from renyiqnn.hamiltonians import normalize, pauli_tables, random_three_local, random_two_local
 from renyiqnn.models import QBMParams, UQNNParams, qbm_visible_state, uqnn_visible_state
 from renyiqnn.states import fidelity, thermal_state
 from renyiqnn.training import (
@@ -28,6 +28,7 @@ from renyiqnn.training import (
     load_checkpoint_model,
     run_ensemble,
     run_streams,
+    target_hamiltonian,
     train,
 )
 
@@ -101,10 +102,6 @@ class TestTrainConfig:
             small_cfg(target_locality=4)
         with pytest.raises(ValueError):
             small_cfg(tau=0.0)
-        with pytest.raises(ValueError):
-            small_cfg(target_reg=1.0)
-        with pytest.raises(ValueError, match="layout"):
-            small_cfg(layout="ring")
         with pytest.raises(ValueError, match="n_v must be an integer"):
             small_cfg(n_v=1.5)
         with pytest.raises(ValueError, match="seed must be an integer"):
@@ -119,8 +116,10 @@ class TestTrainConfig:
             small_cfg(epochs=True)
         with pytest.raises(ValueError, match="lr must be a number, got True"):
             small_cfg(lr=True)
-        with pytest.raises(ValueError, match="normalize_init must be a bool, got 'no'"):
-            small_cfg(normalize_init="no")
+        for retired in ("target_std_single", "target_std_pair", "target_reg", "layout", "repetitions",
+                        "normalize_init"):
+            with pytest.raises(TypeError, match=retired):
+                small_cfg(**{retired: None})
         with pytest.raises(ValueError, match="lr must be a number, got nan"):
             small_cfg(lr=math.nan)
 
@@ -130,10 +129,22 @@ class TestTrainConfig:
         assert small_cfg(lr=0.02).config_hash() != a.config_hash()
         assert len(a.config_hash()) == 16
 
+    def test_eleven_fields(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "kind", "n_v", "n_h", "epochs", "lr", "direction", "l2_penalty", "seed", "log_every",
+            "target_locality", "tau",
+        ]
+
     def test_default_single_std_follows_locality(self):
-        assert small_cfg().resolved_std_single() == pytest.approx(math.sqrt(0.1))
-        assert small_cfg(target_locality=3).resolved_std_single() == pytest.approx(1.0)
-        assert small_cfg(target_std_single=0.7).resolved_std_single() == 0.7
+        # the target spreads follow the locality: singles sqrt(0.1) and pairs 1 at 2, all 1 at 3
+        for locality, draw in (
+            (2, lambda rng: random_two_local(3, math.sqrt(0.1), 1.0, rng)),
+            (3, lambda rng: random_three_local(3, 1.0, rng)),
+        ):
+            h = target_hamiltonian(3, np.random.default_rng(6), locality, 2.0)
+            ref = normalize(draw(np.random.default_rng(6)), 2.0)
+            assert [t.axes for t in h.terms] == [t.axes for t in ref.terms]
+            assert [t.coeff for t in h.terms] == [t.coeff for t in ref.terms]
 
 
 class TestSeedStreams:
@@ -185,17 +196,10 @@ class TestDrawTarget:
         lam = np.linalg.eigvalsh(h.dense())
         assert max(abs(lam[0]), abs(lam[-1])) == pytest.approx(10.0, abs=1e-9)
 
-    def test_target_reg_floors_eigenvalues(self):
-        cfg = small_cfg(n_v=2, tau=10.0, target_reg=0.01)
-        rng, _ = run_streams(cfg.seed, 0, "both")
-        _, rho = draw_target(cfg, rng)
-        assert np.linalg.eigvalsh(rho.mat).min() >= 0.01 / 4 * (1 - 1e-9)
-
     @pytest.mark.parametrize("locality", [2, 3])
     def test_cli_recipe_draws_the_same_target(self, locality):
         cfg = small_cfg(n_v=3, target_locality=locality, tau=2.0)
         recipe = {"locality": locality, "tau": 2.0}
-        assert cli._TARGET_BLOCK("target", recipe)["std_single"] == cfg.resolved_std_single()
         h_train, _ = draw_target(cfg, np.random.default_rng(4))
         h_cli = cli._target_hamiltonian(3, recipe, np.random.default_rng(4))
         assert [t.axes for t in h_train.terms] == [t.axes for t in h_cli.terms]
@@ -288,13 +292,6 @@ class TestTrainQBM:
         cfg = small_cfg(kind="qbm", epochs=2, lr=0.0)
         log = train(cfg)
         assert np.isfinite(log.column("grad_inf_norm")).all()
-
-    def test_unnormalized_large_init_trains(self):
-        # skipping the init normalization leaves a spectral spread near 22
-        cfg = small_cfg(kind="qbm", epochs=2, normalize_init=False, seed=3)
-        log = train(cfg)
-        assert np.isfinite(log.column("grad_inf_norm")).all()
-        assert len(log.rows) == cfg.epochs + 1
 
 
 class TestOneEvaluationPerEpoch:
