@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import qmath
 from .divergence import (
     SingularStateError,
     evaluate,
@@ -230,6 +231,10 @@ TABLES = {
 }
 
 
+# the qubits of a command's widest state; TrainConfig checks those of a train block
+_QUBITS = {"plateau-scan": lambda c: c["n_v"] + max(c["n_h_list"]), "mc-estimate": lambda c: c["n_v"] + c["n_h"]}
+
+
 def _resolve(table: dict, doc: dict, where: str = "") -> dict:
     """Every key of `table`: its value in `doc`, else its default, passed through its check."""
     out = {}
@@ -260,7 +265,13 @@ def resolve_config(doc: dict, experiment: str, overrides: dict | None = None) ->
             block, _, sub = key.partition(".")
             doc[block] = {**doc.get(block, {}), sub: value} if sub else value
     table = {"schema_version": _fixed(SCHEMA_VERSION), "experiment": _fixed(experiment), **TABLES[experiment]}
-    return _resolve(table, doc)
+    out = _resolve(table, doc)
+    if experiment in _QUBITS:
+        try:
+            qmath._check_qubits(_QUBITS[experiment](out))
+        except ValueError as exc:
+            raise ConfigError(f"{experiment}: {exc}") from exc
+    return out
 
 
 def load_experiment_config(path: str, experiment: str) -> dict:

@@ -183,22 +183,22 @@ def _kernel_sweep(p: UQNNParams, kernel_v: np.ndarray, psi: np.ndarray) -> np.nd
     dv, dh = 2**p.n_v, 2**p.n_h
     n = len(psi) if psi.ndim == 2 else 1
     psi = psi.reshape(n, -1)
-    table, prefixes = p.blocks(), p.block_products()
-    inverses = [v[..., -1, :].conj().swapaxes(-1, -2) for v in prefixes]
-    # the pair (a, b) at each block's start, as (local, rest, pair) per group, block and member
-    starts = [np.empty((v.shape[1], n, v.shape[2], p.dim // v.shape[2], 2), dtype=complex) for v in prefixes]
+    table, v = p.blocks(), p.block_products()
+    n_blocks, d, length, _ = table.flip.shape
+    inverses = v[..., -1, :].conj().swapaxes(-1, -2)
+    # the pair (a, b) at each block's start, as (local, rest, pair) per block and member
+    x = np.empty((n_blocks, n, d, p.dim // d, 2), dtype=complex)
     ab = np.stack([(kernel_v @ psi.reshape(n, dv, dh)).reshape(n, -1), psi], axis=2).reshape(n, -1)
-    for (g, b), gather in zip(table.order, table.sweep_gather):
-        x = starts[g][b]
-        ab.take(gather, axis=1, out=x.reshape(n, -1))
-        ab = (inverses[g][:, b] @ x.reshape(n, x.shape[1], -1)).reshape(n, -1)
+    for b, gather in enumerate(table.sweep_gather):
+        ab.take(gather, axis=1, out=x[b].reshape(n, -1))
+        ab = (inverses[:, b] @ x[b].reshape(n, d, -1)).reshape(n, -1)
     out = np.empty((n, p.thetas.shape[-1] + 1))  # the last slot takes the padded positions
-    for grp, v, x in zip(table.groups, prefixes, starts):
-        n_blocks, d = v.shape[1:3]
-        cross = (x[..., 1] @ x[..., 0].conj().swapaxes(-1, -2)).swapaxes(0, 1)
-        # Tr(V P V^dag K) = sum_mj conj(V)_mj (K V P)_mj, every in-block position at once
-        kvp = (cross @ v.reshape(n, n_blocks, d, -1)).reshape(n, -1).take(grp.flip, axis=1) * grp.phase[:, None]
-        out[:, grp.gates] = 2.0 * np.einsum("rbmtj,rbmtj->rbt", v[..., :-1, :].conj(), kvp).imag
+    cross = (x[..., 1] @ x[..., 0].conj().swapaxes(-1, -2)).swapaxes(0, 1)
+    # Tr(V P V^dag K) = sum_mj conj(V)_mj (K V P)_mj, every in-block position at once
+    # unnamed, (cross @ rows) is freed before the phase product allocates (named: circuit-train -9 % on 2 cores)
+    rows = v.reshape(n, n_blocks, d, (length + 1) * d)
+    kvp = (cross @ rows).reshape(n, -1).take(table.flip, axis=1) * table.phase[:, None]
+    out[:, table.gates] = 2.0 * np.einsum("rbmtj,rbmtj->rbt", v[..., :-1, :].conj(), kvp).imag
     return out[:, :-1] if p.thetas.ndim == 2 else out[0, :-1]
 
 

@@ -8,10 +8,11 @@ runs on statevectors in O(N 2^n).
 
 The statevector and the adjoint gradient sweep run block by block: a run
 of consecutive generators grows while their joint support has no more
-qubits than the layout's widest generator, and is multiplied out into one
-small block unitary (2^s x 2^s for s support qubits), the gate fusion of
-full simulators (Qulacs, arXiv:2011.13524) applied to the adjoint method
-of Jones & Gacon (arXiv:2009.02823), taken per block instead of per gate.
+qubits than the layout's widest generator, w, is padded to w qubits with
+idle ones, and is multiplied out into one small block unitary (2^w x 2^w,
+the same shape for every block of a layout), the gate fusion of full
+simulators (Qulacs, arXiv:2011.13524) applied to the adjoint method of
+Jones & Gacon (arXiv:2009.02823), taken per block instead of per gate.
 Blocks round differently from the per-gate loop: amplitudes agree to
 1e-14, sweep entries to 1e-13 of the kernel's operator norm. The
 conjugated generators come from the same kernel by the parameter shift
@@ -69,38 +70,29 @@ def apply_gate(v: np.ndarray, table: GateTable, theta: float, inverse: bool = Fa
     return np.cos(theta) * v + s * np.sin(theta) * apply_pauli(v, table)
 
 
-class BlockGroup(NamedTuple):
-    """The blocks of a layout that act on s qubits, stacked; B blocks, at most L gates each.
+class BlockTable(NamedTuple):
+    """A layout cut into B blocks of w qubits, w its widest generator; at most L gates each.
 
     gates: (B, L) generator index at each in-block position; positions past
            a block's end hold len(generators), whose angle reads as 0.
-    phase: (B, L, 2^s) local generator P as a table, P|j> = phase[j] |idx[j]>,
+    phase: (B, L, 2^w) local generator P as a table, P|j> = phase[j] |idx[j]>,
            with the +-1 coefficient folded in; zero at padded positions.
-    flip:  (B, 2^s, L, 2^s) flat index into a (B, 2^s, L + 1, 2^s) stack of
+    flip:  (B, 2^w, L, 2^w) flat index into a (B, 2^w, L + 1, 2^w) stack of
            matrices V: entry [b, m, t, j] addresses V[b, m, t, idx[j]], so
            V.reshape(-1)[flip] * phase[:, None] is every V_t P_t at once.
-    """
 
-    gates: np.ndarray
-    phase: np.ndarray
-    flip: np.ndarray
-
-
-class BlockTable(NamedTuple):
-    """A layout cut into blocks, stacked by support size into groups.
-
-    order[b] is the (group, slot) of block b in circuit order. Block b
-    works on the state as a (2^s, 2^(n-s)) matrix over (local, rest) basis
-    bits, flattened into "layout b". Each index table is composed with the
-    inverse of its neighbour's, so one gather moves the state between
+    Block b works on the state as a (2^w, 2^(n-w)) matrix over (local, rest)
+    basis bits, flattened into "layout b". Each index table is composed with
+    the inverse of its neighbour's, so one gather moves the state between
     layouts: state_gather[b] takes layout b+1 (natural order for the last
     block) to layout b, state_out takes layout 0 back to natural order, and
     sweep_gather[b] takes layout b-1 (natural order for b = 0) to layout b
     for a pair of states interleaved as (basis index, pair).
     """
 
-    groups: tuple[BlockGroup, ...]
-    order: tuple[tuple[int, int], ...]
+    gates: np.ndarray
+    phase: np.ndarray
+    flip: np.ndarray
     state_gather: np.ndarray
     state_out: np.ndarray
     sweep_gather: np.ndarray
@@ -126,11 +118,12 @@ def _layout_blocks(generators: tuple[PauliTerm, ...], n_qubits: int) -> BlockTab
 
     A block is a run of consecutive generators that keeps absorbing the next
     one while the union of their supports has no more qubits than the
-    layout's widest generator; each gate acts on its qubits' positions in
-    the block's sorted support. Blocks of equal support size are stacked
-    into one BlockGroup. Multiplying longer runs out rounds differently
-    from the per-gate loop: amplitudes agree to 1e-14, sweep entries to
-    1e-13 of the kernel's norm.
+    layout's widest generator. A narrower run is then widened to that width
+    with the lowest-numbered qubits it leaves idle, whose factor is the
+    identity, so every block has one shape; each gate acts on its qubits'
+    positions in the block's sorted support. Multiplying longer runs out
+    rounds differently from the per-gate loop: amplitudes agree to 1e-14,
+    sweep entries to 1e-13 of the kernel's norm.
     """
     coeffs = _unit_coeffs(generators)
     supports = [tuple(q for q, _ in g.axes) for g in generators]
@@ -144,76 +137,62 @@ def _layout_blocks(generators: tuple[PauliTerm, ...], n_qubits: int) -> BlockTab
             runs[-1] = (union, runs[-1][1] + [j])
         else:
             runs.append((support, [j]))
-    sizes = sorted({len(support) for support, _ in runs})
-    members: list[list[int]] = [[] for _ in sizes]
-    order = []
-    for r, (support, _) in enumerate(runs):
-        g = sizes.index(len(support))
-        order.append((g, len(members[g])))
-        members[g].append(r)
-    groups = []
-    for s, rs in zip(sizes, members):
-        d, length = 2**s, max(len(runs[r][1]) for r in rs)
-        gates = np.full((len(rs), length), len(generators))
-        idx = np.broadcast_to(np.arange(d), (len(rs), length, d)).copy()
-        phase = np.zeros((len(rs), length, d), dtype=complex)
-        for b, r in enumerate(rs):
-            support, js = runs[r]
-            for t, j in enumerate(js):
-                local = PauliTerm(1.0, tuple((support.index(q), a) for q, a in generators[j].axes))
-                gates[b, t] = j
-                idx[b, t], phase[b, t] = local.action(s)
-                phase[b, t] *= coeffs[j]
-        # flat position of V[b, m, t, idx[b, t, j]] in a (B, d, L + 1, d) array
-        rows = np.arange(len(rs))[:, None, None] * d + np.arange(d)[None, :, None]
-        flip = (rows[..., None] * (length + 1) + np.arange(length)[:, None]) * d + idx[:, None]
-        groups.append(BlockGroup(gates, phase, flip))
+    n_blocks, d, length = len(runs), 2**width, max((len(js) for _, js in runs), default=0)
+    gates = np.full((n_blocks, length), len(generators))
+    idx = np.broadcast_to(np.arange(d), (n_blocks, length, d)).copy()
+    phase = np.zeros((n_blocks, length, d), dtype=complex)
+    for b, (support, js) in enumerate(runs):
+        idle = [q for q in range(n_qubits) if q not in support]
+        support = tuple(sorted([*support, *idle[: width - len(support)]]))
+        runs[b] = (support, js)
+        for t, j in enumerate(js):
+            local = PauliTerm(1.0, tuple((support.index(q), a) for q, a in generators[j].axes))
+            gates[b, t] = j
+            idx[b, t], phase[b, t] = local.action(width)
+            phase[b, t] *= coeffs[j]
+    # flat position of V[b, m, t, idx[b, t, j]] in a (B, d, L + 1, d) array
+    rows = np.arange(n_blocks)[:, None, None] * d + np.arange(d)[None, :, None]
+    flip = (rows[..., None] * (length + 1) + np.arange(length)[:, None]) * d + idx[:, None]
     dim = 2**n_qubits
-    cols = np.array([_block_index(support, n_qubits) for support, _ in runs], dtype=int).reshape(-1, dim)
+    cols = np.array([_block_index(support, n_qubits) for support, _ in runs], dtype=int).reshape(n_blocks, dim)
     pos = np.argsort(cols, axis=1)  # pos[b][i]: where full index i sits in layout b
     natural = np.arange(dim)
     before = np.take_along_axis(np.vstack([natural, pos[:-1]]), cols, axis=1)
     table = BlockTable(
-        tuple(groups),
-        tuple(order),
+        gates,
+        phase,
+        flip,
         np.take_along_axis(np.vstack([pos[1:], natural]), cols, axis=1),
-        pos[0] if len(runs) else natural,
-        (2 * before[..., None] + np.arange(2)).reshape(len(runs), 2 * dim),
+        pos[0] if n_blocks else natural,
+        (2 * before[..., None] + np.arange(2)).reshape(n_blocks, 2 * dim),
     )
-    for a in [table.state_gather, table.state_out, table.sweep_gather]:
+    for a in table:
         a.flags.writeable = False
-    for grp in groups:
-        for a in grp:
-            a.flags.writeable = False
     return table
 
 
-def _block_products(table: BlockTable, thetas: np.ndarray) -> list[np.ndarray]:
-    """In-block prefix products per group, shape (R, B, 2^s, L + 1, 2^s) for thetas of shape (R, N).
+def _block_products(table: BlockTable, thetas: np.ndarray) -> np.ndarray:
+    """In-block prefix products, shape (R, B, 2^w, L + 1, 2^w) for thetas of shape (R, N).
 
     V[r, b, :, t] = G_0 ... G_{t-1} over block b's first t gates at member
     r's angles, with G = cos(theta) I - i sin(theta) P, built as
     V_{t+1} = cos V_t - i sin V_t P_t (one gather per in-block position for
-    all blocks and members of the group); V[r, b, :, L] is block b's
-    unitary. Padded positions have angle 0, so they leave V as it is. Rows
-    come first, so V[r, b] reshaped to (2^s, (L + 1) 2^s) is
-    [V_0 | V_1 | ...] and one product by a 2^s x 2^s matrix reaches every
-    prefix of a block.
+    all blocks and members); V[r, b, :, L] is block b's unitary. Padded
+    positions have angle 0, so they leave V as it is. Rows come first, so
+    V[r, b] reshaped to (2^w, (L + 1) 2^w) is [V_0 | V_1 | ...] and one
+    product by a 2^w x 2^w matrix reaches every prefix of a block.
     """
     th = np.concatenate([thetas, np.zeros((len(thetas), 1))], axis=1)
-    prefixes = []
-    for grp in table.groups:
-        n_blocks, d, length, _ = grp.flip.shape
-        t = th[:, grp.gates]
-        c = np.cos(t)[:, :, None, :, None]
-        rows = (-1j * np.sin(t))[:, :, None, :, None] * grp.phase[:, None]
-        v = np.empty((len(th), n_blocks, d, length + 1, d), dtype=complex)
-        v[..., 0, :] = np.eye(d)
-        flat = v.reshape(len(th), -1)
-        for pos in range(length):
-            v[..., pos + 1, :] = c[..., pos, :] * v[..., pos, :] + rows[..., pos, :] * flat.take(grp.flip[:, :, pos], axis=1)
-        prefixes.append(v)
-    return prefixes
+    n_blocks, d, length, _ = table.flip.shape
+    t = th[:, table.gates]
+    c = np.cos(t)[:, :, None, :, None]
+    rows = (-1j * np.sin(t))[:, :, None, :, None] * table.phase[:, None]
+    v = np.empty((len(th), n_blocks, d, length + 1, d), dtype=complex)
+    v[..., 0, :] = np.eye(d)
+    flat = v.reshape(len(th), -1)
+    for pos in range(length):
+        v[..., pos + 1, :] = c[..., pos, :] * v[..., pos, :] + rows[..., pos, :] * flat.take(table.flip[:, :, pos], axis=1)
+    return v
 
 
 @dataclass
@@ -251,7 +230,7 @@ class UQNNParams:
             self._blocks = _layout_blocks(tuple(self.generators), self.n_qubits)
         return self._blocks
 
-    def block_products(self) -> list[np.ndarray]:
+    def block_products(self) -> np.ndarray:
         """_block_products of the current thetas, rebuilt only when thetas change; always with a member axis."""
         if self._products is None or not np.array_equal(self._products[0], self.thetas):
             thetas = np.array(self.thetas, dtype=float)
@@ -268,10 +247,9 @@ def uqnn_statevector(p: UQNNParams) -> np.ndarray:
     n = len(p.thetas) if p.thetas.ndim == 2 else 1
     psi = np.zeros((n, p.dim), dtype=complex)
     psi[:, 0] = 1.0
-    table, prefixes = p.blocks(), p.block_products()
-    for (g, b), gather in zip(reversed(table.order), table.state_gather[::-1]):
-        u = prefixes[g][:, b, :, -1]
-        psi = u @ psi.reshape(n, -1).take(gather, axis=1).reshape(n, u.shape[1], -1)
+    table, v = p.blocks(), p.block_products()
+    for b in reversed(range(len(table.gates))):
+        psi = v[:, b, :, -1] @ psi.reshape(n, -1).take(table.state_gather[b], axis=1).reshape(n, v.shape[2], -1)
     psi = psi.reshape(n, -1).take(table.state_out, axis=1)
     return psi if p.thetas.ndim == 2 else psi[0]
 

@@ -206,6 +206,8 @@ def init_gradient_scan(
     """
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
+    if not n_h_list:
+        raise ValueError("n_h_list must not be empty")
     if target.n_qubits != n_v:
         raise ValueError(f"target acts on {target.n_qubits} qubits, expected n_v={n_v}")
     rho = thermal_state(target)

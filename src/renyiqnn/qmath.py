@@ -21,6 +21,13 @@ def check_dim(dim: int) -> None:
         raise ValueError(f"dimension {dim} exceeds cap {DIM_CAP}")
 
 
+def _check_qubits(n_qubits: int) -> None:
+    """check_dim of an n-qubit state; 2^n is formed only for n up to 64, so no width is too large to check."""
+    if n_qubits > 64:
+        raise ValueError(f"dimension 2^{n_qubits} exceeds cap {DIM_CAP}")
+    check_dim(2**n_qubits)
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     """Every matrix of m (leading axes index a stack) within tol of its adjoint, entrywise."""
     return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= tol)

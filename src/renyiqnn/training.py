@@ -33,7 +33,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import divergence
+from . import divergence, qmath
 from .hamiltonians import LCUHamiltonian, normalize, random_three_local, random_two_local
 from .models import QBMParams, UQNNParams, build_qbm, build_uqnn, checkpoint_doc, load_checkpoint_model
 from .states import DensityMatrix, fidelity, thermal_state
@@ -161,6 +161,7 @@ class TrainConfig:
             raise ValueError(f"unknown direction {self.direction!r}")
         if self.n_v < 1 or self.n_h < 0:
             raise ValueError("need n_v >= 1 and n_h >= 0")
+        qmath._check_qubits(self.n_v + self.n_h)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.lr < 0:
@@ -514,9 +515,9 @@ def run_ensemble(
     """Many independent seeded runs of one config, reduced to mean/std curves.
 
     `vary` picks which draws differ between runs: the target, the
-    initialization, or both. The runs train in lockstep chunks: with
-    jobs == 1 all of them as one chunk in this process; otherwise split
-    into min(jobs, n_runs) contiguous chunks, one pool task each. Failed
+    initialization, or both. The runs train in lockstep chunks: split into
+    min(jobs, n_runs) contiguous chunks, one pool task each, or, for a
+    single chunk, all of them as one chunk in this process. Failed
     runs are recorded in the summary, in run order, and skipped in the
     statistics; once failures exceed 20% of n_runs the ensemble aborts.
     Results are deterministic for a given (cfg, n_runs, vary) regardless
@@ -529,10 +530,10 @@ def run_ensemble(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
-    if jobs == 1:
+    k = min(jobs, n_runs)
+    if k == 1:
         outcomes = _train_members(cfg, list(range(n_runs)), vary)
     else:
-        k = min(jobs, n_runs)
         bounds = [n_runs * i // k for i in range(k + 1)]
         tasks = [(asdict(cfg), list(range(a, b)), vary) for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=k) as pool:

@@ -368,6 +368,23 @@ class TestConfigErrors:
         assert "config error" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "experiment,doc",
+        [
+            ("thermal-learn", thermal_doc(n_v=7, n_h=6)),
+            ("ham-learn", {**thermal_doc(kind="qbm", n_v=7, n_h=6), "experiment": "ham-learn"}),
+            ("plateau-scan", {"schema_version": 1, "experiment": "plateau-scan", "n_v": 3, "n_h_list": [0, 10],
+                              "ensemble": 1}),
+            ("mc-estimate", {"schema_version": 1, "experiment": "mc-estimate", "n_v": 7, "n_h": 6}),
+        ],
+    )
+    def test_widths_beyond_the_dimension_cap(self, tmp_path, capsys, experiment, doc):
+        # 13 qubits: a config error before any output is written
+        assert self.exit_code(tmp_path, doc, experiment) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "dimension 8192 exceeds cap 4096" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("experiment,name", [("thermal-learn", "fig2_3v3h.json"), ("ham-learn", "fig3_tau10.json")])
     @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--seed", "-1"], ["--jobs", "-1"]], ids="".join)
     def test_invalid_flag_value(self, tmp_path, capsys, experiment, name, flags):

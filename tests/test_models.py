@@ -237,7 +237,7 @@ class TestStackedGateKernel:
         dense = True
         if case in ("exhaustive-3v3h", "brick-3v3h"):
             p = build_uqnn(3, 3, rng, layout=case.split("-")[0])
-            widths, dense = [4], False  # 153 dense 64 x 64 exponentials take seconds
+            width, dense = 4, False  # 153 dense 64 x 64 exponentials take seconds
         elif case == "identities-between-supports":
             gens = []
             for g in with_signs(build_uqnn(2, 2, rng)).generators:
@@ -246,17 +246,18 @@ class TestStackedGateKernel:
                 gens.append(g)
             p = UQNNParams(2, 2, gens, 2.0 * rng.standard_normal(len(gens)))
             assert sum(not g.axes for g in gens) == 9  # 3 between singles, 1 before the pairs, 5 between pairs
-            widths = [4]
+            width = 4
         elif case == "weight-three":
             gens = with_signs(build_uqnn(2, 2, rng)).generators
             gens[12:12] = [PauliTerm(-1.0, ((0, "y"), (2, "x"), (3, "z")))]
             p = UQNNParams(2, 2, gens, 2.0 * rng.standard_normal(len(gens)))
-            widths = [4, 8]
+            width = 8
         else:
             p = with_signs(build_uqnn(3, 2, rng))
-            widths = [2, 4]
-            assert p.blocks().groups[0].gates.shape == (1, 3)
-        assert [grp.phase.shape[-1] for grp in p.blocks().groups] == widths
+            width = 4
+            # qubit 4's singles form a block of 3 gates, padded with an idle qubit
+            assert (p.blocks().gates < len(p.generators)).sum(axis=1).tolist()[:3] == [6, 6, 3]
+        assert p.blocks().phase.shape[-1] == width
         check_block_kernel(p, rng, dense)
 
 
@@ -270,14 +271,14 @@ class TestBlockKernel:
         p = UQNNParams(1, 1, gens, 2.0 * rng.standard_normal(len(gens)))
         check_block_kernel(p, rng)
         # identities join whichever block is open: [I x0 I -I], [z1], [x0 I]
-        assert [grp.phase.shape[-1] for grp in p.blocks().groups] == [2]
-        assert [grp.gates.tolist() for grp in p.blocks().groups] == [[[0, 1, 2, 3], [4, 7, 7, 7], [5, 6, 7, 7]]]
+        assert p.blocks().phase.shape[-1] == 2
+        assert p.blocks().gates.tolist() == [[0, 1, 2, 3], [4, 7, 7, 7], [5, 6, 7, 7]]
 
     def test_one_qubit_circuit(self, rng):
         gens = [PauliTerm(c, ((0, a),)) for c, a in [(1.0, "x"), (-1.0, "y"), (1.0, "z"), (1.0, "y")]]
         p = UQNNParams(1, 0, gens, 2.0 * rng.standard_normal(len(gens)))
         check_block_kernel(p, rng)
-        assert p.blocks().order == ((0, 0),)
+        assert p.blocks().gates.shape == (1, 4)
 
     def test_weight_three_generator_from_checkpoint(self, rng):
         doc = checkpoint_doc(with_signs(build_uqnn(2, 1, rng, layout="brick")))
@@ -288,7 +289,7 @@ class TestBlockKernel:
         doc["thetas"][4:4] = [0.8, -1.3]
         p = load_checkpoint_model(doc)
         check_block_kernel(p, rng)
-        assert max(grp.phase.shape[-1] for grp in p.blocks().groups) == 8
+        assert p.blocks().phase.shape[-1] == 8
 
     def test_empty_circuit(self, rng):
         p = UQNNParams(1, 1, [], [])
@@ -297,33 +298,35 @@ class TestBlockKernel:
 
     def test_runs_of_one_support_form_one_block(self, rng):
         p = build_uqnn(3, 3, rng, repetitions=2)
-        table = p.blocks()
-        assert len(table.order) == 2 * 18
-        assert [grp.gates.shape for grp in table.groups] == [(36, 9)]
+        assert p.blocks().gates.shape == (2 * 18, 9)
 
     def test_blocks_grow_to_the_widest_generator(self, rng):
-        # singles on qubits 0 and 1 share a block; qubit 2's singles cannot join them
+        # singles on qubits 0 and 1 share a block; qubit 2's singles cannot join
+        # them and form a block of their own, padded to two qubits
         table = build_uqnn(3, 0, rng).blocks()
-        assert [grp.gates.tolist() for grp in table.groups] == [
-            [[6, 7, 8]],
-            [[0, 1, 2, 3, 4, 5, 36, 36, 36], [*range(9, 18)], [*range(18, 27)], [*range(27, 36)]],
+        assert table.gates.tolist() == [
+            [0, 1, 2, 3, 4, 5, 36, 36, 36],
+            [6, 7, 8, 36, 36, 36, 36, 36, 36],
+            [*range(9, 18)],
+            [*range(18, 27)],
+            [*range(27, 36)],
         ]
-        assert table.order == ((1, 0), (0, 0), (1, 1), (1, 2), (1, 3))
+        assert table.phase.shape[-1] == 4
 
     @pytest.mark.parametrize(
         "config,experiment,n_h,shapes",
         [
-            ("fig2_3v3h", "thermal-learn", 3, [(18, 9)]),
-            ("figF1_4v4h", "thermal-learn", 4, [(32, 9)]),
-            ("plateau_3v", "plateau-scan", 0, [(1, 3), (4, 9)]),
-            ("plateau_3v", "plateau-scan", 1, [(8, 9)]),
-            ("plateau_3v", "plateau-scan", 2, [(1, 3), (12, 9)]),
-            ("plateau_3v", "plateau-scan", 3, [(18, 9)]),
-            ("mc_2q", "mc-estimate", 0, [(1, 15)]),
+            ("fig2_3v3h", "thermal-learn", 3, (18, 9)),
+            ("figF1_4v4h", "thermal-learn", 4, (32, 9)),
+            ("plateau_3v", "plateau-scan", 0, (5, 9)),
+            ("plateau_3v", "plateau-scan", 1, (8, 9)),
+            ("plateau_3v", "plateau-scan", 2, (13, 9)),
+            ("plateau_3v", "plateau-scan", 3, (18, 9)),
+            ("mc_2q", "mc-estimate", 0, (1, 15)),
         ],
     )
     def test_bundled_circuit_blocks(self, rng, config, experiment, n_h, shapes):
-        """Block count and (blocks, gates) of each group for every circuit a bundled config builds."""
+        """The (blocks, gates per block) shape and the block width of every circuit a bundled config builds."""
         doc = cli.load_experiment_config(cli.bundled_config_path(f"{config}.json"), experiment)
         if experiment == "thermal-learn":
             cfg = training.TrainConfig(**doc["train"])
@@ -333,13 +336,12 @@ class TestBlockKernel:
             assert n_h in doc.get("n_h_list", [doc.get("n_h")])
             p = build_uqnn(doc["n_v"], n_h, rng, doc.get("layout", "exhaustive"), doc.get("repetitions", 1))
         table = p.blocks()
-        assert [grp.gates.shape for grp in table.groups] == shapes
-        assert len(table.order) == sum(b for b, _ in shapes)
+        assert table.gates.shape == shapes
+        assert table.phase.shape[-1] == 4
 
     def test_block_table_is_read_only(self, rng):
         table = build_uqnn(2, 1, rng).blocks()
-        grp = table.groups[0]
-        for a in (*grp, table.state_gather, table.state_out, table.sweep_gather):
+        for a in table:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
@@ -392,12 +394,12 @@ class TestSharedLayoutTables:
         assert one.state_out.shape == (2,) and two.state_out.shape == (4,)
         exhaustive = build_uqnn(2, 1, rng).blocks()
         brick = build_uqnn(2, 1, rng, layout="brick").blocks()
-        assert [g.gates.shape for g in exhaustive.groups] != [g.gates.shape for g in brick.groups]
+        assert exhaustive.gates.shape != brick.gates.shape
         flipped = with_signs(build_uqnn(2, 1, rng)).blocks()
         assert flipped is not exhaustive
-        for a, b in zip(flipped.groups, exhaustive.groups, strict=True):
-            assert np.array_equal(a.gates, b.gates)
-            assert np.array_equal(a.phase, np.where(a.gates % 3 == 0, -1.0, 1.0)[..., None] * b.phase)
+        assert np.array_equal(flipped.gates, exhaustive.gates)
+        signs = np.where(flipped.gates % 3 == 0, -1.0, 1.0)
+        assert np.array_equal(flipped.phase, signs[..., None] * exhaustive.phase)
         assert block_builds() == 5
 
     def test_builds_share_generator_terms(self, rng):
@@ -409,8 +411,7 @@ class TestSharedLayoutTables:
 
     def test_tables_are_read_only(self, rng):
         table = build_uqnn(2, 1, rng).blocks()
-        assert len(table.groups) == 2
-        for a in (*(a for grp in table.groups for a in grp), table.state_gather, table.state_out, table.sweep_gather):
+        for a in table:
             with pytest.raises(ValueError, match="read-only"):
                 a.reshape(-1)[0] = 0
 

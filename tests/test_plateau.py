@@ -247,6 +247,12 @@ class TestInitGradientScan:
         with pytest.raises(ValueError, match="ensemble"):
             init_gradient_scan(2, target, [0], ensemble=0, rng=rng)
 
+    def test_empty_width_list_rejected(self, rng_factory):
+        rng = rng_factory(26)
+        target = normalize(random_two_local(2, 0.5, 0.5, rng), 1.0)
+        with pytest.raises(ValueError, match="n_h_list must not be empty"):
+            init_gradient_scan(2, target, [], ensemble=1, rng=rng)
+
 
 class TestSecondExpressionFromKernelSweep:
     """The O(N^2) per-angle bound equals one O(N) sweep with sigma_v as kernel.

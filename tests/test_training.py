@@ -123,6 +123,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="lr must be a number, got nan"):
             small_cfg(lr=math.nan)
 
+    def test_widths_beyond_the_dimension_cap(self):
+        small_cfg(n_v=6, n_h=6)
+        with pytest.raises(ValueError, match="dimension 8192 exceeds cap 4096"):
+            small_cfg(n_v=7, n_h=6)
+        with pytest.raises(ValueError, match=r"dimension 2\^1000000000001 exceeds cap 4096"):
+            small_cfg(n_v=1, n_h=10**12)
+
     def test_hash_stable_and_sensitive(self):
         a, b = small_cfg(), small_cfg()
         assert a.config_hash() == b.config_hash()
@@ -582,6 +589,20 @@ class TestRunEnsemble:
         for i in range(2):
             name = f"run_{i:03d}_checkpoint.json"
             assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+
+    def test_one_chunk_trains_in_process(self, tmp_path, monkeypatch):
+        cfg = small_cfg(epochs=3)
+        run_ensemble(cfg, 1, vary="both", jobs=1, out_dir=str(tmp_path / "j1"))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a single chunk must not start a pool or a worker")
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(training, "_ensemble_worker", refused)
+        run_ensemble(cfg, 1, vary="both", jobs=2, out_dir=str(tmp_path / "j2"))
+        assert science_files(tmp_path / "j2", 0) == science_files(tmp_path / "j1", 0)
+        for name in ("summary.json", "summary.csv"):
+            assert (tmp_path / "j2" / name).read_bytes() == (tmp_path / "j1" / name).read_bytes()
 
     def test_failure_abort_threshold(self):
         # forward direction with n_h=0 fails at epoch 0 in every run
