@@ -47,6 +47,7 @@ from .swaptest import (
     ALPHA_NORM_GUARD,
     DEFAULT_Q_MAX,
     SwapTestSpec,
+    _Q_MAX_CAP,
     cyclic_shift,
     mc_reverse_gradient_thermal,
     swap_test_probability,
@@ -213,7 +214,8 @@ TABLES = {
         "n_h": (0, _NATURAL),
         "k": (1, _COUNT),
         "shots": (100000, _COUNT),
-        "q_max": (DEFAULT_Q_MAX, _NATURAL),
+        "q_max": (DEFAULT_Q_MAX, _need(lambda v: is_integer(v) and 0 <= v <= _Q_MAX_CAP,
+                                       f"an integer in 0..{_Q_MAX_CAP}")),
         "target": ({}, _TARGET_BLOCK),
         "target_alpha_norm": (
             None,
@@ -301,7 +303,7 @@ def _target_hamiltonian(n: int, target: dict, rng: np.random.Generator) -> LCUHa
 
 
 def _scale_alpha_norm(h: LCUHamiltonian, alpha_norm: float) -> LCUHamiltonian:
-    """Rescale coefficients so sum |alpha_l| equals alpha_norm exactly."""
+    """Rescale coefficients so sum |alpha_l| equals alpha_norm, up to rounding."""
     if h.alpha_norm() == 0.0:
         raise ConfigError("cannot scale a zero Hamiltonian to a coefficient norm")
     s = alpha_norm / h.alpha_norm()

@@ -35,6 +35,8 @@ UNITARY_TOL = 1e-8
 CIRCUIT_TOL = 1e-10
 DEFAULT_Q_MAX = 30
 ALPHA_NORM_GUARD = 20.0
+# largest series cutoff: the weights divide by q! as a float up to q = q_max + 1, and 171! overflows one
+_Q_MAX_CAP = 169
 
 _HAD1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 # shots per block of the Monte-Carlo sampler: its temporaries do not grow with the shot count
@@ -224,12 +226,15 @@ def mc_reverse_gradient_thermal(
     each shot carries one small-integer label (x mask, z mask, phase
     exponent), composed per sampled string with an XOR and a parity. The
     trace is computed once per label that occurs (at most 4^(n_v+1)), and
-    the per-shot work runs in blocks of _BLOCK shots. Memory is O(shots)
-    bytes: a label and an order per shot plus the two float64 outcome
-    arrays. The random stream is consumed in a fixed order (all orders,
-    then each order's string picks in increasing order, the denominator
-    draws, then the four numerator draw rows), so estimates do not depend
-    on the block size.
+    the per-shot work runs in blocks of _BLOCK shots. Outcomes are tallied
+    as exact integers: the denominator as a count of +1 outcomes, the
+    numerator as one int8 per shot (its four draw rows are consumed row
+    after row) reduced to a histogram of its five values. Memory is
+    O(shots) bytes: an order, a label and that int8 per shot, plus the
+    shot indices of one expansion order at a time. The random stream is
+    consumed in a fixed order (all orders, then each order's string picks
+    in increasing order, the denominator draws, then the four numerator
+    draw rows), so estimates do not depend on the block size.
     """
     if target_h.n_qubits != p.n_v:
         raise ValueError(
@@ -239,8 +244,8 @@ def mc_reverse_gradient_thermal(
         raise IndexError(f"k={k} out of range 1..{len(p.generators)}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if q_max < 0:
-        raise ValueError("q_max must be >= 0")
+    if not 0 <= q_max <= _Q_MAX_CAP:
+        raise ValueError(f"q_max must be in 0..{_Q_MAX_CAP}, got {q_max}")
 
     terms = [t for t in target_h.terms if t.coeff != 0.0]
     alpha = np.array([t.coeff for t in terms])
@@ -312,37 +317,54 @@ def mc_reverse_gradient_thermal(
             raise ArithmeticError("sampled trace left the unit disc; not a valid shot probability")
         return t_lab
 
-    def outcomes(p_lab: np.ndarray, labels: np.ndarray, blk: slice) -> np.ndarray:
-        """One +-1 Bernoulli outcome per shot of the block."""
-        return np.where(rng.random(labels[blk].size) < p_lab[labels[blk]], 1.0, -1.0)
+    def hits(p_lab: np.ndarray, labels: np.ndarray, blk: slice) -> np.ndarray:
+        """One Bernoulli draw per shot of the block: True for the +1 outcome."""
+        return rng.random(labels[blk].size) < p_lab[labels[blk]]
 
     labels = sample_labels()
     p_den = np.clip(0.5 * (1.0 + label_traces(labels, bs_den)[0].real), 0.0, 1.0)
-    den_vals = np.empty(shots)
-    for blk in _blocks(shots):
-        den_vals[blk] = t_mass * outcomes(p_den, labels, blk)
+    n_plus = sum(int(np.count_nonzero(hits(p_den, labels, blk))) for blk in _blocks(shots))
+    del labels  # not alive while the numerator's labels are drawn
 
     labels = sample_labels()
     # ancilla phase-gate variant: success probability carries Im, not Re
     p_num = np.clip(0.5 * (1.0 + label_traces(labels, bs_num).imag), 0.0, 1.0)
-    num_vals = np.zeros(shots)
-    for p_lab, sign in zip(p_num, (1.0, 1.0, -1.0, -1.0)):
+    # hits of the two + rows minus hits of the two - rows, in -2..2: half the shot's outcome sum
+    net = np.zeros(shots, dtype=np.int8)
+    for p_lab, add in zip(p_num, (np.add, np.add, np.subtract, np.subtract)):
         for blk in _blocks(shots):
-            num_vals[blk] += sign * outcomes(p_lab, labels, blk)
-    num_vals *= t_mass
+            add(net[blk], hits(p_lab, labels, blk), out=net[blk])
+    counts = sum(np.bincount(net[blk] + 2, minlength=5) for blk in _blocks(shots))
+    s_num = sum(u * int(c) for u, c in zip(range(-4, 5, 2), counts))
+    ss_num = sum(u * u * int(c) for u, c in zip(range(-4, 5, 2), counts))
 
-    n_bar = float(num_vals.mean())
-    d_bar = float(den_vals.mean())
-    if d_bar == 0.0:
-        raise ArithmeticError("denominator estimate is exactly zero; increase shots")
-    if shots > 1:
-        se_n = float(num_vals.std(ddof=1)) / math.sqrt(shots)
-        se_d = float(den_vals.std(ddof=1)) / math.sqrt(shots)
-    else:
-        se_n = se_d = 0.0
-    mean = n_bar / d_bar
-    se = math.sqrt(se_n**2 / d_bar**2 + n_bar**2 * se_d**2 / d_bar**4)
+    mean, se = _ratio_stats(s_num, ss_num, 2 * n_plus - shots, shots, shots, t_mass)
     return MCEstimate(mean=mean, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
+
+
+def _ratio_stats(s_num: int, ss_num: int, s_den: int, ss_den: int, shots: int, scale: float) -> tuple[float, float]:
+    """Mean and std_error of mean(x) / mean(y) from exact integer tallies of shot values.
+
+    Shot i has values x_i = scale * u_i and y_i = scale * v_i with integers
+    u_i, v_i; S_u = s_num = sum u, SS_u = ss_num = sum u^2, and S_v = s_den,
+    SS_v = ss_den likewise. The mean is the ratio of the two shot means,
+    (scale * (S_u / n)) / (scale * (S_v / n)). The std_error is first-order
+    error propagation of the two sample standard errors (ddof=1), in which
+    the scale cancels,
+
+        se^2 = [S_v^2 (n SS_u - S_u^2) + S_u^2 (n SS_v - S_v^2)] / ((n - 1) S_v^4),
+
+    evaluated as one correctly rounded integer division and one square root;
+    0.0 for a single shot.
+    """
+    if s_den == 0:
+        raise ArithmeticError("denominator estimate is exactly zero; increase shots")
+    n = shots
+    mean = (scale * (s_num / n)) / (scale * (s_den / n))
+    if n == 1:
+        return mean, 0.0
+    var = s_den**2 * (n * ss_num - s_num**2) + s_num**2 * (n * ss_den - s_den**2)
+    return mean, math.sqrt(var / ((n - 1) * s_den**4))
 
 
 __all__ = [

@@ -335,6 +335,7 @@ class TestConfigErrors:
             ("fig2_3v3h.json", "thermal-learn", "train.layout", "ring"),
             ("mc_2q.json", "mc-estimate", "k", "1"),
             ("mc_2q.json", "mc-estimate", "q_max", -1),
+            ("mc_2q.json", "mc-estimate", "q_max", 170),
             ("mc_2q.json", "mc-estimate", "n_h", -1),
             ("plateau_3v.json", "plateau-scan", "seed", "x"),
             ("mc_2q.json", "mc-estimate", "target_alpha_norm", "x"),
@@ -499,16 +500,27 @@ class TestMCEstimate:
 
     @pytest.mark.parametrize(
         "seed,mean,std_error",
-        [(0, -0.2899029982363316, 0.014321360705993888), (1, 0.1364633611232997, 0.015513446087772435)],
+        [(0, -0.2899029982363316, 0.014321360705993892), (1, 0.1364633611232997, 0.015513446087772435)],
     )
     def test_bundled_estimate_is_pinned(self, tmp_path, seed, mean, std_error):
-        # values written by the per-shot row sampler; the labelled block sampler draws the same stream
+        # means written by the per-shot row sampler, which drew the same stream; each
+        # std_error is its 50-digit value 0.01432136070599389158... and
+        # 0.01551344608777243597..., correctly rounded
         out = tmp_path / "out"
         cfg = bundled_config_path("mc_2q.json")
         assert main(["mc-estimate", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
         est = json.loads((out / "estimate.json").read_text())
         assert est["mean"] == mean
         assert est["std_error"] == std_error
+
+    def test_series_cutoff_past_the_float_factorial_is_a_config_error(self, tmp_path, capsys):
+        # the series would need 171! as a float: refused before anything runs
+        with open(bundled_config_path("mc_2q.json")) as fh:
+            doc = {**json.load(fh), "q_max": 200}
+        assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: q_max must be an integer in 0..169, got 200" in err
+        assert not (tmp_path / "o").exists()
 
     def test_alpha_norm_out_of_range(self, tmp_path):
         doc = {

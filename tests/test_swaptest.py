@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from renyiqnn import cli, swaptest
 from renyiqnn.hamiltonians import (
@@ -333,22 +334,15 @@ def reference_mc_gradient(p, target_h, k, shots, rng, q_max):
 
     t_den = sample_traces(bs_den)
     p_den = np.clip(0.5 * (1.0 + t_den[0].real), 0.0, 1.0)
-    den_vals = t_mass * np.where(rng.random(shots) < p_den, 1.0, -1.0)
+    den_vals = np.where(rng.random(shots) < p_den, 1, -1)
     t_num = sample_traces(bs_num)
     p_num = np.clip(0.5 * (1.0 + t_num.imag), 0.0, 1.0)
-    draws = np.where(rng.random((4, shots)) < p_num, 1.0, -1.0)
-    num_vals = t_mass * (draws[0] + draws[1] - draws[2] - draws[3])
-    n_bar = float(num_vals.mean())
-    d_bar = float(den_vals.mean())
-    if d_bar == 0.0:
-        raise ArithmeticError("denominator estimate is exactly zero; increase shots")
-    if shots > 1:
-        se_n = float(num_vals.std(ddof=1)) / math.sqrt(shots)
-        se_d = float(den_vals.std(ddof=1)) / math.sqrt(shots)
-    else:
-        se_n = se_d = 0.0
-    se = math.sqrt(se_n**2 / d_bar**2 + n_bar**2 * se_d**2 / d_bar**4)
-    return MCEstimate(mean=n_bar / d_bar, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
+    draws = np.where(rng.random((4, shots)) < p_num, 1, -1)
+    num_vals = draws[0] + draws[1] - draws[2] - draws[3]
+    # per-shot outcome sums in units of t_mass, reduced by the sampler's own statistics
+    sums = [int(v.sum()) for v in (num_vals, num_vals**2, den_vals, den_vals**2)]
+    mean, se = swaptest._ratio_stats(*sums, shots, t_mass)
+    return MCEstimate(mean=mean, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
 
 
 B = swaptest._BLOCK
@@ -393,6 +387,98 @@ class TestLabelledSamplerBitIdentity:
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state, shots
 
 
+# Shot values of the sampler's numerator (u, the sum of four +-1 draws) and denominator (v, one draw).
+U_VALUES, V_VALUES = (-4, -2, 0, 2, 4), (-1, 1)
+# mean: five roundings (two divisions by n, two products with the scale, the ratio);
+# std_error: the integer division, halved by the square root, then the root itself
+MEAN_TOL, SE_TOL = 5 * 2.0**-53, 1.5 * 2.0**-53
+
+
+def tallies(values, counts):
+    """S and SS of a shot sample given as a histogram."""
+    return sum(x * c for x, c in zip(values, counts)), sum(x * x * c for x, c in zip(values, counts))
+
+
+def ratio_stats_mp(s_u, ss_u, s_v, ss_v, n, scale):
+    """Mean and std_error of mean(scale u) / mean(scale v) by the textbook formulas, in 50 digits."""
+    with mp.workdps(50):
+        scale = mp.mpf(scale)
+        n_bar, d_bar = scale * s_u / n, scale * s_v / n
+        if n == 1:
+            return n_bar / d_bar, mp.mpf(0)
+        var_u = scale**2 * (ss_u - mp.mpf(s_u) ** 2 / n) / (n - 1)
+        var_v = scale**2 * (ss_v - mp.mpf(s_v) ** 2 / n) / (n - 1)
+        se2 = var_u / n / d_bar**2 + n_bar**2 * (var_v / n) / d_bar**4
+        return n_bar / d_bar, mp.sqrt(se2)
+
+
+def assert_close(got, exact, tol):
+    with mp.workdps(50):
+        if exact == 0:
+            assert got == 0.0
+        else:
+            assert abs((mp.mpf(got) - exact) / exact) <= tol, (got, exact)
+
+
+class TestRatioStatsOracle:
+    """The sampler's integer-tally statistics against a 50-digit evaluation of the exact formulas."""
+
+    def check(self, u_counts, v_counts, scale):
+        n = sum(u_counts)
+        assert sum(v_counts) == n
+        args = (*tallies(U_VALUES, u_counts), *tallies(V_VALUES, v_counts), n, scale)
+        mean, se = swaptest._ratio_stats(*args)
+        exact_mean, exact_se = ratio_stats_mp(*args)
+        assert_close(mean, exact_mean, MEAN_TOL)
+        assert_close(se, exact_se, SE_TOL)
+
+    def test_random_tallies(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(10 ** rng.uniform(0.5, 12))
+            u_counts = [int(c) for c in rng.multinomial(n, rng.dirichlet(np.ones(5)))]
+            n_plus = int(rng.binomial(n, rng.uniform()))
+            if 2 * n_plus == n:
+                continue
+            self.check(u_counts, [n - n_plus, n_plus], float(np.exp(rng.uniform(0.0, 20.0))))
+
+    def test_sampler_tallies(self, monkeypatch):
+        # the tallies of real estimates, mc_2q seeds 0, 1 and 3
+        seen = []
+        monkeypatch.setattr(swaptest, "_ratio_stats", lambda *a: seen.append(a) or (0.0, 0.0))
+        p, target, q_max = mc_2q_inputs()
+        for seed in (0, 1, 3):
+            mc_reverse_gradient_thermal(p, target, 1, 10**5, np.random.default_rng(seed), q_max)
+        monkeypatch.undo()
+        for args in seen:
+            mean, se = swaptest._ratio_stats(*args)
+            exact_mean, exact_se = ratio_stats_mp(*args)
+            assert_close(mean, exact_mean, MEAN_TOL)
+            assert_close(se, exact_se, SE_TOL)
+
+    @pytest.mark.parametrize(
+        "u_counts,v_counts",
+        [
+            ([0, 0, 0, 0, 1], [0, 1]),  # one shot: no sample std
+            ([1, 0, 0, 0, 0], [1, 0]),
+            ([0, 1, 0, 0, 1], [0, 2]),  # two shots
+            ([0, 0, 0, 0, 7], [0, 7]),  # all outcomes equal: std_error exactly 0
+            ([0, 0, 9, 0, 0], [9, 0]),
+            ([0, 0, 0, 0, 10**15], [0, 10**15]),  # largest |S|: every shot at its extreme
+            ([10**15, 0, 0, 0, 0], [0, 10**15]),
+            ([0, 0, 0, 1, 10**15 - 1], [1, 10**15 - 1]),  # largest |S| with a nonzero spread
+        ],
+    )
+    def test_edges(self, u_counts, v_counts):
+        self.check(u_counts, v_counts, 2.2255409284924674)
+
+    @pytest.mark.parametrize("n", [2, 30, 10**6])
+    def test_zero_denominator_raises(self, n):
+        s_u, ss_u = tallies(U_VALUES, [0, 0, n // 2, 0, n - n // 2])
+        with pytest.raises(ArithmeticError, match="exactly zero"):
+            swaptest._ratio_stats(s_u, ss_u, 0, n, n, 1.5)
+
+
 def mc_2q_inputs():
     doc = cli.load_experiment_config(cli.bundled_config_path("mc_2q.json"), "mc-estimate")
     rng = np.random.default_rng(0)
@@ -411,8 +497,42 @@ class TestSamplerMemoryAndFailures:
         finally:
             tracemalloc.stop()
         assert est.std_error > 0
-        # the row sampler peaked at about 195 MB; per-shot arrays are now 1 + 1 + 8 + 8 bytes
+        # the row sampler peaked at about 195 MB; per-shot arrays are now a few bytes
         assert peak < 32 * 2**20
+
+    def test_no_float_array_grows_with_shots(self):
+        # orders, labels and the int8 numerator tally cost 1 byte a shot each, and the
+        # shot indices of one expansion order 8 bytes a shot of that order; one float64
+        # array per shot alone would add 8
+        p, target, q_max = mc_2q_inputs()
+        peaks = {}
+        for shots in (2 * 10**5, 10**6):
+            tracemalloc.start()
+            try:
+                mc_reverse_gradient_thermal(p, target, 1, shots, np.random.default_rng(1), q_max)
+                peaks[shots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10**6] - peaks[2 * 10**5] <= 10 * 8 * 10**5
+
+    def test_balanced_denominator_raises(self):
+        # 15 of the 30 denominator outcomes are +1, so the denominator's mean is exactly 0
+        # (a float mean of the +-t_mass shot values is a rounding residue of about 1e-18)
+        p, target, q_max = mc_2q_inputs()
+        with pytest.raises(ArithmeticError, match="exactly zero"):
+            mc_reverse_gradient_thermal(p, target, 1, 30, np.random.default_rng(3962), q_max)
+
+    @pytest.mark.parametrize("q_max", [170, 200])
+    def test_series_cutoff_past_the_float_factorial_is_rejected(self, q_max):
+        # the weights would need 171! as a float
+        p, target, _ = mc_2q_inputs()
+        with pytest.raises(ValueError, match="q_max must be in 0..169"):
+            mc_reverse_gradient_thermal(p, target, 1, 10, np.random.default_rng(0), q_max)
+
+    def test_largest_series_cutoff_runs(self):
+        p, target, _ = mc_2q_inputs()
+        est = mc_reverse_gradient_thermal(p, target, 1, 1000, np.random.default_rng(0), 169)
+        assert est.q_max == 169 and math.isfinite(est.mean) and est.tail_bound >= 0.0
 
     def test_trace_outside_unit_disc_raises(self, monkeypatch):
         p, target, q_max = mc_2q_inputs()
