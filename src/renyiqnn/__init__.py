@@ -14,9 +14,8 @@ from .divergence import (
     SingularStateError,
     fd_gradient,
     qbm_grad_forward,
-    qbm_grad_forward_frechet,
+    qbm_grad_frechet,
     qbm_grad_reverse,
-    qbm_grad_reverse_frechet,
     relative_entropy,
     renyi2_forward,
     renyi2_reverse,
@@ -112,9 +111,8 @@ __all__ = [
     "mc_reverse_gradient_thermal",
     "normalize",
     "qbm_grad_forward",
-    "qbm_grad_forward_frechet",
+    "qbm_grad_frechet",
     "qbm_grad_reverse",
-    "qbm_grad_reverse_frechet",
     "qbm_visible_state",
     "random_density_matrix",
     "random_three_local",

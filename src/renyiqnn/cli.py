@@ -32,9 +32,8 @@ from .divergence import (
     evaluate,
     fd_richardson,
     qbm_grad_forward,
-    qbm_grad_forward_frechet,
+    qbm_grad_frechet,
     qbm_grad_reverse,
-    qbm_grad_reverse_frechet,
     renyi2_forward,
     renyi2_reverse,
     uqnn_grad_reverse,
@@ -60,6 +59,7 @@ from .training import (
     is_integer,
     is_number,
     run_ensemble,
+    run_streams,
     target_hamiltonian,
 )
 
@@ -351,8 +351,7 @@ def cmd_plateau_scan(args: argparse.Namespace) -> int:
     cfg = resolve_config(doc, "plateau-scan", {"seed": args.seed, "out_dir": args.out})
     n_v, n_h_list, out_dir = cfg["n_v"], cfg["n_h_list"], cfg["out_dir"]
 
-    target_rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(0, 0)))
-    scan_rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(0, 1)))
+    target_rng, scan_rng = run_streams(cfg["seed"], 0, "both")
     target = target_hamiltonian(n_v, target_rng, **cfg["target"])
     report = init_gradient_scan(
         n_v, target, n_h_list, cfg["ensemble"], scan_rng, layout=cfg["layout"], repetitions=cfg["repetitions"]
@@ -376,8 +375,7 @@ def cmd_mc_estimate(args: argparse.Namespace) -> int:
     cfg = resolve_config(doc, "mc-estimate", {"seed": args.seed, "out_dir": args.out})
     seed, k, shots, out_dir = cfg["seed"], cfg["k"], cfg["shots"], cfg["out_dir"]
 
-    target_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
-    init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 1)))
+    target_rng, init_rng = run_streams(seed, 0, "both")
     shot_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 2)))
     target = target_hamiltonian(cfg["n_v"], target_rng, **cfg["target"])
     if cfg["target_alpha_norm"] is not None:
@@ -504,8 +502,8 @@ def _grad_checks(n_instances: int, fd_tol: float, rng: np.random.Generator) -> l
         rho = thermal_state(_target_hamiltonian(n_v, {}, rng))
         p = build_qbm(n_v, n_h, rng)
         p.thetas = rng.normal(0.0, 0.4, size=len(p.thetas))
-        d_rev = np.max(np.abs(qbm_grad_reverse(p, rho) - qbm_grad_reverse_frechet(p, rho)))
-        d_fwd = np.max(np.abs(qbm_grad_forward(p, rho) - qbm_grad_forward_frechet(p, rho)))
+        d_rev = np.max(np.abs(qbm_grad_reverse(p, rho) - qbm_grad_frechet(p, rho, "reverse")))
+        d_fwd = np.max(np.abs(qbm_grad_forward(p, rho) - qbm_grad_frechet(p, rho, "forward")))
         ok = d_rev < 1e-8 and d_fwd < 1e-8
         results.append(
             CheckResult(

@@ -356,8 +356,8 @@ def frechet_exp_neg_derivative(w: np.ndarray, v: np.ndarray, pm: np.ndarray) -> 
     return v @ (b * phi) @ v.conj().T
 
 
-def _qbm_grad_frechet(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
-    """The gradient weight by weight, independently of `evaluate`.
+def qbm_grad_frechet(p: QBMParams, rho: DensityMatrix, direction: str) -> np.ndarray:
+    """Oracle gradient by the exact divided-difference route, weight by weight, independently of `evaluate`.
 
     sigma_v is formed densely from e^{-H}, and Q and the numerator from the
     standard-basis formulas with formed matrices and dense inverses; no
@@ -382,16 +382,6 @@ def _qbm_grad_frechet(p: QBMParams, rho: DensityMatrix, direction: str) -> np.nd
     trace_pm_e = _real_trace(pm @ e_mat)
     dsv = -qmath.partial_trace(g, p.n_v, p.n_h) / z + sv * (trace_pm_e / z)[:, None, None]
     return sign * _real_trace(dsv @ q) / num
-
-
-def qbm_grad_reverse_frechet(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
-    """Exact divided-difference route for the reverse gradient (oracle)."""
-    return _qbm_grad_frechet(p, rho, "reverse")
-
-
-def qbm_grad_forward_frechet(p: QBMParams, rho: DensityMatrix) -> np.ndarray:
-    """Exact divided-difference route for the forward gradient (oracle)."""
-    return _qbm_grad_frechet(p, rho, "forward")
 
 
 def fd_gradient(loss: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -16,8 +16,8 @@ Jones & Gacon (arXiv:2009.02823), taken per block instead of per gate.
 Blocks round differently from the per-gate loop: amplitudes agree to
 1e-14, sweep entries to 1e-13 of the kernel's operator norm. The
 conjugated generators come from the same kernel by the parameter shift
-H~_k |psi(theta)> = i |psi(theta + (pi/2) e_k)>; only the dense circuit
-prefixes apply gates one at a time.
+H~_k |psi(theta)> = i |psi(theta + (pi/2) e_k)>. Only gate_table and
+apply_gate work gate by gate: the per-gate route the benchmark traces.
 """
 
 from __future__ import annotations
@@ -260,12 +260,6 @@ def uqnn_full_state(p: UQNNParams) -> DensityMatrix:
     return DensityMatrix(p.n_qubits, np.outer(psi, psi.conj()))
 
 
-def visible_from_statevector(psi: np.ndarray, n_v: int, n_h: int) -> np.ndarray:
-    """Tr_h |psi><psi| without forming the full outer product; one per row of a member stack."""
-    a = psi.reshape(psi.shape[:-1] + (2**n_v, 2**n_h))
-    return a @ a.conj().swapaxes(-1, -2)
-
-
 def uqnn_visible_state(p: UQNNParams) -> DensityMatrix:
     """Tr_h |psi><psi| = M M^dag, M the statevector reshaped to d_v x d_h; its factor is the SVD of M.
 
@@ -273,30 +267,6 @@ def uqnn_visible_state(p: UQNNParams) -> DensityMatrix:
     """
     psi = uqnn_statevector(p)
     return DensityMatrix.from_root(psi.reshape(psi.shape[:-1] + (2**p.n_v, 2**p.n_h)))
-
-
-def circuit_prefix(p: UQNNParams, k: int) -> np.ndarray:
-    """Dense W_k = e^{-i H_1 theta_1} ... e^{-i H_{k-1} theta_{k-1}}, one gate at a time, the last first."""
-    if not 1 <= k <= len(p.generators):
-        raise IndexError(f"k={k} out of range 1..{len(p.generators)}")
-    w = np.eye(p.dim, dtype=complex)
-    for j in range(k - 2, -1, -1):
-        w = apply_gate(w, gate_table(p.generators[j], p.n_qubits), p.thetas[j])
-    return w
-
-
-def conjugated_generator(p: UQNNParams, k: int) -> np.ndarray:
-    """H~_k = W_k H_k W_k^dag; Hermitian with H~_k^2 = I."""
-    w = circuit_prefix(p, k)
-    hk = p.generators[k - 1].dense(p.n_qubits)
-    return w @ hk @ w.conj().T
-
-
-def uqnn_state_derivative(p: UQNNParams, k: int) -> np.ndarray:
-    """d sigma / d theta_k = -i [H~_k, sigma]; Hermitian and traceless."""
-    ht = conjugated_generator(p, k)
-    sigma = uqnn_full_state(p).mat
-    return -1j * (ht @ sigma - sigma @ ht)
 
 
 def conjugated_generator_vec(p: UQNNParams, k: int) -> np.ndarray:
@@ -471,11 +441,7 @@ __all__ = [
     "uqnn_statevector",
     "uqnn_full_state",
     "uqnn_visible_state",
-    "visible_from_statevector",
-    "circuit_prefix",
-    "conjugated_generator",
     "conjugated_generator_vec",
-    "uqnn_state_derivative",
     "checkpoint_doc",
     "load_checkpoint_model",
     "qbm_thermal",

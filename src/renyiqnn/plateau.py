@@ -20,7 +20,7 @@ import numpy as np
 from . import qmath
 from .divergence import _checked_inverse, state_gradient_entry, uqnn_grad_linear, uqnn_grad_reverse
 from .hamiltonians import LCUHamiltonian
-from .models import build_uqnn, conjugated_generator_vec, uqnn_statevector, visible_from_statevector
+from .models import build_uqnn, conjugated_generator_vec, uqnn_statevector
 from .states import DensityMatrix, _haar_unitaries, thermal_state
 
 
@@ -165,15 +165,16 @@ def lemma1_bounds(sigma: DensityMatrix, dsigma: np.ndarray, n: int) -> tuple[flo
     return first, second
 
 
-def _second_expr_mean(p, psi: np.ndarray, sv: np.ndarray) -> float:
+def _second_expr_mean(p, psi: np.ndarray) -> float:
     """Mean over circuit angles of the inverse-free bound expression.
 
     Circuit states are pure, so only the second lemma1_bounds expression
     (which needs no sigma^-1) is defined at epoch 0; it is evaluated on the
     visible reduction for every angle and averaged.
     """
-    dv = sv.shape[0]
+    dv = 2**p.n_v
     psi_m = psi.reshape(dv, -1)
+    sv = psi_m @ psi_m.conj().T  # Tr_h |psi><psi|
     wmax = float(np.linalg.eigvalsh(0.5 * (sv + sv.conj().T))[-1])
     scale = float(dv) ** 2 * wmax**4
     acc = 0.0
@@ -219,9 +220,7 @@ def init_gradient_scan(
             p = build_uqnn(n_v, n_h, rng, layout=layout, repetitions=repetitions)
             grads["reverse"].append(uqnn_grad_reverse(p, rho))
             grads["linear"].append(uqnn_grad_linear(p, rho.mat))
-            psi = uqnn_statevector(p)
-            sv = visible_from_statevector(psi, n_v, n_h)
-            bound_vals.append(_second_expr_mean(p, psi, sv))
+            bound_vals.append(_second_expr_mean(p, uqnn_statevector(p)))
         for kind, gs in grads.items():
             flat = np.concatenate(gs)
             inf_norms = np.array([float(np.max(np.abs(g))) for g in gs])

@@ -23,12 +23,7 @@ import numpy as np
 
 from . import qmath
 from .hamiltonians import LCUHamiltonian, _parity, pauli_traces, string_action
-from .models import (
-    UQNNParams,
-    conjugated_generator_vec,
-    uqnn_statevector,
-    visible_from_statevector,
-)
+from .models import UQNNParams, conjugated_generator_vec, uqnn_statevector
 from .states import DensityMatrix
 
 UNITARY_TOL = 1e-8
@@ -261,7 +256,7 @@ def mc_reverse_gradient_thermal(
     phi = conjugated_generator_vec(p, k)
     psi_m = psi.reshape(dv, -1)
     phi_m = phi.reshape(dv, -1)
-    sv = visible_from_statevector(psi, p.n_v, p.n_h)
+    sv = psi_m @ psi_m.conj().T  # Tr_h |psi><psi|
     a_mat = phi_m @ psi_m.conj().T  # Tr_h(H~_k |psi><psi|)
 
     bs_den = [sv @ sv]

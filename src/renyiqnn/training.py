@@ -376,8 +376,8 @@ def _advance(cfg: TrainConfig, members: _Members, epoch: int, log: bool) -> tupl
 
     The logged values are one row of (loss, penalized_loss, fidelity,
     grad_inf_norm, conditioning) per member. Raises if any member fails,
-    a non-finite gradient included, leaving the angles, moments and
-    gradients of `members` as they were for a replay.
+    a non-finite gradient or logged value included, leaving the angles,
+    moments and gradients of `members` as they were for a replay.
     """
     opt, th, lam = members.opt, members.thetas, cfg.l2_penalty
     if epoch > 0:
@@ -394,6 +394,9 @@ def _advance(cfg: TrainConfig, members: _Members, epoch: int, log: bool) -> tupl
         fid = fidelity(members.target, ev.sigma_v)  # the targets' root factors are built once per run
         grad_inf = np.max(np.abs(grad), axis=1)
         values = np.stack([ev.loss.value, penalized, fid, grad_inf, ev.loss.conditioning], axis=1)
+        finite = np.isfinite(values)
+        if not finite.all():  # here, not when the log is validated, so the epoch is replayed per member
+            raise FloatingPointError(f"non-finite {CSV_COLUMNS[1 + int(np.argmin(finite.all(axis=0)))]}")
     members.thetas, members.opt, members.grad = th, opt, grad
     return members, values
 

@@ -41,6 +41,18 @@ def uqnn_state_reference(p: UQNNParams) -> np.ndarray:
     return psi
 
 
+def conjugated_generators_reference(p: UQNNParams) -> list[np.ndarray]:
+    """Dense H~_k = W_k H_k W_k^dag for every k, W_k the product of the scipy expm gates before k."""
+    n = p.n_v + p.n_h
+    w = np.eye(2**n, dtype=complex)
+    out = []
+    for g, th in zip(p.generators, p.thetas):
+        h = g.coeff * pauli_string_dense(n, g.axes)
+        out.append(w @ h @ w.conj().T)
+        w = w @ expm(-1j * th * h)
+    return out
+
+
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2

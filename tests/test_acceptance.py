@@ -17,9 +17,8 @@ from renyiqnn.divergence import (
     fd_gradient,
     fd_richardson,
     qbm_grad_forward,
-    qbm_grad_forward_frechet,
+    qbm_grad_frechet,
     qbm_grad_reverse,
-    qbm_grad_reverse_frechet,
     relative_entropy,
     renyi2_forward,
     renyi2_reverse,
@@ -271,8 +270,8 @@ def test_criterion_07_gradient_correctness(capsys):
         n_v, n_h = frechet_shapes[i % len(frechet_shapes)]
         p = build_qbm(n_v, n_h, rng)
         rho = random_density_matrix(n_v, rng)
-        d_rev = np.max(np.abs(qbm_grad_reverse(p, rho) - qbm_grad_reverse_frechet(p, rho)))
-        d_fwd = np.max(np.abs(qbm_grad_forward(p, rho) - qbm_grad_forward_frechet(p, rho)))
+        d_rev = np.max(np.abs(qbm_grad_reverse(p, rho) - qbm_grad_frechet(p, rho, "reverse")))
+        d_fwd = np.max(np.abs(qbm_grad_forward(p, rho) - qbm_grad_frechet(p, rho, "forward")))
         frechet_worst = max(frechet_worst, float(d_rev), float(d_fwd))
     ok = frechet_worst < 1e-8
     report(

@@ -6,6 +6,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,12 +23,10 @@ def _load_tracing():
     return mod
 
 
-def _program_references(path: str) -> list[tuple[str, str]]:
-    """(module, dotted attribute path) for every renyiqnn name a benchmark file uses."""
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), path)
+def _imports(tree: ast.AST) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """Local names bound to renyiqnn modules, and to (module, name) for names imported from them."""
     aliases: dict[str, str] = {}
-    refs: list[tuple[str, str]] = []
+    names: dict[str, tuple[str, str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "renyiqnn":
             for a in node.names:
@@ -35,11 +34,20 @@ def _program_references(path: str) -> list[tuple[str, str]]:
                 if _is_module(full):
                     aliases[a.asname or a.name] = full
                 else:
-                    refs.append((node.module, a.name))
+                    names[a.asname or a.name] = (node.module, a.name)
         elif isinstance(node, ast.Import):
             for a in node.names:
                 if a.name.split(".")[0] == "renyiqnn":
                     aliases[a.asname or a.name] = a.name
+    return aliases, names
+
+
+def _program_references(path: str) -> list[tuple[str, str]]:
+    """(module, dotted attribute path) for every renyiqnn name a benchmark file uses."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    aliases, names = _imports(tree)
+    refs: list[tuple[str, str]] = list(names.values())
     for node in ast.walk(tree):
         if not isinstance(node, ast.Attribute):
             continue
@@ -51,6 +59,35 @@ def _program_references(path: str) -> list[tuple[str, str]]:
         if isinstance(inner, ast.Name) and inner.id in aliases:
             refs.append((aliases[inner.id], ".".join(reversed(chain))))
     return refs
+
+
+def _program_calls(path: str) -> list[tuple[str, str, int, list[str], int]]:
+    """(module, dotted name, positional count, keyword names, line) of every call a
+    benchmark file makes to a renyiqnn name by its static name; calls with * or ** are left out."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    aliases, names = _imports(tree)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+            continue
+        chain, inner = [], node.func
+        while isinstance(inner, ast.Attribute):
+            chain.append(inner.attr)
+            inner = inner.value
+        if not isinstance(inner, ast.Name):
+            continue
+        if inner.id in aliases and chain:
+            module, dotted = aliases[inner.id], ".".join(reversed(chain))
+        elif inner.id in names:
+            module, name = names[inner.id]
+            dotted = ".".join([name, *reversed(chain)])
+        else:
+            continue
+        calls.append((module, dotted, len(node.args), [k.arg for k in node.keywords], node.lineno))
+    return calls
 
 
 def _is_module(name: str) -> bool:
@@ -78,7 +115,10 @@ def test_traced_layers_resolve():
     assert not missing, f"traced names missing from the program: {missing}"
 
 
-@pytest.mark.parametrize("name", sorted(f for f in os.listdir(BENCH_DIR) if f.endswith(".py")))
+BENCH_FILES = sorted(f for f in os.listdir(BENCH_DIR) if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("name", BENCH_FILES)
 def test_program_names_used_by_benchmark_exist(name):
     refs = _program_references(os.path.join(BENCH_DIR, name))
     missing = []
@@ -91,11 +131,28 @@ def test_program_names_used_by_benchmark_exist(name):
 
 
 def test_workloads_reference_the_program():
-    # guards the scan itself: the training workload's calls must be found
+    # guards the scans themselves: the workloads' names and keyword calls must be found
     refs = _program_references(os.path.join(BENCH_DIR, "workloads.py"))
     assert ("renyiqnn.training", "run_ensemble") in refs
     assert ("renyiqnn.divergence", "qbm_grad_reverse") in refs
     assert ("renyiqnn.states", "DensityMatrix") in refs
+    calls = {(m, d, *k) for m, d, _, k, _ in _program_calls(os.path.join(BENCH_DIR, "workloads.py"))}
+    assert ("renyiqnn.plateau", "init_gradient_scan", "layout", "repetitions") in calls
+    assert ("renyiqnn.training", "run_ensemble", "vary", "jobs", "out_dir") in calls
+    assert ("renyiqnn.swaptest", "mc_reverse_gradient_thermal", "q_max") in calls
+    assert ("renyiqnn.states", "DensityMatrix") in calls
+
+
+@pytest.mark.parametrize("name", BENCH_FILES)
+def test_benchmark_calls_bind_to_program_signatures(name):
+    # a dropped or renamed parameter that the benchmark passes fails here, not only when it runs
+    unbound = []
+    for module, dotted, n_args, keywords, line in _program_calls(os.path.join(BENCH_DIR, name)):
+        try:
+            inspect.signature(_resolve(module, dotted)).bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"line {line}: {module}.{dotted}: {exc}")
+    assert not unbound, f"{name} calls the program with arguments its signatures refuse: {unbound}"
 
 
 def test_plateau_scan_looks_up_gradients_on_plateau_per_init(monkeypatch):

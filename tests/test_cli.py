@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from renyiqnn import cli
 from renyiqnn.cli import (
     TABLES,
     ConfigError,
@@ -552,6 +553,23 @@ class TestValidate:
     def test_grad_suite_passes_at_defaults(self, capsys):
         assert main(["validate", "grad"]) == 0
         assert "45/45 checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    def test_kernel_vs_frechet_check_fires(self, monkeypatch, capsys, direction):
+        # one entry of the oracle off by 1e-6, a hundred times the check's 1e-8 bound
+        exact = cli.qbm_grad_frechet
+
+        def perturbed(p, rho, d):
+            grad = exact(p, rho, d)
+            if d == direction:
+                grad[0] += 1e-6
+            return grad
+
+        monkeypatch.setattr(cli, "qbm_grad_frechet", perturbed)
+        assert main(["validate", "grad", "--n-instances", "4"]) == 3
+        err = capsys.readouterr().err
+        names = [row["name"] for row in json.loads(err[err.index("[") :])]
+        assert len(names) == 2 and all(n.startswith("grad-qbm-kernel-vs-frechet[") for n in names)
 
     def test_mc_suite_passes(self, capsys):
         rc = main(["validate", "mc", "--n-instances", "4"])

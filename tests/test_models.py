@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import expm
 
 from renyiqnn import cli, divergence, models, training
 from renyiqnn.hamiltonians import PauliTerm, two_local_terms
@@ -16,22 +15,18 @@ from renyiqnn.models import (
     build_qbm,
     build_uqnn,
     checkpoint_doc,
-    circuit_prefix,
-    conjugated_generator,
     conjugated_generator_vec,
     gate_table,
     load_checkpoint_model,
     qbm_visible_state,
     uqnn_full_state,
     uqnn_layer_terms,
-    uqnn_state_derivative,
     uqnn_statevector,
     uqnn_visible_state,
-    visible_from_statevector,
 )
 from renyiqnn.qmath import op_norm, partial_trace
 from renyiqnn.states import random_density_matrix, thermal_state
-from tests.conftest import pauli_string_dense, random_hermitian, uqnn_state_reference
+from tests.conftest import conjugated_generators_reference, random_hermitian, uqnn_state_reference
 
 
 def single_x(n: int, q: int = 0) -> PauliTerm:
@@ -92,13 +87,6 @@ class TestStatevector:
         assert np.allclose(np.abs(psi) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
         assert np.allclose(uqnn_visible_state(p).mat, np.eye(2) / 2, atol=1e-12)
 
-    def test_visible_from_statevector_matches_partial_trace(self, rng):
-        p = build_uqnn(2, 2, rng)
-        psi = uqnn_statevector(p)
-        direct = visible_from_statevector(psi, 2, 2)
-        full = np.outer(psi, psi.conj())
-        assert np.allclose(direct, partial_trace(full, 2, 2), atol=1e-12)
-
 
 class TestGateTable:
     def test_unit_coefficient_required(self):
@@ -121,7 +109,7 @@ class TestGateTable:
 
 
 # Per-gate reference loops, one gate_table/apply_gate call per gate: the
-# arithmetic the stacked, phase-folded kernel must reproduce bit for bit.
+# arithmetic the block kernel must reproduce within the tolerance stated below.
 
 
 def ref_tables(p: UQNNParams) -> list:
@@ -157,13 +145,6 @@ def conjugated_generator_vec_loop(p: UQNNParams, tables: list, k: int, psi: np.n
     return y
 
 
-def circuit_prefix_loop(p: UQNNParams, tables: list, k: int) -> np.ndarray:
-    w = np.eye(p.dim, dtype=complex)
-    for j in range(k - 2, -1, -1):
-        w = apply_gate(w, tables[j], p.thetas[j])
-    return w
-
-
 def with_signs(p: UQNNParams) -> UQNNParams:
     """The same circuit with every third generator's coefficient set to -1."""
     gens = [PauliTerm(-1.0 if j % 3 == 0 else 1.0, g.axes) for j, g in enumerate(p.generators)]
@@ -184,13 +165,7 @@ def dense_sweep_reference(p: UQNNParams, kernel_v: np.ndarray) -> np.ndarray:
     """2 Im <psi| (kernel_v x I_h) W_k H_k W_k^dag |psi> from dense expm products."""
     psi = uqnn_state_reference(p)
     m_psi = np.kron(kernel_v, np.eye(2**p.n_h)) @ psi
-    w = np.eye(p.dim, dtype=complex)
-    out = np.empty(len(p.generators))
-    for k, (g, th) in enumerate(zip(p.generators, p.thetas)):
-        h = g.coeff * pauli_string_dense(p.n_qubits, g.axes)
-        out[k] = 2.0 * np.vdot(m_psi, w @ h @ w.conj().T @ psi).imag
-        w = w @ expm(-1j * th * h)
-    return out
+    return np.array([2.0 * np.vdot(m_psi, ht @ psi).imag for ht in conjugated_generators_reference(p)])
 
 
 def check_block_kernel(p: UQNNParams, rng, dense: bool = True) -> None:
@@ -212,22 +187,18 @@ def check_block_kernel(p: UQNNParams, rng, dense: bool = True) -> None:
 
 
 class TestStackedGateKernel:
-    """circuit_prefix does the arithmetic of gate_table/apply_gate exactly; the
-    block kernel agrees with the per-gate loops within the stated tolerance."""
+    """The block kernel agrees with the per-gate loops within the stated tolerance."""
 
     @pytest.mark.parametrize("signs", ["unit", "mixed"])
     @pytest.mark.parametrize("n_h", [0, 1, 2, 3])
     @pytest.mark.parametrize("repetitions", [1, 2])
     @pytest.mark.parametrize("layout", ["exhaustive", "brick"])
-    def test_bit_identical_to_per_gate_loop(self, rng, layout, repetitions, n_h, signs):
+    def test_matches_per_gate_loop(self, rng, layout, repetitions, n_h, signs):
         p = build_uqnn(2, n_h, rng, layout=layout, repetitions=repetitions)
         if signs == "mixed":
             p = with_signs(p)
             assert any(g.coeff == -1.0 for g in p.generators)
         check_block_kernel(p, rng)
-        tables, n = ref_tables(p), len(p.generators)
-        for k in sorted({1, 2, n // 2, n}):
-            assert np.array_equal(circuit_prefix(p, k), circuit_prefix_loop(p, tables, k)), f"k={k}"
 
     @pytest.mark.parametrize(
         "case", ["exhaustive-3v3h", "brick-3v3h", "identities-between-supports", "weight-three", "odd-qubit-count"]
@@ -437,34 +408,29 @@ class TestSharedLayoutTables:
 class TestConjugatedGenerator:
     def test_first_slot_is_bare_generator(self, rng):
         p = build_uqnn(2, 0, rng)
-        assert np.allclose(conjugated_generator(p, 1), p.generators[0].dense(2))
+        assert np.allclose(conjugated_generator_vec(p, 1), p.generators[0].dense(2) @ uqnn_statevector(p))
 
     def test_zero_thetas_all_bare(self, rng):
         gens = [PauliTerm(1.0, ax) for ax in [((0, "x"),), ((1, "y"),), ((0, "z"), (1, "z"))]]
         p = UQNNParams(2, 0, gens, np.zeros(3))
         for k in (1, 2, 3):
-            assert np.allclose(conjugated_generator(p, k), gens[k - 1].dense(2))
+            assert np.allclose(conjugated_generator_vec(p, k), gens[k - 1].dense(2)[:, 0])
 
     def test_conjugation_preserves_involution(self, rng):
+        # H~_k is Hermitian and unitary: a unit vector with a real expectation value
         p = build_uqnn(2, 1, rng)
+        psi = uqnn_statevector(p)
         for k in (1, len(p.generators) // 2, len(p.generators)):
-            ht = conjugated_generator(p, k)
-            assert np.allclose(ht @ ht, np.eye(8), atol=1e-10)
-            assert np.max(np.abs(ht - ht.conj().T)) < 1e-10
-
-    def test_matches_prefix_conjugation(self, rng):
-        p = build_uqnn(2, 0, rng)
-        k = 4
-        w = circuit_prefix(p, k)
-        ref = w @ p.generators[k - 1].dense(2) @ w.conj().T
-        assert np.allclose(conjugated_generator(p, k), ref, atol=1e-12)
+            phi = conjugated_generator_vec(p, k)
+            assert abs(np.linalg.norm(phi) - 1.0) < 1e-10
+            assert abs(np.vdot(psi, phi).imag) < 1e-10
 
     def test_vec_route_matches_dense(self, rng):
         p = build_uqnn(2, 1, rng)
         psi = uqnn_statevector(p)
+        dense = conjugated_generators_reference(p)
         for k in (1, 5, len(p.generators)):
-            dense_route = conjugated_generator(p, k) @ psi
-            assert np.max(np.abs(conjugated_generator_vec(p, k) - dense_route)) < 1e-12
+            assert np.max(np.abs(conjugated_generator_vec(p, k) - dense[k - 1] @ psi)) < 1e-12
         with pytest.raises(IndexError):
             conjugated_generator_vec(p, 0)
         with pytest.raises(IndexError):
@@ -480,18 +446,29 @@ class TestConjugatedGenerator:
                 assert np.array_equal(row, conjugated_generator_vec(p, k))
 
 
+def visible_state_derivative(p: UQNNParams, k: int) -> np.ndarray:
+    """d sigma_v / d theta_k = -i (A - A^dag) with A = Tr_h(H~_k |psi><psi|), from the production vector route."""
+    dv = 2**p.n_v
+    a = conjugated_generator_vec(p, k).reshape(dv, -1) @ uqnn_statevector(p).reshape(dv, -1).conj().T
+    return -1j * (a - a.conj().T)
+
+
 class TestStateDerivative:
     def test_traceless_and_hermitian(self, rng):
+        # against Tr_h of the dense commutator -i [H~_k, sigma]
         p = build_uqnn(2, 1, rng)
-        d = uqnn_state_derivative(p, 3)
+        d = visible_state_derivative(p, 3)
         assert abs(np.trace(d)) < 1e-12
         assert np.max(np.abs(d - d.conj().T)) < 1e-12
+        psi = uqnn_state_reference(p)
+        sigma, ht = np.outer(psi, psi.conj()), conjugated_generators_reference(p)[2]
+        assert np.max(np.abs(d - partial_trace(-1j * (ht @ sigma - sigma @ ht), 2, 1))) < 1e-12
 
     def test_matches_finite_difference(self, rng):
         p = build_uqnn(2, 0, rng)
         h = 1e-6
         for k in (1, 7, len(p.generators)):
-            analytic = uqnn_state_derivative(p, k)
+            analytic = visible_state_derivative(p, k)
             up, dn = p.thetas.copy(), p.thetas.copy()
             up[k - 1] += h
             dn[k - 1] -= h
@@ -505,7 +482,7 @@ class TestStateDerivative:
         for _ in range(100):
             p = build_uqnn(2, 0, rng)
             k = int(rng.integers(1, len(p.generators) + 1))
-            analytic = uqnn_state_derivative(p, k)
+            analytic = visible_state_derivative(p, k)
             h = 1e-6
             up, dn = p.thetas.copy(), p.thetas.copy()
             up[k - 1] += h
@@ -521,7 +498,7 @@ class TestStateDerivative:
         # a pure-Z final gate commutes with |0><0|, so the derivative vanishes
         gens = [single_x(1), PauliTerm(1.0, ((0, "z"),))]
         p = UQNNParams(1, 0, gens, np.array([0.3, 0.8]))
-        assert np.max(np.abs(uqnn_state_derivative(p, 2))) < 1e-14
+        assert np.max(np.abs(visible_state_derivative(p, 2))) < 1e-14
 
 
 class TestQBM:

@@ -13,7 +13,7 @@ from renyiqnn.divergence import (
     state_gradient_entry,
 )
 from renyiqnn.hamiltonians import normalize, random_two_local
-from renyiqnn.models import build_uqnn, uqnn_statevector, visible_from_statevector
+from renyiqnn.models import build_uqnn, uqnn_statevector
 from renyiqnn.plateau import (
     PlateauRecord,
     PlateauReport,
@@ -265,10 +265,11 @@ class TestSecondExpressionFromKernelSweep:
     def both_sides(n_h: int, seed: int) -> tuple[float, float]:
         p = build_uqnn(3, n_h, np.random.default_rng(seed))
         psi = uqnn_statevector(p)
-        sv = visible_from_statevector(psi, 3, n_h)
+        psi_m = psi.reshape(8, -1)
+        sv = psi_m @ psi_m.conj().T
         wmax = float(np.linalg.eigvalsh(0.5 * (sv + sv.conj().T))[-1])
         swept = _kernel_sweep(p, sv, psi)
-        return _second_expr_mean(p, psi, sv), float(np.mean(swept**2)) / (8.0**2 * wmax**4)
+        return _second_expr_mean(p, psi), float(np.mean(swept**2)) / (8.0**2 * wmax**4)
 
     @pytest.mark.parametrize("n_h", [1, 2, 3])
     def test_mixed_visible_state(self, n_h):

@@ -19,7 +19,6 @@ from renyiqnn.models import (
     conjugated_generator_vec,
     uqnn_statevector,
     uqnn_visible_state,
-    visible_from_statevector,
 )
 from renyiqnn.states import DensityMatrix, haar_unitary, random_density_matrix, thermal_state
 from renyiqnn.swaptest import (
@@ -296,7 +295,7 @@ def reference_mc_gradient(p, target_h, k, shots, rng, q_max):
     phi = conjugated_generator_vec(p, k)
     psi_m = psi.reshape(dv, -1)
     phi_m = phi.reshape(dv, -1)
-    sv = visible_from_statevector(psi, p.n_v, p.n_h)
+    sv = psi_m @ psi_m.conj().T
     a_mat = phi_m @ psi_m.conj().T
     bs_den = [sv @ sv]
     bs_num = [a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T]
@@ -536,8 +535,7 @@ class TestSamplerMemoryAndFailures:
 
     def test_trace_outside_unit_disc_raises(self, monkeypatch):
         p, target, q_max = mc_2q_inputs()
-        monkeypatch.setattr(
-            swaptest, "visible_from_statevector", lambda psi, n_v, n_h: 3.0 * visible_from_statevector(psi, n_v, n_h)
-        )
+        # a statevector of norm sqrt(3) gives a visible state of trace 3
+        monkeypatch.setattr(swaptest, "uqnn_statevector", lambda p: math.sqrt(3.0) * uqnn_statevector(p))
         with pytest.raises(ArithmeticError, match="unit disc"):
             mc_reverse_gradient_thermal(p, target, 1, 1000, np.random.default_rng(2), q_max)

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from renyiqnn import cli, divergence, models, training
@@ -620,6 +622,14 @@ class TestRunEnsemble:
         with pytest.raises(TrainingError, match="singular target state"):
             run_ensemble(dataclasses.replace(cfg, direction="reverse"), 5, vary="both")
 
+    def test_overflowing_penalized_loss_ends_in_the_budget_error(self):
+        # angles near 1e300 overflow theta . theta to inf, and loss + 0 * inf is nan:
+        # a typed member failure, not an untyped error after training
+        cfg = TrainConfig(kind="uqnn", n_v=1, n_h=0, epochs=3, lr=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match=r"runs failed .*: epoch 1: non-finite penalized_loss"):
+                run_ensemble(cfg, 3)
+
     @pytest.mark.parametrize("fault", ["nan", "linalg"])
     def test_numeric_failure_counts_against_budget(self, monkeypatch, fault):
         # one member's gradient goes bad inside the batched evaluation; the
@@ -726,6 +736,29 @@ class TestLockstepBatches:
         for i in (0, 2, 3, 4):
             assert science_files(tmp_path / "faulty", i) == science_files(tmp_path / "clean", i)
 
+    def test_non_finite_logged_loss_counts_against_the_budget(self, monkeypatch, tmp_path):
+        # the logged row is checked where it is computed, as the gradient is
+        cfg = small_cfg(epochs=2)
+        run_ensemble(cfg, 5, vary="both", out_dir=str(tmp_path / "clean"))
+        bad_rho = draw_target(cfg, run_streams(cfg.seed, 3, "both")[0])[1].mat
+        exact, calls = divergence.evaluate, []
+
+        def faulty(p, rho, direction):
+            calls.append(len(rho.mat))
+            ev = exact(p, rho, direction)
+            bad = [i for i, mat in enumerate(rho.mat) if np.array_equal(mat, bad_rho)]
+            if bad and len(calls) >= 2:  # run 3 from the second batched evaluation (epoch 1) on
+                ev.loss.value[bad[0]] = math.nan
+            return ev
+
+        monkeypatch.setattr(divergence, "evaluate", faulty)
+        logs, summary = run_ensemble(cfg, 5, vary="both", out_dir=str(tmp_path / "faulty"))
+        assert summary.failures == ["run 3: epoch 1: non-finite loss"]
+        assert summary.n_runs == 5 and len(logs) == 4
+        assert not (tmp_path / "faulty" / "run_003.csv").exists()
+        for i in (0, 1, 2, 4):
+            assert science_files(tmp_path / "faulty", i) == science_files(tmp_path / "clean", i)
+
     def test_jobs_split_runs_into_chunks_without_changing_files(self, tmp_path):
         cfg = small_cfg(epochs=3)
         for jobs in (1, 2, 3):
@@ -758,3 +791,24 @@ class TestTrainingErrorContext:
     def test_load_checkpoint_model_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             load_checkpoint_model({"kind": "tensor-network"})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["uqnn", "qbm"]),
+    direction=st.sampled_from(["reverse", "forward"]),
+    n_v=st.integers(1, 2),
+    n_h=st.integers(0, 1),
+    tau=st.floats(1e-300, 1e300),
+    lr=st.floats(0.0, 1e300),
+    l2=st.sampled_from([0.0, 1e300]),
+)
+def test_every_valid_config_trains_or_fails_typed(kind, direction, n_v, n_h, tau, lr, l2):
+    """Over TrainConfig's valid domain an ensemble finishes or ends in the budget's TrainingError."""
+    cfg = TrainConfig(kind=kind, n_v=n_v, n_h=n_h, epochs=3, lr=lr, direction=direction, l2_penalty=l2, tau=tau)
+    with np.errstate(all="ignore"):
+        try:
+            logs, summary = run_ensemble(cfg, 3)
+        except TrainingError:
+            return
+    assert summary.n_runs == 3 and len(logs) + len(summary.failures) == 3
