@@ -16,7 +16,7 @@ tiny fraction of the cost.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +43,35 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK))
 
 
+def _inverse_cdf(p: np.ndarray) -> Callable[[np.random.Generator, int | tuple[int, ...]], np.ndarray]:
+    """Sampler of indices i with probability p[i]: draw(rng, size) equals rng.choice(len(p), size, p=p).
+
+    Generator.choice draws u = rng.random(size) and returns the number of
+    entries of cdf = p.cumsum() / (its last entry) that are <= u. draw takes
+    the same uniforms and counts the same entries by binary lifting: the
+    entries below 1.0 (u < 1 never reaches the others), padded with +inf to
+    a power of two, are searched with one gather and compare per halving
+    step, log2 of the table size in all. Indices, and the generator's state
+    afterwards, are bit-identical to choice's.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    below = cdf[cdf < 1.0]
+    pad = np.full(1 << below.size.bit_length(), np.inf)
+    pad[: below.size] = below
+    steps = [pad.size >> j for j in range(1, pad.size.bit_length())]
+
+    def draw(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+        u = rng.random(size)
+        i = np.zeros(u.shape, dtype=np.intp)
+        for step in steps:
+            # step more entries <= u when the last of pad[i : i + step] is
+            i += step * (pad[step - 1 :].take(i) <= u)
+        return i
+
+    return draw
+
+
 @dataclass
 class MCEstimate:
     """One Monte-Carlo scalar estimate with its sampling error.
@@ -62,7 +91,10 @@ class MCEstimate:
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if not (self.std_error >= 0.0 and np.isfinite(self.std_error)):
+        for name in ("mean", "std_error", "tail_bound"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"non-finite {name} {getattr(self, name)}")
+        if self.std_error < 0.0:
             raise ValueError(f"bad std_error {self.std_error}")
 
 
@@ -226,7 +258,11 @@ def mc_reverse_gradient_thermal(
     numerator as one int8 per shot (its four draw rows are consumed row
     after row) reduced to a histogram of its five values. Memory is
     O(shots) bytes: an order, a label and that int8 per shot, plus the
-    shot indices of one expansion order at a time. The random stream is
+    shot indices of one expansion order at a time. Orders and string picks
+    are drawn by inverting the two cumulative tables, built once per
+    estimate (_inverse_cdf): one uniform per draw, mapped to the index that
+    Generator.choice returns for the same uniform, so stream and estimates
+    match a sampler that calls choice. The random stream is
     consumed in a fixed order (all orders, then each order's string picks
     in increasing order, the denominator draws, then the four numerator
     draw rows), so estimates do not depend on the block size.
@@ -245,6 +281,8 @@ def mc_reverse_gradient_thermal(
     terms = [t for t in target_h.terms if t.coeff != 0.0]
     alpha = np.array([t.coeff for t in terms])
     a1 = float(np.sum(np.abs(alpha)))
+    if not math.isfinite(a1):
+        raise ValueError(f"coefficient l1 norm is {a1}; every target coefficient must be finite")
     if a1 > ALPHA_NORM_GUARD:
         raise ValueError(
             f"coefficient l1 norm {a1:.3f} exceeds {ALPHA_NORM_GUARD}; "
@@ -271,24 +309,25 @@ def mc_reverse_gradient_thermal(
         dtype=np.int64,
     )
     n_lab = 4 ** (n + 1)
-    p_idx = np.abs(alpha) / a1 if a1 > 0.0 else None
 
     orders = np.arange(q_max + 1)
     weights = a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)
     t_mass = float(weights.sum())
-    p_q = weights / t_mass
     tail = a1 ** (q_max + 1) / math.factorial(q_max + 1)
+    draw_order = _inverse_cdf(weights / t_mass)
+    # with a1 == 0 every order is 0 and no string is drawn
+    draw_pick = _inverse_cdf(np.abs(alpha) / a1) if a1 > 0.0 else None
 
     def sample_labels() -> np.ndarray:
         """Label of the sampled string product U = P_1 ... P_q, one per shot."""
         qs = np.empty(shots, dtype=np.min_scalar_type(q_max))
         for blk in _blocks(shots):
-            qs[blk] = rng.choice(q_max + 1, size=qs[blk].size, p=p_q)
+            qs[blk] = draw_order(rng, qs[blk].size)
         labels = np.zeros(shots, dtype=np.min_scalar_type(n_lab - 1))
         for q in range(1, int(qs.max()) + 1):
             rows = np.flatnonzero(qs == q)
             for blk in _blocks(rows.size):
-                picks = term_lab[rng.choice(len(terms), size=(rows[blk].size, q), p=p_idx)]
+                picks = term_lab[draw_pick(rng, (rows[blk].size, q))]
                 lab = picks[:, 0]
                 for t in picks.T[1:]:
                     # (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a+b+2|z&x'|) X^(x^x') Z^(z^z')
@@ -314,7 +353,7 @@ def mc_reverse_gradient_thermal(
 
     def hits(p_lab: np.ndarray, labels: np.ndarray, blk: slice) -> np.ndarray:
         """One Bernoulli draw per shot of the block: True for the +1 outcome."""
-        return rng.random(labels[blk].size) < p_lab[labels[blk]]
+        return rng.random(labels[blk].size) < p_lab.take(labels[blk])
 
     labels = sample_labels()
     p_den = np.clip(0.5 * (1.0 + label_traces(labels, bs_den)[0].real), 0.0, 1.0)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from renyiqnn import cli, swaptest
@@ -172,6 +174,13 @@ class TestMCEstimateValidation:
         with pytest.raises(ValueError, match="std_error"):
             MCEstimate(mean=0.0, std_error=-1.0, shots=10, q_max=0)
 
+    @pytest.mark.parametrize("name", ["mean", "std_error", "tail_bound"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields(self, name, value):
+        fields = {"mean": 0.5, "std_error": 0.01, "tail_bound": 1e-9} | {name: value}
+        with pytest.raises(ValueError, match=f"non-finite {name}"):
+            MCEstimate(shots=100, q_max=5, **fields)
+
 
 class TestTracePowerEstimate:
     def test_pure_state_deterministic(self, rng):
@@ -270,6 +279,18 @@ class TestMCReverseGradient:
         big = LCUHamiltonian(2, [PauliTerm(t.coeff * 30 / h.alpha_norm(), t.axes) for t in h.terms])
         with pytest.raises(ValueError, match="norm"):
             mc_reverse_gradient_thermal(p, big, 1, shots=10, rng=rng)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected_before_sampling(self, rng_factory, bad):
+        rng = rng_factory(47)
+        p = build_uqnn(2, 0, rng)
+        h = small_target(rng)
+        terms = [PauliTerm(bad, h.terms[0].axes), *h.terms[1:]]
+        shot_rng = rng_factory(5)
+        before = shot_rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite"):
+            mc_reverse_gradient_thermal(p, LCUHamiltonian(2, terms), 1, shots=10, rng=shot_rng)
+        assert shot_rng.bit_generator.state == before
 
     def test_k_out_of_range(self, rng_factory):
         rng = rng_factory(43)
@@ -539,3 +560,91 @@ class TestSamplerMemoryAndFailures:
         monkeypatch.setattr(swaptest, "uqnn_statevector", lambda p: math.sqrt(3.0) * uqnn_statevector(p))
         with pytest.raises(ArithmeticError, match="unit disc"):
             mc_reverse_gradient_thermal(p, target, 1, 1000, np.random.default_rng(2), q_max)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    k_entries=st.integers(1, 700),
+    table_seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    decay=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
+    size=st.one_of(st.integers(0, 3 * B), st.tuples(st.integers(0, B + 1), st.integers(1, 6))),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+@example(k_entries=1, table_seed=0, zero_share=0.0, decay=0.0, size=B, draw_seed=0)
+@example(k_entries=700, table_seed=1, zero_share=0.0, decay=0.0, size=(B + 1, 3), draw_seed=1)
+@example(k_entries=257, table_seed=2, zero_share=0.3, decay=50.0, size=0, draw_seed=2)
+def test_inverse_cdf_equals_generator_choice(k_entries, table_seed, zero_share, decay, size, draw_seed):
+    """The sampler's table lookup returns choice's indices and leaves the generator in choice's state."""
+    # zero entries, and (decay) tails so small that the cdf reaches 1.0 long before the last entry
+    t = np.random.default_rng(table_seed)
+    w = t.random(k_entries) * np.exp(-decay * np.arange(k_entries)) * (t.random(k_entries) >= zero_share)
+    w[t.integers(k_entries)] += 1.0
+    p = w / w.sum()
+    got_rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+    got = swaptest._inverse_cdf(p)(got_rng, size)
+    ref = ref_rng.choice(k_entries, size=size, p=p)
+    assert got.shape == ref.shape and np.array_equal(got, ref)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_inverse_cdf_counts_a_cdf_entry_equal_to_the_uniform():
+    # choice returns cdf.searchsorted(u, side="right"): an entry equal to u counts; a random
+    # uniform hits an entry with probability about 2^-53, so these uniforms are fixed
+    p = np.array([0.25, 0.25, 0.0, 0.5])  # cdf 0.25, 0.5, 0.5, 1.0, exact in binary
+    u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(0.25, 0.0), np.nextafter(1.0, 0.0)])
+
+    class FixedUniforms:
+        def random(self, size):
+            return u.reshape(size)
+
+    got = swaptest._inverse_cdf(p)(FixedUniforms(), u.shape)
+    assert got.tolist() == p.cumsum().searchsorted(u, side="right").tolist() == [0, 1, 3, 3, 0, 3]
+
+
+class ChoiceForbidden:
+    """A Generator whose choice raises; every other method is the wrapped generator's."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("the sampler called Generator.choice")
+
+
+@pytest.mark.parametrize("k,shots", [(1, 10**4), (8, B + 1)])
+def test_sampler_draws_without_generator_choice(k, shots):
+    p, target, q_max = mc_2q_inputs()
+    got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+    got = mc_reverse_gradient_thermal(p, target, k, shots, ChoiceForbidden(got_rng), q_max)
+    ref = mc_reverse_gradient_thermal(p, target, k, shots, ref_rng, q_max)
+    assert got == ref and got.std_error > 0
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    nv=st.integers(1, 3),
+    nh=st.integers(0, 1),
+    shots=st.sampled_from([1, 2, B - 1, B, B + 1]),
+    q_max=st.integers(0, swaptest._Q_MAX_CAP),
+    norm=st.floats(0.0, swaptest.ALPHA_NORM_GUARD),
+    flip=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_every_valid_estimate_is_finite_or_fails_typed(nv, nh, shots, q_max, norm, flip, seed, data):
+    """Over the estimator's valid domain: an estimate with finite fields, a ValueError or an ArithmeticError."""
+    p, h = mc_pair(nv, nh, 1.0, flip, seed)
+    # the drawn l1 norm up to rounding, 0 included
+    target = LCUHamiltonian(nv, [PauliTerm(t.coeff * norm / h.alpha_norm(), t.axes) for t in h.terms])
+    k = data.draw(st.integers(1, len(p.generators)), label="k")
+    try:
+        est = mc_reverse_gradient_thermal(p, target, k, shots, np.random.default_rng(seed), q_max)
+    except (ValueError, ArithmeticError):
+        return
+    assert est.shots == shots and est.q_max == q_max
+    assert all(math.isfinite(x) for x in (est.mean, est.std_error, est.tail_bound))
