@@ -1,9 +1,9 @@
 """Density-matrix toolkit for generative training of unitary and thermal
 quantum models under Renyi-2 divergence losses.
 
-Layers, bottom up: qmath (dense linear algebra helpers), states (density
-matrices, fidelity, thermal states), hamiltonians (Pauli-string operator
-algebra), models (unitary-circuit and Boltzmann parameterizations),
+Layers, bottom up: qmath (dense linear algebra helpers), hamiltonians
+(Pauli-string operator algebra), states (density matrices, fidelity,
+thermal states), models (unitary-circuit and Boltzmann parameterizations),
 divergence (losses and analytic gradients), swaptest (shot-based
 estimators), plateau (initialization gradient statistics), training
 (ADAM loops and ensembles), cli (experiment runner).
@@ -38,12 +38,10 @@ from .models import (
     build_qbm,
     build_uqnn,
     qbm_visible_state,
-    uqnn_full_state,
     uqnn_statevector,
     uqnn_visible_state,
 )
 from .plateau import (
-    PlateauRecord,
     PlateauReport,
     haar_gradient_moment,
     init_gradient_scan,
@@ -89,7 +87,6 @@ __all__ = [
     "MetricsLog",
     "MetricsRow",
     "PauliTerm",
-    "PlateauRecord",
     "PlateauReport",
     "QBMParams",
     "SingularStateError",
@@ -127,7 +124,6 @@ __all__ = [
     "trace_power_estimate",
     "train",
     "two_local_terms",
-    "uqnn_full_state",
     "uqnn_grad_forward",
     "uqnn_grad_linear",
     "uqnn_grad_reverse",

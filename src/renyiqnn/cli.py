@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -41,12 +42,14 @@ from .divergence import (
 from .hamiltonians import LCUHamiltonian, PauliTerm
 from .models import LAYOUTS, QBMParams, UQNNParams, build_qbm, build_uqnn, qbm_visible_state, uqnn_visible_state
 from .plateau import init_gradient_scan
+from .qmath import is_integer, is_number
 from .states import DensityMatrix, haar_unitary, random_density_matrix, thermal_state
 from .swaptest import (
     ALPHA_NORM_GUARD,
     DEFAULT_Q_MAX,
     SwapTestSpec,
     _Q_MAX_CAP,
+    _series_terms,
     cyclic_shift,
     mc_reverse_gradient_thermal,
     swap_test_probability,
@@ -56,8 +59,6 @@ from .training import (
     TrainConfig,
     TrainingError,
     default_std_single,
-    is_integer,
-    is_number,
     run_ensemble,
     run_streams,
     target_hamiltonian,
@@ -273,6 +274,8 @@ def resolve_config(doc: dict, experiment: str, overrides: dict | None = None) ->
             qmath._check_qubits(_QUBITS[experiment](out))
         except ValueError as exc:
             raise ConfigError(f"{experiment}: {exc}") from exc
+    if out.get("target", {}).get("locality") == 3 and out["n_v"] < 3:
+        raise ConfigError(f"target.locality 3 needs n_v >= 3, got n_v={out['n_v']}")
     return out
 
 
@@ -303,11 +306,19 @@ def _target_hamiltonian(n: int, target: dict, rng: np.random.Generator) -> LCUHa
 
 
 def _scale_alpha_norm(h: LCUHamiltonian, alpha_norm: float) -> LCUHamiltonian:
-    """Rescale coefficients so sum |alpha_l| equals alpha_norm, up to rounding."""
+    """Rescale coefficients so sum |alpha_l| equals alpha_norm up to rounding, but never exceeds it.
+
+    The sum is taken as the estimator's guard takes it (_series_terms); while
+    it exceeds alpha_norm, the scale steps down by one ulp.
+    """
     if h.alpha_norm() == 0.0:
         raise ConfigError("cannot scale a zero Hamiltonian to a coefficient norm")
     s = alpha_norm / h.alpha_norm()
-    return LCUHamiltonian(h.n_qubits, [PauliTerm(t.coeff * s, t.axes) for t in h.terms])
+    while True:
+        scaled = LCUHamiltonian(h.n_qubits, [PauliTerm(t.coeff * s, t.axes) for t in h.terms])
+        if not _series_terms(scaled)[2] > alpha_norm:
+            return scaled
+        s = math.nextafter(s, 0.0)
 
 
 # ---------------------------------------------------------------- train cmds

@@ -2,9 +2,10 @@
 
 A unitary network prepares sigma(theta) = W |0><0| W^dag with
 W = e^{-i H_1 theta_1} ... e^{-i H_N theta_N} (the N-th factor hits |0>
-first). Every generator H_j is a Hermitian-unitary Pauli string, so each
-factor has the closed form cos(theta) I - i sin(theta) H_j and the circuit
-runs on statevectors in O(N 2^n).
+first). Every generator H_j is a Pauli string with coefficient 1 (the gate
+of -H_j is that of H_j at -theta_j), so each factor has the closed form
+cos(theta) I - i sin(theta) H_j and the circuit runs on statevectors in
+O(N 2^n). Boltzmann basis strings and checkpoints follow the same rule.
 
 The statevector and the adjoint gradient sweep run block by block: a run
 of consecutive generators grows while their joint support has no more
@@ -42,32 +43,23 @@ from .states import DensityMatrix
 GateTable = tuple[np.ndarray, np.ndarray]
 
 
-def _unit_coeffs(generators: tuple[PauliTerm, ...]) -> np.ndarray:
-    coeffs = np.array([g.coeff for g in generators], dtype=float)
-    bad = coeffs[np.abs(np.abs(coeffs) - 1.0) > 1e-12]
-    if bad.size:
-        raise ValueError(f"generator coefficient must be +-1, got {bad[0]}")
-    return coeffs
+def _check_unit(term: PauliTerm) -> None:
+    """Generators and basis strings have coefficient 1; a rotation's sign is carried by its angle."""
+    if not abs(term.coeff - 1.0) <= 1e-12:
+        raise ValueError(f"a generator must be a unit coefficient Pauli string, got coefficient {term.coeff}")
 
 
 def gate_table(term: PauliTerm, n_qubits: int) -> GateTable:
-    """(idx, col_phase) for the full generator including its +-1 coefficient."""
-    coeff = _unit_coeffs((term,))[0]
-    idx, col_phase = term.action(n_qubits)
-    return idx, coeff * col_phase
+    """(idx, col_phase) of a unit-coefficient generator."""
+    _check_unit(term)
+    return term.action(n_qubits)
 
 
-def apply_pauli(v: np.ndarray, table: GateTable) -> np.ndarray:
+def apply_gate(v: np.ndarray, table: GateTable, theta: float) -> np.ndarray:
+    """e^{-i H theta} v via the cos/sin closed form, with H v = (col_phase * v)[idx]."""
     idx, col_phase = table
-    if v.ndim == 1:
-        return (col_phase * v)[idx]
-    return (col_phase[:, None] * v)[idx, :]
-
-
-def apply_gate(v: np.ndarray, table: GateTable, theta: float, inverse: bool = False) -> np.ndarray:
-    """e^{-i H theta} v (or e^{+i H theta} v) via the cos/sin closed form."""
-    s = 1j if inverse else -1j
-    return np.cos(theta) * v + s * np.sin(theta) * apply_pauli(v, table)
+    hv = (col_phase * v)[idx] if v.ndim == 1 else (col_phase[:, None] * v)[idx, :]
+    return np.cos(theta) * v - 1j * np.sin(theta) * hv
 
 
 class BlockTable(NamedTuple):
@@ -75,8 +67,8 @@ class BlockTable(NamedTuple):
 
     gates: (B, L) generator index at each in-block position; positions past
            a block's end hold len(generators), whose angle reads as 0.
-    phase: (B, L, 2^w) local generator P as a table, P|j> = phase[j] |idx[j]>,
-           with the +-1 coefficient folded in; zero at padded positions.
+    phase: (B, L, 2^w) local generator P as a table, P|j> = phase[j] |idx[j]>;
+           zero at padded positions.
     flip:  (B, 2^w, L, 2^w) flat index into a (B, 2^w, L + 1, 2^w) stack of
            matrices V: entry [b, m, t, j] addresses V[b, m, t, idx[j]], so
            V.reshape(-1)[flip] * phase[:, None] is every V_t P_t at once.
@@ -125,7 +117,8 @@ def _layout_blocks(generators: tuple[PauliTerm, ...], n_qubits: int) -> BlockTab
     rounds differently from the per-gate loop: amplitudes agree to 1e-14,
     sweep entries to 1e-13 of the kernel's norm.
     """
-    coeffs = _unit_coeffs(generators)
+    for g in generators:
+        _check_unit(g)
     supports = [tuple(q for q, _ in g.axes) for g in generators]
     width = max(map(len, supports), default=0)
     runs: list[tuple[tuple[int, ...], list[int]]] = []
@@ -149,7 +142,6 @@ def _layout_blocks(generators: tuple[PauliTerm, ...], n_qubits: int) -> BlockTab
             local = PauliTerm(1.0, tuple((support.index(q), a) for q, a in generators[j].axes))
             gates[b, t] = j
             idx[b, t], phase[b, t] = local.action(width)
-            phase[b, t] *= coeffs[j]
     # flat position of V[b, m, t, idx[b, t, j]] in a (B, d, L + 1, d) array
     rows = np.arange(n_blocks)[:, None, None] * d + np.arange(d)[None, :, None]
     flip = (rows[..., None] * (length + 1) + np.arange(length)[:, None]) * d + idx[:, None]
@@ -254,12 +246,6 @@ def uqnn_statevector(p: UQNNParams) -> np.ndarray:
     return psi if p.thetas.ndim == 2 else psi[0]
 
 
-def uqnn_full_state(p: UQNNParams) -> DensityMatrix:
-    """Pure state W |0><0| W^dag on all n_v + n_h qubits."""
-    psi = uqnn_statevector(p)
-    return DensityMatrix(p.n_qubits, np.outer(psi, psi.conj()))
-
-
 def uqnn_visible_state(p: UQNNParams) -> DensityMatrix:
     """Tr_h |psi><psi| = M M^dag, M the statevector reshaped to d_v x d_h; its factor is the SVD of M.
 
@@ -302,8 +288,7 @@ class QBMParams:
         if self.thetas.ndim not in (1, 2) or self.thetas.shape[-1] != len(self.basis):
             raise ValueError("one theta per basis term required")
         for t in self.basis:
-            if abs(t.coeff - 1.0) > 1e-12:
-                raise ValueError("basis strings must have unit coefficient")
+            _check_unit(t)
 
     @property
     def n_qubits(self) -> int:
@@ -342,15 +327,47 @@ def checkpoint_doc(p: UQNNParams | QBMParams, rng_seed: int | None = None, epoch
     }
 
 
+def _checkpoint_field(doc: dict, key: str, ok, what: str):
+    if key not in doc:
+        raise ValueError(f"checkpoint lacks {key!r}")
+    if not ok(doc[key]):
+        raise ValueError(f"checkpoint {key} must be {what}, got {doc[key]!r}")
+    return doc[key]
+
+
 def load_checkpoint_model(doc: dict) -> UQNNParams | QBMParams:
-    """Rebuild the model a checkpoint dict describes; the model class checks the coefficients."""
-    cls = {"uqnn": UQNNParams, "qbm": QBMParams}.get(doc.get("kind"))
-    if cls is None:
-        raise ValueError(f"unknown checkpoint kind {doc.get('kind')!r}")
-    terms = [
-        PauliTerm(float(g["coeff"]), tuple((int(q), a) for q, a in g["axes"])) for g in doc["generators"]
-    ]
-    return cls(int(doc["n_v"]), int(doc["n_h"]), terms, np.array(doc["thetas"], dtype=float))
+    """Rebuild the model a checkpoint dict describes.
+
+    A checkpoint comes from outside the program: a malformed document
+    raises ValueError naming the field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a checkpoint must be a JSON object, got {type(doc).__name__}")
+    kind = _checkpoint_field(doc, "kind", lambda v: v in ("uqnn", "qbm"), "'uqnn' or 'qbm'")
+    n_v = _checkpoint_field(doc, "n_v", lambda v: qmath.is_integer(v) and v >= 1, "an integer >= 1")
+    n_h = _checkpoint_field(doc, "n_h", lambda v: qmath.is_integer(v) and v >= 0, "an integer >= 0")
+    gens = _checkpoint_field(doc, "generators", lambda v: isinstance(v, list), "a list")
+    thetas = _checkpoint_field(
+        doc, "thetas",
+        lambda v: isinstance(v, list) and len(v) == len(gens) and all(map(qmath.is_number, v)),
+        f"a list of {len(gens)} finite numbers, one per generator",
+    )
+    terms = []
+    for i, g in enumerate(gens):
+        try:
+            coeff, axes = g["coeff"], tuple((q, a) for q, a in g["axes"])
+            if not qmath.is_number(coeff) or not all(qmath.is_integer(q) for q, _ in axes):
+                raise TypeError(f"coeff must be a number and qubits integers, got {g!r}")
+            term = PauliTerm(float(coeff), axes)
+            term.masks(n_v + n_h)  # every qubit in range
+            _check_unit(term)
+        except KeyError as exc:
+            raise ValueError(f"checkpoint generators[{i}] lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint generators[{i}]: {exc}") from exc
+        terms.append(term)
+    cls = UQNNParams if kind == "uqnn" else QBMParams
+    return cls(n_v, n_h, terms, np.array(thetas, dtype=float))
 
 
 def qbm_thermal(p: QBMParams) -> tuple[np.ndarray, np.ndarray, float | np.ndarray, DensityMatrix]:
@@ -398,16 +415,12 @@ def brick_two_local_terms(n: int) -> list[PauliTerm]:
 LAYOUTS = {"exhaustive": two_local_terms, "brick": brick_two_local_terms}
 
 
-def uqnn_layer_terms(n: int, layout: str = "exhaustive") -> list[PauliTerm]:
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r}")
-    return LAYOUTS[layout](n)
-
-
 @functools.lru_cache(maxsize=16)
 def _layer_generators(n: int, layout: str) -> tuple[PauliTerm, ...]:
     """One shared copy of a layout's generators; every network built on it holds these terms."""
-    return tuple(uqnn_layer_terms(n, layout))
+    if layout not in LAYOUTS:
+        raise ValueError(f"unknown layout {layout!r}")
+    return tuple(LAYOUTS[layout](n))
 
 
 def build_uqnn(
@@ -436,10 +449,8 @@ __all__ = [
     "UQNNParams",
     "QBMParams",
     "gate_table",
-    "apply_pauli",
     "apply_gate",
     "uqnn_statevector",
-    "uqnn_full_state",
     "uqnn_visible_state",
     "conjugated_generator_vec",
     "checkpoint_doc",
@@ -448,7 +459,6 @@ __all__ = [
     "qbm_visible_state",
     "build_uqnn",
     "build_qbm",
-    "uqnn_layer_terms",
     "brick_two_local_terms",
     "two_local_terms",
 ]

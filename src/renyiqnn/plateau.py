@@ -25,60 +25,38 @@ from .states import DensityMatrix, _haar_unitaries, thermal_state
 
 
 @dataclass
-class PlateauRecord:
-    """Statistics for one (n_v, n_h, loss_kind) configuration."""
-
-    n_v: int
-    n_h: int
-    loss_kind: str
-    stats: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
 class PlateauReport:
-    """Gradient statistics per configuration; ensemble_size members each.
+    """Gradient statistics keyed by configuration (n_v, n_h, loss_kind); ensemble_size members each.
 
     Quantiles are degenerate for ensemble_size 1; two or more members are
     needed before the spread statistics mean anything.
     """
 
     ensemble_size: int
-    records: list[PlateauRecord] = field(default_factory=list)
+    records: dict[tuple[int, int, str], dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
-        keys = [(r.n_v, r.n_h, r.loss_kind) for r in self.records]
-        if len(set(keys)) < len(keys):
-            raise ValueError(f"two records for one (n_v, n_h, loss_kind) among {keys}")
-        for rec in self.records:
-            for name, value in rec.stats.items():
+        for (n_v, n_h, kind), stats in self.records.items():
+            for name, value in stats.items():
                 if not math.isfinite(value):
-                    raise ValueError(
-                        f"non-finite statistic {name}={value} in "
-                        f"(n_v={rec.n_v}, n_h={rec.n_h}, {rec.loss_kind})"
-                    )
+                    raise ValueError(f"non-finite statistic {name}={value} in (n_v={n_v}, n_h={n_h}, {kind})")
 
     def to_json_dict(self) -> dict:
         return {
             "ensemble_size": self.ensemble_size,
             "records": [
-                {
-                    "n_v": r.n_v,
-                    "n_h": r.n_h,
-                    "loss_kind": r.loss_kind,
-                    "stats": {k: float(v) for k, v in r.stats.items()},
-                }
-                for r in self.records
+                {"n_v": n_v, "n_h": n_h, "loss_kind": kind, "stats": {k: float(v) for k, v in stats.items()}}
+                for (n_v, n_h, kind), stats in self.records.items()
             ],
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PlateauReport":
-        records = [
-            PlateauRecord(int(r["n_v"]), int(r["n_h"]), str(r["loss_kind"]), dict(r["stats"]))
-            for r in doc["records"]
-        ]
+        records = {(int(r["n_v"]), int(r["n_h"]), str(r["loss_kind"])): dict(r["stats"]) for r in doc["records"]}
+        if len(records) < len(doc["records"]):
+            raise ValueError("two records for one (n_v, n_h, loss_kind)")
         return cls(int(doc["ensemble_size"]), records)
 
     def save_json(self, path: str) -> None:
@@ -90,15 +68,12 @@ class PlateauReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n_v", "n_h", "loss_kind", "stat_name", "value"])
-            for r in self.records:
-                for name, value in r.stats.items():
-                    writer.writerow([r.n_v, r.n_h, r.loss_kind, name, repr(float(value))])
+            for key, stats in self.records.items():
+                for name, value in stats.items():
+                    writer.writerow([*key, name, repr(float(value))])
 
     def stat(self, n_v: int, n_h: int, loss_kind: str, name: str) -> float:
-        for r in self.records:
-            if (r.n_v, r.n_h, r.loss_kind) == (n_v, n_h, loss_kind):
-                return r.stats[name]
-        raise KeyError(f"no record for (n_v={n_v}, n_h={n_h}, {loss_kind})")
+        return self.records[(n_v, n_h, loss_kind)][name]
 
 
 def _checked_derivative(sigma: DensityMatrix, dsigma: np.ndarray) -> np.ndarray:
@@ -209,10 +184,12 @@ def init_gradient_scan(
         raise ValueError("ensemble must be >= 1")
     if not n_h_list:
         raise ValueError("n_h_list must not be empty")
+    if len(set(n_h_list)) < len(n_h_list):
+        raise ValueError(f"n_h_list repeats a width: {n_h_list}")
     if target.n_qubits != n_v:
         raise ValueError(f"target acts on {target.n_qubits} qubits, expected n_v={n_v}")
     rho = thermal_state(target)
-    records: list[PlateauRecord] = []
+    records = {}
     for n_h in n_h_list:
         grads = {"reverse": [], "linear": []}
         bound_vals = []
@@ -235,12 +212,11 @@ def init_gradient_scan(
             }
             if kind == "reverse":
                 stats["lemma1_second_expr_mean"] = float(np.mean(bound_vals))
-            records.append(PlateauRecord(n_v, n_h, kind, stats))
+            records[(n_v, n_h, kind)] = stats
     return PlateauReport(ensemble, records)
 
 
 __all__ = [
-    "PlateauRecord",
     "PlateauReport",
     "haar_gradient_moment",
     "lemma1_bounds",

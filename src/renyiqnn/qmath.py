@@ -8,6 +8,9 @@ the leading factors.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 HERM_TOL = 1e-12
@@ -26,6 +29,16 @@ def _check_qubits(n_qubits: int) -> None:
     if n_qubits > 64:
         raise ValueError(f"dimension 2^{n_qubits} exceeds cap {DIM_CAP}")
     check_dim(2**n_qubits)
+
+
+def is_integer(x) -> bool:
+    """An integer that is not a bool (JSON true and false load as Python bools, which are ints)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_number(x) -> bool:
+    """A finite real number that is not a bool (JSON configs may hold NaN and Infinity)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:

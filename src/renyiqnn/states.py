@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
+from .hamiltonians import LCUHamiltonian
 
 TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
@@ -124,26 +125,17 @@ class DensityMatrix:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
 
-def _dense_hamiltonian(h) -> np.ndarray:
-    # Accept either an LCU Hamiltonian (duck-typed via .dense()) or a dense array.
-    if hasattr(h, "dense"):
-        return h.dense()
-    return np.asarray(h, dtype=complex)
+def thermal_state(h: LCUHamiltonian) -> DensityMatrix:
+    """Gibbs state e^{-H}/Tr(e^{-H}) of a Pauli-sum Hamiltonian; always full rank.
 
-
-def thermal_state(h) -> DensityMatrix:
-    """Gibbs state e^{-H}/Tr(e^{-H}); always full rank.
-
-    `h` may be an LCUHamiltonian or a dense Hermitian array. The factor is
-    H's eigenpairs with s = e^{-(w - w_min)} / Z, each entry at most 1, so
-    the smallest eigenvalues keep their relative accuracy. A stack of dense
-    Hamiltonians (R, d, d) gives one state per member.
+    The factor is H's eigenpairs with s = e^{-(w - w_min)} / Z, each entry
+    at most 1, so the smallest eigenvalues keep their relative accuracy.
     """
-    w, v = np.linalg.eigh(qmath._symmetrize(_dense_hamiltonian(h)))
+    w, v = np.linalg.eigh(qmath._symmetrize(h.dense()))
     if not np.all(np.isfinite(w)):
         raise ValueError("Hamiltonian spectrum is not finite")
-    e = np.exp(-(w - w[..., :1]))
-    return DensityMatrix.from_factor(v, e / np.sum(e, axis=-1, keepdims=True))
+    e = np.exp(-(w - w[0]))
+    return DensityMatrix.from_factor(v, e / np.sum(e))
 
 
 def _psd_sqrt(u: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
-from .hamiltonians import LCUHamiltonian, _parity, pauli_traces, string_action
+from .hamiltonians import LCUHamiltonian, PauliTerm, _parity, pauli_traces, string_action
 from .models import UQNNParams, conjugated_generator_vec, uqnn_statevector
 from .states import DensityMatrix
 
@@ -103,7 +103,7 @@ class SwapTestSpec:
     """Registers rho_1..rho_n (equal qubit counts) with one unitary each."""
 
     registers: list[DensityMatrix]
-    unitaries: list[np.ndarray] = field(default_factory=list)
+    unitaries: list[np.ndarray]
 
     def __post_init__(self) -> None:
         if not self.registers:
@@ -219,6 +219,13 @@ def trace_power_estimate(
     return MCEstimate(mean=mean, std_error=se, shots=shots, q_max=0, tail_bound=0.0)
 
 
+def _series_terms(h: LCUHamiltonian) -> tuple[list[PauliTerm], np.ndarray, float]:
+    """The nonzero terms of h, their coefficients alpha, and |alpha|_1 as the estimator's guard sums it."""
+    terms = [t for t in h.terms if t.coeff != 0.0]
+    alpha = np.array([t.coeff for t in terms])
+    return terms, alpha, float(np.sum(np.abs(alpha)))
+
+
 def mc_reverse_gradient_thermal(
     p: UQNNParams,
     target_h: LCUHamiltonian,
@@ -278,9 +285,7 @@ def mc_reverse_gradient_thermal(
     if not 0 <= q_max <= _Q_MAX_CAP:
         raise ValueError(f"q_max must be in 0..{_Q_MAX_CAP}, got {q_max}")
 
-    terms = [t for t in target_h.terms if t.coeff != 0.0]
-    alpha = np.array([t.coeff for t in terms])
-    a1 = float(np.sum(np.abs(alpha)))
+    terms, alpha, a1 = _series_terms(target_h)
     if not math.isfinite(a1):
         raise ValueError(f"coefficient l1 norm is {a1}; every target coefficient must be finite")
     if a1 > ALPHA_NORM_GUARD:

@@ -22,7 +22,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
 import zlib
@@ -103,20 +102,10 @@ def adam_step(
     return AdamState(step, m, v, state.lr), new_params
 
 
-def is_integer(x) -> bool:
-    """An integer that is not a bool (JSON true and false load as Python bools, which are ints)."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def is_number(x) -> bool:
-    """A finite real number that is not a bool (JSON configs may hold NaN and Infinity)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 # TrainConfig checks each field against its annotation
 _FIELD_CHECKS = {
-    "int": (is_integer, "an integer"),
-    "float": (is_number, "a number"),
+    "int": (qmath.is_integer, "an integer"),
+    "float": (qmath.is_number, "a number"),
     "str": (lambda x: isinstance(x, str), "a string"),
 }
 
@@ -172,6 +161,8 @@ class TrainConfig:
             raise ValueError("log_every must be >= 1")
         if self.target_locality not in (2, 3):
             raise ValueError("target_locality must be 2 or 3")
+        if self.target_locality == 3 and self.n_v < 3:
+            raise ValueError(f"target_locality 3 needs n_v >= 3, got n_v={self.n_v}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
 

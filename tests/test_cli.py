@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from renyiqnn import cli
+from renyiqnn import cli, swaptest, training
 from renyiqnn.cli import (
     TABLES,
     ConfigError,
@@ -12,7 +19,8 @@ from renyiqnn.cli import (
     main,
     resolve_config,
 )
-from renyiqnn.training import TrainConfig
+from renyiqnn.divergence import SingularStateError
+from renyiqnn.training import TrainConfig, TrainingError
 
 BUNDLED = [
     ("fig2_3v3h.json", "thermal-learn"),
@@ -256,7 +264,7 @@ class TestLegacyConfig:
         assert not (tmp_path / "o").exists()
 
     def test_retired_key_values_are_accepted_as_numbers(self):
-        doc = {**OLD_RESOLVED["mc_2q.json"], "target": {"locality": 3, "std_single": 1, "std_pair": 1}}
+        doc = {**OLD_RESOLVED["mc_2q.json"], "n_v": 3, "target": {"locality": 3, "std_single": 1, "std_pair": 1}}
         assert resolve_config(doc, "mc-estimate")["target"] == {"locality": 3, "tau": 1.0}
 
     def test_resolved_series_tol_key_accepted(self, tmp_path):
@@ -385,6 +393,23 @@ class TestConfigErrors:
         assert self.exit_code(tmp_path, doc, experiment) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "dimension 8192 exceeds cap 4096" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "experiment,doc",
+        [
+            ("thermal-learn", thermal_doc(n_v=2, target_locality=3)),
+            ("ham-learn", {**thermal_doc(kind="qbm", n_v=1, target_locality=3), "experiment": "ham-learn"}),
+            ("plateau-scan", {"schema_version": 1, "experiment": "plateau-scan", "n_v": 2, "n_h_list": [0],
+                              "ensemble": 1, "target": {"locality": 3}}),
+            ("mc-estimate", {"schema_version": 1, "experiment": "mc-estimate", "n_v": 1, "target": {"locality": 3}}),
+        ],
+    )
+    def test_three_local_target_on_fewer_than_three_visible_qubits(self, tmp_path, capsys, experiment, doc):
+        # a config error before any output is written, not a runtime failure
+        assert self.exit_code(tmp_path, doc, experiment) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "locality 3 needs n_v >= 3, got n_v=" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("experiment,name", [("thermal-learn", "fig2_3v3h.json"), ("ham-learn", "fig3_tau10.json")])
@@ -523,6 +548,21 @@ class TestMCEstimate:
         assert "config error: q_max must be an integer in 0..169, got 200" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_alpha_norm_at_the_guard_runs(self, tmp_path, seed):
+        # at these seeds the rescaled sum once came out one ulp above 20 and the estimator refused it
+        doc = {"schema_version": 1, "experiment": "mc-estimate", "seed": seed, "n_v": 2, "shots": 100,
+               "target_alpha_norm": 20}
+        assert main(["mc-estimate", "--config", write_config(tmp_path, doc)]) == 0
+
+    def test_scaled_norm_never_exceeds_the_request(self):
+        for seed in range(30):
+            for n_v in (1, 2, 3):
+                h = training.target_hamiltonian(n_v, np.random.default_rng(seed), 2, 1.0)
+                for request in (0.8, 20.0):
+                    a1 = swaptest._series_terms(cli._scale_alpha_norm(h, request))[2]
+                    assert request * (1 - 1e-14) <= a1 <= request
+
     def test_alpha_norm_out_of_range(self, tmp_path):
         doc = {
             "schema_version": 1,
@@ -594,3 +634,76 @@ class TestValidate:
         payload = json.loads(err[err.index("[") :])
         assert len(payload) > 0
         assert all("name" in row for row in payload)
+
+
+TAUS = st.sampled_from([1e-300, 1.0, 1e300])
+TARGETS = st.fixed_dictionaries({"locality": st.sampled_from([2, 3]), "tau": TAUS})
+
+
+def learn_configs(experiment: str, kind: str):
+    train = st.fixed_dictionaries({
+        "kind": st.just(kind),
+        "n_v": st.integers(1, 2),
+        "n_h": st.integers(0, 1),
+        "epochs": st.integers(1, 2),
+        "lr": st.sampled_from([0.0, 1e300]),
+        "l2_penalty": st.sampled_from([0.0, 1e300]),
+        "direction": st.sampled_from(["reverse", "forward"]),
+        "seed": st.integers(0, 30),
+        "target_locality": st.sampled_from([2, 3]),
+        "tau": TAUS,
+    })
+    doc = {"train": train, "n_runs": st.integers(1, 2), "vary": st.sampled_from(["target", "both"])}
+    return st.fixed_dictionaries(doc).map(lambda d: (experiment, d))
+
+
+CONFIGS = st.one_of(
+    learn_configs("thermal-learn", "uqnn"),
+    learn_configs("ham-learn", "qbm"),
+    st.fixed_dictionaries({
+        "seed": st.integers(0, 30),
+        "n_v": st.integers(1, 2),
+        "n_h_list": st.lists(st.integers(0, 1), min_size=1, max_size=2, unique=True),
+        "ensemble": st.integers(1, 2),
+        "target": TARGETS,
+        "layout": st.sampled_from(["exhaustive", "brick"]),
+    }).map(lambda d: ("plateau-scan", d)),
+    st.fixed_dictionaries({
+        "seed": st.integers(0, 30),
+        "n_v": st.integers(1, 2),
+        "n_h": st.integers(0, 1),
+        "k": st.integers(1, 6),
+        "shots": st.integers(1, 100),
+        "q_max": st.sampled_from([0, 169]),
+        "target": TARGETS,
+        "target_alpha_norm": st.sampled_from([None, 0.8, 20]),
+    }).map(lambda d: ("mc-estimate", d)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=CONFIGS)
+# the rescaled sum one ulp above 20, which the estimator's guard refused
+@example(case=("mc-estimate", {"seed": 7, "n_v": 2, "shots": 10, "target_alpha_norm": 20}))
+# a three-local target on two visible qubits, which failed only once the command ran
+@example(case=("plateau-scan", {"n_v": 2, "n_h_list": [0], "ensemble": 1, "target": {"locality": 3, "tau": 1.0}}))
+def test_every_valid_config_runs_or_fails_typed(case):
+    """Over the tables' domain each command succeeds or ends in one of the typed failures main reports."""
+    experiment, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"schema_version": 1, "experiment": experiment, **doc}, fh)
+        jobs = ["--jobs", "1"] if experiment.endswith("-learn") else []
+        args = cli.build_parser().parse_args([experiment, "--config", path, "--out", os.path.join(tmp, "o"), *jobs])
+        with np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                assert args.func(args) == 0
+            except (ConfigError, TrainingError, SingularStateError, ArithmeticError):
+                pass
+            except ValueError as exc:
+                # the estimator's coefficient guard, reachable only through an unscaled target
+                if not (experiment == "mc-estimate" and doc.get("target_alpha_norm") is None
+                        and "coefficient l1 norm" in str(exc)):
+                    raise

@@ -10,7 +10,6 @@ from renyiqnn.models import (
     QBMParams,
     UQNNParams,
     apply_gate,
-    apply_pauli,
     brick_two_local_terms,
     build_qbm,
     build_uqnn,
@@ -19,18 +18,22 @@ from renyiqnn.models import (
     gate_table,
     load_checkpoint_model,
     qbm_visible_state,
-    uqnn_full_state,
-    uqnn_layer_terms,
     uqnn_statevector,
     uqnn_visible_state,
 )
 from renyiqnn.qmath import op_norm, partial_trace
-from renyiqnn.states import random_density_matrix, thermal_state
+from renyiqnn.states import DensityMatrix, random_density_matrix, thermal_state
 from tests.conftest import conjugated_generators_reference, random_hermitian, uqnn_state_reference
 
 
 def single_x(n: int, q: int = 0) -> PauliTerm:
     return PauliTerm(1.0, ((q, "x"),))
+
+
+def full_state(p: UQNNParams) -> DensityMatrix:
+    """W |0><0| W^dag on all n_v + n_h qubits, the outer product of the statevector."""
+    psi = uqnn_statevector(p)
+    return DensityMatrix.from_mat(np.outer(psi, psi.conj()))
 
 
 class TestStatevector:
@@ -59,7 +62,7 @@ class TestStatevector:
 
     def test_full_state_is_pure(self, rng):
         p = build_uqnn(2, 1, rng)
-        rho = uqnn_full_state(p)
+        rho = full_state(p)
         assert abs(rho.purity() - 1.0) < 1e-10
 
     def test_matches_expm_reference(self, rng):
@@ -93,10 +96,13 @@ class TestGateTable:
         with pytest.raises(ValueError, match="must be"):
             gate_table(PauliTerm(0.5, ((0, "x"),)), 1)
 
-    def test_negative_unit_coefficient_allowed(self, rng):
-        t = gate_table(PauliTerm(-1.0, ((0, "y"),)), 1)
+    def test_negative_coefficient_is_the_gate_at_minus_theta(self, rng):
+        # a -1 generator is refused; its gate is the unit generator's at -theta
+        with pytest.raises(ValueError, match="got coefficient -1.0"):
+            gate_table(PauliTerm(-1.0, ((0, "y"),)), 1)
+        t = gate_table(PauliTerm(1.0, ((0, "y"),)), 1)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        got = apply_gate(v, t, 0.3)
+        got = apply_gate(v, t, -0.3)
         from scipy.linalg import expm
 
         y = np.array([[0, -1j], [1j, 0]])
@@ -105,7 +111,7 @@ class TestGateTable:
     def test_inverse_gate(self, rng):
         t = gate_table(single_x(2), 2)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert np.allclose(apply_gate(apply_gate(v, t, 0.9), t, 0.9, inverse=True), v)
+        assert np.allclose(apply_gate(apply_gate(v, t, 0.9), t, -0.9), v)
 
 
 # Per-gate reference loops, one gate_table/apply_gate call per gate: the
@@ -114,6 +120,12 @@ class TestGateTable:
 
 def ref_tables(p: UQNNParams) -> list:
     return [gate_table(g, p.n_qubits) for g in p.generators]
+
+
+def apply_string(v: np.ndarray, table) -> np.ndarray:
+    """P v for the string P with table (idx, col_phase)."""
+    idx, col_phase = table
+    return (col_phase * v)[idx]
 
 
 def statevector_loop(p: UQNNParams, tables: list) -> np.ndarray:
@@ -129,26 +141,26 @@ def kernel_sweep_loop(p: UQNNParams, tables: list, kernel_v: np.ndarray, psi: np
     b = psi.copy()
     out = np.empty(len(p.generators))
     for k, table in enumerate(tables):
-        out[k] = 2.0 * np.vdot(a, apply_pauli(b, table)).imag
-        a = apply_gate(a, table, p.thetas[k], inverse=True)
-        b = apply_gate(b, table, p.thetas[k], inverse=True)
+        out[k] = 2.0 * np.vdot(a, apply_string(b, table)).imag
+        a = apply_gate(a, table, -p.thetas[k])
+        b = apply_gate(b, table, -p.thetas[k])
     return out
 
 
 def conjugated_generator_vec_loop(p: UQNNParams, tables: list, k: int, psi: np.ndarray) -> np.ndarray:
     y = psi
     for j in range(k - 1):
-        y = apply_gate(y, tables[j], p.thetas[j], inverse=True)
-    y = apply_pauli(y, tables[k - 1])
+        y = apply_gate(y, tables[j], -p.thetas[j])
+    y = apply_string(y, tables[k - 1])
     for j in range(k - 2, -1, -1):
         y = apply_gate(y, tables[j], p.thetas[j])
     return y
 
 
 def with_signs(p: UQNNParams) -> UQNNParams:
-    """The same circuit with every third generator's coefficient set to -1."""
-    gens = [PauliTerm(-1.0 if j % 3 == 0 else 1.0, g.axes) for j, g in enumerate(p.generators)]
-    return UQNNParams(p.n_v, p.n_h, gens, p.thetas)
+    """The circuit whose every third generator is -H_j, in unit-coefficient form: those angles negated."""
+    signs = np.where(np.arange(len(p.generators)) % 3 == 0, -1.0, 1.0)
+    return UQNNParams(p.n_v, p.n_h, p.generators, signs * p.thetas)
 
 
 # The block kernel multiplies each block of consecutive gates (a run whose
@@ -197,7 +209,6 @@ class TestStackedGateKernel:
         p = build_uqnn(2, n_h, rng, layout=layout, repetitions=repetitions)
         if signs == "mixed":
             p = with_signs(p)
-            assert any(g.coeff == -1.0 for g in p.generators)
         check_block_kernel(p, rng)
 
     @pytest.mark.parametrize(
@@ -211,16 +222,16 @@ class TestStackedGateKernel:
             width, dense = 4, False  # 153 dense 64 x 64 exponentials take seconds
         elif case == "identities-between-supports":
             gens = []
-            for g in with_signs(build_uqnn(2, 2, rng)).generators:
+            for g in build_uqnn(2, 2, rng).generators:
                 if gens and [q for q, _ in gens[-1].axes] != [q for q, _ in g.axes]:
-                    gens.append(PauliTerm(-1.0 if len(gens) % 2 else 1.0, ()))
+                    gens.append(PauliTerm(1.0, ()))
                 gens.append(g)
             p = UQNNParams(2, 2, gens, 2.0 * rng.standard_normal(len(gens)))
             assert sum(not g.axes for g in gens) == 9  # 3 between singles, 1 before the pairs, 5 between pairs
             width = 4
         elif case == "weight-three":
-            gens = with_signs(build_uqnn(2, 2, rng)).generators
-            gens[12:12] = [PauliTerm(-1.0, ((0, "y"), (2, "x"), (3, "z")))]
+            gens = build_uqnn(2, 2, rng).generators
+            gens[12:12] = [PauliTerm(1.0, ((0, "y"), (2, "x"), (3, "z")))]
             p = UQNNParams(2, 2, gens, 2.0 * rng.standard_normal(len(gens)))
             width = 8
         else:
@@ -236,17 +247,16 @@ class TestBlockKernel:
     """Block statevector and sweep on circuits the bundled layouts do not cover."""
 
     def test_identity_string_generators(self, rng):
-        x0, z1 = PauliTerm(1.0, ((0, "x"),)), PauliTerm(-1.0, ((1, "z"),))
-        ident = PauliTerm(1.0, ())
-        gens = [ident, x0, ident, PauliTerm(-1.0, ()), z1, x0, ident]
+        x0, z1, ident = PauliTerm(1.0, ((0, "x"),)), PauliTerm(1.0, ((1, "z"),)), PauliTerm(1.0, ())
+        gens = [ident, x0, ident, ident, z1, x0, ident]
         p = UQNNParams(1, 1, gens, 2.0 * rng.standard_normal(len(gens)))
         check_block_kernel(p, rng)
-        # identities join whichever block is open: [I x0 I -I], [z1], [x0 I]
+        # identities join whichever block is open: [I x0 I I], [z1], [x0 I]
         assert p.blocks().phase.shape[-1] == 2
         assert p.blocks().gates.tolist() == [[0, 1, 2, 3], [4, 7, 7, 7], [5, 6, 7, 7]]
 
     def test_one_qubit_circuit(self, rng):
-        gens = [PauliTerm(c, ((0, a),)) for c, a in [(1.0, "x"), (-1.0, "y"), (1.0, "z"), (1.0, "y")]]
+        gens = [PauliTerm(1.0, ((0, a),)) for a in "xyzy"]
         p = UQNNParams(1, 0, gens, 2.0 * rng.standard_normal(len(gens)))
         check_block_kernel(p, rng)
         assert p.blocks().gates.shape == (1, 4)
@@ -254,7 +264,7 @@ class TestBlockKernel:
     def test_weight_three_generator_from_checkpoint(self, rng):
         doc = checkpoint_doc(with_signs(build_uqnn(2, 1, rng, layout="brick")))
         doc["generators"][4:4] = [
-            {"coeff": -1.0, "axes": [[0, "x"], [1, "y"], [2, "z"]]},
+            {"coeff": 1.0, "axes": [[0, "x"], [1, "y"], [2, "z"]]},
             {"coeff": 1.0, "axes": [[0, "z"], [1, "z"], [2, "y"]]},
         ]
         doc["thetas"][4:4] = [0.8, -1.3]
@@ -366,19 +376,13 @@ class TestSharedLayoutTables:
         exhaustive = build_uqnn(2, 1, rng).blocks()
         brick = build_uqnn(2, 1, rng, layout="brick").blocks()
         assert exhaustive.gates.shape != brick.gates.shape
-        flipped = with_signs(build_uqnn(2, 1, rng)).blocks()
-        assert flipped is not exhaustive
-        assert np.array_equal(flipped.gates, exhaustive.gates)
-        signs = np.where(flipped.gates % 3 == 0, -1.0, 1.0)
-        assert np.array_equal(flipped.phase, signs[..., None] * exhaustive.phase)
-        assert block_builds() == 5
+        assert block_builds() == 4
 
     def test_builds_share_generator_terms(self, rng):
         a, b = build_uqnn(3, 2, rng), build_uqnn(3, 2, rng, repetitions=2)
         assert a.generators is not b.generators
         assert all(g is h for g, h in zip(a.generators + a.generators, b.generators))
-        assert uqnn_layer_terms(5) is not uqnn_layer_terms(5)
-        assert uqnn_layer_terms(5) == a.generators
+        assert a.generators == two_local_terms(5)
 
     def test_tables_are_read_only(self, rng):
         table = build_uqnn(2, 1, rng).blocks()
@@ -387,9 +391,10 @@ class TestSharedLayoutTables:
                 a.reshape(-1)[0] = 0
 
     def test_non_unit_coefficient_rejected(self):
-        p = UQNNParams(1, 0, [PauliTerm(1.0, ((0, "z"),)), PauliTerm(0.5, ((0, "x"),))], [0.1, 0.2])
-        with pytest.raises(ValueError, match=r"generator coefficient must be \+-1, got 0.5"):
-            uqnn_statevector(p)
+        for coeff in (0.5, -1.0, math.nan):
+            p = UQNNParams(1, 0, [PauliTerm(1.0, ((0, "z"),)), PauliTerm(coeff, ((0, "x"),))], [0.1, 0.2])
+            with pytest.raises(ValueError, match=f"must be a unit coefficient Pauli string, got coefficient {coeff}"):
+                uqnn_statevector(p)
 
     def test_probes_and_checkpoints_reuse_tables(self, rng, block_builds):
         p = build_uqnn(2, 2, rng)
@@ -547,6 +552,43 @@ class TestCheckpoints:
         assert np.array_equal(back.thetas, p.thetas)
         assert np.allclose(qbm_visible_state(back).mat, qbm_visible_state(p).mat)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: [d], "a checkpoint must be a JSON object, got list"),
+            (lambda d: {k: v for k, v in d.items() if k != "thetas"}, "checkpoint lacks 'thetas'"),
+            (lambda d: {**d, "kind": None}, "checkpoint kind must be 'uqnn' or 'qbm', got None"),
+            (lambda d: {**d, "n_v": 0}, "checkpoint n_v must be an integer >= 1, got 0"),
+            (lambda d: {**d, "n_h": True}, "checkpoint n_h must be an integer >= 0, got True"),
+            (lambda d: {**d, "generators": 5}, "checkpoint generators must be a list, got 5"),
+            (lambda d: {**d, "generators": d["generators"][:-1]}, "checkpoint thetas must be a list of 26 finite"),
+            (lambda d: {**d, "thetas": [math.nan] + d["thetas"][1:]}, "checkpoint thetas must be a list of 27 finite"),
+            (lambda d: {**d, "thetas": "0.1"}, "checkpoint thetas must be a list"),
+            (lambda d: {**d, "generators": [5] + d["generators"][1:]}, r"checkpoint generators\[0\]: "),
+            (lambda d: {**d, "generators": [{"coeff": 1.0}] + d["generators"][1:]},
+             r"checkpoint generators\[0\] lacks 'axes'"),
+            (lambda d: {**d, "generators": d["generators"][:-1] + [{"coeff": 1.0, "axes": [[0, "x"], [3, "z"]]}]},
+             r"checkpoint generators\[26\]: qubit 3 out of range for n=3"),
+            (lambda d: {**d, "generators": [{"coeff": -1.0, "axes": [[0, "x"]]}] + d["generators"][1:]},
+             r"checkpoint generators\[0\]: .* got coefficient -1.0"),
+            (lambda d: {**d, "generators": [{"coeff": 1.0, "axes": [[0, "w"]]}] + d["generators"][1:]},
+             r"checkpoint generators\[0\]: bad axis"),
+            (lambda d: {**d, "generators": [{"coeff": 1.0, "axes": [[0.5, "x"]]}] + d["generators"][1:]},
+             r"checkpoint generators\[0\]: coeff must be a number and qubits integers"),
+            (lambda d: {**d, "generators": [{"coeff": "1.0", "axes": [[0, "x"]]}] + d["generators"][1:]},
+             r"checkpoint generators\[0\]: coeff must be a number and qubits integers"),
+        ],
+        ids=["list-document", "missing-key", "unknown-kind", "no-visible-qubits", "bool-width",
+             "generators-not-a-list", "theta-count", "nan-theta", "thetas-not-a-list", "generator-not-an-object",
+             "generator-lacks-axes", "qubit-out-of-range", "negative-coefficient", "bad-axis", "fractional-qubit",
+             "string-coefficient"],
+    )
+    def test_malformed_checkpoint_raises_value_error_naming_the_field(self, rng, edit, message):
+        doc = checkpoint_doc(build_uqnn(2, 1, rng, layout="brick"))
+        assert len(doc["generators"]) == 27
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint_model(edit(doc))
+
     def test_qbm_basis_coefficient_is_read_and_checked(self, rng):
         doc = checkpoint_doc(build_qbm(1, 0, rng))
         doc["generators"][1]["coeff"] = 2.0
@@ -565,11 +607,11 @@ class TestBuilders:
         assert len(brick_two_local_terms(4)) == 12 + 27
         p = build_uqnn(2, 2, rng, layout="brick")
         assert len(p.generators) == 39
-        assert abs(uqnn_full_state(p).purity() - 1.0) < 1e-10
+        assert abs(full_state(p).purity() - 1.0) < 1e-10
 
-    def test_unknown_layout(self):
+    def test_unknown_layout(self, rng):
         with pytest.raises(ValueError, match="layout"):
-            uqnn_layer_terms(2, layout="ring")
+            build_uqnn(2, 0, rng, layout="ring")
 
     def test_repetitions_stack_layers(self, rng):
         p = build_uqnn(2, 0, rng, repetitions=3)

@@ -15,7 +15,6 @@ from renyiqnn.divergence import (
 from renyiqnn.hamiltonians import normalize, random_two_local
 from renyiqnn.models import build_uqnn, uqnn_statevector
 from renyiqnn.plateau import (
-    PlateauRecord,
     PlateauReport,
     _second_expr_mean,
     haar_gradient_moment,
@@ -238,8 +237,10 @@ class TestInitGradientScan:
     def test_repeated_width_rejected(self, rng_factory):
         rng = rng_factory(27)
         target = normalize(random_two_local(2, 0.5, 0.5, rng), 1.0)
-        with pytest.raises(ValueError, match="two records"):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"n_h_list repeats a width: \[1, 1\]"):
             init_gradient_scan(2, target, [1, 1], ensemble=1, rng=rng)
+        assert rng.bit_generator.state == state  # refused before any circuit is drawn
 
     def test_ensemble_validated(self, rng_factory):
         rng = rng_factory(26)
@@ -286,8 +287,7 @@ class TestSecondExpressionFromKernelSweep:
 
 class TestPlateauReport:
     def make_report(self):
-        rec = PlateauRecord(2, 1, "reverse", {"inf_norm_median": 0.5, "grad_sq_mean": 0.01})
-        return PlateauReport(3, [rec])
+        return PlateauReport(3, {(2, 1, "reverse"): {"inf_norm_median": 0.5, "grad_sq_mean": 0.01}})
 
     def test_json_roundtrip(self, tmp_path):
         report = self.make_report()
@@ -295,8 +295,7 @@ class TestPlateauReport:
         report.save_json(str(path))
         back = PlateauReport.from_json_dict(json.loads(path.read_text()))
         assert back.ensemble_size == 3
-        assert back.records[0].stats == report.records[0].stats
-        assert back.records[0].loss_kind == "reverse"
+        assert back.records == report.records
 
     def test_csv_header_and_rows(self, tmp_path):
         report = self.make_report()
@@ -304,7 +303,7 @@ class TestPlateauReport:
         report.to_csv(str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n_v,n_h,loss_kind,stat_name,value"
-        assert len(lines) == 1 + len(report.records[0].stats)
+        assert len(lines) == 1 + len(report.records[(2, 1, "reverse")])
 
     def test_stat_lookup_errors(self):
         report = self.make_report()
@@ -315,14 +314,16 @@ class TestPlateauReport:
 
     def test_ensemble_size_validated(self):
         with pytest.raises(ValueError, match="ensemble_size"):
-            PlateauReport(0, [])
+            PlateauReport(0, {})
 
     def test_non_finite_statistic_rejected(self):
         with pytest.raises(ValueError, match=r"non-finite statistic grad_sq_mean=nan in \(n_v=2, n_h=1, reverse\)"):
-            PlateauReport(3, [PlateauRecord(2, 1, "reverse", {"inf_norm_median": 0.5, "grad_sq_mean": math.nan})])
+            PlateauReport(3, {(2, 1, "reverse"): {"inf_norm_median": 0.5, "grad_sq_mean": math.nan}})
 
     def test_one_record_per_configuration(self):
-        rec = PlateauRecord(2, 1, "reverse", {"inf_norm_median": 0.5})
-        PlateauReport(3, [rec, PlateauRecord(2, 1, "linear", {"inf_norm_median": 0.5})])
-        with pytest.raises(ValueError, match=r"two records .* \(2, 1, 'reverse'\)"):
-            PlateauReport(3, [rec, PlateauRecord(2, 1, "reverse", {"inf_norm_median": 0.7})])
+        # the report is keyed by configuration; a report.json read back may not repeat one
+        doc = self.make_report().to_json_dict()
+        rec = doc["records"][0]
+        PlateauReport.from_json_dict({**doc, "records": [rec, {**rec, "loss_kind": "linear"}]})
+        with pytest.raises(ValueError, match=r"two records for one \(n_v, n_h, loss_kind\)"):
+            PlateauReport.from_json_dict({**doc, "records": [rec, {**rec, "stats": {"inf_norm_median": 0.7}}]})

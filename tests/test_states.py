@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from renyiqnn.hamiltonians import LCUHamiltonian, PauliTerm
+from renyiqnn.hamiltonians import LCUHamiltonian, PauliTerm, normalize, random_three_local, random_two_local
 from renyiqnn.states import (
     DensityMatrix,
     entanglement_entropy,
@@ -63,7 +63,7 @@ class TestDensityMatrixValidation:
 
 class TestThermalState:
     def test_zero_hamiltonian_is_maximally_mixed(self):
-        out = thermal_state(np.zeros((8, 8)))
+        out = thermal_state(LCUHamiltonian(3, []))
         assert np.allclose(out.mat, np.eye(8) / 8)
 
     def test_ln2_sigma_z(self):
@@ -77,8 +77,6 @@ class TestThermalState:
         assert np.allclose(thermal_state(h).mat, np.diag([1 / 3, 2 / 3]), atol=1e-12)
 
     def test_unit_trace_and_full_rank(self, rng):
-        from renyiqnn.hamiltonians import random_two_local
-
         for _ in range(5):
             rho = thermal_state(random_two_local(3, 0.5, 0.5, rng))
             assert abs(np.trace(rho.mat) - 1) < 1e-10
@@ -87,26 +85,15 @@ class TestThermalState:
     def test_huge_norm_gives_unit_trace_state(self, rng):
         # the exponent is shifted by the smallest eigenvalue, so no norm overflows;
         # the far end of the spectrum underflows to exact zeros
-        from renyiqnn.hamiltonians import normalize, random_two_local
-
         rho = thermal_state(normalize(random_two_local(2, 0.5, 0.5, rng), 750.0))
         assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.isfinite(rho.mat))
-        assert np.array_equal(thermal_state(np.diag([800.0, -800.0])).mat, np.diag([0.0, 1.0]))
+        h = LCUHamiltonian(1, [PauliTerm(800.0, ((0, "z"),))])
+        assert np.array_equal(thermal_state(h).mat, np.diag([0.0, 1.0]))
 
     def test_rejects_non_finite_spectrum(self):
         with pytest.raises(ValueError, match="not finite"), np.errstate(invalid="ignore"):
-            thermal_state(np.diag([np.inf, 0.0]))
-
-    def test_member_stack_rows_equal_solo_states(self, rng):
-        from renyiqnn.hamiltonians import random_two_local
-
-        hs = np.stack([random_two_local(2, 0.5, 0.5, rng).dense() + 3.0 * m * np.eye(4) for m in range(3)])
-        stack = thermal_state(hs)
-        for m, h in enumerate(hs):
-            solo = thermal_state(h)
-            assert np.array_equal(stack.mat[m], solo.mat)
-            assert all(np.array_equal(a[m], b) for a, b in zip(stack.factor(), solo.factor(), strict=True))
+            thermal_state(LCUHamiltonian(1, [PauliTerm(np.inf, ((0, "z"),))]))
 
 
 class TestFactor:
@@ -129,15 +116,15 @@ class TestFactor:
         assert np.allclose(self.rebuilt(state), state.mat, atol=1e-14)
 
     def test_thermal_state_factor_is_the_gibbs_spectrum(self, rng):
-        h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = 3.0 * (h + h.conj().T)
+        # the 63 three-local strings span every traceless Hermitian 8 x 8 matrix
+        h = normalize(random_three_local(3, 1.0, rng), 20.0)
         rho = thermal_state(h)
         u, s = rho.factor()
-        w = np.linalg.eigvalsh(h)
+        w = np.linalg.eigvalsh(h.dense())
         expect = np.exp(-(w - w[0])) / np.sum(np.exp(-(w - w[0])))
         assert np.allclose(s, expect, rtol=1e-12, atol=0)
         assert np.allclose(self.rebuilt(rho), rho.mat, atol=1e-15)
-        assert np.allclose(u @ np.diag(w) @ u.conj().T, h, atol=1e-12)
+        assert np.allclose(u @ np.diag(w) @ u.conj().T, h.dense(), atol=1e-12)
 
     def test_stack_and_take_keep_member_factors(self, rng):
         states = [random_density_matrix(2, rng) for _ in range(3)]

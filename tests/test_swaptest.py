@@ -142,6 +142,10 @@ class TestSwapTestSpecValidation:
         with pytest.raises(ValueError, match="register"):
             SwapTestSpec([], [])
 
+    def test_unitaries_are_required(self, rng):
+        with pytest.raises(TypeError, match="unitaries"):
+            SwapTestSpec([random_density_matrix(1, rng)])
+
     def test_unitary_count_mismatch(self, rng):
         with pytest.raises(ValueError, match="per register"):
             SwapTestSpec([random_density_matrix(1, rng)], [])
