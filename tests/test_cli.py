@@ -707,3 +707,37 @@ def test_every_valid_config_runs_or_fails_typed(case):
                 if not (experiment == "mc-estimate" and doc.get("target_alpha_norm") is None
                         and "coefficient l1 norm" in str(exc)):
                     raise
+
+
+# as the shell passes them: extreme, invalid and omitted (None) values
+SEEDS = st.one_of(st.none(), st.integers(-2**70, 2**70), st.sampled_from([-1, 0, 2**64 - 1, 2**64, 2**200]))
+FD_TOLS = st.one_of(
+    st.none(),
+    st.sampled_from(["0", "-0.0", "-1.0", "-1e-300", "5e-324", "1e-300", "1e-15", "1e300", "inf", "-inf", "nan"]),
+    st.floats(1e-300, 1e300).map(repr),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(["swap", "grad", "mc"]),
+    seed=SEEDS,
+    n_instances=st.one_of(st.none(), st.sampled_from([-2**63, -1, 0]), st.integers(1, 2)),
+    fd_tol=FD_TOLS,
+)
+def test_every_validate_call_passes_fails_checks_or_is_a_config_error(kind, seed, n_instances, fd_tol):
+    """validate at tiny sizes: exit 0, exit 3 (a failed check) or a ConfigError; no other outcome."""
+    argv = ["validate", kind]
+    for flag, value in (("--seed", seed), ("--n-instances", n_instances), ("--fd-tol", fd_tol)):
+        if value is not None:
+            argv += [flag, str(value)]
+    if n_instances is None:
+        # the default of 12 checks per suite is not tiny
+        argv += ["--n-instances", "1"]
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = cli.build_parser().parse_args(argv)
+            assert args.func(args) in (0, 3)
+        except ConfigError:
+            pass

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyiqnn.divergence import (
     REL_CUTOFF,
@@ -22,6 +24,7 @@ from renyiqnn.plateau import (
     lemma1_bounds,
 )
 from renyiqnn.states import DensityMatrix, haar_unitary, random_density_matrix
+from renyiqnn.training import target_hamiltonian
 from tests.conftest import random_hermitian
 
 
@@ -327,3 +330,26 @@ class TestPlateauReport:
         PlateauReport.from_json_dict({**doc, "records": [rec, {**rec, "loss_kind": "linear"}]})
         with pytest.raises(ValueError, match=r"two records for one \(n_v, n_h, loss_kind\)"):
             PlateauReport.from_json_dict({**doc, "records": [rec, {**rec, "stats": {"inf_norm_median": 0.7}}]})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n_v=st.integers(1, 2),
+    n_h_list=st.lists(st.integers(0, 1), min_size=1, max_size=2, unique=True),
+    ensemble=st.integers(1, 2),
+    tau=st.one_of(st.sampled_from([1e-300, 1.0, 700.0, 1e300]), st.floats(1e-300, 1e300)),
+    layout=st.sampled_from(["exhaustive", "brick"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_scan_is_finite_or_fails_typed(n_v, n_h_list, ensemble, tau, layout, seed):
+    """init_gradient_scan at tiny sizes: a report of finite statistics, or a SingularStateError or ArithmeticError."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        try:
+            report = init_gradient_scan(
+                n_v, target_hamiltonian(n_v, rng, locality=2, tau=tau), n_h_list, ensemble, rng, layout=layout
+            )
+        except (SingularStateError, ArithmeticError):
+            return
+    assert sorted(report.records) == sorted((n_v, n_h, kind) for n_h in n_h_list for kind in ("reverse", "linear"))
+    assert all(math.isfinite(v) for stats in report.records.values() for v in stats.values())

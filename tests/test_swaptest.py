@@ -525,9 +525,10 @@ class TestSamplerMemoryAndFailures:
         assert peak < 32 * 2**20
 
     def test_no_float_array_grows_with_shots(self):
-        # orders, labels and the int8 numerator tally cost 1 byte a shot each, and the
-        # shot indices of one expansion order 8 bytes a shot of that order; one float64
-        # array per shot alone would add 8
+        # orders, labels and the int8 numerator tally cost 1 byte a shot each, the shot
+        # indices of all orders >= 2 and of the order being labelled 8 bytes a shot of
+        # those orders (about 19 % and 14 % of the shots at mc_2q's alpha norm 0.8):
+        # about 4.5 bytes a shot traced; one float64 array per shot alone would add 8
         p, target, q_max = mc_2q_inputs()
         peaks = {}
         for shots in (2 * 10**5, 10**6):
@@ -537,7 +538,7 @@ class TestSamplerMemoryAndFailures:
                 peaks[shots] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[10**6] - peaks[2 * 10**5] <= 10 * 8 * 10**5
+        assert peaks[10**6] - peaks[2 * 10**5] <= 6 * 8 * 10**5
 
     def test_balanced_denominator_raises(self):
         # 15 of the 30 denominator outcomes are +1, so the denominator's mean is exactly 0
@@ -574,20 +575,40 @@ class TestSamplerMemoryAndFailures:
     decay=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
     size=st.one_of(st.integers(0, 3 * B), st.tuples(st.integers(0, B + 1), st.integers(1, 6))),
     draw_seed=st.integers(0, 2**32 - 1),
+    weights=st.none(),
 )
-@example(k_entries=1, table_seed=0, zero_share=0.0, decay=0.0, size=B, draw_seed=0)
-@example(k_entries=700, table_seed=1, zero_share=0.0, decay=0.0, size=(B + 1, 3), draw_seed=1)
-@example(k_entries=257, table_seed=2, zero_share=0.3, decay=50.0, size=0, draw_seed=2)
-def test_inverse_cdf_equals_generator_choice(k_entries, table_seed, zero_share, decay, size, draw_seed):
+@example(k_entries=1, table_seed=0, zero_share=0.0, decay=0.0, size=B, draw_seed=0, weights=None)
+@example(k_entries=700, table_seed=1, zero_share=0.0, decay=0.0, size=(B + 1, 3), draw_seed=1, weights=None)
+@example(k_entries=257, table_seed=2, zero_share=0.3, decay=50.0, size=0, draw_seed=2, weights=None)
+# Explicit tables for the guide table's edge cases (k_entries, table_seed, zero_share
+# and decay are then unused); with 3 B draws every bucket of these tables is hit about
+# 190 times or more.
+# cdf entries 3/8 and 1/2, each exactly on a bucket edge
+@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=3, weights=[3, 1, 4])
+# entries 0.499925 and 0.499975 in one bucket, 0.500025 and 0.500075 in the next
+@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=4,
+         weights=[1, 1e-4, 1e-4, 1e-4, 1])
+# three entries 6, 4 and 2 ulps below 1.0, all in the last bucket
+@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=5,
+         weights=[0.5, 0.5, 2**-52, 2**-52, 2**-52])
+# one entry: cdf [1.0], so every draw is 0 and no bucket holds an entry
+@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=(B + 1, 3), draw_seed=6, weights=[2.5])
+# the only entries below 1.0 in the last bucket: one alone, then two together
+@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=7, weights=[999, 1])
+@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=8, weights=[998, 1, 1])
+def test_inverse_cdf_equals_generator_choice(k_entries, table_seed, zero_share, decay, size, draw_seed, weights):
     """The sampler's table lookup returns choice's indices and leaves the generator in choice's state."""
-    # zero entries, and (decay) tails so small that the cdf reaches 1.0 long before the last entry
-    t = np.random.default_rng(table_seed)
-    w = t.random(k_entries) * np.exp(-decay * np.arange(k_entries)) * (t.random(k_entries) >= zero_share)
-    w[t.integers(k_entries)] += 1.0
+    if weights is None:
+        # zero entries, and (decay) tails so small that the cdf reaches 1.0 long before the last entry
+        t = np.random.default_rng(table_seed)
+        w = t.random(k_entries) * np.exp(-decay * np.arange(k_entries)) * (t.random(k_entries) >= zero_share)
+        w[t.integers(k_entries)] += 1.0
+    else:
+        w = np.array(weights, dtype=float)
     p = w / w.sum()
     got_rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
     got = swaptest._inverse_cdf(p)(got_rng, size)
-    ref = ref_rng.choice(k_entries, size=size, p=p)
+    ref = ref_rng.choice(p.size, size=size, p=p)
     assert got.shape == ref.shape and np.array_equal(got, ref)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
