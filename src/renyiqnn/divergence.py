@@ -23,6 +23,7 @@ bit-identical to a one-member evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -64,14 +65,23 @@ def _inverse(u: np.ndarray, s: np.ndarray) -> np.ndarray:
         return u / np.sqrt(s)[..., None, :]
 
 
-def _checked_inverse(state: DensityMatrix, what: str) -> float | np.ndarray:
-    """The smallest eigenvalue of a state about to be inverted, per member; singular below REL_CUTOFF of the largest."""
-    s = state.factor()[1]
+def _conditioning(u: np.ndarray, s: np.ndarray) -> tuple[float | np.ndarray, float | None]:
+    """(smallest eigenvalue per member, the first member's that is below REL_CUTOFF of its largest, or None)."""
     smin, smax = s.min(axis=-1), s.max(axis=-1)
-    for lo, hi in zip(smin.reshape(-1).tolist(), smax.reshape(-1).tolist()):
-        if hi <= 0.0 or lo < REL_CUTOFF * hi:
-            raise SingularStateError(f"singular {what}", lo)
-    return float(smin) if smin.ndim == 0 else smin
+    pairs = zip(smin.reshape(-1).tolist(), smax.reshape(-1).tolist())
+    singular = next((lo for lo, hi in pairs if hi <= 0.0 or lo < REL_CUTOFF * hi), None)
+    return (float(smin) if smin.ndim == 0 else smin), singular
+
+
+def _checked_inverse(state: DensityMatrix, what: str) -> float | np.ndarray:
+    """The smallest eigenvalue of a state about to be inverted, per member; singular below REL_CUTOFF of the largest.
+
+    Read through `derived`, so a run's fixed target is checked once.
+    """
+    smin, singular = state.derived(_conditioning)
+    if singular is not None:
+        raise SingularStateError(f"singular {what}", singular)
+    return smin
 
 
 def _real_trace(m: np.ndarray) -> float | np.ndarray:
@@ -251,17 +261,28 @@ def state_gradient_entry(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _dim_constants(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(I, min(i, j) at every entry) of d x d matrices; built once per dimension, read-only."""
+    k = np.arange(d)
+    tables = np.eye(d), np.minimum.outer(k, k)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _exp_neg_divided_differences(w: np.ndarray) -> np.ndarray:
-    """Phi_ij = (e^{-w_j} - e^{-w_i}) / (w_i - w_j), Phi_ii = e^{-w_i}.
+    """Phi_ij = (e^{-w_j} - e^{-w_i}) / (w_i - w_j), Phi_ii = e^{-w_i}, for w in ascending order (as eigh returns it).
 
     Evaluated as e^{-min(w_i, w_j)} (1 - e^{-|d|}) / |d|, d = w_i - w_j,
     whose factors are both at most 1: no cancellation and no overflow at any
-    spectral spread.
+    spectral spread. Ascending w makes min(w_i, w_j) = w_min(i, j), so the
+    first factor is a gather of e^{-w}.
     """
     d = np.abs(w[..., :, None] - w[..., None, :])
     nonzero = d > 0.0
     safe = np.where(nonzero, d, 1.0)
-    return np.exp(-np.minimum(w[..., :, None], w[..., None, :])) * np.where(nonzero, -np.expm1(-safe) / safe, 1.0)
+    return np.exp(-w).take(_dim_constants(w.shape[-1])[1], axis=-1) * np.where(nonzero, -np.expm1(-safe) / safe, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +324,13 @@ def evaluate(p: UQNNParams | QBMParams, rho: DensityMatrix, direction: str) -> E
         q = _standard_basis(sv, q)
         # q x I_h by broadcasting: the products np.kron forms, without its overhead
         dv, dh = q.shape[-1], 2**p.n_h
-        q_ext = (q[..., :, None, :, None] * np.eye(dh)[:, None, :]).reshape(q.shape[:-2] + (dv * dh, dv * dh))
+        q_ext = (q[..., :, None, :, None] * _dim_constants(dh)[0][:, None, :]).reshape(q.shape[:-2] + (dv * dh, dv * dh))
         x = _dagger(v) @ q_ext @ v
     else:
         x = q  # sigma_v's factor basis is H's eigenbasis
     num = np.asarray(loss.numerator)[..., None, None]
     trace_q = (2.0 if direction == "reverse" else 1.0) * num  # Tr(sigma_v Q), exactly
-    k = (np.eye(p.dim) * trace_q - x) * _exp_neg_divided_differences(w)
+    k = (_dim_constants(p.dim)[0] * trace_q - x) * _exp_neg_divided_differences(w)
     kernel = v @ k @ _dagger(v) * (sign / (np.asarray(z)[..., None, None] * num))
     g = pauli_traces(kernel, p.tables())
     leak = np.nonzero(np.abs(g.imag) > 1e-8 * np.maximum(1.0, np.abs(g.real)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,41 +94,80 @@ def string_trace(m: np.ndarray, idx: np.ndarray, col_phase: np.ndarray) -> compl
     return complex(np.sum(col_phase * m[np.arange(d), idx]))
 
 
-def pauli_tables(terms, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (idx, col_phase) of the unit-coefficient strings, shape (len(terms), 2^n).
+class PauliTables(NamedTuple):
+    """Stacked unit-coefficient strings, P_l|j> = col_phase[l, j] |idx[l, j]>, and the dense positions they use.
 
-    string_action over the stacked masks, so row l equals
-    terms[l].action(n_qubits) bit for bit.
+    idx[l, j] = j ^ x_l for the string's X/Y flip mask x_l, so the strings of one mask fill the same entries.
+    """
+
+    idx: np.ndarray  # (L, d)
+    col_phase: np.ndarray  # (L, d)
+    trace_at: np.ndarray  # (L, d): flat position of m[j, idx[l, j]], the entries Tr(P_l m) reads
+    group_at: np.ndarray  # (G, d): flat position of m[j ^ x_g, j], one row per flip mask x_g that occurs
+    groups: np.ndarray  # (S, G): 1 + the terms of mask x_g down column g, in term order; 0 leads and pads
+
+
+def pauli_tables(terms, n_qubits: int) -> PauliTables:
+    """The PauliTables of the strings `terms`, their coefficients left out.
+
+    idx and col_phase are string_action over the stacked masks, so row l
+    equals terms[l].action(n_qubits) bit for bit.
     """
     qmath.check_dim(2**n_qubits)
     masks = np.array([t.masks(n_qubits) for t in terms], dtype=np.int64).reshape(-1, 3, 1)
-    return string_action(masks[:, 0], masks[:, 1], n_qubits, masks[:, 2])
+    return _mask_tables(masks[:, 0], masks[:, 1], n_qubits, masks[:, 2])
 
 
-def pauli_traces(m: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _mask_tables(xmask: np.ndarray, zmask: np.ndarray, n_qubits: int, n_y: np.ndarray) -> PauliTables:
+    """The PauliTables of the strings i^{n_y} X^xmask Z^zmask, masks stacked as (L, 1) integer arrays."""
+    idx, col_phase = string_action(xmask, zmask, n_qubits, n_y)
+    d, x, terms = idx.shape[1], xmask[:, 0], np.arange(len(xmask))
+    present = np.zeros(d, dtype=bool)
+    present[x] = True
+    flips, group = np.flatnonzero(present), np.cumsum(present)[x] - 1
+    # no sort (its first use pages in about 0.6 MB of code): a term's slot is its rank within its group
+    rank = np.cumsum(group[:, None] == np.arange(len(flips)), axis=0)[terms, group]
+    groups = np.zeros((rank.max(initial=0) + 1, len(flips)), dtype=np.intp)
+    groups[rank, group] = 1 + terms
+    j = np.arange(d)
+    return PauliTables(idx, col_phase, idx + d * j, (flips[:, None] ^ j) * d + j, groups)
+
+
+def pauli_traces(m: np.ndarray, tables: PauliTables) -> np.ndarray:
     """Tr(P_l m) for every row l of stacked pauli_tables, in one gather.
 
     Row l sums the same products in the same order as string_trace does.
     Leading axes of m index a stack of matrices, with one row of traces each.
     """
-    idx, col_phase = tables
     d = m.shape[-1]
-    entries = m.reshape(m.shape[:-2] + (d * d,)).take(idx + np.arange(0, d * d, d), axis=-1)  # m[..., j, idx[l, j]]
-    return np.sum(col_phase * entries, axis=-1)
+    entries = m.reshape(m.shape[:-2] + (d * d,)).take(tables.trace_at, axis=-1)  # m[..., j, idx[l, j]]
+    return np.sum(tables.col_phase * entries, axis=-1)
 
 
-def weighted_sum_dense(coeffs, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def weighted_sum_dense(coeffs, tables: PauliTables) -> np.ndarray:
     """Dense sum_l coeffs[l] * P_l from the stacked tables of pauli_tables.
 
-    One scatter; np.add.at accumulates in term order, so every entry sums
-    its terms in the same order as a per-term loop would. Leading axes of
-    coeffs give a stack of matrices, one per coefficient row.
+    Each flip-mask group sums its terms' values coeffs[l] * col_phase[l]
+    down the zero-led `groups` table, starting from +0 and in term order,
+    with one np.add.reduce over its slot axis; one plain assignment then
+    writes every group's entries (one block of columns at desk sizes). So
+    every entry is the sum a per-term loop (or a scatter in term order)
+    would form, bit for bit; np.add.reduceat, which neither starts from +0 nor adds in order,
+    would not be. Leading axes of coeffs give a stack of matrices, one per
+    coefficient row.
     """
-    idx, col_phase = tables
-    d = idx.shape[1]
-    vals = np.asarray(coeffs, dtype=float)[..., None] * col_phase
-    m = np.zeros(vals.shape[:-2] + (d, d), dtype=complex)
-    np.add.at(m, (..., idx, np.arange(d)), vals)
+    coeffs = np.asarray(coeffs, dtype=float)
+    lead, (n_terms, d) = coeffs.shape[:-1], tables.col_phase.shape
+    led = np.zeros(lead + (n_terms + 1, d), dtype=complex)  # row 0: the +0 every sum starts from
+    np.multiply(coeffs[..., None], tables.col_phase, out=led[..., 1:, :])
+    m = np.zeros(lead + (d, d), dtype=complex)
+    flat = m.reshape(lead + (d * d,))
+    # blocks of columns keep the padded slots within a quarter of the values' size (a three-local
+    # sum on 12 qubits pads to 13.6 slots per term); 2^20 entries (16 MB) take any desk-size sum in one block
+    cols = max(1, max(n_terms * d // 4, 1 << 20) // max(tables.groups.size, 1))
+    for c in range(0, d, cols):
+        slots = led[..., c:c + cols].take(tables.groups, axis=-2)
+        flat[..., tables.group_at[:, c:c + cols]] = np.add.reduce(slots, axis=-3)
     return m
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from . import qmath
 from .hamiltonians import (
     LCUHamiltonian,
+    PauliTables,
     PauliTerm,
     pauli_tables,
     single_axes,
@@ -281,7 +282,7 @@ class QBMParams:
     n_h: int
     basis: list[PauliTerm]
     thetas: np.ndarray
-    _tables: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _tables: PauliTables | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.thetas = np.asarray(self.thetas, dtype=float)
@@ -298,8 +299,8 @@ class QBMParams:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (idx, col_phase) of the basis strings, shape (len(basis), dim)."""
+    def tables(self) -> PauliTables:
+        """The stacked PauliTables of the basis strings."""
         # the basis is fixed per object; only thetas change in training
         if self._tables is None:
             self._tables = pauli_tables(self.basis, self.n_qubits)

@@ -40,11 +40,15 @@ class DensityMatrix:
     that validate and the loss, gradient and fidelity code treat member by
     member; only purity takes a single state. The factor, and whatever is
     built from it (`derived`), is kept until mat is reassigned or written to.
+    A state built with its factor owns its matrix and makes it read-only,
+    so `factor` knows that matrix by identity alone; a matrix the caller
+    passed in is never locked, and its factor, found by eigh on first use,
+    is kept with a copy that later calls compare against.
     """
 
     n_qubits: int
     mat: np.ndarray
-    # the one factor slot: (copy of mat it belongs to, U, s, {builder: what it built from U, s})
+    # the one factor slot: (the locked mat or a copy of it, U, s, {builder: what it built from U, s})
     _slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -55,7 +59,8 @@ class DensityMatrix:
     @classmethod
     def _with_factor(cls, mat: np.ndarray, u: np.ndarray, s: np.ndarray) -> "DensityMatrix":
         state = cls(_qubits(mat.shape[-1]), mat)
-        state._slot = (state.mat.copy(), u, s, {})
+        state.mat.flags.writeable = False
+        state._slot = (state.mat, u, s, {})
         return state
 
     @classmethod
@@ -86,8 +91,11 @@ class DensityMatrix:
 
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
         """(U, s) with mat = U diag(s) U^dag; by eigh of mat for a state built without one."""
-        m = self.mat
-        if self._slot is None or self._slot[0].shape != m.shape or not (self._slot[0] == m).all():
+        m, key = self.mat, self._slot and self._slot[0]
+        # the state's own locked matrix is known by identity (unpickled, it is writeable again and is not),
+        # any other by comparison with the copy kept when it was factored
+        held = not m.flags.writeable if key is m else key is not None and key.shape == m.shape and (key == m).all()
+        if not held:
             w, v = np.linalg.eigh(qmath._symmetrize(m))
             self._slot = (m.copy(), v, w, {})
         return self._slot[1:3]

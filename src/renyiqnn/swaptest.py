@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .hamiltonians import LCUHamiltonian, PauliTerm, _parity, pauli_traces, string_action
+from .hamiltonians import LCUHamiltonian, PauliTerm, _mask_tables, _parity, pauli_traces
 from .models import UQNNParams, conjugated_generator_vec, uqnn_statevector
 from .states import DensityMatrix
 
@@ -393,7 +393,7 @@ def mc_reverse_gradient_thermal(
             seen[labels[blk]] = True
         used = np.flatnonzero(seen)
         lab = used[:, None]
-        tables = string_action(lab >> (n + 2), (lab >> 2) & (dv - 1), n, lab & 3)
+        tables = _mask_tables(lab >> (n + 2), (lab >> 2) & (dv - 1), n, lab & 3)
         t_lab = np.zeros((len(bs), n_lab), dtype=complex)
         for mi, b in enumerate(bs):
             t_lab[mi, used] = pauli_traces(b, tables)

@@ -83,7 +83,9 @@ def adam_step(
     """One bias-corrected ADAM update; returns the new state and parameters.
 
     Parameters of shape (R, N) update R members at the same step count; a
-    non-finite gradient names its index within the member's vector.
+    gradient that is non-finite, or whose square overflows the second
+    moment, raises FloatingPointError naming its index within the member's
+    vector.
     """
     params = np.asarray(params, dtype=float)
     grads = np.asarray(grads, dtype=float)
@@ -92,10 +94,12 @@ def adam_step(
             f"parameter/gradient shape {params.shape}/{grads.shape} "
             f"does not match optimizer state {state.m.shape}"
         )
-    _check_finite(grads)
     step = state.step + 1
     m = BETA1 * state.m + (1.0 - BETA1) * grads
-    v = BETA2 * state.v + (1.0 - BETA2) * grads**2
+    with np.errstate(over="ignore"):  # an overflowing square is caught by the check below
+        v = BETA2 * state.v + (1.0 - BETA2) * grads**2
+    # non-finite exactly where a gradient is (NaN, inf) or its square overflows, which would freeze that angle
+    _check_finite(v)
     m_hat = m / (1.0 - BETA1**step)
     v_hat = v / (1.0 - BETA2**step)
     new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + EPS_ADAM)

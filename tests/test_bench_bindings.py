@@ -213,3 +213,33 @@ def test_ensemble_worker_runs_once_per_chunk_in_one_pool(monkeypatch, tmp_path):
     training.run_ensemble(cfg, 2, jobs=2)
     assert calls() == ["1 tuple", "1 tuple"]
     assert pools == [1]
+
+
+@pytest.mark.parametrize("n_h", [0, 1])
+@pytest.mark.parametrize("direction", ["reverse", "forward"])
+def test_boltzmann_epoch_calls_traced_eigh_and_assembly_once(monkeypatch, n_h, direction):
+    # The benchmark traces `np.linalg.eigh` and `QBMParams.hamiltonian_dense`;
+    # an epoch that reached its eigenpairs or its Hamiltonian another way
+    # would read 0 in those layers instead of failing here.
+    import numpy as np
+
+    from renyiqnn import models, training
+
+    calls = {"eigh": 0, "hamiltonian_dense": 0}
+    for owner, name in [(np.linalg, "eigh"), (models.QBMParams, "hamiltonian_dense")]:
+        original = getattr(owner, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def per_run(epochs: int) -> dict[str, int]:
+        calls.update(eigh=0, hamiltonian_dense=0)
+        cfg = training.TrainConfig(kind="qbm", n_v=2, n_h=n_h, epochs=epochs, direction=direction, seed=4)
+        training.train(cfg)
+        return dict(calls)
+
+    short, long = per_run(2), per_run(5)
+    assert {name: long[name] - short[name] for name in calls} == {"eigh": 3, "hamiltonian_dense": 3}

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from renyiqnn.hamiltonians import (
@@ -113,7 +116,7 @@ class TestPauliTables:
     def test_rows_equal_string_action(self, rng, n):
         terms = random_terms(n, min(12, 4**n - 1), rng)
         assert any(a == "y" for t in terms for _, a in t.axes)
-        idx, col_phase = pauli_tables(terms, n)
+        idx, col_phase = pauli_tables(terms, n)[:2]
         assert idx.shape == col_phase.shape == (len(terms), 2**n)
         ref = [t.action(n) for t in terms]  # string_action, one string at a time
         assert idx.dtype == ref[0][0].dtype and col_phase.dtype == ref[0][1].dtype
@@ -122,7 +125,7 @@ class TestPauliTables:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_empty_term_list(self, n):
-        idx, col_phase = pauli_tables([], n)
+        idx, col_phase = pauli_tables([], n)[:2]
         assert idx.shape == col_phase.shape == (0, 2**n)
         m = LCUHamiltonian(n, []).dense()
         assert m.shape == (2**n, 2**n) and not np.any(m)
@@ -145,6 +148,53 @@ class TestPauliTables:
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError, match="out of range"):
             pauli_tables([PauliTerm(1.0, ((0, "x"),)), PauliTerm(1.0, ((2, "y"),))], 2)
+
+
+def add_at_dense(coeffs, tables) -> np.ndarray:
+    """The scatter weighted_sum_dense replaced: np.add.at of every term's values, in term order, onto +0."""
+    idx, col_phase = tables[:2]
+    d = idx.shape[1]
+    vals = np.asarray(coeffs, dtype=float)[..., None] * col_phase
+    m = np.zeros(vals.shape[:-2] + (d, d), dtype=complex)
+    np.add.at(m, (..., idx, np.arange(d)), vals)
+    return m
+
+
+# signed zeros, subnormals and magnitudes whose sums round, cancel or overflow
+HARSH = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e-300, 1e300, -1e300, 1.7e308, 1.0, -1.0])
+COEFFS = st.one_of(HARSH, st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))
+
+
+@st.composite
+def sums(draw):
+    """(terms, coefficient stack, n): any subset of the identity and the 1-3-local strings on 1-5 qubits, in any order."""
+    n = draw(st.integers(1, 5))
+    axes = [()] + single_axes(n) + pair_axes(n) + (triple_axes(n) if n >= 3 else [])
+    picked = draw(st.lists(st.integers(0, len(axes) - 1), unique=True, max_size=174))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    coeffs = draw(hnp.arrays(float, lead + (len(picked),), elements=COEFFS))
+    return [PauliTerm(1.0, axes[i]) for i in picked], coeffs, n
+
+
+class TestFlipMaskAssembly:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(sums())
+    def test_bytes_equal_add_at(self, drawn):
+        terms, coeffs, n = drawn
+        tables = pauli_tables(terms, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = weighted_sum_dense(coeffs, tables), add_at_dense(coeffs, tables)
+        assert got.shape == ref.shape == coeffs.shape[:-1] + (2**n, 2**n)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_groups_hold_each_term_once_in_term_order(self, rng):
+        terms = random_terms(4, 60, rng)
+        tables = pauli_tables(terms, 4)
+        flips = tables.idx[:, 0]
+        members = [[t - 1 for t in column if t] for column in tables.groups.T]
+        assert sorted(t for m in members for t in m) == list(range(len(terms)))
+        assert all(m == sorted(m) and len(set(flips[m])) == 1 for m in members)
+        assert not tables.groups[0].any()  # the +0 lead
 
 
 class TestTermGeneration:

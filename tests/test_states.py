@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -140,6 +141,53 @@ class TestFactor:
         assert np.allclose(state.factor()[1], np.linalg.eigvalsh(a.mat), rtol=0, atol=1e-15)
         state.mat[...] = b.mat
         assert np.allclose(state.factor()[1], np.linalg.eigvalsh(b.mat), rtol=0, atol=1e-15)
+
+
+class TestFactorSlot:
+    """A state built with its factor locks its own matrix and knows it by identity; a caller's matrix is never locked."""
+
+    @staticmethod
+    def factor_built(rng) -> list[DensityMatrix]:
+        h = normalize(random_two_local(2, 0.5, 1.0, rng), 2.0)
+        b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        stacked = DensityMatrix.stack([thermal_state(h), random_density_matrix(2, rng)])
+        return [thermal_state(h), DensityMatrix.from_root(b / np.linalg.norm(b)), stacked, stacked.take([1])]
+
+    def test_factor_built_matrix_refuses_writes(self, rng):
+        for state in self.factor_built(rng):
+            with pytest.raises(ValueError, match="read-only"):
+                state.mat[..., 0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                state.mat *= 2.0
+
+    def test_reassigned_matrix_is_refactored(self, rng):
+        for state in self.factor_built(rng):
+            u, s = state.factor()
+            new = random_density_matrix(2, rng).mat
+            new = np.broadcast_to(new, state.mat.shape).copy()
+            state.mat = new
+            assert state.mat.flags.writeable  # the caller's matrix stays theirs
+            assert np.allclose(TestFactor.rebuilt(state), new, rtol=0, atol=1e-14)
+            assert not np.allclose(state.factor()[1], s)
+
+    def test_caller_matrix_is_never_locked(self, rng):
+        arr = random_density_matrix(2, rng).mat.copy()
+        for state in (DensityMatrix(2, arr), DensityMatrix.from_mat(arr)):
+            state.factor()
+            fidelity(state, state)
+            assert arr.flags.writeable and state.mat is arr
+        arr[...] = np.eye(4) / 4  # a write through the caller's array is seen
+        assert np.allclose(state.factor()[1], 0.25, rtol=0, atol=1e-15)
+
+    def test_unpickled_state_sees_in_place_writes(self, rng):
+        state = thermal_state(normalize(random_two_local(2, 0.5, 1.0, rng), 2.0))
+        other = random_density_matrix(2, rng)
+        back = pickle.loads(pickle.dumps(state))
+        assert back.mat.flags.writeable  # pickle does not keep the lock
+        assert np.allclose(TestFactor.rebuilt(back), state.mat, rtol=0, atol=1e-15)
+        back.mat[...] = other.mat
+        assert np.allclose(TestFactor.rebuilt(back), other.mat, rtol=0, atol=1e-15)
+        assert np.allclose(back.factor()[1], np.linalg.eigvalsh(other.mat), rtol=0, atol=1e-15)
 
 
 class TestFidelity:

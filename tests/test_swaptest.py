@@ -324,7 +324,7 @@ def reference_mc_gradient(p, target_h, k, shots, rng, q_max):
     a_mat = phi_m @ psi_m.conj().T
     bs_den = [sv @ sv]
     bs_num = [a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T]
-    idx_tab, cp_tab = pauli_tables(terms, p.n_v)
+    idx_tab, cp_tab = pauli_tables(terms, p.n_v)[:2]
     cp_tab = np.where(alpha < 0.0, -1.0, 1.0)[:, None] * cp_tab
     p_idx = np.abs(alpha) / a1 if a1 > 0.0 else None
     orders = np.arange(q_max + 1)

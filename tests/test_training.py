@@ -64,6 +64,23 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="index 1"):
             adam_step(st, np.zeros(2), np.array([0.0, math.nan]))
 
+    def test_overflowing_square_rejected(self):
+        # 2e154 is finite, but its square overflows the second moment to inf,
+        # which would give that angle a step of 0 from then on
+        st = AdamState.init((1, 3), lr=0.1)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="diverged gradient at index 2"):
+            adam_step(st, np.zeros((1, 3)), np.array([[1.0, -1e154, 2e154]]))
+
+    @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
+    def test_overflowing_square_ends_the_member(self, kind):
+        # l2 = 1e300 puts gradients near 1e300 from epoch 0; the first update
+        # raises, so every member fails instead of training with frozen angles
+        cfg = small_cfg(kind=kind, n_h=0, l2_penalty=1e300, lr=1e-3)
+        with pytest.raises(TrainingError, match="epoch 1: diverged gradient at index"):
+            train(cfg)
+        with pytest.raises(TrainingError, match=r"of 3 runs failed \(> 20%\)"):
+            run_ensemble(cfg, 3, vary="both")
+
     def test_shape_mismatch_rejected(self):
         st = AdamState.init(2, lr=0.1)
         with pytest.raises(ValueError):
@@ -513,7 +530,44 @@ class TestPinnedFormats:
         ],
     )
     def test_member_files_are_pinned(self, tmp_path, kind, n_v, n_h, checkpoint_sha, csv_sha):
-        train(small_cfg(kind=kind, n_v=n_v, n_h=n_h, epochs=3), out_dir=str(tmp_path))
+        self.assert_pinned(small_cfg(kind=kind, n_v=n_v, n_h=n_h, epochs=3), tmp_path, checkpoint_sha, csv_sha)
+
+    @pytest.mark.parametrize(
+        "cfg,checkpoint_sha,csv_sha",
+        [
+            (
+                # fig3's shape: three-local tau 10 target, lambda 2, every 10th epoch logged
+                TrainConfig(kind="qbm", n_v=4, n_h=0, epochs=20, lr=0.01, l2_penalty=2.0,
+                            target_locality=3, tau=10.0, log_every=10),
+                "27370d7dbd02de9a7ce12ca49fbdcdb7b43cbb10cc48f5b4c1dd6810330b9e8e",
+                "8948d388c30ca1255f2eda239f02f586e348c9e91d9da442a56f0ccc8e693387",
+            ),
+            (
+                TrainConfig(kind="qbm", n_v=4, n_h=0, epochs=20, lr=0.01, l2_penalty=2.0,
+                            target_locality=3, tau=10.0, log_every=10, direction="forward"),
+                "1cce2a78cae0a03301ad12434557e640330ae46fabdb82ad08819c08d3add1e0",
+                "bd5f8a74cfcf19d8d775fcfa8ad74516325043d74218ff656ae546e48288c14c",
+            ),
+            (
+                # a hidden unit: sigma_v takes the SVD path of from_root
+                small_cfg(kind="qbm", n_v=2, n_h=1, epochs=3),
+                "6d7be93a03a6d0dfccb8d045f2a8ae39575373b97b1610936333d4a138d99e13",
+                "b5d914beae7b5aea044917b489cc9e0650a5dc5c3846dfae074081f2bdd90301",
+            ),
+            (
+                small_cfg(kind="qbm", n_v=2, n_h=1, epochs=3, direction="forward"),
+                "db94bbe1bfd3a3a49fa6e2adf01610f83e003a94a0173891e80148cac69ae848",
+                "cd484538694ff66e8192905f9508df0c10aacbd675f5abe7062182fcc3088974",
+            ),
+        ],
+        ids=["fig3-reverse", "fig3-forward", "2v1h-reverse", "2v1h-forward"],
+    )
+    def test_qbm_member_files_are_pinned(self, tmp_path, cfg, checkpoint_sha, csv_sha):
+        self.assert_pinned(cfg, tmp_path, checkpoint_sha, csv_sha)
+
+    @staticmethod
+    def assert_pinned(cfg, tmp_path, checkpoint_sha, csv_sha):
+        train(cfg, out_dir=str(tmp_path))
         checkpoint = (tmp_path / "run_000_checkpoint.json").read_bytes()
         # wall_ms, the last column, is a timing and is left out
         lines = (tmp_path / "run_000.csv").read_text().splitlines()
