@@ -16,7 +16,6 @@ from .divergence import (
     qbm_grad_forward,
     qbm_grad_frechet,
     qbm_grad_reverse,
-    relative_entropy,
     renyi2_forward,
     renyi2_reverse,
     state_gradient_entry,
@@ -49,9 +48,8 @@ from .plateau import (
 )
 from .states import (
     DensityMatrix,
-    entanglement_entropy,
     fidelity,
-    haar_unitary,
+    haar_unitaries,
     random_density_matrix,
     thermal_state,
 )
@@ -98,11 +96,10 @@ __all__ = [
     "build_qbm",
     "build_uqnn",
     "cyclic_shift",
-    "entanglement_entropy",
     "fd_gradient",
     "fidelity",
     "haar_gradient_moment",
-    "haar_unitary",
+    "haar_unitaries",
     "init_gradient_scan",
     "lemma1_bounds",
     "mc_reverse_gradient_thermal",
@@ -114,7 +111,6 @@ __all__ = [
     "random_density_matrix",
     "random_three_local",
     "random_two_local",
-    "relative_entropy",
     "renyi2_forward",
     "renyi2_reverse",
     "run_ensemble",

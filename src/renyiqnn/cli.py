@@ -43,7 +43,7 @@ from .hamiltonians import LCUHamiltonian, PauliTerm
 from .models import LAYOUTS, QBMParams, UQNNParams, build_qbm, build_uqnn, qbm_visible_state, uqnn_visible_state
 from .plateau import init_gradient_scan
 from .qmath import is_integer, is_number
-from .states import DensityMatrix, haar_unitary, random_density_matrix, thermal_state
+from .states import DensityMatrix, haar_unitaries, random_density_matrix, thermal_state
 from .swaptest import (
     ALPHA_NORM_GUARD,
     DEFAULT_Q_MAX,
@@ -311,9 +311,10 @@ def _scale_alpha_norm(h: LCUHamiltonian, alpha_norm: float) -> LCUHamiltonian:
     The sum is taken as the estimator's guard takes it (_series_terms); while
     it exceeds alpha_norm, the scale steps down by one ulp.
     """
-    if h.alpha_norm() == 0.0:
+    norm = _series_terms(h)[2]
+    if norm == 0.0:
         raise ConfigError("cannot scale a zero Hamiltonian to a coefficient norm")
-    s = alpha_norm / h.alpha_norm()
+    s = alpha_norm / norm
     while True:
         scaled = LCUHamiltonian(h.n_qubits, [PauliTerm(t.coeff * s, t.axes) for t in h.terms])
         if not _series_terms(scaled)[2] > alpha_norm:
@@ -445,7 +446,7 @@ def _swap_checks(n_instances: int, rng: np.random.Generator) -> list[CheckResult
         spower = np.linalg.matrix_power(s, n_regs)
         cyc = np.max(np.abs(spower - np.eye(s.shape[0])))
         regs = [random_density_matrix(m_qubits, rng) for _ in range(n_regs)]
-        unis = [haar_unitary(m_qubits, rng) for _ in range(n_regs)]
+        unis = list(haar_unitaries(m_qubits, n_regs, rng))
         try:
             prob = swap_test_probability(SwapTestSpec(regs, unis))
             ok = uni < 1e-12 and cyc < 1e-12 and 0.0 <= prob <= 1.0

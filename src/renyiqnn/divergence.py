@@ -159,18 +159,6 @@ def renyi2_reverse(sigma: DensityMatrix, rho: DensityMatrix) -> LossValue:
     return _renyi2_kernel(sigma, rho, "reverse")[1]
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Umegaki relative entropy S(rho||sigma) = Tr rho (ln rho - ln sigma), in nats, from both factors."""
-    wr = rho.factor()[1]
-    vs, ws = sigma.factor()
-    if float(np.min(ws)) <= 0.0:
-        raise SingularStateError("singular second argument", float(np.min(ws)))
-    wr_pos = np.clip(wr, 1e-300, None)
-    s_rho = float(np.sum(np.where(wr > 1e-15, wr * np.log(wr_pos), 0.0)))
-    log_sigma = (vs * np.log(ws)) @ vs.conj().T
-    return s_rho - _real_trace(rho.mat @ log_sigma)
-
-
 # ---------------------------------------------------------------------------
 # Unitary-network gradients.
 #

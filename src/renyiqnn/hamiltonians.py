@@ -70,10 +70,6 @@ class PauliTerm:
         x, z, ny = self.masks(n_qubits)
         return string_action(x, z, n_qubits, ny)
 
-    def dense(self, n_qubits: int) -> np.ndarray:
-        """Dense coeff * Pauli-string matrix."""
-        return weighted_sum_dense([self.coeff], pauli_tables([self], n_qubits))
-
 
 def string_action(xmask, zmask, n_qubits: int, n_y=0) -> tuple[np.ndarray, np.ndarray]:
     """Action arrays for i^{n_y} X^xmask Z^zmask on the 2^n basis.
@@ -184,10 +180,6 @@ class LCUHamiltonian:
             if t.axes in seen:
                 raise ValueError(f"duplicate Pauli string {t.axes}")
             seen.add(t.axes)
-
-    def alpha_norm(self) -> float:
-        """l1 norm of the coefficient vector."""
-        return float(sum(abs(t.coeff) for t in self.terms))
 
     def dense(self) -> np.ndarray:
         coeffs = [t.coeff for t in self.terms]

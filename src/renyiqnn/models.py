@@ -31,7 +31,6 @@ import numpy as np
 
 from . import qmath
 from .hamiltonians import (
-    LCUHamiltonian,
     PauliTables,
     PauliTerm,
     pauli_tables,
@@ -309,10 +308,6 @@ class QBMParams:
     def hamiltonian_dense(self) -> np.ndarray:
         return weighted_sum_dense(self.thetas, self.tables())
 
-    def to_hamiltonian(self) -> LCUHamiltonian:
-        terms = [PauliTerm(float(th), t.axes) for th, t in zip(self.thetas, self.basis)]
-        return LCUHamiltonian(self.n_qubits, [t for t in terms if t.coeff != 0.0])
-
 
 def checkpoint_doc(p: UQNNParams | QBMParams, rng_seed: int | None = None, epoch: int = 0) -> dict:
     """The checkpoint of a model of either kind; load_checkpoint_model reads it back."""
@@ -347,6 +342,10 @@ def load_checkpoint_model(doc: dict) -> UQNNParams | QBMParams:
     kind = _checkpoint_field(doc, "kind", lambda v: v in ("uqnn", "qbm"), "'uqnn' or 'qbm'")
     n_v = _checkpoint_field(doc, "n_v", lambda v: qmath.is_integer(v) and v >= 1, "an integer >= 1")
     n_h = _checkpoint_field(doc, "n_h", lambda v: qmath.is_integer(v) and v >= 0, "an integer >= 0")
+    try:
+        qmath._check_qubits(n_v + n_h)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint n_v + n_h = {n_v} + {n_h}: {exc}") from exc
     gens = _checkpoint_field(doc, "generators", lambda v: isinstance(v, list), "a list")
     thetas = _checkpoint_field(
         doc, "thetas",
@@ -461,5 +460,4 @@ __all__ = [
     "build_uqnn",
     "build_qbm",
     "brick_two_local_terms",
-    "two_local_terms",
 ]

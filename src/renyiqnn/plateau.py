@@ -21,7 +21,7 @@ from . import qmath
 from .divergence import _checked_inverse, state_gradient_entry, uqnn_grad_linear, uqnn_grad_reverse
 from .hamiltonians import LCUHamiltonian
 from .models import build_uqnn, conjugated_generator_vec, uqnn_statevector
-from .states import DensityMatrix, _haar_unitaries, thermal_state
+from .states import DensityMatrix, haar_unitaries, thermal_state
 
 
 @dataclass
@@ -51,13 +51,6 @@ class PlateauReport:
                 for (n_v, n_h, kind), stats in self.records.items()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PlateauReport":
-        records = {(int(r["n_v"]), int(r["n_h"]), str(r["loss_kind"])): dict(r["stats"]) for r in doc["records"]}
-        if len(records) < len(doc["records"]):
-            raise ValueError("two records for one (n_v, n_h, loss_kind)")
-        return cls(int(doc["ensemble_size"]), records)
 
     def save_json(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -107,7 +100,7 @@ def haar_gradient_moment(
     if sigma.dim != rho.dim:
         raise ValueError("sigma and rho dimensions differ")
     dsigma = _checked_derivative(sigma, dsigma)
-    u = _haar_unitaries(sigma.n_qubits, n_samples, rng)
+    u = haar_unitaries(sigma.n_qubits, n_samples, rng)
     u_dag = u.conj().swapaxes(-1, -2)
     g = state_gradient_entry(u @ sigma.mat @ u_dag, u @ dsigma @ u_dag, rho.mat, direction)
     # cumsum adds in sample order, as a running sum would; np.sum pairs terms up

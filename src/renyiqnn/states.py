@@ -1,4 +1,4 @@
-"""Quantum-state construction, validation, and comparison.
+"""Quantum-state construction and comparison.
 
 Every `DensityMatrix` carries one factor (U, s), mat = U diag(s) U^dag, and
 inverses, roots and conditioning figures are read from it, never from an
@@ -21,9 +21,6 @@ import numpy as np
 from . import qmath
 from .hamiltonians import LCUHamiltonian
 
-TRACE_TOL = 1e-10
-EIG_TOL = 1e-10
-
 
 def _qubits(dim: int) -> int:
     n = int(dim).bit_length() - 1
@@ -37,9 +34,9 @@ class DensityMatrix:
     """Unit-trace PSD Hermitian operator on n_qubits qubits, with its factor (U, s).
 
     mat may carry a leading member axis, (R, 2^n, 2^n): a stack of states
-    that validate and the loss, gradient and fidelity code treat member by
-    member; only purity takes a single state. The factor, and whatever is
-    built from it (`derived`), is kept until mat is reassigned or written to.
+    that the loss, gradient and fidelity code treat member by member. The
+    factor, and whatever is built from it (`derived`), is kept until mat is
+    reassigned or written to.
     A state built with its factor owns its matrix and makes it read-only,
     so `factor` knows that matrix by identity alone; a matrix the caller
     passed in is never locked, and its factor, found by eigh on first use,
@@ -117,21 +114,6 @@ class DensityMatrix:
         mat = np.asarray(mat, dtype=complex)
         return cls(_qubits(mat.shape[-1]), mat)
 
-    def validate(self) -> "DensityMatrix":
-        """Assert Hermiticity, unit trace, and positivity (within tolerances) of every member."""
-        if not qmath.is_hermitian(self.mat):
-            raise ValueError("density matrix is not Hermitian")
-        for tr in np.trace(self.mat, axis1=-2, axis2=-1).reshape(-1).tolist():
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace {tr} is not 1")
-        wmin = float(np.min(np.linalg.eigvalsh(self.mat)))
-        if wmin < -EIG_TOL:
-            raise ValueError(f"negative eigenvalue {wmin}")
-        return self
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.mat @ self.mat)))
-
 
 def thermal_state(h: LCUHamiltonian) -> DensityMatrix:
     """Gibbs state e^{-H}/Tr(e^{-H}) of a Pauli-sum Hamiltonian; always full rank.
@@ -170,17 +152,13 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
     return float(f) if f.ndim == 0 else f
 
 
-def haar_unitary(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix.
+def haar_unitaries(n_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A (count, d, d) stack of Haar-random unitaries via QR of complex Ginibre matrices.
 
     The R diagonal's phases are divided out; without that fix QR output is not
-    Haar-distributed.
+    Haar-distributed. The stack takes rng's stream in the order of count
+    one-by-one draws.
     """
-    return _haar_unitaries(n_qubits, 1, rng)[0]
-
-
-def _haar_unitaries(n_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """A (count, d, d) stack of Haar unitaries, drawn from rng as count haar_unitary calls would be."""
     d = 2**n_qubits
     g = rng.standard_normal((count, 2, d, d))
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
@@ -188,25 +166,9 @@ def _haar_unitaries(n_qubits: int, count: int, rng: np.random.Generator) -> np.n
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def random_density_matrix(
-    n_qubits: int, rng: np.random.Generator, rank: int | None = None
-) -> DensityMatrix:
-    """Random full-rank (or fixed-rank) state: normalized GG^dagger for Ginibre G."""
+def random_density_matrix(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank state: normalized GG^dagger for a square Ginibre G."""
     d = 2**n_qubits
-    r = d if rank is None else rank
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return DensityMatrix.from_mat(m / np.real(np.trace(m)))
-
-
-def entanglement_entropy(sigma: DensityMatrix, n_v: int) -> float:
-    """Von Neumann entropy (nats) of the leading-n_v reduction of a pure state."""
-    if sigma.purity() <= 1.0 - 1e-8:
-        raise ValueError("entropy defined for pure sigma only")
-    n_h = sigma.n_qubits - n_v
-    red = qmath.partial_trace(sigma.mat, n_v, n_h)
-    w = np.linalg.eigvalsh(red)
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log(w)))

@@ -191,7 +191,7 @@ _row_values = attrgetter(*CSV_COLUMNS)  # the fields as they are; astuple would 
 
 
 class MetricsLog:
-    """Per-epoch training curve plus run identity.
+    """Per-epoch training curve plus the run's final checkpoint.
 
     Row 0 is the state before any update; row e is the state after e ADAM
     updates, with loss, fidelity, and gradient all evaluated at that row's
@@ -212,15 +212,7 @@ class MetricsLog:
     checkpoint file, and `checkpoint` decodes it.
     """
 
-    def __init__(
-        self,
-        config_hash: str,
-        seed: int,
-        rows: Iterable[MetricsRow] = (),
-        checkpoint_json: str | None = None,
-    ):
-        self.config_hash = config_hash
-        self.seed = seed
+    def __init__(self, rows: Iterable[MetricsRow] = (), checkpoint_json: str | None = None):
         self._data = np.array([_row_values(r) for r in rows], dtype=float).reshape(-1, len(CSV_COLUMNS))
         self.checkpoint_json = checkpoint_json
 
@@ -275,14 +267,6 @@ class MetricsLog:
         self.to_csv(os.path.join(out_dir, f"run_{run_idx:03d}.csv"))
         with open(os.path.join(out_dir, f"run_{run_idx:03d}_checkpoint.json"), "w") as fh:
             fh.write(self.checkpoint_json)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "rows": [asdict(r) for r in self.rows],
-            "checkpoint": self.checkpoint,
-        }
 
 
 def run_streams(
@@ -448,7 +432,7 @@ def _train_members(cfg: TrainConfig, runs: list[int], vary: str) -> list[Metrics
     for i, run_idx in enumerate(members.runs if members is not None else []):
         built[run_idx].thetas = members.thetas[i]  # each member's own model ends trained
         checkpoint = checkpoint_doc(built[run_idx], cfg.seed, cfg.epochs)
-        log = MetricsLog(cfg.config_hash(), cfg.seed, rows[run_idx], json.dumps(checkpoint, indent=1))
+        log = MetricsLog(rows[run_idx], json.dumps(checkpoint, indent=1))
         results[run_idx] = log.validate()
     return [results[run_idx] for run_idx in runs]
 
@@ -488,14 +472,6 @@ class EnsembleSummary:
             writer.writerow(["epoch"] + names)
             for i, ep in enumerate(self.epoch):
                 writer.writerow([ep] + [repr(float(self.stats[n][i])) for n in names])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "failures": self.failures,
-            "epoch": self.epoch,
-            "stats": self.stats,
-        }
 
 
 def _ensemble_worker(args: tuple) -> list[MetricsLog | TrainingError]:
@@ -568,7 +544,7 @@ def run_ensemble(
             lg.write(out_dir, run_idx)
         summary.to_csv(os.path.join(out_dir, "summary.csv"))
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(summary.to_json_dict(), fh, indent=1)
+            json.dump(asdict(summary), fh, indent=1)
     return ordered, summary
 
 

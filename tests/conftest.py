@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from renyiqnn import qmath
 from renyiqnn.models import UQNNParams
+from renyiqnn.states import DensityMatrix
+
+TRACE_TOL = 1e-10
+EIG_TOL = 1e-10
 
 PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -51,6 +56,34 @@ def conjugated_generators_reference(p: UQNNParams) -> list[np.ndarray]:
         out.append(w @ h @ w.conj().T)
         w = w @ expm(-1j * th * h)
     return out
+
+
+def check_density_matrix(state: DensityMatrix) -> DensityMatrix:
+    """Assert Hermiticity, unit trace and positivity (within tolerances) of every member of a state."""
+    if not qmath.is_hermitian(state.mat):
+        raise ValueError("density matrix is not Hermitian")
+    for tr in np.trace(state.mat, axis1=-2, axis2=-1).reshape(-1).tolist():
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace {tr} is not 1")
+    wmin = float(np.min(np.linalg.eigvalsh(state.mat)))
+    if wmin < -EIG_TOL:
+        raise ValueError(f"negative eigenvalue {wmin}")
+    return state
+
+
+def purity(state: DensityMatrix) -> float:
+    """Tr(rho^2) of one state, from its dense matrix."""
+    return float(np.real(np.trace(state.mat @ state.mat)))
+
+
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Umegaki relative entropy S(rho||sigma) = Tr rho (ln rho - ln sigma), in nats, by dense eigh of both states."""
+    wr = np.linalg.eigvalsh(rho.mat)
+    ws, vs = np.linalg.eigh(sigma.mat)
+    assert float(np.min(ws)) > 0.0, "singular second argument"
+    s_rho = float(np.sum(np.where(wr > 1e-15, wr * np.log(np.clip(wr, 1e-300, None)), 0.0)))
+    log_sigma = (vs * np.log(ws)) @ vs.conj().T
+    return s_rho - float(np.real(np.trace(rho.mat @ log_sigma)))
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

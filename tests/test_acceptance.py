@@ -19,7 +19,6 @@ from renyiqnn.divergence import (
     qbm_grad_forward,
     qbm_grad_frechet,
     qbm_grad_reverse,
-    relative_entropy,
     renyi2_forward,
     renyi2_reverse,
     uqnn_grad_forward,
@@ -37,7 +36,7 @@ from renyiqnn.models import (
 from renyiqnn.plateau import haar_gradient_moment, init_gradient_scan, lemma1_bounds
 from renyiqnn.states import (
     DensityMatrix,
-    haar_unitary,
+    haar_unitaries,
     random_density_matrix,
     thermal_state,
 )
@@ -48,6 +47,7 @@ from renyiqnn.swaptest import (
     trace_power_estimate,
 )
 from renyiqnn.training import TrainConfig, run_ensemble
+from tests.conftest import relative_entropy
 
 
 def report(capsys, line: str) -> None:
@@ -303,7 +303,7 @@ def test_criterion_08_swap_test_corpus(capsys):
                 if trial == 0:
                     us = [np.eye(2**m_qubits)] * n_regs
                 else:
-                    us = [haar_unitary(m_qubits, rng) for _ in range(n_regs)]
+                    us = list(haar_unitaries(m_qubits, n_regs, rng))
                 # the simulator itself raises if circuit and closed form
                 # disagree beyond 1e-10, so a clean call is the check
                 prob = swap_test_probability(SwapTestSpec(regs, us))
@@ -339,9 +339,9 @@ def test_criterion_09_trace_power_coverage(capsys):
 def test_criterion_10_mc_gradient(capsys):
     rng = np.random.default_rng(10001)
     h = normalize(random_two_local(2, 0.4, 0.4, rng), 1.0)
-    scale = 0.8 / h.alpha_norm()
+    scale = 0.8 / sum(abs(t.coeff) for t in h.terms)
     h = LCUHamiltonian(2, [PauliTerm(t.coeff * scale, t.axes) for t in h.terms])
-    assert h.alpha_norm() <= 1.0
+    assert sum(abs(t.coeff) for t in h.terms) <= 1.0
     p = build_uqnn(2, 0, rng)
     k = 2
     exact = uqnn_grad_reverse(p, thermal_state(h))[k - 1]

@@ -14,7 +14,6 @@ from renyiqnn.divergence import (
     qbm_grad_forward,
     qbm_grad_frechet,
     qbm_grad_reverse,
-    relative_entropy,
     renyi2_forward,
     renyi2_reverse,
     state_gradient_entry,
@@ -35,8 +34,15 @@ from renyiqnn.models import (
     uqnn_visible_state,
 )
 from renyiqnn.qmath import partial_trace
-from renyiqnn.states import DensityMatrix, fidelity, haar_unitary, random_density_matrix
-from tests.conftest import conjugated_generators_reference, random_hermitian
+from renyiqnn.states import DensityMatrix, fidelity, haar_unitaries, random_density_matrix
+from tests.conftest import (
+    conjugated_generators_reference,
+    pauli_string_dense,
+    purity,
+    random_hermitian,
+    random_state_vec,
+    relative_entropy,
+)
 
 
 def dm(mat: np.ndarray) -> DensityMatrix:
@@ -65,7 +71,7 @@ class TestLossClosedForms:
         # ln Tr(rho^2 (I/d)^-1) = ln(d Tr rho^2)
         rho = random_density_matrix(2, rng)
         mixed = dm(np.eye(4) / 4)
-        expect = math.log(4 * rho.purity())
+        expect = math.log(4 * purity(rho))
         assert renyi2_forward(rho, mixed).value == pytest.approx(expect, abs=1e-12)
 
     def test_forward_pure_vs_diagonal(self):
@@ -101,7 +107,7 @@ class TestLossClosedForms:
 
     def test_unitary_invariance(self, rng):
         rho, sigma = random_density_matrix(2, rng), random_density_matrix(2, rng)
-        u = haar_unitary(2, rng)
+        u = haar_unitaries(2, 1, rng)[0]
         conj = lambda m: dm(u @ m.mat @ u.conj().T)
         assert abs(
             renyi2_forward(conj(rho), conj(sigma)).value - renyi2_forward(rho, sigma).value
@@ -164,7 +170,7 @@ def frechet_gradient_loop(p: QBMParams, rho: DensityMatrix, direction: str) -> n
         q, num, sign = svinv @ r @ r @ svinv, divergence._real_trace(r @ svinv @ r), -1.0
     grads = np.empty(len(p.basis))
     for m, t in enumerate(p.basis):
-        pm = t.dense(p.n_qubits)
+        pm = pauli_string_dense(p.n_qubits, t.axes)
         g_m = frechet_exp_neg_derivative(w, v, pm)
         trace_pm_e = divergence._real_trace(pm @ e_mat)
         dsv = -partial_trace(g_m, p.n_v, p.n_h) / z + sv * (trace_pm_e / z)
@@ -264,8 +270,8 @@ class TestUQNNGradients:
 
     def test_regularized_target_keeps_gradient_finite(self, rng):
         p = build_uqnn(2, 1, rng)
-        nearly_pure = random_density_matrix(2, rng, rank=1)
-        reg = dm(0.999 * nearly_pure.mat + 0.001 * np.eye(4) / 4)
+        v = random_state_vec(4, rng)
+        reg = dm(0.999 * np.outer(v, v.conj()) + 0.001 * np.eye(4) / 4)
         g = uqnn_grad_reverse(p, reg)
         assert np.all(np.isfinite(g))
         lv = renyi2_reverse(uqnn_visible_state(p), reg)
@@ -367,7 +373,7 @@ class TestQBMGradients:
         q = sv @ rinv + rinv @ sv
         expect = np.empty(len(p.basis))
         for m, t in enumerate(p.basis):
-            x = t.dense(p.n_qubits)
+            x = pauli_string_dense(p.n_qubits, t.axes)
             term = x.copy()
             g = np.zeros_like(e)
             for pw in range(60):
@@ -526,7 +532,7 @@ class TestEvaluate:
     def test_qbm_imaginary_residue_names_first_entry(self, rng, monkeypatch):
         # Tr(P_m i eps P_k) = i eps dim delta_mk: entries 3 and 5 turn imaginary
         p = build_qbm(2, 1, rng)
-        leak = 1e-3j * (p.basis[5].dense(p.n_qubits) + p.basis[3].dense(p.n_qubits))
+        leak = 1e-3j * sum(pauli_string_dense(p.n_qubits, p.basis[m].axes) for m in (5, 3))
         self.record_kernels(monkeypatch, inject=lambda m: m + leak)
         with pytest.raises(ArithmeticError, match=r"gradient entry 3 has imaginary residue 8\.000e-03"):
             evaluate(p, random_density_matrix(2, rng), "reverse")

@@ -1,13 +1,49 @@
-"""Every name a module exports in __all__ resolves, so a removal cannot leave a dangling export."""
+"""Every name a module exports in __all__ resolves, and has a user outside the tests.
 
+A removal cannot leave a dangling export, and a capability that only its own
+tests call does not stay in the public surface.
+"""
+
+import ast
 import importlib
+import pathlib
+import re
 
 import pytest
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODULES = ["renyiqnn", "renyiqnn.models", "renyiqnn.plateau", "renyiqnn.swaptest", "renyiqnn.training"]
 
-@pytest.mark.parametrize(
-    "module", ["renyiqnn", "renyiqnn.models", "renyiqnn.plateau", "renyiqnn.swaptest", "renyiqnn.training"]
-)
+
+@pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def names_read_in_src() -> set[str]:
+    """Every name src/renyiqnn reads, bare or as an attribute.
+
+    Definitions, assignments, import lines and the strings of __all__ are not
+    reads, so a name counts only where some code uses it.
+    """
+    used = set()
+    for path in (ROOT / "src" / "renyiqnn").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_is_used_outside_the_tests(module):
+    outside = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))] + [(ROOT / "README.md").read_text()]
+    read = names_read_in_src()
+    unused = [
+        name
+        for name in importlib.import_module(module).__all__
+        if name not in read and not any(re.search(rf"\b{name}\b", text) for text in outside)
+    ]
+    assert unused == []

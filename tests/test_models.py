@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from renyiqnn import cli, divergence, models, training
-from renyiqnn.hamiltonians import PauliTerm, two_local_terms
+from renyiqnn.hamiltonians import LCUHamiltonian, PauliTerm, two_local_terms
 from renyiqnn.models import (
     QBMParams,
     UQNNParams,
@@ -23,7 +23,13 @@ from renyiqnn.models import (
 )
 from renyiqnn.qmath import op_norm, partial_trace
 from renyiqnn.states import DensityMatrix, random_density_matrix, thermal_state
-from tests.conftest import conjugated_generators_reference, random_hermitian, uqnn_state_reference
+from tests.conftest import (
+    conjugated_generators_reference,
+    pauli_string_dense,
+    purity,
+    random_hermitian,
+    uqnn_state_reference,
+)
 
 
 def single_x(n: int, q: int = 0) -> PauliTerm:
@@ -34,6 +40,11 @@ def full_state(p: UQNNParams) -> DensityMatrix:
     """W |0><0| W^dag on all n_v + n_h qubits, the outer product of the statevector."""
     psi = uqnn_statevector(p)
     return DensityMatrix.from_mat(np.outer(psi, psi.conj()))
+
+
+def qbm_hamiltonian(p: QBMParams) -> LCUHamiltonian:
+    """H(theta) of a Boltzmann machine as a Pauli sum, one term per basis string."""
+    return LCUHamiltonian(p.n_qubits, [PauliTerm(float(th), t.axes) for th, t in zip(p.thetas, p.basis)])
 
 
 class TestStatevector:
@@ -63,7 +74,7 @@ class TestStatevector:
     def test_full_state_is_pure(self, rng):
         p = build_uqnn(2, 1, rng)
         rho = full_state(p)
-        assert abs(rho.purity() - 1.0) < 1e-10
+        assert abs(purity(rho) - 1.0) < 1e-10
 
     def test_matches_expm_reference(self, rng):
         for _ in range(5):
@@ -413,13 +424,14 @@ class TestSharedLayoutTables:
 class TestConjugatedGenerator:
     def test_first_slot_is_bare_generator(self, rng):
         p = build_uqnn(2, 0, rng)
-        assert np.allclose(conjugated_generator_vec(p, 1), p.generators[0].dense(2) @ uqnn_statevector(p))
+        bare = pauli_string_dense(2, p.generators[0].axes) @ uqnn_statevector(p)
+        assert np.allclose(conjugated_generator_vec(p, 1), bare)
 
     def test_zero_thetas_all_bare(self, rng):
         gens = [PauliTerm(1.0, ax) for ax in [((0, "x"),), ((1, "y"),), ((0, "z"), (1, "z"))]]
         p = UQNNParams(2, 0, gens, np.zeros(3))
         for k in (1, 2, 3):
-            assert np.allclose(conjugated_generator_vec(p, k), gens[k - 1].dense(2)[:, 0])
+            assert np.allclose(conjugated_generator_vec(p, k), pauli_string_dense(2, gens[k - 1].axes)[:, 0])
 
     def test_conjugation_preserves_involution(self, rng):
         # H~_k is Hermitian and unitary: a unit vector with a real expectation value
@@ -514,17 +526,18 @@ class TestQBM:
 
     def test_matches_thermal_state_no_hidden(self, rng):
         p = build_qbm(2, 0, rng)
-        ref = thermal_state(p.to_hamiltonian())
+        ref = thermal_state(qbm_hamiltonian(p))
         assert np.allclose(qbm_visible_state(p).mat, ref.mat, atol=1e-12)
 
     def test_hidden_units_traced_out(self, rng):
         p = build_qbm(2, 1, rng)
-        full = thermal_state(p.to_hamiltonian()).mat
+        full = thermal_state(qbm_hamiltonian(p)).mat
         assert np.allclose(qbm_visible_state(p).mat, partial_trace(full, 2, 1), atol=1e-12)
 
     def test_hamiltonian_dense_matches_lcu(self, rng):
         p = build_qbm(2, 1, rng)
-        assert np.allclose(p.hamiltonian_dense(), p.to_hamiltonian().dense(), atol=1e-12)
+        ref = sum(th * pauli_string_dense(p.n_qubits, t.axes) for th, t in zip(p.thetas, p.basis))
+        assert np.allclose(p.hamiltonian_dense(), ref, atol=1e-12)
 
     def test_theta_length_checked(self):
         basis = two_local_terms(2)
@@ -589,6 +602,13 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=message):
             load_checkpoint_model(edit(doc))
 
+    @pytest.mark.parametrize("n_v", [13, 5000])
+    @pytest.mark.parametrize("build", [build_uqnn, build_qbm])
+    def test_width_over_the_cap_is_refused_at_load(self, rng, build, n_v):
+        doc = {**checkpoint_doc(build(1, 1, rng)), "n_v": n_v}
+        with pytest.raises(ValueError, match=rf"checkpoint n_v \+ n_h = {n_v} \+ 1: dimension .* exceeds cap 4096"):
+            load_checkpoint_model(doc)
+
     def test_qbm_basis_coefficient_is_read_and_checked(self, rng):
         doc = checkpoint_doc(build_qbm(1, 0, rng))
         doc["generators"][1]["coeff"] = 2.0
@@ -607,7 +627,7 @@ class TestBuilders:
         assert len(brick_two_local_terms(4)) == 12 + 27
         p = build_uqnn(2, 2, rng, layout="brick")
         assert len(p.generators) == 39
-        assert abs(full_state(p).purity() - 1.0) < 1e-10
+        assert abs(purity(full_state(p)) - 1.0) < 1e-10
 
     def test_unknown_layout(self, rng):
         with pytest.raises(ValueError, match="layout"):

@@ -7,13 +7,12 @@ import pytest
 from renyiqnn.hamiltonians import LCUHamiltonian, PauliTerm, normalize, random_three_local, random_two_local
 from renyiqnn.states import (
     DensityMatrix,
-    entanglement_entropy,
     fidelity,
-    haar_unitary,
+    haar_unitaries,
     random_density_matrix,
     thermal_state,
 )
-from tests.conftest import random_state_vec
+from tests.conftest import check_density_matrix, purity, random_state_vec
 
 
 def pure(vec: np.ndarray) -> DensityMatrix:
@@ -22,21 +21,21 @@ def pure(vec: np.ndarray) -> DensityMatrix:
 
 class TestDensityMatrixValidation:
     def test_accepts_valid(self, rng):
-        random_density_matrix(2, rng).validate()
+        check_density_matrix(random_density_matrix(2, rng))
 
     def test_rejects_non_hermitian(self):
         m = np.eye(2, dtype=complex) / 2
         m[0, 1] = 0.1
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix.from_mat(m).validate()
+            check_density_matrix(DensityMatrix.from_mat(m))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix.from_mat(np.eye(2, dtype=complex)).validate()
+            check_density_matrix(DensityMatrix.from_mat(np.eye(2, dtype=complex)))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix.from_mat(np.diag([1.5, -0.5]).astype(complex)).validate()
+            check_density_matrix(DensityMatrix.from_mat(np.diag([1.5, -0.5]).astype(complex)))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of 2"):
@@ -44,10 +43,10 @@ class TestDensityMatrixValidation:
 
     def test_stack_validates_member_by_member(self, rng):
         stack = np.stack([random_density_matrix(2, rng).mat for _ in range(3)])
-        DensityMatrix(2, stack).validate()
+        check_density_matrix(DensityMatrix(2, stack))
         stack[1] *= 1.5
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(2, stack).validate()
+            check_density_matrix(DensityMatrix(2, stack))
 
     @pytest.mark.parametrize("members", [2, 3])
     @pytest.mark.parametrize("n", [1, 2])
@@ -58,8 +57,8 @@ class TestDensityMatrixValidation:
 
     def test_purity(self, rng):
         v = random_state_vec(4, rng)
-        assert abs(pure(v).purity() - 1.0) < 1e-12
-        assert abs(DensityMatrix.from_mat(np.eye(4, dtype=complex) / 4).purity() - 0.25) < 1e-12
+        assert abs(purity(pure(v)) - 1.0) < 1e-12
+        assert abs(purity(DensityMatrix.from_mat(np.eye(4, dtype=complex) / 4)) - 0.25) < 1e-12
 
 
 class TestThermalState:
@@ -217,7 +216,7 @@ class TestFidelity:
 
     def test_unitary_invariance(self, rng):
         rho, sigma = random_density_matrix(2, rng), random_density_matrix(2, rng)
-        u = haar_unitary(2, rng)
+        u = haar_unitaries(2, 1, rng)[0]
         conj = lambda m: DensityMatrix.from_mat(u @ m.mat @ u.conj().T)
         assert abs(fidelity(conj(rho), conj(sigma)) - fidelity(rho, sigma)) < 1e-9
 
@@ -239,17 +238,25 @@ class TestFidelity:
 
 class TestHaarUnitary:
     def test_unitarity(self, rng):
-        u = haar_unitary(2, rng)
+        u = haar_unitaries(2, 1, rng)[0]
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
 
     def test_determinism(self, rng_factory):
-        a = haar_unitary(2, rng_factory(5))
-        b = haar_unitary(2, rng_factory(5))
+        a = haar_unitaries(2, 1, rng_factory(5))[0]
+        b = haar_unitaries(2, 1, rng_factory(5))[0]
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_draws_as_one_by_one(self, rng_factory, n):
+        stacked, single = rng_factory(7), rng_factory(7)
+        a = haar_unitaries(n, 4, stacked)
+        b = [haar_unitaries(n, 1, single)[0] for _ in range(4)]
+        assert np.array_equal(a, b)
+        assert stacked.random() == single.random()
 
     def test_entry_moment_matches_haar(self, rng):
         # E|U_00|^2 = 1/dim for Haar; 3 sigma band from the empirical variance
-        vals = np.array([abs(haar_unitary(2, rng)[0, 0]) ** 2 for _ in range(10000)])
+        vals = np.abs(haar_unitaries(2, 10000, rng)[:, 0, 0]) ** 2
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 0.25) < 3 * se
 
@@ -257,41 +264,5 @@ class TestHaarUnitary:
 class TestRandomDensityMatrix:
     def test_valid_and_full_rank(self, rng):
         rho = random_density_matrix(2, rng)
-        rho.validate()
+        check_density_matrix(rho)
         assert np.linalg.eigvalsh(rho.mat).min() > 0
-
-    def test_rank_control(self, rng):
-        rho = random_density_matrix(2, rng, rank=1)
-        w = np.linalg.eigvalsh(rho.mat)
-        assert (w > 1e-12).sum() == 1
-
-    @pytest.mark.parametrize("rank", [0, -1])
-    def test_rank_below_one_rejected(self, rng, rank):
-        with pytest.raises(ValueError, match="rank must be >= 1"):
-            random_density_matrix(2, rng, rank=rank)
-
-
-class TestEntanglementEntropy:
-    def test_product_state_zero(self):
-        v = np.zeros(8, dtype=complex)
-        v[0] = 1.0
-        assert abs(entanglement_entropy(pure(v), 2)) < 1e-12
-
-    def test_bell_state(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / math.sqrt(2)
-        assert abs(entanglement_entropy(pure(bell), 1) - math.log(2)) < 1e-10
-
-    def test_mixed_input_rejected(self, rng):
-        with pytest.raises(ValueError, match="pure"):
-            entanglement_entropy(random_density_matrix(2, rng), 1)
-
-    def test_range_and_page_report(self, rng):
-        vals = []
-        for _ in range(20):
-            v = random_state_vec(64, rng)
-            s = entanglement_entropy(pure(v), 3)
-            assert -1e-9 <= s <= 3 * math.log(2) + 1e-9
-            vals.append(s)
-        page = 3 * math.log(2) - 0.5  # asymptotic half-system estimate, report only
-        print(f"haar 3+3 entropy mean {np.mean(vals):.4f} vs page-like value {page:.4f}")

@@ -22,7 +22,7 @@ from renyiqnn.models import (
     uqnn_statevector,
     uqnn_visible_state,
 )
-from renyiqnn.states import DensityMatrix, haar_unitary, random_density_matrix, thermal_state
+from renyiqnn.states import DensityMatrix, haar_unitaries, random_density_matrix, thermal_state
 from renyiqnn.swaptest import (
     MCEstimate,
     SwapTestSpec,
@@ -111,7 +111,7 @@ class TestSwapTestProbability:
     def test_single_register_with_unitary(self, rng):
         # n = 1: P(0) = (1 + Re Tr(U rho)) / 2
         rho = random_density_matrix(1, rng)
-        u = haar_unitary(1, rng)
+        u = haar_unitaries(1, 1, rng)[0]
         expect = 0.5 * (1 + np.trace(u @ rho.mat).real)
         assert swap_test_probability(SwapTestSpec([rho], [u])) == pytest.approx(expect, abs=1e-12)
 
@@ -119,7 +119,7 @@ class TestSwapTestProbability:
         # registers and unitaries drawn independently; includes m = 2 registers
         for n, m in [(2, 1), (3, 1), (2, 2), (3, 2)]:
             regs = [random_density_matrix(m, rng) for _ in range(n)]
-            us = [haar_unitary(m, rng) for _ in range(n)]
+            us = list(haar_unitaries(m, n, rng))
             prod = us[0] @ regs[0].mat
             for u, r in zip(us[1:], regs[1:]):
                 prod = prod @ u @ r.mat
@@ -131,7 +131,7 @@ class TestSwapTestProbability:
     def test_trace_cycle_invariance(self, rng):
         # cycling (rho_i, U_i) pairs leaves the trace, hence P(0), unchanged
         regs = [random_density_matrix(1, rng) for _ in range(3)]
-        us = [haar_unitary(1, rng) for _ in range(3)]
+        us = list(haar_unitaries(1, 3, rng))
         p1 = swap_test_probability(SwapTestSpec(regs, us))
         p2 = swap_test_probability(SwapTestSpec(regs[1:] + regs[:1], us[1:] + us[:1]))
         assert p1 == pytest.approx(p2, abs=1e-12)
@@ -280,7 +280,7 @@ class TestMCReverseGradient:
         rng = rng_factory(41)
         p = build_uqnn(2, 0, rng)
         h = random_two_local(2, 1.0, 1.0, rng)
-        big = LCUHamiltonian(2, [PauliTerm(t.coeff * 30 / h.alpha_norm(), t.axes) for t in h.terms])
+        big = LCUHamiltonian(2, [PauliTerm(t.coeff * 30 / swaptest._series_terms(h)[2], t.axes) for t in h.terms])
         with pytest.raises(ValueError, match="norm"):
             mc_reverse_gradient_thermal(p, big, 1, shots=10, rng=rng)
 
@@ -665,7 +665,8 @@ def test_every_valid_estimate_is_finite_or_fails_typed(nv, nh, shots, q_max, nor
     """Over the estimator's valid domain: an estimate with finite fields, a ValueError or an ArithmeticError."""
     p, h = mc_pair(nv, nh, 1.0, flip, seed)
     # the drawn l1 norm up to rounding, 0 included
-    target = LCUHamiltonian(nv, [PauliTerm(t.coeff * norm / h.alpha_norm(), t.axes) for t in h.terms])
+    l1 = sum(abs(t.coeff) for t in h.terms)
+    target = LCUHamiltonian(nv, [PauliTerm(t.coeff * norm / l1, t.axes) for t in h.terms])
     k = data.draw(st.integers(1, len(p.generators)), label="k")
     try:
         est = mc_reverse_gradient_thermal(p, target, k, shots, np.random.default_rng(seed), q_max)

@@ -400,7 +400,7 @@ class TestMetricsLog:
             MetricsRow(1, 0.9, 0.9, 0.6, 0.2, 0.1, 1.0),
             *extra,
         ]
-        return MetricsLog(config_hash="ab" * 8, seed=0, rows=rows)
+        return MetricsLog(rows=rows)
 
     def test_csv_header(self, tmp_path):
         log = self.make_log()
@@ -428,10 +428,6 @@ class TestMetricsLog:
         with pytest.raises(AttributeError):
             log.column("walltime")
 
-    def test_json_dict_roundtrips_through_json(self):
-        doc = self.make_log().to_json_dict()
-        assert json.loads(json.dumps(doc))["rows"][0]["loss"] == 1.0
-
     @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
     def test_checkpoint_is_the_written_json(self, monkeypatch, tmp_path, kind):
         build, built = training._build_model, []
@@ -445,7 +441,6 @@ class TestMetricsLog:
         log = train(cfg, out_dir=str(tmp_path))
         expected = models.checkpoint_doc(built[0], rng_seed=cfg.seed, epoch=cfg.epochs)
         assert log.checkpoint == expected
-        assert log.to_json_dict()["checkpoint"] == expected
         text = (tmp_path / "run_000_checkpoint.json").read_text()
         assert text == json.dumps(expected, indent=1)
 
@@ -483,7 +478,7 @@ class TestMetricsLog:
             (0, 0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308, 1e-3),
             (7, math.pi, 2.0, 0.5, 3.0, 1e-9, 0.25),
         ]
-        log = MetricsLog("ab" * 8, 0, [MetricsRow(*v) for v in values])
+        log = MetricsLog([MetricsRow(*v) for v in values])
         back = pickle.loads(pickle.dumps(log))
         for got in (log.rows, back.rows):
             assert [dataclasses.astuple(r) for r in got] == values
@@ -496,7 +491,7 @@ class TestMetricsLog:
         floats[~np.isfinite(floats)] = 1.5
         floats[0] = [math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2250738585072014e-308]
         values = [(e, *row) for e, row in enumerate(floats.tolist())]
-        log = MetricsLog("ab" * 8, 0, [MetricsRow(*v) for v in values])
+        log = MetricsLog([MetricsRow(*v) for v in values])
         got = [dataclasses.astuple(r) for r in log.rows]
         assert [e for e, *_ in got] == list(range(50))
         assert np.array([v[1:] for v in got]).view(np.uint64).tolist() == floats.view(np.uint64).tolist()
