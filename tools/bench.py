@@ -25,6 +25,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -145,6 +146,8 @@ def main(argv: list[str]) -> int:
         "order": "pair i runs base first for even i, change first for odd i; seeds 1..pairs, A/A seed pairs + 1",
         "workloads": {},
     }
+    # a SIGTERM ends the run through the finally below, as Ctrl-C does, so the export is removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     tmp = tempfile.mkdtemp(prefix="bench_base_")
     try:
         export_tree(base_rev, tmp)
