@@ -1,11 +1,12 @@
 """Paired benchmark runs of this tree against a git revision, written to one BENCH file.
 
-    python3 tools/bench.py --label L --against REV --pairs N --seconds S
+    python3 tools/bench.py --label L --against REV [--pairs N]
 
 For every workload in BENCHMARK.json this runs the unchanged
-`perfbench/run.py --seconds S` N times on this working tree ("change") and
-N times on the committed files of REV ("base"), one seed per pair and both
-sides on that seed, alternating which side runs first. One more pair runs
+`perfbench/run.py`, each run as long as BENCHMARK.json's `run_seconds`, N
+times (default 10) on this working tree ("change") and N times on the
+committed files of REV ("base"), one seed per pair and both sides on that
+seed, alternating which side runs first. One more pair runs
 REV against itself (the A/A pair), so the file records the noise next to
 the ratios. It also times the Tier-1 suite once per side. The result is
 BENCH_<L>.json at the repository root: per workload and end-to-end metric,
@@ -123,11 +124,10 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
     ap.add_argument("--against", required=True, help="git revision of the base side")
-    ap.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload (default 5)")
-    ap.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds of every run (default 20)")
+    ap.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload (default 10)")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        ap.error("--pairs must be >= 1 and --seconds positive")
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
     if not re.fullmatch(r"[\w.-]+", args.label):
         ap.error("--label may hold letters, digits, '.', '_' and '-' only")
     base_rev = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
@@ -135,6 +135,7 @@ def main(argv: list[str]) -> int:
     dirty = bool(git("status", "--porcelain", "--", "src", "perfbench"))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
+    seconds = spec["run_seconds"]
 
     doc = {
         "label": args.label,
@@ -142,7 +143,7 @@ def main(argv: list[str]) -> int:
         "base": {"rev": base_rev, "ref": args.against},
         "change": {"rev": git("rev-parse", "HEAD"), "dirty": dirty},
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "order": "pair i runs base first for even i, change first for odd i; seeds 1..pairs, A/A seed pairs + 1",
         "workloads": {},
     }
@@ -161,10 +162,10 @@ def main(argv: list[str]) -> int:
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_bench(trees[side], name, seed, args.seconds)
+                    pair[side] = run_bench(trees[side], name, seed, seconds)
                     print(f"{name} pair {i} {side}: {json.dumps(pair[side].get('metrics', pair[side]))}", flush=True)
                 pairs.append(pair)
-            aa = {s: run_bench(tmp, name, args.pairs + 1, args.seconds) for s in ("first", "second")}
+            aa = {s: run_bench(tmp, name, args.pairs + 1, seconds) for s in ("first", "second")}
             print(f"{name} A/A: {[value(aa[s], 'ref_ops_per_s') for s in aa]}", flush=True)
             doc["workloads"][name] = {
                 "metrics": summarize(pairs, aa, spec["end_to_end"]),
