@@ -406,19 +406,7 @@ def cmd_mc_estimate(args: argparse.Namespace) -> int:
     if out_dir is not None:
         _write_resolved(out_dir, cfg)
         with open(os.path.join(out_dir, "estimate.json"), "w") as fh:
-            json.dump(
-                {
-                    "mean": est.mean,
-                    "std_error": est.std_error,
-                    "shots": est.shots,
-                    "q_max": est.q_max,
-                    "tail_bound": est.tail_bound,
-                    "exact": exact,
-                    "z": z,
-                },
-                fh,
-                indent=1,
-            )
+            json.dump({**asdict(est), "exact": exact, "z": z}, fh, indent=1)
         print(f"wrote {out_dir}")
     return 0
 

@@ -9,7 +9,8 @@ and fully visible Boltzmann machines in `models.qbm_thermal`); the SVD
 B = U S W^dag, s = S^2, for a state B B^dag (`from_root`: a circuit's
 visible state with B the statevector as d_v x d_h, a Boltzmann machine
 with hidden units with B = V e^{-w/2} / sqrt(Z) reshaped by hidden index);
-`eigh` of the matrix, on first use, for any other state.
+`eigh` of the matrix, on first use, for any other state. A state's matrix
+is fixed and read-only from construction, so its factor is found once.
 """
 
 from __future__ import annotations
@@ -29,40 +30,40 @@ def _qubits(dim: int) -> int:
     return n
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace PSD Hermitian operator on n_qubits qubits, with its factor (U, s).
 
     mat may carry a leading member axis, (R, 2^n, 2^n): a stack of states
-    that the loss, gradient and fidelity code treat member by member. The
-    factor, and whatever is built from it (`derived`), is kept until mat is
-    reassigned or written to.
-    A state built with its factor owns its matrix and makes it read-only,
-    so `factor` knows that matrix by identity alone; a matrix the caller
-    passed in is never locked, and its factor, found by eigh on first use,
-    is kept with a copy that later calls compare against.
+    that the loss, gradient and fidelity code treat member by member.
+    A state is a value: its mat is read-only and fixed at construction (an
+    array a caller passes in is copied, so it stays theirs and writeable),
+    and its factor, and whatever is built from it (`derived`), is found at
+    most once.
     """
 
     n_qubits: int
     mat: np.ndarray
-    # the one factor slot: (the locked mat or a copy of it, U, s, {builder: what it built from U, s})
-    _slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the one factor slot: (U, s, {builder: what it built from U, s}); given by a
+    # construction that forms mat from its factor, else filled by the first `factor`
+    _slot: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.ndim not in (2, 3) or self.mat.shape[-2:] != (self.dim, self.dim):
-            raise ValueError(f"shape {self.mat.shape} does not match {self.n_qubits} qubits")
+        # a caller's array is copied; a matrix just formed from its factor is the state's own
+        mat = np.array(self.mat, dtype=complex) if self._slot is None else np.asarray(self.mat, dtype=complex)
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"shape {mat.shape} does not match {self.n_qubits} qubits")
+        mat.flags.writeable = False
+        object.__setattr__(self, "mat", mat)
 
     @classmethod
     def _with_factor(cls, mat: np.ndarray, u: np.ndarray, s: np.ndarray) -> "DensityMatrix":
-        state = cls(_qubits(mat.shape[-1]), mat)
-        state.mat.flags.writeable = False
-        state._slot = (state.mat, u, s, {})
-        return state
+        return cls(_qubits(mat.shape[-1]), mat, (u, s, {}))
 
     @classmethod
     def from_factor(cls, u: np.ndarray, s: np.ndarray) -> "DensityMatrix":
-        """U diag(s) U^dag, keeping (U, s) as its factor."""
+        """U diag(s) U^dag, keeping copies of (U, s) as its factor, so the caller's arrays stay theirs."""
+        u, s = u.copy(), s.copy()
         return cls._with_factor((u * s[..., None, :]) @ u.conj().swapaxes(-1, -2), u, s)
 
     @classmethod
@@ -87,20 +88,16 @@ class DensityMatrix:
         return DensityMatrix._with_factor(self.mat[keep], u[keep], s[keep])
 
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U, s) with mat = U diag(s) U^dag; by eigh of mat for a state built without one."""
-        m, key = self.mat, self._slot and self._slot[0]
-        # the state's own locked matrix is known by identity (unpickled, it is writeable again and is not),
-        # any other by comparison with the copy kept when it was factored
-        held = not m.flags.writeable if key is m else key is not None and key.shape == m.shape and (key == m).all()
-        if not held:
-            w, v = np.linalg.eigh(qmath._symmetrize(m))
-            self._slot = (m.copy(), v, w, {})
-        return self._slot[1:3]
+        """(U, s) with mat = U diag(s) U^dag; by one eigh of mat for a state built without one."""
+        if self._slot is None:
+            w, v = np.linalg.eigh(qmath._symmetrize(self.mat))
+            object.__setattr__(self, "_slot", (v, w, {}))
+        return self._slot[:2]
 
     def derived(self, build):
         """build(U, s), kept with the factor it was built from (a root, an inverse's root)."""
         u, s = self.factor()
-        built = self._slot[3]
+        built = self._slot[2]
         if build not in built:
             built[build] = build(u, s)
         return built[build]
@@ -111,8 +108,7 @@ class DensityMatrix:
 
     @classmethod
     def from_mat(cls, mat: np.ndarray) -> "DensityMatrix":
-        mat = np.asarray(mat, dtype=complex)
-        return cls(_qubits(mat.shape[-1]), mat)
+        return cls(_qubits(np.shape(mat)[-1]), mat)
 
 
 def thermal_state(h: LCUHamiltonian) -> DensityMatrix:

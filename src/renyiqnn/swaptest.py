@@ -58,10 +58,9 @@ def _inverse_cdf(p: np.ndarray) -> Callable[[np.random.Generator, int | tuple[in
     j/M, plus 1 if first[j], the first entry at or above j/M, is <= u. A
     bucket holding two or more entries, such as the tail of a fast-decaying
     table crowded just below 1.0, answers -1 instead, and its draws fall
-    back to binary lifting: the entries below 1.0, padded with +inf to a
-    power of two, are searched with one gather and compare per halving
-    step. Indices, and the generator's state afterwards, are bit-identical
-    to choice's.
+    back to the count choice itself takes, a binary search of the entries
+    below 1.0. Indices, and the generator's state afterwards, are
+    bit-identical to choice's.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
@@ -70,25 +69,18 @@ def _inverse_cdf(p: np.ndarray) -> Callable[[np.random.Generator, int | tuple[in
     edges = below.searchsorted(np.arange(m + 1) / m)
     lo, first = edges[:-1], np.append(below, np.inf)[edges[:-1]]
     crowded = np.diff(edges) > 1
-    # a crowded bucket answers -1, which marks its draws for lifting
+    # a crowded bucket answers -1, which marks its draws for the search
     lo[crowded], first[crowded] = -1, np.inf
-    pad = np.full(1 << below.size.bit_length(), np.inf)
-    pad[: below.size] = below
-    steps = [pad.size >> j for j in range(1, pad.size.bit_length())]
-    lift = bool(crowded.any())
+    search = bool(crowded.any())
 
     def draw(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         u = rng.random(size).ravel()
         j = (u * m).astype(np.intp)
         i = lo.take(j)
         i += first.take(j) <= u
-        if lift:
+        if search:
             rows = np.flatnonzero(i < 0)
-            v, k = u[rows], np.zeros(rows.size, dtype=np.intp)
-            for step in steps:
-                # step more entries <= v when the last of pad[k : k + step] is
-                k += step * (pad[step - 1 :].take(k) <= v)
-            i[rows] = k
+            i[rows] = below.searchsorted(u[rows], side="right")
         return i.reshape(size)
 
     return draw

@@ -14,7 +14,6 @@ import pytest
 
 from renyiqnn.cli import bundled_config_path
 from renyiqnn.divergence import (
-    fd_gradient,
     fd_richardson,
     qbm_grad_forward,
     qbm_grad_frechet,

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,31 @@ class TestBundledConfigs:
             assert set(resolved["train"]) == set(TrainConfig.__dataclass_fields__)
         if "target" in resolved:
             assert set(resolved["target"]) == {"locality", "tau"}
+
+
+def test_bundled_commands_run_without_a_warning(tmp_path):
+    """Every bundled config's command, at smoke size, and every validate suite runs with no numpy warning.
+
+    A warning is an error here and a floating-point error raises, so an
+    exit code of 0 with no failed member shows that none was emitted.
+    """
+    scan = load_experiment_config(bundled_config_path("plateau_3v.json"), "plateau-scan")
+    smoke = ["--runs", "2", "--epochs", "3", "--jobs", "1"]
+    commands = [
+        ["thermal-learn", "--config", bundled_config_path("fig2_3v3h.json"), *smoke],
+        ["thermal-learn", "--config", bundled_config_path("figF1_4v4h.json"), *smoke],
+        ["ham-learn", "--config", bundled_config_path("fig3_tau10.json"), *smoke],
+        ["ham-learn", "--config", bundled_config_path("figF4_tau5.json"), *smoke],
+        ["plateau-scan", "--config", write_config(tmp_path, {**scan, "ensemble": 4})],
+        ["mc-estimate", "--config", bundled_config_path("mc_2q.json")],
+    ] + [["validate", suite, "--n-instances", "3"] for suite in ("swap", "grad", "mc")]
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert main(argv if argv[0] == "validate" else [*argv, "--out", str(out)]) == 0, argv
+        if argv[0].endswith("-learn"):
+            assert json.loads((out / "summary.json").read_text())["failures"] == [], argv
 
 
 class TestLearnCommand:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -589,18 +590,22 @@ class TestFactorizationReuse:
         assert len(inverses) == 1
         assert len(roots) == 1 + len(sigmas)
 
-    @pytest.mark.parametrize("change", ["reassigned", "overwritten"])
-    def test_changed_matrix_never_served_stale(self, rng, change):
+    @pytest.mark.parametrize("change", ["reassigned", "overwritten", "caller_array"])
+    def test_changed_matrix_never_reaches_the_state(self, rng, change):
         a, b, sv = (random_density_matrix(2, rng) for _ in range(3))
-        rho = DensityMatrix(2, a.mat.copy())
+        arr = a.mat.copy()
+        rho = DensityMatrix(2, arr)
         before = (renyi2_reverse(sv, rho), fidelity(rho, sv))
         if change == "reassigned":
-            rho.mat = b.mat.copy()
+            with pytest.raises(FrozenInstanceError):
+                rho.mat = b.mat.copy()
+        elif change == "overwritten":
+            with pytest.raises(ValueError, match="read-only"):
+                rho.mat[...] = b.mat
         else:
-            rho.mat[...] = b.mat
+            arr[...] = b.mat
         after = (renyi2_reverse(sv, rho), fidelity(rho, sv))
-        assert after == (renyi2_reverse(sv, dm(b.mat)), fidelity(dm(b.mat), sv))
-        assert after != before
+        assert after == before == (renyi2_reverse(sv, dm(a.mat)), fidelity(dm(a.mat), sv))
 
     def test_forward_fidelity_reuses_the_model_factorization(self, rng, monkeypatch):
         p = build_uqnn(2, 2, rng)

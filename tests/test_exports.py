@@ -1,7 +1,8 @@
-"""Every name a module exports in __all__ resolves, and has a user outside the tests.
+"""Every name a module exports in __all__ resolves, and has a user outside the tests;
+every name a module imports is used.
 
-A removal cannot leave a dangling export, and a capability that only its own
-tests call does not stay in the public surface.
+A removal cannot leave a dangling export or import, and a capability that only
+its own tests call does not stay in the public surface.
 """
 
 import ast
@@ -62,3 +63,25 @@ def test_every_exported_name_is_used_outside_the_tests(module):
         and not any(re.search(rf"\b{name}\b", text) for text in outside)
     ]
     assert unused == []
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """Names the module at `path` imports and never loads; a string of its __all__ counts as a load."""
+    tree = ast.parse(path.read_text())
+    imported, loaded = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            loaded.update(ast.literal_eval(node.value))
+    return sorted(imported - loaded)
+
+
+def test_every_imported_name_is_used():
+    paths = [p for d in ("src/renyiqnn", "tests", "tools") for p in sorted((ROOT / d).glob("*.py"))]
+    unused = {str(p.relative_to(ROOT)): names for p in paths if (names := unused_imports(p))}
+    assert unused == {}

@@ -25,7 +25,7 @@ from renyiqnn.hamiltonians import (
 from renyiqnn.qmath import op_norm
 from renyiqnn.states import thermal_state
 from renyiqnn.swaptest import _series_terms
-from tests.conftest import PAULI, pauli_string_dense, random_hermitian
+from tests.conftest import pauli_string_dense, random_hermitian
 
 
 class TestPauliTerm:

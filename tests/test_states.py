@@ -1,5 +1,5 @@
 import math
-import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -134,16 +134,65 @@ class TestFactor:
             assert np.array_equal(st.mat[0], states[i].mat)
             assert all(np.array_equal(a[0], b) for a, b in zip(st.factor(), states[i].factor()))
 
-    def test_plain_matrix_factorized_by_eigh_and_refreshed_on_write(self, rng):
-        a, b = random_density_matrix(2, rng), random_density_matrix(2, rng)
+    def test_plain_matrix_factorized_by_one_eigh(self, rng, monkeypatch):
+        a = random_density_matrix(2, rng)
         state = DensityMatrix(2, a.mat.copy())
-        assert np.allclose(state.factor()[1], np.linalg.eigvalsh(a.mat), rtol=0, atol=1e-15)
-        state.mat[...] = b.mat
-        assert np.allclose(state.factor()[1], np.linalg.eigvalsh(b.mat), rtol=0, atol=1e-15)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+        for _ in range(3):
+            assert np.allclose(state.factor()[1], np.linalg.eigvalsh(a.mat), rtol=0, atol=1e-15)
+        fidelity(state, state)
+        assert len(calls) == 1
+
+
+class TestValue:
+    """Every state is a value: its matrix is read-only and fixed at construction, and a caller's arrays stay theirs."""
+
+    @staticmethod
+    def build(kind: str, rng) -> tuple[DensityMatrix, list[np.ndarray]]:
+        """A state built by `kind`, with the arrays its caller passed in."""
+        arr = random_density_matrix(2, rng).mat.copy()
+        other = random_density_matrix(2, rng)
+        if kind == "init":
+            return DensityMatrix(2, arr), [arr]
+        if kind == "from_mat":
+            return DensityMatrix.from_mat(arr), [arr]
+        if kind == "from_factor":
+            s, u = np.linalg.eigh(arr)
+            return DensityMatrix.from_factor(u, s), [u, s]
+        if kind == "from_root":
+            b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            b /= np.linalg.norm(b)
+            return DensityMatrix.from_root(b), [b]
+        if kind == "stack":
+            return DensityMatrix.stack([DensityMatrix(2, arr), other]), [arr]
+        if kind == "take":
+            return DensityMatrix.stack([DensityMatrix(2, arr), other]).take([1, 0]), [arr]
+        assert kind == "thermal_state"
+        return thermal_state(normalize(random_two_local(2, 0.5, 1.0, rng), 2.0)), []
+
+    @pytest.mark.parametrize(
+        "kind", ["init", "from_mat", "from_factor", "from_root", "stack", "take", "thermal_state"]
+    )
+    def test_matrix_and_factor_fixed_at_construction(self, rng, kind):
+        state, passed = self.build(kind, rng)
+        mat = state.mat.copy()
+        u, s = (a.copy() for a in state.factor())
+        assert not state.mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.mat[..., 0, 0] = 0.5
+        with pytest.raises(FrozenInstanceError):
+            state.mat = mat
+        for a in passed:
+            assert a.flags.writeable  # the caller's array stays theirs
+            a[...] = 0.5
+        assert np.array_equal(state.mat, mat)
+        assert all(np.array_equal(x, y) for x, y in zip(state.factor(), (u, s)))
+        assert np.allclose(TestFactor.rebuilt(state), mat, rtol=0, atol=1e-14)
 
 
 class TestFactorSlot:
-    """A state built with its factor locks its own matrix and knows it by identity; a caller's matrix is never locked."""
+    """A state's matrix is never reassigned or written, so its factor is never refreshed."""
 
     @staticmethod
     def factor_built(rng) -> list[DensityMatrix]:
@@ -159,34 +208,27 @@ class TestFactorSlot:
             with pytest.raises(ValueError, match="read-only"):
                 state.mat *= 2.0
 
-    def test_reassigned_matrix_is_refactored(self, rng):
+    def test_reassigned_matrix_raises_and_keeps_the_factor(self, rng):
         for state in self.factor_built(rng):
-            u, s = state.factor()
-            new = random_density_matrix(2, rng).mat
-            new = np.broadcast_to(new, state.mat.shape).copy()
-            state.mat = new
-            assert state.mat.flags.writeable  # the caller's matrix stays theirs
-            assert np.allclose(TestFactor.rebuilt(state), new, rtol=0, atol=1e-14)
-            assert not np.allclose(state.factor()[1], s)
+            mat, (u, s) = state.mat, state.factor()
+            new = np.broadcast_to(random_density_matrix(2, rng).mat, mat.shape).copy()
+            with pytest.raises(FrozenInstanceError):
+                state.mat = new
+            assert state.mat is mat
+            assert all(x is y for x, y in zip(state.factor(), (u, s)))
 
-    def test_caller_matrix_is_never_locked(self, rng):
+    def test_caller_matrix_is_copied_not_locked(self, rng):
         arr = random_density_matrix(2, rng).mat.copy()
-        for state in (DensityMatrix(2, arr), DensityMatrix.from_mat(arr)):
+        w = np.linalg.eigvalsh(arr)
+        states = (DensityMatrix(2, arr), DensityMatrix.from_mat(arr))
+        for state in states:
             state.factor()
             fidelity(state, state)
-            assert arr.flags.writeable and state.mat is arr
-        arr[...] = np.eye(4) / 4  # a write through the caller's array is seen
-        assert np.allclose(state.factor()[1], 0.25, rtol=0, atol=1e-15)
-
-    def test_unpickled_state_sees_in_place_writes(self, rng):
-        state = thermal_state(normalize(random_two_local(2, 0.5, 1.0, rng), 2.0))
-        other = random_density_matrix(2, rng)
-        back = pickle.loads(pickle.dumps(state))
-        assert back.mat.flags.writeable  # pickle does not keep the lock
-        assert np.allclose(TestFactor.rebuilt(back), state.mat, rtol=0, atol=1e-15)
-        back.mat[...] = other.mat
-        assert np.allclose(TestFactor.rebuilt(back), other.mat, rtol=0, atol=1e-15)
-        assert np.allclose(back.factor()[1], np.linalg.eigvalsh(other.mat), rtol=0, atol=1e-15)
+            assert arr.flags.writeable and state.mat is not arr
+        arr[...] = np.eye(4) / 4  # a write through the caller's array does not reach the states
+        for state in states:
+            assert np.allclose(state.factor()[1], w, rtol=0, atol=1e-15)
+            assert not np.allclose(state.mat, arr)
 
 
 class TestFidelity:

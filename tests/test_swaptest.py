@@ -15,13 +15,7 @@ from renyiqnn.hamiltonians import (
     pauli_tables,
     random_two_local,
 )
-from renyiqnn.models import (
-    UQNNParams,
-    build_uqnn,
-    conjugated_generator_vec,
-    uqnn_statevector,
-    uqnn_visible_state,
-)
+from renyiqnn.models import build_uqnn, conjugated_generator_vec, uqnn_statevector
 from renyiqnn.states import DensityMatrix, haar_unitaries, random_density_matrix, thermal_state
 from renyiqnn.swaptest import (
     MCEstimate,
