@@ -39,7 +39,7 @@ from .divergence import (
     renyi2_reverse,
     uqnn_grad_reverse,
 )
-from .hamiltonians import LCUHamiltonian, PauliTerm
+from .hamiltonians import LCUHamiltonian
 from .models import LAYOUTS, QBMParams, UQNNParams, build_qbm, build_uqnn, qbm_visible_state, uqnn_visible_state
 from .plateau import init_gradient_scan
 from .qmath import is_integer, is_number
@@ -316,7 +316,7 @@ def _scale_alpha_norm(h: LCUHamiltonian, alpha_norm: float) -> LCUHamiltonian:
         raise ConfigError("cannot scale a zero Hamiltonian to a coefficient norm")
     s = alpha_norm / norm
     while True:
-        scaled = LCUHamiltonian(h.n_qubits, [PauliTerm(t.coeff * s, t.axes) for t in h.terms])
+        scaled = h.scaled(s)
         if not _series_terms(scaled)[2] > alpha_norm:
             return scaled
         s = math.nextafter(s, 0.0)

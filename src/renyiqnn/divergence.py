@@ -13,7 +13,11 @@ machines) a per-weight evaluation of the integral form of that derivative.
 
 No formed density matrix is inverted or rooted: losses, kernels and
 conditioning figures read each state's factor (U, s) (see `states`), and
-the Renyi-2 kernel is built in the basis of the model state's factor.
+the Renyi-2 kernel is built in the basis of the model state's factor,
+except for the reverse loss of a state built from its root (circuit
+models, Boltzmann machines with hidden units): that needs only the fixed
+target's inverse, so its kernel is built in the standard basis and the
+model state is never factored.
 
 Every step takes a leading member axis: models with member thetas (R, N),
 evaluated against a stack of R targets (or one shared target), give R
@@ -108,8 +112,8 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 def _renyi2_kernel(
     sigma_v: DensityMatrix, target: DensityMatrix, direction: str
-) -> tuple[np.ndarray, LossValue, float]:
-    """(Q', loss, sign) with d D2 = sign Tr(d sigma_v Q) / loss.numerator, per member of a stack.
+) -> tuple[np.ndarray, LossValue, float, np.ndarray | None]:
+    """(Q', loss, sign, U) with d D2 = sign Tr(d sigma_v Q) / loss.numerator, per member of a stack.
 
     Q' = U^dag Q U is the kernel in the basis of sigma_v's factor,
     sigma_v = U diag(p) U^dag. With Y = C C^dag:
@@ -122,7 +126,19 @@ def _renyi2_kernel(
     Re Y_ii = sum_k |C_ik|^2 is a sum of positive terms, so the numerator
     has no cancellation, and Tr(sigma_v Q) equals 2 numerator (reverse) or
     numerator (forward) exactly.
+
+    In reverse, a state built from its root is not factored: with
+    E = D^dag sigma_v, Q = D E + (D E)^dag itself (U None) and the
+    numerator ||E||_F^2, again a sum of positive terms.
     """
+    if direction == "reverse" and sigma_v.root is not None:
+        wmin = _checked_inverse(target, "target state")
+        d = target.derived(_inverse)
+        e = _dagger(d) @ sigma_v.mat
+        de = d @ e
+        num = (e.real * e.real + e.imag * e.imag).sum(axis=(-2, -1))
+        num = float(num) if num.ndim == 0 else num
+        return de + _dagger(de), LossValue(_log(num), num, wmin), 1.0, None
     u, p = sigma_v.factor()
     if direction == "reverse":
         wmin = _checked_inverse(target, "target state")
@@ -140,13 +156,12 @@ def _renyi2_kernel(
         inv = 1.0 / p
         q, num, sign = inv[..., :, None] * y * inv[..., None, :], (y_diag * inv).sum(axis=-1), -1.0
     num = float(num) if num.ndim == 0 else num
-    return q, LossValue(_log(num), num, wmin), sign
+    return q, LossValue(_log(num), num, wmin), sign, u
 
 
-def _standard_basis(state: DensityMatrix, q: np.ndarray) -> np.ndarray:
-    """U Q' U^dag: a kernel from the basis of the state's factor back to the standard basis."""
-    u = state.factor()[0]
-    return u @ q @ _dagger(u)
+def _standard_basis(u: np.ndarray | None, q: np.ndarray) -> np.ndarray:
+    """U Q' U^dag: a kernel from the basis of a state's factor U back to the standard basis (Q' itself for U None)."""
+    return q if u is None else u @ q @ _dagger(u)
 
 
 def renyi2_forward(rho: DensityMatrix, sigma: DensityMatrix) -> LossValue:
@@ -232,9 +247,8 @@ def state_gradient_entry(
     forward: -Tr(dsigma sigma^-1 rho^2 sigma^-1) / Tr(rho^2 sigma^-1)
     sigma and dsigma may be (R, d, d) stacks against one rho; each entry is bit-identical to a one-member call.
     """
-    sv = DensityMatrix.from_mat(sigma)
-    q, loss, sign = _renyi2_kernel(sv, DensityMatrix.from_mat(rho), direction)
-    return sign * _real_trace(dsigma @ _standard_basis(sv, q)) / loss.numerator
+    q, loss, sign, u = _renyi2_kernel(DensityMatrix.from_mat(sigma), DensityMatrix.from_mat(rho), direction)
+    return sign * _real_trace(dsigma @ _standard_basis(u, q)) / loss.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +313,17 @@ def evaluate(p: UQNNParams | QBMParams, rho: DensityMatrix, direction: str) -> E
     if isinstance(p, UQNNParams):
         psi = uqnn_statevector(p)
         sv = DensityMatrix.from_root(psi.reshape(psi.shape[:-1] + (2**p.n_v, 2**p.n_h)))
-        q, loss, sign = _renyi2_kernel(sv, rho, direction)
-        grad = sign * _kernel_sweep(p, _standard_basis(sv, q), psi) / np.asarray(loss.numerator)[..., None]
+        q, loss, sign, u = _renyi2_kernel(sv, rho, direction)
+        grad = sign * _kernel_sweep(p, _standard_basis(u, q), psi) / np.asarray(loss.numerator)[..., None]
         return Evaluation(sv, loss, grad)
     # d sigma_v = (Tr(P_m E) sigma_v - Tr_h G_m) / Z with E = e^{-H}, hence entry m is
     # sign Tr(P_m V K V^dag) / (Z numerator) with, in H's eigenbasis,
     # K = Tr(sigma_v Q) diag(e^{-w}) - X o Phi = (Tr(sigma_v Q) I - X) o Phi
     # (Phi_ii = e^{-w_i}) and X = V^dag (Q x I_h) V
     w, v, z, sv = qbm_thermal(p)
-    q, loss, sign = _renyi2_kernel(sv, rho, direction)
+    q, loss, sign, u = _renyi2_kernel(sv, rho, direction)
     if p.n_h:
-        q = _standard_basis(sv, q)
+        q = _standard_basis(u, q)
         # q x I_h by broadcasting: the products np.kron forms, without its overhead
         dv, dh = q.shape[-1], 2**p.n_h
         q_ext = (q[..., :, None, :, None] * _dim_constants(dh)[0][:, None, :]).reshape(q.shape[:-2] + (dv * dh, dv * dh))

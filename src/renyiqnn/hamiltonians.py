@@ -7,6 +7,7 @@ state-preparation and trace evaluation O(2^n) instead of O(4^n).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import NamedTuple
@@ -47,6 +48,13 @@ class PauliTerm:
             raise ValueError(f"qubit indices must be strictly increasing: {qubits}")
         if qubits and qubits[0] < 0:
             raise ValueError("negative qubit index")
+
+    def scaled(self, s: float) -> "PauliTerm":
+        """The string with coefficient s * coeff; its axes, already checked, are not checked again."""
+        term = object.__new__(PauliTerm)
+        object.__setattr__(term, "coeff", s * self.coeff)
+        object.__setattr__(term, "axes", self.axes)
+        return term
 
     def masks(self, n_qubits: int) -> tuple[int, int, int]:
         """(xmask, zmask, n_y) with P = i^{n_y} X^xmask Z^zmask."""
@@ -169,10 +177,15 @@ def weighted_sum_dense(coeffs, tables: PauliTables) -> np.ndarray:
 
 @dataclass
 class LCUHamiltonian:
-    """H = sum_l coeff_l * PauliString_l on n_qubits qubits."""
+    """H = sum_l coeff_l * PauliString_l on n_qubits qubits.
+
+    Its PauliTables are built once, on first use, and shared with every
+    `scaled` copy: a rescaled H has the same strings.
+    """
 
     n_qubits: int
     terms: list[PauliTerm] = field(default_factory=list)
+    _tables: PauliTables | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -181,9 +194,20 @@ class LCUHamiltonian:
                 raise ValueError(f"duplicate Pauli string {t.axes}")
             seen.add(t.axes)
 
+    def tables(self) -> PauliTables:
+        if self._tables is None:
+            self._tables = pauli_tables(self.terms, self.n_qubits)
+        return self._tables
+
     def dense(self) -> np.ndarray:
-        coeffs = [t.coeff for t in self.terms]
-        return weighted_sum_dense(coeffs, pauli_tables(self.terms, self.n_qubits))
+        return weighted_sum_dense([t.coeff for t in self.terms], self.tables())
+
+    def scaled(self, s: float) -> "LCUHamiltonian":
+        """s H, its terms not checked again and its tables shared."""
+        self.tables()
+        h = copy.copy(self)
+        h.terms = [t.scaled(s) for t in self.terms]
+        return h
 
 
 def single_axes(n: int) -> list[tuple[tuple[int, str], ...]]:
@@ -240,5 +264,4 @@ def normalize(h: LCUHamiltonian, tau: float) -> LCUHamiltonian:
     norm = qmath.op_norm(h.dense())
     if norm == 0.0:
         raise ValueError("cannot normalize the zero Hamiltonian")
-    s = tau / norm
-    return LCUHamiltonian(h.n_qubits, [PauliTerm(s * t.coeff, t.axes) for t in h.terms])
+    return h.scaled(tau / norm)

@@ -24,6 +24,8 @@ apply_gate work gate by gate: the per-gate route the benchmark traces.
 from __future__ import annotations
 
 import functools
+import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -309,9 +311,13 @@ class QBMParams:
         return weighted_sum_dense(self.thetas, self.tables())
 
 
+def _kind_terms(p: UQNNParams | QBMParams) -> tuple[str, list[PauliTerm]]:
+    return ("uqnn", p.generators) if isinstance(p, UQNNParams) else ("qbm", p.basis)
+
+
 def checkpoint_doc(p: UQNNParams | QBMParams, rng_seed: int | None = None, epoch: int = 0) -> dict:
     """The checkpoint of a model of either kind; load_checkpoint_model reads it back."""
-    kind, terms = ("uqnn", p.generators) if isinstance(p, UQNNParams) else ("qbm", p.basis)
+    kind, terms = _kind_terms(p)
     return {
         "kind": kind,
         "n_v": p.n_v,
@@ -321,6 +327,49 @@ def checkpoint_doc(p: UQNNParams | QBMParams, rng_seed: int | None = None, epoch
         "rng_seed": rng_seed,
         "epoch": epoch,
     }
+
+
+def json_text(obj, level: int = 0) -> str:
+    """json.dumps(obj, indent=1) of JSON data with string keys, indented as if nested `level` deep.
+
+    Finite floats are written by float.__repr__, as json writes them; strings
+    and non-finite floats go to json.dumps. json.dumps with an indent runs
+    its pure-Python encoder, which this matches at a fraction of the cost.
+    """
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    pad = "\n" + " " * (level + 1)
+    if isinstance(obj, (list, tuple)):
+        items = [json_text(v, level + 1) for v in obj]
+    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        items = [f"{json.dumps(k)}: {json_text(v, level + 1)}" for k, v in obj.items()]
+    else:
+        raise TypeError(f"json_text cannot write {type(obj).__name__}")
+    brackets = "[]" if isinstance(obj, (list, tuple)) else "{}"
+    if not items:
+        return brackets
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * level + brackets[1]
+
+
+@functools.lru_cache(maxsize=16)
+def _checkpoint_head(kind: str, n_v: int, n_h: int, terms: tuple[PauliTerm, ...]) -> str:
+    """The checkpoint text before the thetas, shared by every model of one layout."""
+    cls = UQNNParams if kind == "uqnn" else QBMParams
+    text = json.dumps(checkpoint_doc(cls(n_v, n_h, list(terms), np.zeros(len(terms)))), indent=1)
+    return text[: text.index('"thetas": ') + len('"thetas": ')]
+
+
+def checkpoint_text(p: UQNNParams | QBMParams, rng_seed: int | None = None, epoch: int = 0) -> str:
+    """json.dumps(checkpoint_doc(p, rng_seed, epoch), indent=1), the text before the thetas encoded once per layout."""
+    kind, terms = _kind_terms(p)
+    head = _checkpoint_head(kind, p.n_v, p.n_h, tuple(terms))
+    return f'{head}{json_text(p.thetas.tolist(), 1)},\n "rng_seed": {json_text(rng_seed)},\n "epoch": {json_text(epoch)}\n}}'
 
 
 def _checkpoint_field(doc: dict, key: str, ok, what: str):

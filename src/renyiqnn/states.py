@@ -5,10 +5,12 @@ inverses, roots and conditioning figures are read from it, never from an
 inverted or rooted matrix, so small eigenvalues keep their relative
 accuracy. The factor comes from what a state's construction has in hand:
 H's eigenpairs with s = e^{-(w - w_min)}/Z for a thermal state (targets,
-and fully visible Boltzmann machines in `models.qbm_thermal`); the SVD
-B = U S W^dag, s = S^2, for a state B B^dag (`from_root`: a circuit's
-visible state with B the statevector as d_v x d_h, a Boltzmann machine
-with hidden units with B = V e^{-w/2} / sqrt(Z) reshaped by hidden index);
+and fully visible Boltzmann machines in `models.qbm_thermal`); for a state
+B B^dag built `from_root` (a circuit's visible state with B the
+statevector as d_v x d_h, a Boltzmann machine with hidden units with
+B = V e^{-w/2} / sqrt(Z) reshaped by hidden index), the root B itself is
+kept, and the SVD B = U S W^dag, s = S^2, is taken only on the first
+`factor()` call: the reverse loss and the fidelity read B directly;
 `eigh` of the matrix, on first use, for any other state. A state's matrix
 is fixed and read-only from construction, so its factor is found once.
 """
@@ -39,7 +41,7 @@ class DensityMatrix:
     A state is a value: its mat is read-only and fixed at construction (an
     array a caller passes in is copied, so it stays theirs and writeable),
     and its factor, and whatever is built from it (`derived`), is found at
-    most once.
+    most once. A state built `from_root` keeps a read-only copy of its root.
     """
 
     n_qubits: int
@@ -47,10 +49,13 @@ class DensityMatrix:
     # the one factor slot: (U, s, {builder: what it built from U, s}); given by a
     # construction that forms mat from its factor, else filled by the first `factor`
     _slot: tuple | None = field(default=None, repr=False)
+    # B with mat = B B^dag, kept by `from_root`; the factor is then the SVD of B
+    _root: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        # a caller's array is copied; a matrix just formed from its factor is the state's own
-        mat = np.array(self.mat, dtype=complex) if self._slot is None else np.asarray(self.mat, dtype=complex)
+        # a caller's array is copied; a matrix just formed from its factor or root is the state's own
+        own = self._slot is not None or self._root is not None
+        mat = np.asarray(self.mat, dtype=complex) if own else np.array(self.mat, dtype=complex)
         if mat.ndim not in (2, 3) or mat.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"shape {mat.shape} does not match {self.n_qubits} qubits")
         mat.flags.writeable = False
@@ -68,13 +73,10 @@ class DensityMatrix:
 
     @classmethod
     def from_root(cls, b: np.ndarray) -> "DensityMatrix":
-        """B B^dag for B of shape (..., d, k), its factor from the SVD of B."""
-        d, k = b.shape[-2:]
-        u, sv, _ = np.linalg.svd(b, full_matrices=k < d)
-        s = sv * sv
-        if k < d:
-            s = np.concatenate([s, np.zeros(s.shape[:-1] + (d - k,))], axis=-1)
-        return cls._with_factor(b @ b.conj().swapaxes(-1, -2), u, s)
+        """B B^dag for B of shape (..., d, k), keeping a read-only copy of B; its factor is the SVD of B, on first use."""
+        b = np.array(b, dtype=complex)
+        b.flags.writeable = False
+        return cls(_qubits(b.shape[-2]), b @ b.conj().swapaxes(-1, -2), _root=b)
 
     @classmethod
     def stack(cls, states: list["DensityMatrix"]) -> "DensityMatrix":
@@ -88,11 +90,23 @@ class DensityMatrix:
         return DensityMatrix._with_factor(self.mat[keep], u[keep], s[keep])
 
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U, s) with mat = U diag(s) U^dag; by one eigh of mat for a state built without one."""
+        """(U, s) with mat = U diag(s) U^dag; for a state built without one, by one SVD of its root or one eigh of mat."""
         if self._slot is None:
-            w, v = np.linalg.eigh(qmath._symmetrize(self.mat))
-            object.__setattr__(self, "_slot", (v, w, {}))
+            if self._root is None:
+                s, u = np.linalg.eigh(qmath._symmetrize(self.mat))
+            else:
+                d, k = self._root.shape[-2:]
+                u, sv, _ = np.linalg.svd(self._root, full_matrices=k < d)
+                s = sv * sv
+                if k < d:
+                    s = np.concatenate([s, np.zeros(s.shape[:-1] + (d - k,))], axis=-1)
+            object.__setattr__(self, "_slot", (u, s, {}))
         return self._slot[:2]
+
+    @property
+    def root(self) -> np.ndarray | None:
+        """The root B kept by `from_root` (mat = B B^dag), or None for a state built otherwise."""
+        return self._root
 
     def derived(self, build):
         """build(U, s), kept with the factor it was built from (a root, an inverse's root)."""
@@ -136,14 +150,16 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
     Root (unsquared) convention: F(pure, mixed) = sqrt(<psi|sigma|psi>).
     Reported experiment fidelities use this convention; initial-state values
     for the thermal ensembles land in the documented windows only under it.
-    With root factors rho = A A^dag and sigma = B B^dag, F is the sum of the
-    singular values of A^dag B, so no matrix is rooted. Member stacks give
-    one fidelity per member; each state's root factor is kept with its
-    factor, so a fixed target builds it once.
+    With roots rho = A A^dag and sigma = B B^dag, F is the sum of the
+    singular values of A^dag B, so no matrix is rooted. A state built
+    `from_root` gives its kept root, any other U diag(sqrt s) from its
+    factor, kept with it, so a fixed target builds it once. Member stacks
+    give one fidelity per member.
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    a = rho.derived(_psd_sqrt).conj().swapaxes(-1, -2) @ sigma.derived(_psd_sqrt)
+    a, b = (st.derived(_psd_sqrt) if st.root is None else st.root for st in (rho, sigma))
+    a = a.conj().swapaxes(-1, -2) @ b
     f = np.sum(np.linalg.svd(a, compute_uv=False), axis=-1)
     return float(f) if f.ndim == 0 else f
 

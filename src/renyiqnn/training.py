@@ -18,7 +18,6 @@ dropped from its chunk with the error; the others carry on unchanged.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import divergence, qmath
 from .hamiltonians import LCUHamiltonian, normalize, random_three_local, random_two_local
-from .models import QBMParams, UQNNParams, build_qbm, build_uqnn, checkpoint_doc, load_checkpoint_model
+from .models import QBMParams, UQNNParams, build_qbm, build_uqnn, checkpoint_text, json_text, load_checkpoint_model
 from .states import DensityMatrix, fidelity, thermal_state
 
 BETA1 = 0.9  # ADAM's constants, those of Kingma & Ba (arXiv:1412.6980)
@@ -190,6 +189,16 @@ CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
 _row_values = attrgetter(*CSV_COLUMNS)  # the fields as they are; astuple would deep-copy each
 
 
+def _write_csv(path: str, rows: Iterable[list[str]]) -> None:
+    """Rows of text fields, byte for byte as csv.writer writes them, in one write.
+
+    The fields written here (column names, ints, float reprs) hold no
+    delimiter, quote or line break, so csv.writer would quote none of them.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(",".join(row) + "\r\n" for row in rows))
+
+
 class MetricsLog:
     """Per-epoch training curve plus the run's final checkpoint.
 
@@ -256,11 +265,8 @@ class MetricsLog:
         return self.rows[-1].fidelity
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for epoch, *values in self._data.tolist():
-                writer.writerow([int(epoch)] + [repr(v) for v in values])
+        rows = ([str(int(epoch)), *map(repr, values)] for epoch, *values in self._data.tolist())
+        _write_csv(path, [CSV_COLUMNS, *rows])
 
     def write(self, out_dir: str, run_idx: int) -> None:
         """run_NNN.csv and run_NNN_checkpoint.json in the existing directory out_dir."""
@@ -431,8 +437,7 @@ def _train_members(cfg: TrainConfig, runs: list[int], vary: str) -> list[Metrics
     results: dict[int, MetricsLog | TrainingError] = dict(failed)
     for i, run_idx in enumerate(members.runs if members is not None else []):
         built[run_idx].thetas = members.thetas[i]  # each member's own model ends trained
-        checkpoint = checkpoint_doc(built[run_idx], cfg.seed, cfg.epochs)
-        log = MetricsLog(rows[run_idx], json.dumps(checkpoint, indent=1))
+        log = MetricsLog(rows[run_idx], checkpoint_text(built[run_idx], cfg.seed, cfg.epochs))
         results[run_idx] = log.validate()
     return [results[run_idx] for run_idx in runs]
 
@@ -467,11 +472,8 @@ class EnsembleSummary:
 
     def to_csv(self, path: str) -> None:
         names = list(self.stats)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch"] + names)
-            for i, ep in enumerate(self.epoch):
-                writer.writerow([ep] + [repr(float(self.stats[n][i])) for n in names])
+        columns = [[repr(float(x)) for x in self.stats[n]] for n in names]
+        _write_csv(path, [["epoch", *names], *([str(ep), *row] for ep, *row in zip(self.epoch, *columns))])
 
 
 def _ensemble_worker(args: tuple) -> list[MetricsLog | TrainingError]:
@@ -544,7 +546,7 @@ def run_ensemble(
             lg.write(out_dir, run_idx)
         summary.to_csv(os.path.join(out_dir, "summary.csv"))
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(asdict(summary), fh, indent=1)
+            fh.write(json_text(vars(summary)))  # the fields in order, as asdict gives them, without its deep copy
     return ordered, summary
 
 

@@ -96,6 +96,22 @@ def random_state_vec(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def factor_roots_at_construction(monkeypatch) -> None:
+    """Make every state built from a root take the SVD of the root at once and keep no root.
+
+    Its loss, kernel and fidelity are then read from its factor, as for any
+    other state: the factor-basis route, against which the root route is
+    compared.
+    """
+    from_root = DensityMatrix.from_root
+
+    def factored(b):
+        state = from_root(b)
+        return DensityMatrix._with_factor(state.mat, *state.factor())
+
+    monkeypatch.setattr(DensityMatrix, "from_root", staticmethod(factored))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260815)

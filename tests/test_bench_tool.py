@@ -40,3 +40,29 @@ def test_summarize_counts_wins_in_each_metric_direction():
     assert ops["base"]["median"] == 100.0 and ops["change"]["median"] == 100.0
     assert ops["aa_ratio"] == pytest.approx(0.95)
     assert rss["aa_ratio"] == 1.0
+
+
+def test_within_bound_reads_the_median_ratio_in_the_better_direction():
+    metrics = METRICS + [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+    def pair(ops, rss):
+        return {"base": run(100.0, 50.0), "change": run(ops, rss)}
+
+    aa = {"first": run(100.0, 50.0), "second": run(100.0, 50.0)}
+    # median ratios 0.8 (ops, at its bound) and 1.12 (rss, past its 0.1 bound)
+    out = bench.summarize([pair(80.0, 56.0), pair(79.0, 55.0), pair(90.0, 60.0)], aa, metrics)
+    assert out["ref_ops_per_s"]["median_ratio"] == pytest.approx(0.8)
+    assert out["ref_ops_per_s"]["within_bound"] is True
+    assert out["peak_rss_mb"]["within_bound"] is False
+    assert out["setup_s"]["pairs"] == 0 and out["setup_s"]["within_bound"] is None
+    line = bench.verdict("circuit-train", out)
+    assert line.startswith("circuit-train: OUTSIDE A BOUND: ")
+    assert "ref_ops_per_s 0.800 (>= 0.8)" in line
+    assert "peak_rss_mb 1.120 (<= 1.1, outside)" in line
+    assert "setup_s no pairs" in line
+    # a faster, smaller change is inside every bound; a slower one just past 0.8 is not
+    good = bench.summarize([pair(130.0, 40.0)], aa, METRICS)
+    assert [e["within_bound"] for e in good.values()] == [True, True]
+    assert bench.verdict("w", good).startswith("w: within bounds: ")
+    slow = bench.summarize([pair(79.9, 55.0)], aa, METRICS)
+    assert slow["ref_ops_per_s"]["within_bound"] is False and slow["peak_rss_mb"]["within_bound"] is True

@@ -493,6 +493,43 @@ class TestEvaluate:
         ("qbm", "forward"): qbm_grad_forward,
     }
 
+    @pytest.mark.parametrize("members", [None, 3])
+    @pytest.mark.parametrize("direction,svds", [("reverse", 0), ("forward", 1)])
+    def test_circuit_state_is_factored_only_to_be_inverted(self, rng, monkeypatch, direction, svds, members):
+        p = build_uqnn(2, 2, rng)
+        if members:
+            p.thetas = np.stack([p.thetas + 0.1 * i for i in range(members)])
+        rho = random_density_matrix(2, rng)
+        rho.factor()
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(kw.get("compute_uv", True)) or svd(m, **kw))
+        evaluate(p, rho, direction)
+        assert calls.count(True) == svds and len(calls) == svds
+
+    @pytest.mark.parametrize("n_v,n_h", [(1, 1), (2, 1), (3, 3), (2, 0)])
+    def test_root_reverse_kernel_matches_the_factor_basis_kernel(self, rng, n_v, n_h):
+        # the reverse kernel of a state built from its root, in the standard
+        # basis, against the factor-basis kernel of the same state rotated
+        # back: the numerator to 1e-14, the kernel to 1e-14 of its norm and
+        # the gradient to 1e-13 of its largest entry
+        p = build_uqnn(n_v, n_h, rng)
+        p.thetas = np.stack([p.thetas, rng.standard_normal(p.thetas.shape)])
+        rho = DensityMatrix.stack([random_density_matrix(n_v, rng) for _ in range(2)])
+        rooted = uqnn_visible_state(p)
+        factored = DensityMatrix.from_factor(*rooted.factor())
+        q, loss, sign, u = divergence._renyi2_kernel(rooted, rho, "reverse")
+        q_f, loss_f, sign_f, u_f = divergence._renyi2_kernel(factored, rho, "reverse")
+        assert u is None and u_f is not None and sign == sign_f == 1.0
+        assert np.array_equal(loss.conditioning, loss_f.conditioning)
+        assert np.all(np.abs(loss.numerator - loss_f.numerator) <= 1e-14 * loss_f.numerator)
+        q_f = divergence._standard_basis(u_f, q_f)
+        norm = np.linalg.norm(q_f, axis=(-2, -1))
+        assert np.all(np.max(np.abs(q - q_f), axis=(-2, -1)) <= 1e-14 * norm)
+        assert np.array_equal(q, q.conj().swapaxes(-1, -2))
+        grad = evaluate(p, rho, "reverse").grad
+        grad_f = divergence._kernel_sweep(p, q_f, uqnn_statevector(p)) / loss_f.numerator[:, None]
+        assert np.all(np.max(np.abs(grad - grad_f), axis=-1) <= 1e-13 * np.max(np.abs(grad_f), axis=-1))
+
     @pytest.mark.parametrize("kind,direction", sorted(GRADIENTS))
     def test_matches_public_loss_state_and_gradient(self, rng, kind, direction):
         # forward needs a full-rank circuit reduction, hence n_h = n_v

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+from renyiqnn import hamiltonians
 from renyiqnn.hamiltonians import (
     LCUHamiltonian,
     PauliTerm,
@@ -272,6 +273,30 @@ class TestNormalize:
         assert w.max() / w.min() == pytest.approx(math.exp(lam.max() - lam.min()), rel=1e-6)
         assert w.max() / w.min() > math.exp(10.0)
         assert max(abs(lam.max()), abs(lam.min())) == pytest.approx(10.0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("locality", [2, 3])
+    def test_rescaled_copy_shares_tables_and_target_is_bit_identical(self, rng, monkeypatch, locality):
+        built = []
+
+        def counting(terms, n_qubits):
+            built.append(len(terms))
+            return pauli_tables(terms, n_qubits)
+
+        monkeypatch.setattr(hamiltonians, "pauli_tables", counting)
+        raw = random_two_local(4, 0.5, 1.0, rng) if locality == 2 else random_three_local(4, 1.0, rng)
+        h = normalize(raw, 10.0)
+        rho = thermal_state(h)
+        assert built == [len(raw.terms)]  # one assembly of the strings for op_norm, the copy and the state
+        assert h.tables() is raw.tables()
+        # the same target as from freshly checked terms and freshly built tables
+        s = 10.0 / op_norm(raw.dense())
+        fresh = LCUHamiltonian(4, [PauliTerm(s * t.coeff, t.axes) for t in raw.terms])
+        assert h.terms == fresh.terms
+        assert np.array_equal(h.dense(), fresh.dense())
+        want = thermal_state(fresh)
+        assert np.array_equal(rho.mat, want.mat)
+        assert all(np.array_equal(x, y) for x, y in zip(rho.factor(), want.factor()))
 
 
 class TestCoefficientDistributions:

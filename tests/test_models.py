@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from renyiqnn import cli, divergence, models, training
@@ -14,8 +17,10 @@ from renyiqnn.models import (
     build_qbm,
     build_uqnn,
     checkpoint_doc,
+    checkpoint_text,
     conjugated_generator_vec,
     gate_table,
+    json_text,
     load_checkpoint_model,
     qbm_visible_state,
     uqnn_statevector,
@@ -614,6 +619,45 @@ class TestCheckpoints:
         doc["generators"][1]["coeff"] = 2.0
         with pytest.raises(ValueError, match="unit coefficient"):
             load_checkpoint_model(doc)
+
+
+    @pytest.mark.parametrize("rng_seed", [7, None])
+    @pytest.mark.parametrize(
+        "config,experiment",
+        [("fig2_3v3h.json", "thermal-learn"), ("figF1_4v4h.json", "thermal-learn"),
+         ("fig3_tau10.json", "ham-learn"), ("figF4_tau5.json", "ham-learn")],
+    )
+    def test_checkpoint_text_is_json_dumps_of_the_doc(self, rng, config, experiment, rng_seed):
+        doc = cli.load_experiment_config(cli.bundled_config_path(config), experiment)
+        cfg = training.TrainConfig(**doc["train"])
+        # two models of the layout: the second is written from the head the first encoded
+        for _ in range(2):
+            p = training._build_model(cfg, rng)
+            p.thetas = p.thetas * rng.standard_normal(p.thetas.shape) ** 3
+            assert checkpoint_text(p, rng_seed, cfg.epochs) == json.dumps(checkpoint_doc(p, rng_seed, cfg.epochs), indent=1)
+
+
+JSON_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_DATA)
+    @example({"epoch": [0, 10], "stats": {"a": [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]}, "failures": []})
+    @example({"\u00e9\u4e2d\"q'\\": ["\u00e9\"", "", {}, [], None, True, False, -(2**70)]})
+    @example([[[]], [{}], {"": {"": []}}])
+    def test_equals_json_dumps_with_indent_one(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=1)
+
+    @pytest.mark.parametrize("bad", [{1: 2.0}, {"a": {None: 1}}, {"a": object()}, np.float32(1.0)])
+    def test_non_string_keys_and_non_json_objects_raise(self, bad):
+        with pytest.raises(TypeError):
+            json_text(bad)
 
 
 class TestBuilders:

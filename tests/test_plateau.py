@@ -25,6 +25,7 @@ from renyiqnn.plateau import (
 )
 from renyiqnn.states import DensityMatrix, haar_unitaries, random_density_matrix
 from renyiqnn.training import target_hamiltonian
+from tests import conftest
 from tests.conftest import random_hermitian
 
 
@@ -203,6 +204,18 @@ class TestInitGradientScan:
         for n_h in (0, 1):
             med = report.stat(2, n_h, "reverse", "inf_norm_median")
             assert med > 1e-3
+
+    def test_report_matches_the_factor_basis_route(self, rng_factory, monkeypatch):
+        # the reverse gradients read each circuit state's root; the report
+        # agrees with the factor-basis route to 1e-12
+        target = normalize(random_two_local(3, math.sqrt(0.1), 1.0, rng_factory(23)), 1.0)
+        report = init_gradient_scan(3, target, [0, 1, 2], ensemble=5, rng=rng_factory(24))
+        conftest.factor_roots_at_construction(monkeypatch)
+        ref = init_gradient_scan(3, target, [0, 1, 2], ensemble=5, rng=rng_factory(24))
+        assert report.records.keys() == ref.records.keys()
+        for key, stats in ref.records.items():
+            for name, value in stats.items():
+                assert report.records[key][name] == pytest.approx(value, rel=1e-12, abs=0), (key, name)
 
     def test_linear_baseline_reported(self, rng_factory):
         rng = rng_factory(22)

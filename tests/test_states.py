@@ -191,6 +191,39 @@ class TestValue:
         assert np.allclose(TestFactor.rebuilt(state), mat, rtol=0, atol=1e-14)
 
 
+class TestRootSlot:
+    """A state built from its root keeps a copy of the root and takes its SVD only when its factor is asked for."""
+
+    @staticmethod
+    def root(rng, d: int, k: int, members: tuple = ()) -> np.ndarray:
+        b = rng.standard_normal(members + (d, k)) + 1j * rng.standard_normal(members + (d, k))
+        return b / np.linalg.norm(b, axis=(-2, -1), keepdims=True)
+
+    def test_svd_on_first_factor_only(self, rng, monkeypatch):
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(kw.get("compute_uv", True)) or svd(m, **kw))
+        b = self.root(rng, 4, 2)
+        state = DensityMatrix.from_root(b)
+        fidelity(thermal_state(normalize(random_two_local(2, 0.5, 1.0, rng), 2.0)), state)
+        assert calls == [False]  # the fidelity's singular values only
+        b[...] = 0.5  # the caller's array stays theirs: the factor below is of the root passed in
+        first = state.factor()
+        assert all(x is y for x, y in zip(state.factor(), first))
+        assert calls == [False, True]
+        assert np.allclose(TestFactor.rebuilt(state), state.mat, rtol=0, atol=1e-14)
+        assert not state.root.flags.writeable
+
+    @pytest.mark.parametrize("d,k,members", [(4, 4, ()), (8, 2, ()), (4, 8, ()), (4, 1, ()), (8, 8, (3,))])
+    def test_root_fidelity_matches_the_factor_route(self, rng, d, k, members):
+        targets = [thermal_state(normalize(random_two_local(d.bit_length() - 1, 0.5, 1.0, rng), 2.0))
+                   for _ in range(members[0] if members else 1)]
+        rho = DensityMatrix.stack(targets) if members else targets[0]
+        state = DensityMatrix.from_root(self.root(rng, d, k, members))
+        got = fidelity(rho, state)
+        factored = fidelity(rho, DensityMatrix.from_factor(*state.factor()))
+        assert np.all(np.abs(got - factored) <= 1e-14 * np.abs(factored))
+
+
 class TestFactorSlot:
     """A state's matrix is never reassigned or written, so its factor is never refreshed."""
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from renyiqnn import cli, divergence, models, training
+from tests import conftest
 from renyiqnn.divergence import SingularStateError
 from renyiqnn.hamiltonians import normalize, pauli_tables, random_three_local, random_two_local
 from renyiqnn.models import QBMParams, UQNNParams, qbm_visible_state, uqnn_visible_state
@@ -370,12 +372,14 @@ class TestOneEvaluationPerEpoch:
         rows, evaluations = len(log.rows), cfg.epochs + 1
         # one eigh for the target's Hamiltonian, whose eigenpairs are its
         # factor for the whole run (its inverse and root factors included);
-        # one SVD of the statevector per evaluation is the model state's
-        # factor, and a logged fidelity adds only singular values
+        # a forward evaluation inverts the model state, so it takes one SVD
+        # of the statevector as that state's factor, a reverse one reads the
+        # statevector itself; a logged fidelity adds only singular values
+        svds = evaluations if direction == "forward" else 0
         assert calls.count(("eigh", True)) == 1
-        assert calls.count(("svd", True)) == evaluations
+        assert calls.count(("svd", True)) == svds
         assert calls.count(("svd", False)) == rows
-        assert len(calls) == 1 + evaluations + rows
+        assert len(calls) == 1 + svds + rows
 
     @pytest.mark.parametrize("kind", ["uqnn", "qbm"])
     @pytest.mark.parametrize("direction", ["reverse", "forward"])
@@ -409,6 +413,19 @@ class TestMetricsLog:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
+
+    def test_csv_bytes_are_those_of_csv_writer(self, tmp_path):
+        log = self.make_log(
+            MetricsRow(2, -0.0, 5e-324, 1e16, math.nan, math.inf, 1e-05),
+            MetricsRow(30, 0.1 + 0.2, -math.inf, 1.0, 2.5e-310, 123456789.125, 0.0),
+        )
+        log.to_csv(str(tmp_path / "m.csv"))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for epoch, *values in log._data.tolist():
+                writer.writerow([int(epoch)] + [repr(v) for v in values])
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_validate_rejects_unsorted_epochs(self):
         log = self.make_log(MetricsRow(1, 0.8, 0.8, 0.7, 0.1, 0.1, 1.0))
@@ -514,8 +531,8 @@ class TestPinnedFormats:
         [
             (
                 "uqnn", 1, 1,
-                "48c290f622c8f42cd61a5e8e5656a3a6cdfc9a0a8a6bb4c71ac2adf52140e2a6",
-                "3a0b863f1eb3bdda54c97761662b4f376f3be680b73c2aac7797fd890b835a7f",
+                "dd5134625bbb3f1bcfaa3e4520631d3588ff9d06369dfbc20203fdecb1963386",
+                "b55c6e91329742318135b73617ff7d10026c290c5e2954693edbac8ea553a351",
             ),
             (
                 "qbm", 2, 0,
@@ -544,15 +561,15 @@ class TestPinnedFormats:
                 "bd5f8a74cfcf19d8d775fcfa8ad74516325043d74218ff656ae546e48288c14c",
             ),
             (
-                # a hidden unit: sigma_v takes the SVD path of from_root
+                # a hidden unit: sigma_v is built from its root
                 small_cfg(kind="qbm", n_v=2, n_h=1, epochs=3),
-                "6d7be93a03a6d0dfccb8d045f2a8ae39575373b97b1610936333d4a138d99e13",
-                "b5d914beae7b5aea044917b489cc9e0650a5dc5c3846dfae074081f2bdd90301",
+                "f2b86a194e30c6d8de22fa458d7f325088b7ca3142c50ea379ee2273210e8afb",
+                "56e5dfddb97acf40f91ae5a6c401c28b6504f856d428d31097a7ace8d98b565c",
             ),
             (
                 small_cfg(kind="qbm", n_v=2, n_h=1, epochs=3, direction="forward"),
                 "db94bbe1bfd3a3a49fa6e2adf01610f83e003a94a0173891e80148cac69ae848",
-                "cd484538694ff66e8192905f9508df0c10aacbd675f5abe7062182fcc3088974",
+                "6ba296ae6b78007b326b3b069f64bb70401878c42e155342bee85f69084e9f43",
             ),
         ],
         ids=["fig3-reverse", "fig3-forward", "2v1h-reverse", "2v1h-forward"],
@@ -597,6 +614,82 @@ class TestPinnedFormats:
         rest = [k for k in range(15) if k not in zero]
         assert np.allclose(np.take(got, rest), np.take(thetas, rest), rtol=1e-12, atol=0)
         assert np.allclose(np.take(got, zero), np.take(thetas, zero), rtol=0, atol=1e-8)
+
+
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    def test_qbm_hidden_member_matches_its_factored_values(self, tmp_path, direction):
+        # What the 2v+1h members above logged, and their checkpoint angles,
+        # when the model state was always factored by the SVD of its root:
+        # a reverse run now reads the root itself, a forward one only
+        # reads its fidelity from the root
+        logged = {
+            "reverse": [
+                [0, 0.6343288931956764, 0.6343288931956764, 0.9310714475913546, 0.765921819978122, 0.0720131870028942],
+                [1, 0.5754211091944691, 0.5754211091944691, 0.936684499078682, 0.752392695651917, 0.0720131870028942],
+                [2, 0.5213421772831602, 0.5213421772831602, 0.941729053666625, 0.7331667124635439, 0.0720131870028942],
+                [3, 0.4722867464545309, 0.4722867464545309, 0.9463490996877176, 0.7096223836012978, 0.0720131870028942],
+            ],
+            "forward": [
+                [0, 0.4759459786504974, 0.4759459786504974, 0.9310714475913546, 0.5879168105685539, 0.1472871978959753],
+                [1, 0.42501455667304705, 0.42501455667304705, 0.9370926912120059, 0.5616526156543169, 0.14734707991343682],
+                [2, 0.37824096602580864, 0.37824096602580864, 0.9430922881259651, 0.5332946199465688, 0.14595945556407786],
+                [3, 0.3357303733748144, 0.3357303733748144, 0.9487504137582359, 0.5048627378066443, 0.1443942148067881],
+            ],
+        }[direction]
+        thetas = {
+            "reverse": [
+                0.019854003011358867, 0.16557632365834077, 0.006817903314009853, -0.07106157694277387,
+                -0.07179336682722413, 0.03630526883382366, 0.026833349329084398, 0.04772782649839283,
+                0.01232750205195668, 0.15562190210415788, 0.13091656530773346, -0.05423840254288559,
+                -0.0098244527387883, 0.03492353088162111, 2.8430346149220694e-05, 0.07465897510150887,
+                -0.10652834417164637, -0.06372241539338878, 0.0072018271220225865, 0.051586102557271946,
+                -0.0687427541122466, 0.10796279831320121, -0.17611985455281126, -0.225980213161663,
+                -0.1834191655039061, -0.08606830148262438, 0.013700571513812031, 0.06256501255536738,
+                0.15348535169556873, 0.05004510754527663, -0.009725364047167112, 0.03578270750762596,
+                0.12503376968138638, -0.06203367059924742, -0.0424189661696358, 0.00044037541248345864,
+            ],
+            "forward": [
+                -0.039519647666024574, 0.16560803686806805, 0.006311669953851146, -0.04177002400503006,
+                -0.012809324518140309, 0.036181578241419335, 0.026594856152617974, 0.04779139777182924,
+                -0.03048604885920652, 0.15566743106393802, 0.13098403663115843, -0.05424327472216452,
+                -0.009895227101337986, 0.03468439852828453, -0.05663072400296217, 0.07470463672406959,
+                -0.10649832097640957, -0.11943241405479614, 0.0636502096003299, 0.051617872404585416,
+                -0.0690417298264222, 0.08538044355792462, -0.17703569266105673, -0.22608874810593463,
+                -0.18335042991011255, -0.08601088751727282, 0.013621315910487278, 0.06293328362893909,
+                0.21294565395235257, 0.053656947243574546, -0.009719610692664084, -0.02393513450578104,
+                0.12483525107179842, -0.0618458671766055, -0.10181718587663398, 0.0005586245906024061,
+            ],
+        }[direction]
+        log = train(small_cfg(kind="qbm", n_v=2, n_h=1, epochs=3, direction=direction), out_dir=str(tmp_path))
+        assert np.allclose([dataclasses.astuple(r)[:-1] for r in log.rows], logged, rtol=1e-12, atol=0)
+        got = json.loads((tmp_path / "run_000_checkpoint.json").read_text())["thetas"]
+        assert np.allclose(got, thetas, rtol=1e-12, atol=0)
+
+
+    @pytest.mark.parametrize("direction", ["reverse", "forward"])
+    def test_circuit_columns_match_the_factor_basis_route(self, monkeypatch, direction):
+        # fig2's shape: a reverse run reads the statevector as the model
+        # state's root, and its columns agree with the factor-basis route to
+        # 1e-13; a forward run factors the state as before, and only its
+        # fidelity, read from the root, moves (by 1e-14 at most)
+        doc = cli.load_experiment_config(cli.bundled_config_path("fig2_3v3h.json"), "thermal-learn")
+        cfg = dataclasses.replace(TrainConfig(**doc["train"]), epochs=30, direction=direction)
+        logs, _ = run_ensemble(cfg, 2, vary="both")
+        conftest.factor_roots_at_construction(monkeypatch)
+        ref, _ = run_ensemble(cfg, 2, vary="both")
+        moved = ["fidelity"] if direction == "forward" else ["loss", "penalized_loss", "fidelity", "grad_inf_norm"]
+        for lg, rf in zip(logs, ref):
+            for name in CSV_COLUMNS[:-1]:
+                if name in moved:
+                    assert np.allclose(lg.column(name), rf.column(name), rtol=1e-13 if direction == "reverse" else 1e-14, atol=0)
+                else:
+                    assert np.array_equal(lg.column(name), rf.column(name))
+            got, want = lg.checkpoint["thetas"], rf.checkpoint["thetas"]
+            if direction == "forward":
+                assert got == want
+            else:
+                # angles with a zero exact gradient take ADAM-normalized rounding noise, about lr * 1e-8 per epoch
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-8)
 
 
 class TestRunEnsemble:
@@ -654,6 +747,23 @@ class TestRunEnsemble:
         assert science_files(tmp_path / "j2", 0) == science_files(tmp_path / "j1", 0)
         for name in ("summary.json", "summary.csv"):
             assert (tmp_path / "j2" / name).read_bytes() == (tmp_path / "j1" / name).read_bytes()
+
+    def test_summary_files_are_those_of_json_and_csv_writer(self, tmp_path):
+        cfg = small_cfg(epochs=4, log_every=2)
+        _, summary = run_ensemble(cfg, 3, vary="both", out_dir=str(tmp_path))
+        assert (tmp_path / "summary.json").read_text() == json.dumps(dataclasses.asdict(summary), indent=1)
+        # a failure record with quotes and a non-ASCII character; floats json and csv write specially
+        summary.failures.append("run 9: epoch 3: singular model state (smallest eigenvalue 1.000e-13) \u00e9\"")
+        summary.stats["odd"] = [-0.0, math.nan, math.inf]
+        assert training.json_text(dataclasses.asdict(summary)) == json.dumps(dataclasses.asdict(summary), indent=1)
+        summary.to_csv(str(tmp_path / "summary.csv"))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            names = list(summary.stats)
+            writer.writerow(["epoch"] + names)
+            for i, ep in enumerate(summary.epoch):
+                writer.writerow([ep] + [repr(float(summary.stats[n][i])) for n in names])
+        assert (tmp_path / "summary.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_failure_abort_threshold(self):
         # forward direction with n_h=0 fails at epoch 0 in every run

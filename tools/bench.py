@@ -11,8 +11,11 @@ REV against itself (the A/A pair), so the file records the noise next to
 the ratios. It also times the Tier-1 suite once per side. The result is
 BENCH_<L>.json at the repository root: per workload and end-to-end metric,
 each side's median and quartiles, the per-pair ratios change / base, and
-the pairs the change won; failed operations, `correct` flags and the `env`
-line of every run.
+the pairs the change won, and `within_bound`: whether the median ratio
+stays inside 1 - bound (higher is better) or 1 + bound (lower is better);
+failed operations, `correct` flags and the `env` line of every run. One
+verdict line per workload prints each metric's median ratio against its
+bound.
 
 REV's files are exported with `git archive` into a temporary directory,
 which is removed at the end. Runs go one at a time, so the machine holds at
@@ -104,10 +107,28 @@ def summarize(pairs: list[dict], aa: dict, metrics: list[dict]) -> dict:
                 median_ratio=statistics.median(ratios),
                 wins=sum(c > b if higher else c < b for b, c in both),
             )
+        ratio = entry.get("median_ratio")
+        entry["within_bound"] = None if ratio is None else (
+            ratio >= 1.0 - m["bound"] if higher else ratio <= 1.0 + m["bound"]
+        )
         a, b = value(aa["first"], name), value(aa["second"], name)
         entry["aa_ratio"] = None if a is None or b is None else round(b / a, 4)
         out[name] = entry
     return out
+
+
+def verdict(workload: str, metrics: dict) -> str:
+    """One line: each metric's median ratio change / base against its bound, and whether all are inside."""
+    parts = []
+    for name, e in metrics.items():
+        higher = e["better"] == "higher"
+        limit = f"{'>=' if higher else '<='} {1.0 - e['bound'] if higher else 1.0 + e['bound']:g}"
+        if e["within_bound"] is None:
+            parts.append(f"{name} no pairs")
+        else:
+            parts.append(f"{name} {e['median_ratio']:.3f} ({limit}{'' if e['within_bound'] else ', outside'})")
+    inside = all(e["within_bound"] for e in metrics.values())
+    return f"{workload}: {'within bounds' if inside else 'OUTSIDE A BOUND'}: " + "; ".join(parts)
 
 
 def side_totals(runs: list[dict]) -> dict:
@@ -167,8 +188,10 @@ def main(argv: list[str]) -> int:
                 pairs.append(pair)
             aa = {s: run_bench(tmp, name, args.pairs + 1, seconds) for s in ("first", "second")}
             print(f"{name} A/A: {[value(aa[s], 'ref_ops_per_s') for s in aa]}", flush=True)
+            metrics = summarize(pairs, aa, spec["end_to_end"])
+            print(verdict(name, metrics), flush=True)
             doc["workloads"][name] = {
-                "metrics": summarize(pairs, aa, spec["end_to_end"]),
+                "metrics": metrics,
                 "base": side_totals([p["base"] for p in pairs]),
                 "change": side_totals([p["change"] for p in pairs]),
                 "aa": aa,
