@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from renyiqnn import cli, divergence, models, training
-from tests import conftest
 from renyiqnn.divergence import SingularStateError
 from renyiqnn.hamiltonians import normalize, pauli_tables, random_three_local, random_two_local
 from renyiqnn.models import QBMParams, UQNNParams, qbm_visible_state, uqnn_visible_state
@@ -35,6 +34,7 @@ from renyiqnn.training import (
     target_hamiltonian,
     train,
 )
+from tests import conftest
 
 
 def small_cfg(**over) -> TrainConfig:
