@@ -8,6 +8,7 @@ state-preparation and trace evaluation O(2^n) instead of O(4^n).
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import NamedTuple
@@ -230,13 +231,20 @@ def triple_axes(n: int) -> list[tuple[tuple[int, str], ...]]:
     ]
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_terms(n: int, locality: int) -> tuple[PauliTerm, ...]:
+    """The unit strings of up to `locality` qubits on n qubits, checked once, in canonical order."""
+    axes = single_axes(n) + pair_axes(n) + (triple_axes(n) if locality == 3 else [])
+    return tuple(PauliTerm(1.0, ax) for ax in axes)
+
+
 def two_local_terms(n: int) -> list[PauliTerm]:
     """All 3n + 9*C(n,2) two-local strings in canonical order.
 
     Order is deterministic: by locality, then qubit indices, then axes
     (x < y < z), so the same list always enumerates the same way.
     """
-    return [PauliTerm(1.0, ax) for ax in single_axes(n) + pair_axes(n)]
+    return list(_unit_terms(n, 2))
 
 
 def random_two_local(
@@ -245,18 +253,16 @@ def random_two_local(
     """Random H2 = sum_i J^i_a s_a^i + sum_{i<j} J^{ij}_{ab} s_a^i s_b^j."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    terms = [PauliTerm(std_single * rng.standard_normal(), ax) for ax in single_axes(n)]
-    terms += [PauliTerm(std_pair * rng.standard_normal(), ax) for ax in pair_axes(n)]
-    return LCUHamiltonian(n, terms)
+    units = _unit_terms(n, 2)
+    stds = [std_single] * (3 * n) + [std_pair] * (len(units) - 3 * n)
+    return LCUHamiltonian(n, [t.scaled(std * rng.standard_normal()) for t, std in zip(units, stds)])
 
 
 def random_three_local(n: int, std: float, rng: np.random.Generator) -> LCUHamiltonian:
     """Random H3 = H2 + triple terms, all coefficients ~ N(0, std^2)."""
     if n < 3:
         raise ValueError("three-local terms need n >= 3")
-    axes = single_axes(n) + pair_axes(n) + triple_axes(n)
-    terms = [PauliTerm(std * rng.standard_normal(), ax) for ax in axes]
-    return LCUHamiltonian(n, terms)
+    return LCUHamiltonian(n, [t.scaled(std * rng.standard_normal()) for t in _unit_terms(n, 3)])
 
 
 def normalize(h: LCUHamiltonian, tau: float) -> LCUHamiltonian:

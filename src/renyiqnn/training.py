@@ -27,7 +27,7 @@ import zlib
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,8 +174,9 @@ class TrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass(slots=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
+    """One logged epoch: a read-only view of a MetricsLog row."""
+
     epoch: int
     loss: float
     penalized_loss: float
@@ -185,8 +186,8 @@ class MetricsRow:
     wall_ms: float
 
 
-CSV_COLUMNS = [f.name for f in fields(MetricsRow)]
-_row_values = attrgetter(*CSV_COLUMNS)  # the fields as they are; astuple would deep-copy each
+CSV_COLUMNS = list(MetricsRow._fields)
+_FIDELITY = CSV_COLUMNS.index("fidelity")
 
 
 def _write_csv(path: str, rows: Iterable[list[str]]) -> None:
@@ -213,17 +214,17 @@ class MetricsLog:
     wall time.
 
     Many logs are held at once (ensembles, or pickled back from workers),
-    so both parts are kept compact: the rows are one float64 array with a
-    row of CSV_COLUMNS per logged epoch, and the final checkpoint is kept
-    zlib-compressed. `rows` builds fresh MetricsRow objects from the array
-    (the epoch as an int, every float exactly as stored);
-    `checkpoint_json` gives back the exact JSON text written to the
-    checkpoint file, and `checkpoint` decodes it.
+    so both parts are kept compact: the rows, MetricsRows or plain tuples
+    of CSV_COLUMNS values, become one float64 array with a row per logged
+    epoch, and the final checkpoint is zlib-compressed once. `rows` builds
+    fresh MetricsRow views of the array (the epoch as an int, every float
+    exactly as stored); `checkpoint_json` gives back the exact JSON text
+    written to the checkpoint file, and `checkpoint` decodes it.
     """
 
-    def __init__(self, rows: Iterable[MetricsRow] = (), checkpoint_json: str | None = None):
-        self._data = np.array([_row_values(r) for r in rows], dtype=float).reshape(-1, len(CSV_COLUMNS))
-        self.checkpoint_json = checkpoint_json
+    def __init__(self, rows: Iterable[tuple] = (), checkpoint_json: str | None = None):
+        self._data = np.array(list(rows), dtype=float).reshape(-1, len(CSV_COLUMNS))
+        self._checkpoint = None if checkpoint_json is None else zlib.compress(checkpoint_json.encode())
 
     @property
     def rows(self) -> list[MetricsRow]:
@@ -233,25 +234,10 @@ class MetricsLog:
     def checkpoint_json(self) -> str | None:
         return None if self._checkpoint is None else zlib.decompress(self._checkpoint).decode()
 
-    @checkpoint_json.setter
-    def checkpoint_json(self, text: str | None) -> None:
-        self._checkpoint = None if text is None else zlib.compress(text.encode())
-
     @property
     def checkpoint(self) -> dict | None:
         text = self.checkpoint_json
         return None if text is None else json.loads(text)
-
-    def validate(self) -> "MetricsLog":
-        last = -1
-        for epoch, *values in self._data.tolist():
-            if epoch <= last:
-                raise ValueError(f"epochs not strictly increasing at {int(epoch)}")
-            last = epoch
-            for name, value in zip(CSV_COLUMNS[1:], values):
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite {name} at epoch {int(epoch)}")
-        return self
 
     def column(self, name: str) -> np.ndarray:
         if name not in CSV_COLUMNS:
@@ -259,10 +245,10 @@ class MetricsLog:
         return self._data[:, CSV_COLUMNS.index(name)].copy()
 
     def initial_fidelity(self) -> float:
-        return self.rows[0].fidelity
+        return float(self._data[0, _FIDELITY])
 
     def final_fidelity(self) -> float:
-        return self.rows[-1].fidelity
+        return float(self._data[-1, _FIDELITY])
 
     def to_csv(self, path: str) -> None:
         rows = ([str(int(epoch)), *map(repr, values)] for epoch, *values in self._data.tolist())
@@ -380,7 +366,7 @@ def _advance(cfg: TrainConfig, members: _Members, epoch: int, log: bool) -> tupl
         grad_inf = np.max(np.abs(grad), axis=1)
         values = np.stack([ev.loss.value, penalized, fid, grad_inf, ev.loss.conditioning], axis=1)
         finite = np.isfinite(values)
-        if not finite.all():  # here, not when the log is validated, so the epoch is replayed per member
+        if not finite.all():  # here, before the row exists, so the epoch is replayed per member
             raise FloatingPointError(f"non-finite {CSV_COLUMNS[1 + int(np.argmin(finite.all(axis=0)))]}")
     members.thetas, members.opt, members.grad = th, opt, grad
     return members, values
@@ -404,7 +390,7 @@ def _train_members(cfg: TrainConfig, runs: list[int], vary: str) -> list[Metrics
         list(runs), replace(built[runs[0]], thetas=thetas), thetas,
         DensityMatrix.stack(targets), AdamState.init(thetas.shape, cfg.lr),
     )
-    rows: dict[int, list[MetricsRow]] = {run_idx: [] for run_idx in runs}
+    rows: dict[int, list[tuple]] = {run_idx: [] for run_idx in runs}  # CSV_COLUMNS values per logged epoch
     failed: dict[int, TrainingError] = {}
 
     def step(members: _Members, epoch: int, log: bool) -> tuple[_Members | None, np.ndarray | None]:
@@ -431,30 +417,25 @@ def _train_members(cfg: TrainConfig, runs: list[int], vary: str) -> list[Metrics
         if logged:
             wall = (time.perf_counter() - t0) * 1000.0 / len(members.runs)
             for run_idx, row in zip(members.runs, values.tolist()):
-                rows[run_idx].append(MetricsRow(epoch, *row, wall))
+                rows[run_idx].append((epoch, *row, wall))
             t0 = time.perf_counter()
 
     results: dict[int, MetricsLog | TrainingError] = dict(failed)
     for i, run_idx in enumerate(members.runs if members is not None else []):
         built[run_idx].thetas = members.thetas[i]  # each member's own model ends trained
-        log = MetricsLog(rows[run_idx], checkpoint_text(built[run_idx], cfg.seed, cfg.epochs))
-        results[run_idx] = log.validate()
+        results[run_idx] = MetricsLog(rows[run_idx], checkpoint_text(built[run_idx], cfg.seed, cfg.epochs))
     return [results[run_idx] for run_idx in runs]
 
 
-def train(cfg: TrainConfig, run_idx: int = 0, vary: str = "both", out_dir: str | None = None) -> MetricsLog:
-    """Train one model of either kind against one seeded target: a lockstep chunk of one member.
+def train(cfg: TrainConfig) -> MetricsLog:
+    """Train one model of either kind against one seeded target: run 0 of an ensemble, alone.
 
-    `run_idx` and `vary` pick the ensemble member's target and init streams
-    (see run_streams); with out_dir the run's CSV and checkpoint land there.
-    A numeric failure raises TrainingError, naming the epoch.
+    A numeric failure raises TrainingError, naming the epoch; run_ensemble
+    writes files.
     """
-    (log,) = _train_members(cfg, [run_idx], vary)
+    (log,) = _train_members(cfg, [0], "both")
     if isinstance(log, TrainingError):
         raise log
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        log.write(out_dir, run_idx)
     return log
 
 
@@ -477,8 +458,7 @@ class EnsembleSummary:
 
 
 def _ensemble_worker(args: tuple) -> list[MetricsLog | TrainingError]:
-    cfg_doc, runs, vary = args
-    return _train_members(TrainConfig(**cfg_doc), runs, vary)
+    return _train_members(*args)
 
 
 def run_ensemble(
@@ -511,7 +491,7 @@ def run_ensemble(
         outcomes = _train_members(cfg, list(range(n_runs)), vary)
     else:
         bounds = [n_runs * i // k for i in range(k + 1)]
-        tasks = [(asdict(cfg), list(range(a, b)), vary) for a, b in zip(bounds, bounds[1:])]
+        tasks = [(cfg, list(range(a, b)), vary) for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=k) as pool:
             outcomes = [o for part in pool.map(_ensemble_worker, tasks) for o in part]
 
@@ -528,16 +508,15 @@ def run_ensemble(
             )
 
     ordered = [logs[i] for i in sorted(logs)]
-    epochs = [r.epoch for r in ordered[0].rows]
-    for lg in ordered[1:]:
-        if [r.epoch for r in lg.rows] != epochs:
-            raise TrainingError("runs logged different epoch grids; cannot summarize")
+    data = np.stack([lg._data for lg in ordered])  # (members, epochs, columns): every member logs cfg's epochs
+    science = data[:, :, 1:5]  # loss, penalized_loss, fidelity, grad_inf_norm
+    mean = science.mean(axis=0)
+    std = science.std(axis=0, ddof=1) if len(ordered) > 1 else np.zeros_like(mean)
     stats: dict[str, list[float]] = {}
-    for name in ("loss", "penalized_loss", "fidelity", "grad_inf_norm"):
-        cols = np.stack([lg.column(name) for lg in ordered])
-        stats[f"{name}_mean"] = [float(x) for x in cols.mean(axis=0)]
-        std = cols.std(axis=0, ddof=1) if len(ordered) > 1 else np.zeros(cols.shape[1])
-        stats[f"{name}_std"] = [float(x) for x in std]
+    for k, name in enumerate(CSV_COLUMNS[1:5]):
+        stats[f"{name}_mean"] = mean[:, k].tolist()
+        stats[f"{name}_std"] = std[:, k].tolist()
+    epochs = data[0, :, 0].astype(int).tolist()
     summary = EnsembleSummary(n_runs=n_runs, failures=failures, epoch=epochs, stats=stats)
 
     if out_dir is not None:

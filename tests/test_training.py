@@ -427,16 +427,6 @@ class TestMetricsLog:
                 writer.writerow([int(epoch)] + [repr(v) for v in values])
         assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_validate_rejects_unsorted_epochs(self):
-        log = self.make_log(MetricsRow(1, 0.8, 0.8, 0.7, 0.1, 0.1, 1.0))
-        with pytest.raises(ValueError, match="increasing"):
-            log.validate()
-
-    def test_validate_rejects_non_finite(self):
-        log = self.make_log(MetricsRow(2, math.inf, 0.9, 0.6, 0.2, 0.1, 1.0))
-        with pytest.raises(ValueError, match="non-finite loss at epoch 2"):
-            log.validate()
-
     def test_column_and_endpoints(self):
         log = self.make_log()
         assert np.array_equal(log.column("loss"), [1.0, 0.9])
@@ -455,7 +445,7 @@ class TestMetricsLog:
 
         monkeypatch.setattr(training, "_build_model", recording)
         cfg = small_cfg(kind=kind, epochs=3)
-        log = train(cfg, out_dir=str(tmp_path))
+        (log,), _ = run_ensemble(cfg, 1, out_dir=str(tmp_path))
         expected = models.checkpoint_doc(built[0], rng_seed=cfg.seed, epoch=cfg.epochs)
         assert log.checkpoint == expected
         text = (tmp_path / "run_000_checkpoint.json").read_text()
@@ -498,7 +488,7 @@ class TestMetricsLog:
         log = MetricsLog([MetricsRow(*v) for v in values])
         back = pickle.loads(pickle.dumps(log))
         for got in (log.rows, back.rows):
-            assert [dataclasses.astuple(r) for r in got] == values
+            assert [tuple(r) for r in got] == values
             assert all(type(r.epoch) is int for r in got)
             assert math.copysign(1.0, got[0].penalized_loss) == -1.0
 
@@ -509,7 +499,7 @@ class TestMetricsLog:
         floats[0] = [math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2250738585072014e-308]
         values = [(e, *row) for e, row in enumerate(floats.tolist())]
         log = MetricsLog([MetricsRow(*v) for v in values])
-        got = [dataclasses.astuple(r) for r in log.rows]
+        got = [tuple(r) for r in log.rows]
         assert [e for e, *_ in got] == list(range(50))
         assert np.array([v[1:] for v in got]).view(np.uint64).tolist() == floats.view(np.uint64).tolist()
 
@@ -517,7 +507,8 @@ class TestMetricsLog:
         log = self.make_log()
         rows = log.rows
         rows.append(MetricsRow(2, 0.8, 0.8, 0.7, 0.1, 0.1, 1.0))
-        rows[0].loss = 5.0
+        with pytest.raises(AttributeError):
+            rows[0].loss = 5.0
         assert len(log.rows) == 2 and log.rows[0].loss == 1.0
         with pytest.raises(AttributeError):
             log.rows = rows
@@ -579,7 +570,7 @@ class TestPinnedFormats:
 
     @staticmethod
     def assert_pinned(cfg, tmp_path, checkpoint_sha, csv_sha):
-        train(cfg, out_dir=str(tmp_path))
+        run_ensemble(cfg, 1, out_dir=str(tmp_path))
         checkpoint = (tmp_path / "run_000_checkpoint.json").read_bytes()
         # wall_ms, the last column, is a timing and is left out
         lines = (tmp_path / "run_000.csv").read_text().splitlines()
@@ -604,8 +595,8 @@ class TestPinnedFormats:
             0.023511629821367584, 2.2494410358507086, 1.2395660267886544, -0.2601134849617368,
             -0.5058933775215501, 0.030572685515030916, -0.3198044133312628,
         ]
-        log = train(small_cfg(n_v=1, n_h=1, epochs=3), out_dir=str(tmp_path))
-        assert np.allclose([dataclasses.astuple(r)[:-1] for r in log.rows], logged, rtol=1e-12, atol=0)
+        (log,), _ = run_ensemble(small_cfg(n_v=1, n_h=1, epochs=3), 1, out_dir=str(tmp_path))
+        assert np.allclose([tuple(r)[:-1] for r in log.rows], logged, rtol=1e-12, atol=0)
         got = json.loads((tmp_path / "run_000_checkpoint.json").read_text())["thetas"]
         # The exact gradient of angles 3-5 (the hidden qubit's singles, applied
         # last) and 14 (ZZ on |00>) is 0; ADAM (eps 1e-8) turns its rounding
@@ -660,8 +651,9 @@ class TestPinnedFormats:
                 0.12483525107179842, -0.0618458671766055, -0.10181718587663398, 0.0005586245906024061,
             ],
         }[direction]
-        log = train(small_cfg(kind="qbm", n_v=2, n_h=1, epochs=3, direction=direction), out_dir=str(tmp_path))
-        assert np.allclose([dataclasses.astuple(r)[:-1] for r in log.rows], logged, rtol=1e-12, atol=0)
+        cfg = small_cfg(kind="qbm", n_v=2, n_h=1, epochs=3, direction=direction)
+        (log,), _ = run_ensemble(cfg, 1, out_dir=str(tmp_path))
+        assert np.allclose([tuple(r)[:-1] for r in log.rows], logged, rtol=1e-12, atol=0)
         got = json.loads((tmp_path / "run_000_checkpoint.json").read_text())["thetas"]
         assert np.allclose(got, thetas, rtol=1e-12, atol=0)
 
@@ -693,6 +685,50 @@ class TestPinnedFormats:
 
 
 class TestRunEnsemble:
+    @staticmethod
+    def reference_summary(logs: list[MetricsLog]) -> tuple[list[int], dict[str, np.ndarray]]:
+        """The epoch grid and mean/std curves, summed member by member in run order."""
+        stats = {}
+        for name in ("loss", "penalized_loss", "fidelity", "grad_inf_norm"):
+            cols = [lg.column(name) for lg in logs]
+            total = cols[0].copy()
+            for col in cols[1:]:
+                total = total + col
+            mean = total / len(cols)
+            squares = (cols[0] - mean) * (cols[0] - mean)
+            for col in cols[1:]:
+                squares = squares + (col - mean) * (col - mean)
+            stats[f"{name}_mean"] = mean
+            stats[f"{name}_std"] = np.sqrt(squares / (len(cols) - 1)) if len(cols) > 1 else np.zeros_like(mean)
+        return [row.epoch for row in logs[0].rows], stats
+
+    @pytest.mark.parametrize(
+        "n_runs,jobs,failing", [(1, 1, False), (5, 1, True), (3, 2, False)], ids=["one", "failed", "jobs2"]
+    )
+    def test_summary_equals_a_member_by_member_reduction(self, monkeypatch, n_runs, jobs, failing):
+        cfg = small_cfg(epochs=7, log_every=3, l2_penalty=0.1)
+        if failing:
+            bad_rho = draw_target(cfg, run_streams(cfg.seed, 2, "both")[0])[1].mat
+            exact = divergence.evaluate
+
+            def faulty(p, rho, direction):
+                if any(np.array_equal(mat, bad_rho) for mat in rho.mat):
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return exact(p, rho, direction)
+
+            monkeypatch.setattr(divergence, "evaluate", faulty)
+        logs, summary = run_ensemble(cfg, n_runs, vary="both", jobs=jobs)
+        assert len(logs) == n_runs - failing
+        assert summary.failures == (["run 2: epoch 0: Eigenvalues did not converge"] if failing else [])
+        epochs, stats = self.reference_summary(logs)
+        assert summary.epoch == epochs == [0, 3, 6, 7]
+        assert all(type(e) is int for e in summary.epoch)
+        assert list(summary.stats) == list(stats)
+        for name, ref in stats.items():
+            assert np.array_equal(summary.stats[name], ref), name
+        if n_runs == 1:
+            assert all(summary.stats[name] == [0.0] * 4 for name in stats if name.endswith("_std"))
+
     def test_single_run_matches_direct_training(self, tmp_path):
         cfg = small_cfg()
         logs, summary = run_ensemble(cfg, 1, vary="both", out_dir=str(tmp_path))
@@ -841,8 +877,9 @@ class TestLockstepBatches:
                         epochs=5, log_every=2, l2_penalty=0.5)
         run_ensemble(cfg, batch, vary="both", jobs=1, out_dir=str(tmp_path / "batch"))
         for i in range(batch):
-            train(cfg, run_idx=i, vary="both", out_dir=str(tmp_path / f"solo{i}"))
-            assert science_files(tmp_path / "batch", i) == science_files(tmp_path / f"solo{i}", i)
+            (solo,) = training._train_members(cfg, [i], "both")
+            solo.write(str(tmp_path), i)
+            assert science_files(tmp_path / "batch", i) == science_files(tmp_path, i)
 
     @pytest.mark.parametrize("fault", ["nan", "linalg"])
     def test_failed_member_leaves_the_others_unchanged(self, monkeypatch, tmp_path, fault):
