@@ -8,9 +8,11 @@ estimators that rest on it: trace powers Tr(rho^m), and an importance-sampled
 estimate of single gradient entries for thermal targets, where e^H is
 expanded as a power series and sampled term by term.
 
-Shot outcomes are drawn from exactly computed Bernoulli success
-probabilities; statistics are identical to per-shot circuit execution at a
-tiny fraction of the cost.
+Shot outcomes are Bernoulli draws at exactly computed success
+probabilities, drawn as counts: one binomial for a trace power, and for a
+gradient entry a binomial and a multinomial per label (sampled Pauli
+product) over the shots that drew it. Their statistics are identical to
+per-shot circuit execution at a tiny fraction of the cost.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ ALPHA_NORM_GUARD = 20.0
 _Q_MAX_CAP = 169
 
 _HAD1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-# shots per block of the Monte-Carlo sampler: its temporaries do not grow with the shot count
+# draws per block of the Monte-Carlo sampler: its temporaries do not grow with the shot count
 _BLOCK = 2**14
 
 
@@ -273,28 +275,27 @@ def mc_reverse_gradient_thermal(
     A product of Pauli strings is again one string times a power of i, so
     each shot carries one small-integer label (x mask, z mask, phase
     exponent), composed per sampled string with an XOR and a parity read
-    from a 2^n_v table. The trace is computed once per label that occurs
-    (at most 4^(n_v+1)), and the per-shot work runs in blocks of _BLOCK
-    shots. Outcomes are tallied as exact integers: the denominator as a
-    count of +1 outcomes, the numerator as one int8 per shot (its four draw
-    rows are consumed row after row) reduced to a histogram of its five
-    values.
+    from a 2^n_v table. Shots are counted per label, and the trace is
+    computed once per label that occurs (at most 4^(n_v+1)). Given its
+    label, a shot's outcomes are independent Bernoulli draws, so they are
+    drawn per label as exact integer tallies: the denominator's +1 count
+    among the label's shots is binomial, and the histogram of the
+    numerator's B1 + B2 - B3 - B4 over them (its four draw rows, two added
+    and two subtracted) is multinomial on -2..2 (_net_law). Together these
+    are the joint law of the tallies of per-shot draws.
 
-    Orders and string picks are drawn by inverting the two cumulative
-    tables, built once per estimate (_inverse_cdf): one uniform per draw,
-    mapped by a guide-table lookup to the index that Generator.choice
-    returns for the same uniform, so stream and estimates match a sampler
+    Orders and string picks are drawn per shot by inverting the two
+    cumulative tables, built once per estimate (_inverse_cdf): one uniform
+    per draw, mapped by a guide-table lookup to the index that
+    Generator.choice returns for the same uniform, so labels match a sampler
     that calls choice. The random stream is consumed in a fixed order (all
-    orders, then each order's string picks in increasing shot order, the
-    denominator draws, then the four numerator draw rows), so estimates do
-    not depend on the block size. Order-1 shots are labelled block by block
-    as their orders are scanned; the same scan indexes the shots of order >= 2 once, and that index is split
-    by order. Per shot this holds one byte for the order, one for the label
-    (up to n_v = 3) and one for the numerator's int8, never all three at
-    once, plus 8-byte indices of the shots of order >= 2 and of the order
-    being labelled: at |alpha|_1 = 0.8 about 19 % and at most 14 % of the
-    shots. The traced peak of an mc_2q estimate grows by about 4.5 bytes a
-    shot.
+    orders, then the string picks of each order from 1 up, the denominator's
+    binomials; then the same for the numerator, ending with its
+    multinomials; the outcome draws run over all labels in label order), so
+    estimates do not depend on the block size. Orders are counted, and picks
+    composed and counted, a block of at most _BLOCK draws at a time, so no
+    array spans the shots: the traced peak of an estimate does not grow with
+    the shot count.
     """
     if target_h.n_qubits != p.n_v:
         raise ValueError(
@@ -348,74 +349,64 @@ def mc_reverse_gradient_thermal(
     # 2 * parity of z & x' for two n_v-bit masks: the i^2 of moving Z^z past X^x'
     flip2 = 2 * _parity(np.arange(dv))
 
-    def sample_labels() -> np.ndarray:
-        """Label of the sampled string product U = P_1 ... P_q, one per shot."""
-        qs = np.empty(shots, dtype=np.min_scalar_type(q_max))
-        for blk in _blocks(shots):
-            qs[blk] = draw_order(rng, qs[blk].size)
-        labels = np.zeros(shots, dtype=np.min_scalar_type(n_lab - 1))
-        # order-1 shots are labelled block by block; the shots of order >= 2
-        # (a share 1 - (1 + a1) e^-a1 of them) are indexed in the same pass
-        deep = []
-        for blk in _blocks(shots):
-            one = np.flatnonzero(qs[blk] == 1)
-            if one.size:
-                labels[blk][one] = term_lab.take(draw_pick(rng, one.size))
-            deep.append(np.flatnonzero(qs[blk] > 1) + blk.start)
-        deep = np.concatenate(deep)
-        q_deep = qs[deep]
-        del qs
-        for q in range(2, int(q_deep.max(initial=1)) + 1):
-            rows = deep.compress(q_deep == q)
+    def label_counts() -> np.ndarray:
+        """Shots per label of the sampled string product U = P_1 ... P_q, (4^(n_v + 1),)."""
+        n_q = sum(np.bincount(draw_order(rng, blk.stop - blk.start), minlength=q_max + 1) for blk in _blocks(shots))
+        counts = np.zeros(n_lab, dtype=np.int64)
+        counts[0] = n_q[0]
+        for q in np.flatnonzero(n_q[1:]) + 1:
             # at most _BLOCK picks per draw: twice that ran at half the speed per pick
-            for blk in _blocks(rows.size, _BLOCK // q):
-                picks = term_lab[draw_pick(rng, (rows[blk].size, q))]
+            for blk in _blocks(int(n_q[q]), _BLOCK // q):
+                picks = term_lab[draw_pick(rng, (blk.stop - blk.start, q))]
                 lab = picks[:, 0]
                 for t in picks.T[1:]:
                     # (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a+b+2|z&x'|) X^(x^x') Z^(z^z')
                     flip = flip2.take((lab >> 2) & (t >> (n + 2)))
                     lab = ((lab ^ t) & ~3) | ((lab + t + flip) & 3)
-                labels[rows[blk]] = lab
-        return labels
+                counts += np.bincount(lab, minlength=n_lab)
+        return counts
 
-    def label_traces(labels: np.ndarray, bs: list[np.ndarray]) -> np.ndarray:
+    def label_traces(counts: np.ndarray, bs: list[np.ndarray]) -> np.ndarray:
         """Exact Tr(B U) per circuit B and per label that occurs, (len(bs), 4^(n_v + 1))."""
-        seen = np.zeros(n_lab, dtype=bool)
-        for blk in _blocks(shots):
-            seen[labels[blk]] = True
-        used = np.flatnonzero(seen)
+        used = np.flatnonzero(counts)
         lab = used[:, None]
         tables = _mask_tables(lab >> (n + 2), (lab >> 2) & (dv - 1), n, lab & 3)
         t_lab = np.zeros((len(bs), n_lab), dtype=complex)
         for mi, b in enumerate(bs):
             t_lab[mi, used] = pauli_traces(b, tables)
-        if float(np.max(np.abs(t_lab[:, seen]))) > 1.0 + 1e-9:
+        if float(np.max(np.abs(t_lab[:, used]))) > 1.0 + 1e-9:
             raise ArithmeticError("sampled trace left the unit disc; not a valid shot probability")
         return t_lab
 
-    def hits(p_lab: np.ndarray, labels: np.ndarray, blk: slice) -> np.ndarray:
-        """One Bernoulli draw per shot of the block: True for the +1 outcome."""
-        return rng.random(labels[blk].size) < p_lab.take(labels[blk])
+    counts = label_counts()
+    p_den = np.clip(0.5 * (1.0 + label_traces(counts, bs_den)[0].real), 0.0, 1.0)
+    n_plus = int(rng.binomial(counts, p_den).sum())
 
-    labels = sample_labels()
-    p_den = np.clip(0.5 * (1.0 + label_traces(labels, bs_den)[0].real), 0.0, 1.0)
-    n_plus = sum(int(np.count_nonzero(hits(p_den, labels, blk))) for blk in _blocks(shots))
-    del labels  # not alive while the numerator's labels are drawn
-
-    labels = sample_labels()
+    counts = label_counts()
     # ancilla phase-gate variant: success probability carries Im, not Re
-    p_num = np.clip(0.5 * (1.0 + label_traces(labels, bs_num).imag), 0.0, 1.0)
-    # hits of the two + rows minus hits of the two - rows, in -2..2: half the shot's outcome sum
-    net = np.zeros(shots, dtype=np.int8)
-    for p_lab, add in zip(p_num, (np.add, np.add, np.subtract, np.subtract)):
-        for blk in _blocks(shots):
-            add(net[blk], hits(p_lab, labels, blk), out=net[blk])
-    counts = sum(np.bincount(net[blk] + 2, minlength=5) for blk in _blocks(shots))
-    s_num = sum(u * int(c) for u, c in zip(range(-4, 5, 2), counts))
-    ss_num = sum(u * u * int(c) for u, c in zip(range(-4, 5, 2), counts))
+    p_num = np.clip(0.5 * (1.0 + label_traces(counts, bs_num).imag), 0.0, 1.0)
+    # shots of each value of B1 + B2 - B3 - B4 in -2..2 (half the shot's outcome sum)
+    hist = rng.multinomial(counts, _net_law(p_num)).sum(axis=0)
+    s_num = sum(u * int(c) for u, c in zip(range(-4, 5, 2), hist))
+    ss_num = sum(u * u * int(c) for u, c in zip(range(-4, 5, 2), hist))
 
     mean, se = _ratio_stats(s_num, ss_num, 2 * n_plus - shots, shots, shots, t_mass)
     return MCEstimate(mean=mean, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
+
+
+def _net_law(p: np.ndarray) -> np.ndarray:
+    """Law of B1 + B2 - B3 - B4 on -2..2 for independent Bernoulli B_i with success probabilities p[i - 1].
+
+    p has shape (4, L), one column per label; the law has shape (L, 5).
+    """
+    q = 1.0 - p
+    plus = (q[0] * q[1], p[0] * q[1] + q[0] * p[1], p[0] * p[1])  # law of B1 + B2 on 0..2
+    minus = (q[2] * q[3], p[2] * q[3] + q[2] * p[3], p[2] * p[3])  # law of B3 + B4
+    law = np.zeros((p.shape[1], 5))
+    for i, a in enumerate(plus):
+        for j, b in enumerate(minus):
+            law[:, i - j + 2] += a * b
+    return law
 
 
 def _ratio_stats(s_num: int, ss_num: int, s_den: int, ss_den: int, shots: int, scale: float) -> tuple[float, float]:

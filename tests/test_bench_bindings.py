@@ -3,6 +3,7 @@ or deletion in the package must fail here rather than only when the
 benchmark runs (or, for traced layers, only under --trace 1)."""
 
 import ast
+import concurrent.futures
 import functools
 import importlib
 import importlib.util
@@ -201,7 +202,7 @@ def test_ensemble_worker_runs_once_per_chunk_in_one_pool(monkeypatch, tmp_path):
             fh.write(f"{len(args)} {type(args[0]).__name__}\n")
         return original(*args)
 
-    monkeypatch.setattr(training, "ProcessPoolExecutor", ForkPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkPool)
     monkeypatch.setattr(training, "_ensemble_worker", recording)
     cfg = training.TrainConfig(kind="uqnn", n_v=1, n_h=1, epochs=2, seed=0)
 

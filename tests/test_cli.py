@@ -552,12 +552,12 @@ class TestMCEstimate:
 
     @pytest.mark.parametrize(
         "seed,mean,std_error",
-        [(0, -0.2899029982363316, 0.014321360705993892), (1, 0.1364633611232997, 0.015513446087772435)],
+        [(0, -0.31610688030990003, 0.014304963659001678), (1, 0.12050525093161689, 0.01538480775124668)],
     )
     def test_bundled_estimate_is_pinned(self, tmp_path, seed, mean, std_error):
-        # means written by the per-shot row sampler, which drew the same stream; each
-        # std_error is its 50-digit value 0.01432136070599389158... and
-        # 0.01551344608777243597..., correctly rounded
+        # means at z -0.94 and -1.06 from the exact gradients -0.302673 and 0.136844; each
+        # std_error is its 50-digit value 0.01430496365900167825... and
+        # 0.01538480775124667970..., correctly rounded
         out = tmp_path / "out"
         cfg = bundled_config_path("mc_2q.json")
         assert main(["mc-estimate", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -300,11 +301,24 @@ class TestMCReverseGradient:
             mc_reverse_gradient_thermal(p, target, 0, shots=10, rng=rng)
 
 
+def enumerated_net_law(p):
+    """Law of B1 + B2 - B3 - B4 on -2..2, summed over the 16 joint outcomes of four Bernoulli rows p (4, L)."""
+    law = np.zeros((p.shape[1], 5))
+    for bits in itertools.product((0, 1), repeat=4):
+        prob = np.prod([pi if b else 1.0 - pi for pi, b in zip(p, bits)], axis=0)
+        law[:, bits[0] + bits[1] - bits[2] - bits[3] + 2] += prob
+    return law
+
+
 def reference_mc_gradient(p, target_h, k, shots, rng, q_max):
     """The per-shot row sampler that the labelled block sampler replaced.
 
     Every shot carries its own (perm, phase) rows of length d_v, composed
-    gate by gate; all arrays span every shot at once.
+    gate by gate; all arrays span every shot at once. Each shot's label
+    i^e X^x Z^z is read off its rows, and the outcomes are drawn per label
+    over the full label vector, in label order: one binomial for the
+    denominator and one multinomial over the enumerated law of
+    B1 + B2 - B3 - B4 for the numerator.
     """
     terms = [t for t in target_h.terms if t.coeff != 0.0]
     alpha = np.array([t.coeff for t in terms])
@@ -327,8 +341,12 @@ def reference_mc_gradient(p, target_h, k, shots, rng, q_max):
     p_q = weights / t_mass
     tail = a1 ** (q_max + 1) / math.factorial(q_max + 1)
 
+    n = p.n_v
+    n_lab = 4 ** (n + 1)
+
     def sample_traces(bs):
         t_vals = np.zeros((len(bs), shots), dtype=complex)
+        labels = np.zeros(shots, dtype=np.int64)
         qs = rng.choice(q_max + 1, size=shots, p=p_q)
         cols = np.arange(dv)[None, :]
         for q in np.unique(qs):
@@ -346,20 +364,26 @@ def reference_mc_gradient(p, target_h, k, shots, rng, q_max):
                 perm = np.take_along_axis(perm, ip, axis=1)
             for mi, b in enumerate(bs):
                 t_vals[mi, rows] = np.sum(phase * b[cols, perm], axis=1)
+            # U|j> = i^e (-1)^|z & j| |j ^ x>: x from perm[0], e from phase[0], z from the single-bit columns
+            e = np.rint(np.angle(phase[:, 0]) / (np.pi / 2)).astype(np.int64) & 3
+            z = sum(((phase[:, 1 << b] * phase[:, 0].conj()).real < 0).astype(np.int64) << b for b in range(n))
+            labels[rows] = perm[:, 0] << (n + 2) | z << 2 | e
         if float(np.max(np.abs(t_vals))) > 1.0 + 1e-9:
             raise ArithmeticError("sampled trace left the unit disc; not a valid shot probability")
-        return t_vals
+        # the trace of every label that no shot drew is 0
+        t_lab = np.zeros((len(bs), n_lab), dtype=complex)
+        t_lab[:, labels] = t_vals
+        return np.bincount(labels, minlength=n_lab), t_lab
 
-    t_den = sample_traces(bs_den)
+    counts, t_den = sample_traces(bs_den)
     p_den = np.clip(0.5 * (1.0 + t_den[0].real), 0.0, 1.0)
-    den_vals = np.where(rng.random(shots) < p_den, 1, -1)
-    t_num = sample_traces(bs_num)
+    n_plus = int(rng.binomial(counts, p_den).sum())
+    counts, t_num = sample_traces(bs_num)
     p_num = np.clip(0.5 * (1.0 + t_num.imag), 0.0, 1.0)
-    draws = np.where(rng.random((4, shots)) < p_num, 1, -1)
-    num_vals = draws[0] + draws[1] - draws[2] - draws[3]
-    # per-shot outcome sums in units of t_mass, reduced by the sampler's own statistics
-    sums = [int(v.sum()) for v in (num_vals, num_vals**2, den_vals, den_vals**2)]
-    mean, se = swaptest._ratio_stats(*sums, shots, t_mass)
+    hist = [int(c) for c in rng.multinomial(counts, enumerated_net_law(p_num)).sum(axis=0)]
+    # outcome sums in units of t_mass, reduced by the sampler's own statistics
+    s_num, ss_num = tallies(U_VALUES, hist)
+    mean, se = swaptest._ratio_stats(s_num, ss_num, 2 * n_plus - shots, shots, shots, t_mass)
     return MCEstimate(mean=mean, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
 
 
@@ -403,6 +427,32 @@ class TestLabelledSamplerBitIdentity:
             ref = outcome(reference_mc_gradient, p, h, k, shots, ref_rng, q_max)
             assert got == ref, shots
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state, shots
+
+
+def test_net_law_equals_the_enumerated_outcomes():
+    rng = np.random.default_rng(7)
+    p = rng.random((4, 400))
+    # certain and impossible outcomes in every row, and columns made of them alone
+    p[rng.random(p.shape) < 0.2] = 0.0
+    p[rng.random(p.shape) < 0.2] = 1.0
+    p[:, :16] = np.array(list(itertools.product((0.0, 1.0), repeat=4))).T
+    law = swaptest._net_law(p)
+    assert law.shape == (400, 5)
+    assert np.max(np.abs(law - enumerated_net_law(p))) <= 1e-15
+
+
+def test_estimates_pool_to_a_unit_normal_around_the_exact_gradient():
+    # 200 estimates at 2e4 shots: the z-scores against the exact gradient sum to N(0, 200)
+    # and spread as a unit normal
+    p, target, q_max = mc_2q_inputs()
+    exact = uqnn_grad_reverse(p, thermal_state(target))
+    z = []
+    for seed in range(200):
+        k = 1 + seed % len(p.generators)
+        est = mc_reverse_gradient_thermal(p, target, k, 2 * 10**4, np.random.default_rng(seed), q_max)
+        z.append((est.mean - exact[k - 1]) / est.std_error)
+    assert abs(sum(z)) / math.sqrt(200) <= 4
+    assert 0.8 <= np.std(z, ddof=1) <= 1.2
 
 
 # Shot values of the sampler's numerator (u, the sum of four +-1 draws) and denominator (v, one draw).
@@ -519,10 +569,9 @@ class TestSamplerMemoryAndFailures:
         assert peak < 32 * 2**20
 
     def test_no_float_array_grows_with_shots(self):
-        # orders, labels and the int8 numerator tally cost 1 byte a shot each, the shot
-        # indices of all orders >= 2 and of the order being labelled 8 bytes a shot of
-        # those orders (about 19 % and 14 % of the shots at mc_2q's alpha norm 0.8):
-        # about 4.5 bytes a shot traced; one float64 array per shot alone would add 8
+        # orders, picks and labels are drawn and counted a block at a time and outcomes
+        # are drawn per label, so no array spans the shots; one float64 array per shot
+        # alone would add 8 bytes a shot
         p, target, q_max = mc_2q_inputs()
         peaks = {}
         for shots in (2 * 10**5, 10**6):
@@ -539,7 +588,7 @@ class TestSamplerMemoryAndFailures:
         # (a float mean of the +-t_mass shot values is a rounding residue of about 1e-18)
         p, target, q_max = mc_2q_inputs()
         with pytest.raises(ArithmeticError, match="exactly zero"):
-            mc_reverse_gradient_thermal(p, target, 1, 30, np.random.default_rng(3962), q_max)
+            mc_reverse_gradient_thermal(p, target, 1, 30, np.random.default_rng(228), q_max)
 
     @pytest.mark.parametrize("q_max", [170, 200])
     def test_series_cutoff_past_the_float_factorial_is_rejected(self, q_max):

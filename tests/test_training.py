@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -777,7 +778,7 @@ class TestRunEnsemble:
         def refused(*args, **kwargs):
             raise AssertionError("a single chunk must not start a pool or a worker")
 
-        monkeypatch.setattr(training, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
         monkeypatch.setattr(training, "_ensemble_worker", refused)
         run_ensemble(cfg, 1, vary="both", jobs=2, out_dir=str(tmp_path / "j2"))
         assert science_files(tmp_path / "j2", 0) == science_files(tmp_path / "j1", 0)
