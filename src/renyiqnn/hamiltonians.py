@@ -180,8 +180,8 @@ def weighted_sum_dense(coeffs, tables: PauliTables) -> np.ndarray:
 class LCUHamiltonian:
     """H = sum_l coeff_l * PauliString_l on n_qubits qubits.
 
-    Its PauliTables are built once, on first use, and shared with every
-    `scaled` copy: a rescaled H has the same strings.
+    Its PauliTables are built once, on first use, unless it is given them,
+    and shared with every `scaled` copy: a rescaled H has the same strings.
     """
 
     n_qubits: int
@@ -238,6 +238,15 @@ def _unit_terms(n: int, locality: int) -> tuple[PauliTerm, ...]:
     return tuple(PauliTerm(1.0, ax) for ax in axes)
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_tables(n: int, locality: int) -> PauliTables:
+    """The read-only PauliTables of _unit_terms(n, locality), shared by every target drawn from them."""
+    tables = pauli_tables(_unit_terms(n, locality), n)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
 def two_local_terms(n: int) -> list[PauliTerm]:
     """All 3n + 9*C(n,2) two-local strings in canonical order.
 
@@ -255,14 +264,16 @@ def random_two_local(
         raise ValueError("need at least one qubit")
     units = _unit_terms(n, 2)
     stds = [std_single] * (3 * n) + [std_pair] * (len(units) - 3 * n)
-    return LCUHamiltonian(n, [t.scaled(std * rng.standard_normal()) for t, std in zip(units, stds)])
+    terms = [t.scaled(std * rng.standard_normal()) for t, std in zip(units, stds)]
+    return LCUHamiltonian(n, terms, _unit_tables(n, 2))
 
 
 def random_three_local(n: int, std: float, rng: np.random.Generator) -> LCUHamiltonian:
     """Random H3 = H2 + triple terms, all coefficients ~ N(0, std^2)."""
     if n < 3:
         raise ValueError("three-local terms need n >= 3")
-    return LCUHamiltonian(n, [t.scaled(std * rng.standard_normal()) for t in _unit_terms(n, 3)])
+    terms = [t.scaled(std * rng.standard_normal()) for t in _unit_terms(n, 3)]
+    return LCUHamiltonian(n, terms, _unit_tables(n, 3))
 
 
 def normalize(h: LCUHamiltonian, tau: float) -> LCUHamiltonian:

@@ -9,23 +9,24 @@ estimate of single gradient entries for thermal targets, where e^H is
 expanded as a power series and sampled term by term.
 
 Shot outcomes are Bernoulli draws at exactly computed success
-probabilities, drawn as counts: one binomial for a trace power, and for a
-gradient entry a binomial and a multinomial per label (sampled Pauli
-product) over the shots that drew it. Their statistics are identical to
-per-shot circuit execution at a tiny fraction of the cost.
+probabilities, drawn as counts: one binomial for a trace power. A gradient
+entry draws its sampled series terms as counts too, shots per expansion
+order and then shots per label (sampled Pauli product) from that order's
+exact label law, and then a binomial and a multinomial per label over the
+shots that drew it. Their statistics are identical to per-shot circuit
+execution, and no cost grows with the shot count.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
-from .hamiltonians import LCUHamiltonian, PauliTerm, _mask_tables, _parity, pauli_traces
-from .models import UQNNParams, conjugated_generator_vec, uqnn_statevector
+from .hamiltonians import LCUHamiltonian, PauliTerm, _parity, string_action
+from .models import UQNNParams, uqnn_statevector
 from .states import DensityMatrix
 
 UNITARY_TOL = 1e-8
@@ -36,56 +37,6 @@ ALPHA_NORM_GUARD = 20.0
 _Q_MAX_CAP = 169
 
 _HAD1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-# draws per block of the Monte-Carlo sampler: its temporaries do not grow with the shot count
-_BLOCK = 2**14
-
-
-def _blocks(n: int, size: int = _BLOCK) -> Iterator[slice]:
-    """Consecutive slices of at most `size` items covering range(n)."""
-    return (slice(s, min(s + size, n)) for s in range(0, n, size))
-
-
-def _inverse_cdf(p: np.ndarray) -> Callable[[np.random.Generator, int | tuple[int, ...]], np.ndarray]:
-    """Sampler of indices i with probability p[i]: draw(rng, size) equals rng.choice(len(p), size, p=p).
-
-    Generator.choice draws u = rng.random(size) and returns the number of
-    entries of cdf = p.cumsum() / (its last entry) that are <= u; only the
-    entries below 1.0 can count, since u < 1. draw takes the same uniforms
-    and counts the same entries with a guide table (Chen & Asau 1974;
-    Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4). The
-    table has M = 2^k buckets, more than 32 per entry below 1.0, and bucket
-    j holds the uniforms in [j/M, (j+1)/M); as M is a power of two, the
-    bucket j = floor(u * M) and its edges are exact. A bucket holding at most
-    one entry answers with one lookup: lo[j], the count of entries below
-    j/M, plus 1 if first[j], the first entry at or above j/M, is <= u. A
-    bucket holding two or more entries, such as the tail of a fast-decaying
-    table crowded just below 1.0, answers -1 instead, and its draws fall
-    back to the count choice itself takes, a binary search of the entries
-    below 1.0. Indices, and the generator's state afterwards, are
-    bit-identical to choice's.
-    """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    below = cdf[cdf < 1.0]
-    m = 1 << (below.size.bit_length() + 5)
-    edges = below.searchsorted(np.arange(m + 1) / m)
-    lo, first = edges[:-1], np.append(below, np.inf)[edges[:-1]]
-    crowded = np.diff(edges) > 1
-    # a crowded bucket answers -1, which marks its draws for the search
-    lo[crowded], first[crowded] = -1, np.inf
-    search = bool(crowded.any())
-
-    def draw(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-        u = rng.random(size).ravel()
-        j = (u * m).astype(np.intp)
-        i = lo.take(j)
-        i += first.take(j) <= u
-        if search:
-            rows = np.flatnonzero(i < 0)
-            i[rows] = below.searchsorted(u[rows], side="right")
-        return i.reshape(size)
-
-    return draw
 
 
 @dataclass
@@ -273,10 +224,12 @@ def mc_reverse_gradient_thermal(
     error propagation.
 
     A product of Pauli strings is again one string times a power of i, so
-    each shot carries one small-integer label (x mask, z mask, phase
-    exponent), composed per sampled string with an XOR and a parity read
-    from a 2^n_v table. Shots are counted per label, and the trace is
-    computed once per label that occurs (at most 4^(n_v+1)). Given its
+    a shot's sampled term is one of 4^(n_v+1) labels i^e X^x Z^z, and the
+    law of the label of an order-q product is exact and cheap (_label_laws).
+    Shots are therefore drawn as counts, never one by one: per stream, the
+    shots per order are one multinomial over the order weights, and the
+    shots per label are one multinomial per order drawn, over that order's
+    label law. The trace is computed once per label that occurs. Given its
     label, a shot's outcomes are independent Bernoulli draws, so they are
     drawn per label as exact integer tallies: the denominator's +1 count
     among the label's shots is binomial, and the histogram of the
@@ -284,18 +237,14 @@ def mc_reverse_gradient_thermal(
     and two subtracted) is multinomial on -2..2 (_net_law). Together these
     are the joint law of the tallies of per-shot draws.
 
-    Orders and string picks are drawn per shot by inverting the two
-    cumulative tables, built once per estimate (_inverse_cdf): one uniform
-    per draw, mapped by a guide-table lookup to the index that
-    Generator.choice returns for the same uniform, so labels match a sampler
-    that calls choice. The random stream is consumed in a fixed order (all
-    orders, then the string picks of each order from 1 up, the denominator's
-    binomials; then the same for the numerator, ending with its
-    multinomials; the outcome draws run over all labels in label order), so
-    estimates do not depend on the block size. Orders are counted, and picks
-    composed and counted, a block of at most _BLOCK draws at a time, so no
-    array spans the shots: the traced peak of an estimate does not grow with
-    the shot count.
+    The random stream is consumed in a fixed order: the orders of both
+    streams (one multinomial of two rows, denominator first), the label
+    counts of the denominator and then of the numerator (one multinomial
+    over the orders 0..q_top, q_top the highest order either stream drew),
+    the denominator's binomials and the numerator's multinomials, each over
+    all labels in label order. The label laws are built once per estimate,
+    for both streams, at a cost of O(q_top * terms * 4^(n_v+1)); no step
+    grows with the shot count, and no array spans the shots.
     """
     if target_h.n_qubits != p.n_v:
         raise ValueError(
@@ -308,7 +257,7 @@ def mc_reverse_gradient_thermal(
     if not 0 <= q_max <= _Q_MAX_CAP:
         raise ValueError(f"q_max must be in 0..{_Q_MAX_CAP}, got {q_max}")
 
-    terms, alpha, a1 = _series_terms(target_h)
+    terms, _, a1 = _series_terms(target_h)
     if not math.isfinite(a1):
         raise ValueError(f"coefficient l1 norm is {a1}; every target coefficient must be finite")
     if a1 > ALPHA_NORM_GUARD:
@@ -318,8 +267,12 @@ def mc_reverse_gradient_thermal(
         )
 
     dv = 2**p.n_v
-    psi = uqnn_statevector(p)
-    phi = conjugated_generator_vec(p, k)
+    # psi and H~_k psi = i psi(theta + (pi/2) e_k) (conjugated_generator_vec) as two member rows
+    # of a local model, so the block products of the caller's model stay uncached
+    thetas = np.stack([p.thetas, p.thetas])
+    thetas[1, k - 1] += np.pi / 2
+    psi, phi = uqnn_statevector(UQNNParams(p.n_v, p.n_h, p.generators, thetas, _blocks=p.blocks()))
+    phi = 1j * phi
     psi_m = psi.reshape(dv, -1)
     phi_m = phi.reshape(dv, -1)
     sv = psi_m @ psi_m.conj().T  # Tr_h |psi><psi|
@@ -328,70 +281,71 @@ def mc_reverse_gradient_thermal(
     bs_den = [sv @ sv]
     bs_num = [a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T]
 
-    # Label i^e X^x Z^z as x << (n_v + 2) | z << 2 | e; a negative
-    # coefficient adds 2 to e. Label 0 is the identity, the product at q = 0.
     n = p.n_v
-    masks = [t.masks(n) for t in terms]
-    term_lab = np.array(
-        [x << (n + 2) | z << 2 | (ny + 2 * (t.coeff < 0.0)) & 3 for t, (x, z, ny) in zip(terms, masks)],
-        dtype=np.int64,
-    )
-    n_lab = 4 ** (n + 1)
-
     orders = np.arange(q_max + 1)
     weights = a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)
     t_mass = float(weights.sum())
     tail = a1 ** (q_max + 1) / math.factorial(q_max + 1)
-    draw_order = _inverse_cdf(weights / t_mass)
-    # with a1 == 0 every order is 0 and no string is drawn
-    draw_pick = _inverse_cdf(np.abs(alpha) / a1) if a1 > 0.0 else None
 
-    # 2 * parity of z & x' for two n_v-bit masks: the i^2 of moving Z^z past X^x'
-    flip2 = 2 * _parity(np.arange(dv))
-
-    def label_counts() -> np.ndarray:
-        """Shots per label of the sampled string product U = P_1 ... P_q, (4^(n_v + 1),)."""
-        n_q = sum(np.bincount(draw_order(rng, blk.stop - blk.start), minlength=q_max + 1) for blk in _blocks(shots))
-        counts = np.zeros(n_lab, dtype=np.int64)
-        counts[0] = n_q[0]
-        for q in np.flatnonzero(n_q[1:]) + 1:
-            # at most _BLOCK picks per draw: twice that ran at half the speed per pick
-            for blk in _blocks(int(n_q[q]), _BLOCK // q):
-                picks = term_lab[draw_pick(rng, (blk.stop - blk.start, q))]
-                lab = picks[:, 0]
-                for t in picks.T[1:]:
-                    # (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a+b+2|z&x'|) X^(x^x') Z^(z^z')
-                    flip = flip2.take((lab >> 2) & (t >> (n + 2)))
-                    lab = ((lab ^ t) & ~3) | ((lab + t + flip) & 3)
-                counts += np.bincount(lab, minlength=n_lab)
-        return counts
+    n_q = rng.multinomial(shots, weights / t_mass, size=2)
+    top = int(np.flatnonzero(n_q.any(axis=0))[-1])
+    laws = _label_laws(terms, n, top)
+    counts_den, counts_num = (rng.multinomial(row[:top + 1], laws).sum(axis=0) for row in n_q)
 
     def label_traces(counts: np.ndarray, bs: list[np.ndarray]) -> np.ndarray:
-        """Exact Tr(B U) per circuit B and per label that occurs, (len(bs), 4^(n_v + 1))."""
+        """Exact Tr(B U) per circuit B and per label that occurs, (len(bs), 4^(n_v + 1)).
+
+        Each is summed as pauli_traces sums it, sum_j col_phase[j] B[j, idx[j]] over U's string_action.
+        """
         used = np.flatnonzero(counts)
         lab = used[:, None]
-        tables = _mask_tables(lab >> (n + 2), (lab >> 2) & (dv - 1), n, lab & 3)
-        t_lab = np.zeros((len(bs), n_lab), dtype=complex)
-        for mi, b in enumerate(bs):
-            t_lab[mi, used] = pauli_traces(b, tables)
+        idx, col_phase = string_action(lab >> (n + 2), (lab >> 2) & (dv - 1), n, lab & 3)
+        entries = np.stack(bs).reshape(len(bs), -1).take(idx + dv * np.arange(dv), axis=-1)
+        t_lab = np.zeros((len(bs), counts.size), dtype=complex)
+        t_lab[:, used] = np.sum(col_phase * entries, axis=-1)
         if float(np.max(np.abs(t_lab[:, used]))) > 1.0 + 1e-9:
             raise ArithmeticError("sampled trace left the unit disc; not a valid shot probability")
         return t_lab
 
-    counts = label_counts()
-    p_den = np.clip(0.5 * (1.0 + label_traces(counts, bs_den)[0].real), 0.0, 1.0)
-    n_plus = int(rng.binomial(counts, p_den).sum())
-
-    counts = label_counts()
+    p_den = np.clip(0.5 * (1.0 + label_traces(counts_den, bs_den)[0].real), 0.0, 1.0)
     # ancilla phase-gate variant: success probability carries Im, not Re
-    p_num = np.clip(0.5 * (1.0 + label_traces(counts, bs_num).imag), 0.0, 1.0)
+    p_num = np.clip(0.5 * (1.0 + label_traces(counts_num, bs_num).imag), 0.0, 1.0)
+    n_plus = int(rng.binomial(counts_den, p_den).sum())
     # shots of each value of B1 + B2 - B3 - B4 in -2..2 (half the shot's outcome sum)
-    hist = rng.multinomial(counts, _net_law(p_num)).sum(axis=0)
+    hist = rng.multinomial(counts_num, _net_law(p_num)).sum(axis=0)
     s_num = sum(u * int(c) for u, c in zip(range(-4, 5, 2), hist))
     ss_num = sum(u * u * int(c) for u, c in zip(range(-4, 5, 2), hist))
 
     mean, se = _ratio_stats(s_num, ss_num, 2 * n_plus - shots, shots, shots, t_mass)
     return MCEstimate(mean=mean, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
+
+
+def _label_laws(terms: list[PauliTerm], n: int, top: int) -> np.ndarray:
+    """Law of the label of U = P_1 ... P_q over the 4^(n+1) labels, one row per order q = 0..top.
+
+    Each P_i is one of the nonzero `terms` on n qubits, i.i.d. with
+    probability |alpha_l| / |alpha|_1, its coefficient's sign folded in.
+    Label i^e X^x Z^z is x << (n + 2) | z << 2 | e, and a negative
+    coefficient adds 2 to e; row 0 puts all mass on label 0, the identity.
+    As U_q = U_(q-1) P_q, law_q[l] = sum_j pick_j law_(q-1)[l P_j^-1]: one
+    gather through before[j, l] = l P_j^-1 and one product per order. The
+    inverse of i^e X^x Z^z is i^(2|x&z| - e) X^x Z^z, so no sort is needed.
+    """
+    laws = np.zeros((top + 1, 4 ** (n + 1)))
+    laws[0, 0] = 1.0
+    if top == 0:
+        return laws
+    x, z, ny = np.array([t.masks(n) for t in terms], dtype=np.int64).T
+    alpha = np.array([t.coeff for t in terms])
+    pick = np.abs(alpha) / float(np.sum(np.abs(alpha)))
+    inv = (x << (n + 2) | z << 2 | (2 * _parity(x & z) - ny - 2 * (alpha < 0.0)) & 3)[:, None]
+    lab = np.arange(laws.shape[1])
+    # (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a+b+2|z&x'|) X^(x^x') Z^(z^z')
+    flip = (2 * _parity(np.arange(2**n))).take((lab >> 2) & (inv >> (n + 2)))
+    before = ((lab ^ inv) & ~3) | ((lab + inv + flip) & 3)
+    for q in range(1, top + 1):
+        laws[q] = pick @ laws[q - 1].take(before)
+    return laws
 
 
 def _net_law(p: np.ndarray) -> np.ndarray:

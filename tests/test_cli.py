@@ -552,12 +552,12 @@ class TestMCEstimate:
 
     @pytest.mark.parametrize(
         "seed,mean,std_error",
-        [(0, -0.31610688030990003, 0.014304963659001678), (1, 0.12050525093161689, 0.01538480775124668)],
+        [(0, -0.29364349235554393, 0.014198389267732345), (1, 0.11929892514767115, 0.015381406281650595)],
     )
     def test_bundled_estimate_is_pinned(self, tmp_path, seed, mean, std_error):
-        # means at z -0.94 and -1.06 from the exact gradients -0.302673 and 0.136844; each
-        # std_error is its 50-digit value 0.01430496365900167825... and
-        # 0.01538480775124667970..., correctly rounded
+        # means at z +0.64 and -1.14 from the exact gradients -0.302673 and 0.136844; each
+        # std_error is its 50-digit value 0.01419838926773234487... and
+        # 0.01538140628165059572..., correctly rounded
         out = tmp_path / "out"
         cfg = bundled_config_path("mc_2q.json")
         assert main(["mc-estimate", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0

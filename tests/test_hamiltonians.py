@@ -284,16 +284,21 @@ class TestNormalize:
             return pauli_tables(terms, n_qubits)
 
         monkeypatch.setattr(hamiltonians, "pauli_tables", counting)
+        hamiltonians._unit_tables.cache_clear()
         raw = random_two_local(4, 0.5, 1.0, rng) if locality == 2 else random_three_local(4, 1.0, rng)
         h = normalize(raw, 10.0)
         rho = thermal_state(h)
-        assert built == [len(raw.terms)]  # one assembly of the strings for op_norm, the copy and the state
+        # one assembly of the strings per (n, locality) in the process, for op_norm, the copy and the state
+        assert built == [len(raw.terms)]
         assert h.tables() is raw.tables()
+        redraw = random_two_local(4, 0.5, 1.0, rng) if locality == 2 else random_three_local(4, 1.0, rng)
+        assert redraw.tables() is raw.tables() and built == [len(raw.terms)]
         # the same target as from freshly checked terms and freshly built tables
         s = 10.0 / op_norm(raw.dense())
         fresh = LCUHamiltonian(4, [PauliTerm(s * t.coeff, t.axes) for t in raw.terms])
         assert h.terms == fresh.terms
         assert np.array_equal(h.dense(), fresh.dense())
+        assert all(np.array_equal(a, b) for a, b in zip(h.tables(), fresh.tables()))
         want = thermal_state(fresh)
         assert np.array_equal(rho.mat, want.mat)
         assert all(np.array_equal(x, y) for x, y in zip(rho.factor(), want.factor()))

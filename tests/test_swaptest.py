@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from renyiqnn import cli, swaptest
+from renyiqnn import cli, hamiltonians, swaptest
 from renyiqnn.hamiltonians import (
     LCUHamiltonian,
     PauliTerm,
@@ -291,6 +291,17 @@ class TestMCReverseGradient:
             mc_reverse_gradient_thermal(p, LCUHamiltonian(2, terms), 1, shots=10, rng=shot_rng)
         assert shot_rng.bit_generator.state == before
 
+    def test_estimate_leaves_the_block_products_of_the_model_as_found(self, rng_factory):
+        rng = rng_factory(53)
+        p = build_uqnn(2, 1, rng)
+        target = small_target(rng)
+        mc_reverse_gradient_thermal(p, target, 1, shots=1000, rng=rng_factory(5))
+        assert p._products is None
+        uqnn_statevector(p)
+        cached = p._products
+        mc_reverse_gradient_thermal(p, target, 2, shots=1000, rng=rng_factory(6))
+        assert p._products is cached
+
     def test_k_out_of_range(self, rng_factory):
         rng = rng_factory(43)
         p = build_uqnn(2, 0, rng)
@@ -310,84 +321,65 @@ def enumerated_net_law(p):
     return law
 
 
-def reference_mc_gradient(p, target_h, k, shots, rng, q_max):
-    """The per-shot row sampler that the labelled block sampler replaced.
+def row_labels(picks, terms, n):
+    """Label i^e X^x Z^z of the product terms[picks[r, 0]] ... terms[picks[r, -1]] of each row r, from dense rows.
 
-    Every shot carries its own (perm, phase) rows of length d_v, composed
-    gate by gate; all arrays span every shot at once. Each shot's label
-    i^e X^x Z^z is read off its rows, and the outcomes are drawn per label
-    over the full label vector, in label order: one binomial for the
-    denominator and one multinomial over the enumerated law of
-    B1 + B2 - B3 - B4 for the numerator.
+    Every row carries its own (perm, phase) rows of length 2^n, composed
+    string by string, with the coefficient signs folded into the phases;
+    the label is read off the composed rows.
     """
-    terms = [t for t in target_h.terms if t.coeff != 0.0]
     alpha = np.array([t.coeff for t in terms])
-    a1 = float(np.sum(np.abs(alpha)))
+    idx_tab, cp_tab = pauli_tables(terms, n)[:2]
+    cp_tab = np.where(alpha < 0.0, -1.0, 1.0)[:, None] * cp_tab
+    dv = 2**n
+    perm = np.broadcast_to(np.arange(dv), (len(picks), dv)).copy()
+    phase = np.ones((len(picks), dv), dtype=complex)
+    for step in range(picks.shape[1]):
+        ip = idx_tab[picks[:, step]]
+        phase = cp_tab[picks[:, step]] * np.take_along_axis(phase, ip, axis=1)
+        perm = np.take_along_axis(perm, ip, axis=1)
+    # U|j> = i^e (-1)^|z & j| |j ^ x>: x from perm[0], e from phase[0], z from the single-bit columns
+    e = np.rint(np.angle(phase[:, 0]) / (np.pi / 2)).astype(np.int64) & 3
+    z = sum(((phase[:, 1 << b] * phase[:, 0].conj()).real < 0).astype(np.int64) << b for b in range(n))
+    return perm[:, 0] << (n + 2) | z << 2 | e
+
+
+def reference_tallies(p, target_h, k, counts_den, counts_num, shots, rng, q_max):
+    """The outcome stage, given the label counts: the arguments the estimator passes to _ratio_stats.
+
+    Each label's trace is summed over its dense (perm, phase) rows; the
+    outcomes are drawn over the full label vector, in label order: one
+    binomial for the denominator and one multinomial over the enumerated law
+    of B1 + B2 - B3 - B4 for the numerator.
+    """
+    a1 = float(np.sum(np.abs([t.coeff for t in target_h.terms if t.coeff != 0.0])))
+    orders = np.arange(q_max + 1)
+    t_mass = float(np.sum(a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)))
     dv = 2**p.n_v
-    psi = uqnn_statevector(p)
-    phi = conjugated_generator_vec(p, k)
-    psi_m = psi.reshape(dv, -1)
-    phi_m = phi.reshape(dv, -1)
+    psi_m = uqnn_statevector(p).reshape(dv, -1)
+    phi_m = conjugated_generator_vec(p, k).reshape(dv, -1)
     sv = psi_m @ psi_m.conj().T
     a_mat = phi_m @ psi_m.conj().T
     bs_den = [sv @ sv]
     bs_num = [a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T]
-    idx_tab, cp_tab = pauli_tables(terms, p.n_v)[:2]
-    cp_tab = np.where(alpha < 0.0, -1.0, 1.0)[:, None] * cp_tab
-    p_idx = np.abs(alpha) / a1 if a1 > 0.0 else None
-    orders = np.arange(q_max + 1)
-    weights = a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)
-    t_mass = float(weights.sum())
-    p_q = weights / t_mass
-    tail = a1 ** (q_max + 1) / math.factorial(q_max + 1)
 
-    n = p.n_v
-    n_lab = 4 ** (n + 1)
+    def traces(counts, bs):
+        lab = np.flatnonzero(counts)[:, None]
+        j = np.arange(dv)[None, :]
+        perm = j ^ (lab >> (p.n_v + 2))
+        phase = (1j ** (lab & 3)) * np.where(hamiltonians._parity(j & (lab >> 2) & (dv - 1)) == 1, -1.0, 1.0)
+        t_lab = np.zeros((len(bs), len(counts)), dtype=complex)
+        for mi, b in enumerate(bs):
+            t_lab[mi, lab[:, 0]] = np.sum(phase * b[j, perm], axis=1)
+        return t_lab
 
-    def sample_traces(bs):
-        t_vals = np.zeros((len(bs), shots), dtype=complex)
-        labels = np.zeros(shots, dtype=np.int64)
-        qs = rng.choice(q_max + 1, size=shots, p=p_q)
-        cols = np.arange(dv)[None, :]
-        for q in np.unique(qs):
-            rows = np.nonzero(qs == q)[0]
-            if q == 0:
-                for mi, b in enumerate(bs):
-                    t_vals[mi, rows] = np.trace(b)
-                continue
-            picks = rng.choice(len(terms), size=(rows.size, int(q)), p=p_idx)
-            perm = np.broadcast_to(np.arange(dv), (rows.size, dv)).copy()
-            phase = np.ones((rows.size, dv), dtype=complex)
-            for step in range(int(q)):
-                ip = idx_tab[picks[:, step]]
-                phase = cp_tab[picks[:, step]] * np.take_along_axis(phase, ip, axis=1)
-                perm = np.take_along_axis(perm, ip, axis=1)
-            for mi, b in enumerate(bs):
-                t_vals[mi, rows] = np.sum(phase * b[cols, perm], axis=1)
-            # U|j> = i^e (-1)^|z & j| |j ^ x>: x from perm[0], e from phase[0], z from the single-bit columns
-            e = np.rint(np.angle(phase[:, 0]) / (np.pi / 2)).astype(np.int64) & 3
-            z = sum(((phase[:, 1 << b] * phase[:, 0].conj()).real < 0).astype(np.int64) << b for b in range(n))
-            labels[rows] = perm[:, 0] << (n + 2) | z << 2 | e
-        if float(np.max(np.abs(t_vals))) > 1.0 + 1e-9:
-            raise ArithmeticError("sampled trace left the unit disc; not a valid shot probability")
-        # the trace of every label that no shot drew is 0
-        t_lab = np.zeros((len(bs), n_lab), dtype=complex)
-        t_lab[:, labels] = t_vals
-        return np.bincount(labels, minlength=n_lab), t_lab
-
-    counts, t_den = sample_traces(bs_den)
-    p_den = np.clip(0.5 * (1.0 + t_den[0].real), 0.0, 1.0)
-    n_plus = int(rng.binomial(counts, p_den).sum())
-    counts, t_num = sample_traces(bs_num)
-    p_num = np.clip(0.5 * (1.0 + t_num.imag), 0.0, 1.0)
-    hist = [int(c) for c in rng.multinomial(counts, enumerated_net_law(p_num)).sum(axis=0)]
-    # outcome sums in units of t_mass, reduced by the sampler's own statistics
-    s_num, ss_num = tallies(U_VALUES, hist)
-    mean, se = swaptest._ratio_stats(s_num, ss_num, 2 * n_plus - shots, shots, shots, t_mass)
-    return MCEstimate(mean=mean, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
+    p_den = np.clip(0.5 * (1.0 + traces(counts_den, bs_den)[0].real), 0.0, 1.0)
+    p_num = np.clip(0.5 * (1.0 + traces(counts_num, bs_num).imag), 0.0, 1.0)
+    n_plus = int(rng.binomial(counts_den, p_den).sum())
+    hist = [int(c) for c in rng.multinomial(counts_num, enumerated_net_law(p_num)).sum(axis=0)]
+    return (*tallies(U_VALUES, hist), 2 * n_plus - shots, shots, shots, t_mass)
 
 
-B = swaptest._BLOCK
 # n_v, n_h, q_max, alpha norm, make every coefficient negative
 SAMPLER_CASES = [
     (nv, nh, q_max, norm, flip)
@@ -406,27 +398,58 @@ def mc_pair(nv, nh, norm, flip, seed):
     return p, h
 
 
-def outcome(estimator, *args):
-    """(mean, std_error, tail_bound), or the message of an exactly zero denominator."""
-    try:
-        est = estimator(*args)
-    except ArithmeticError as exc:
-        return str(exc)
-    return est.mean, est.std_error, est.tail_bound
+@pytest.mark.parametrize("nv", [1, 2])
+@pytest.mark.parametrize("flip", [False, True])
+def test_label_laws_equal_the_enumerated_products(nv, flip):
+    # every pick sequence up to order 3, weighted by its probability and labelled by dense rows
+    _, h = mc_pair(nv, 0, 0.8, flip, seed=nv)
+    terms, alpha, a1 = swaptest._series_terms(h)
+    laws = swaptest._label_laws(terms, nv, 3)
+    assert laws.shape == (4, 4 ** (nv + 1))
+    for q in range(4):
+        seqs = list(itertools.product(range(len(terms)), repeat=q))
+        picks = np.array(seqs, dtype=np.intp).reshape(len(seqs), q)
+        prob = np.prod((np.abs(alpha) / a1)[picks], axis=1)
+        want = np.bincount(row_labels(picks, terms, nv), weights=prob, minlength=4 ** (nv + 1))
+        assert np.max(np.abs(laws[q] - want)) <= 1e-15, q
 
 
-class TestLabelledSamplerBitIdentity:
-    @pytest.mark.parametrize("nv,nh,q_max,norm,flip", SAMPLER_CASES)
-    def test_matches_row_sampler(self, nv, nh, q_max, norm, flip):
-        p, h = mc_pair(nv, nh, norm, flip, seed=100 * nv + 10 * nh + q_max)
-        shot_counts = [1, 2, B - 1, B, B + 1] + ([10**5] if q_max == 30 else [])
-        for i, shots in enumerate(shot_counts):
-            k = 1 + i % len(p.generators)
-            got_rng, ref_rng = np.random.default_rng(shots), np.random.default_rng(shots)
-            got = outcome(mc_reverse_gradient_thermal, p, h, k, shots, got_rng, q_max)
-            ref = outcome(reference_mc_gradient, p, h, k, shots, ref_rng, q_max)
-            assert got == ref, shots
-            assert got_rng.bit_generator.state == ref_rng.bit_generator.state, shots
+class OutcomeRecorder:
+    """A Generator that keeps the label counts its outcome draws take, and its state before them.
+
+    The estimator's binomial is its first outcome draw; the numerator's multinomial over
+    the outcome law is its last multinomial.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def binomial(self, n, p):
+        self.counts_den, self.state = n, self._rng.bit_generator.state
+        return self._rng.binomial(n, p)
+
+    def multinomial(self, n, pvals, size=None):
+        self.counts_num = n
+        return self._rng.multinomial(n, pvals, size)
+
+
+@pytest.mark.parametrize("nv,nh,q_max,norm,flip", SAMPLER_CASES)
+def test_outcome_stage_matches_the_reference(monkeypatch, nv, nh, q_max, norm, flip):
+    p, h = mc_pair(nv, nh, norm, flip, seed=100 * nv + 10 * nh + q_max)
+    seen = []
+    monkeypatch.setattr(swaptest, "_ratio_stats", lambda *a: seen.append(a) or (0.0, 0.0))
+    for i, shots in enumerate([1, 2, 1000, 10**5]):
+        k = 1 + i % len(p.generators)
+        rec = OutcomeRecorder(np.random.default_rng(shots))
+        mc_reverse_gradient_thermal(p, h, k, shots, rec, q_max)
+        assert rec.counts_den.sum() == rec.counts_num.sum() == shots
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = rec.state
+        assert reference_tallies(p, h, k, rec.counts_den, rec.counts_num, shots, ref_rng, q_max) == seen[-1], shots
+        assert ref_rng.bit_generator.state == rec.bit_generator.state, shots
 
 
 def test_net_law_equals_the_enumerated_outcomes():
@@ -445,6 +468,20 @@ def test_estimates_pool_to_a_unit_normal_around_the_exact_gradient():
     # 200 estimates at 2e4 shots: the z-scores against the exact gradient sum to N(0, 200)
     # and spread as a unit normal
     p, target, q_max = mc_2q_inputs()
+    exact = uqnn_grad_reverse(p, thermal_state(target))
+    z = []
+    for seed in range(200):
+        k = 1 + seed % len(p.generators)
+        est = mc_reverse_gradient_thermal(p, target, k, 2 * 10**4, np.random.default_rng(seed), q_max)
+        z.append((est.mean - exact[k - 1]) / est.std_error)
+    assert abs(sum(z)) / math.sqrt(200) <= 4
+    assert 0.8 <= np.std(z, ddof=1) <= 1.2
+
+
+def test_estimates_with_a_hidden_qubit_pool_to_a_unit_normal():
+    # as above on a 2v+1h model, where the numerator pair B2 - B3 carries signal:
+    # dropping it there biases the pooled z-score
+    p, target, q_max = mc_2q_inputs(n_h=1)
     exact = uqnn_grad_reverse(p, thermal_state(target))
     z = []
     for seed in range(200):
@@ -524,6 +561,20 @@ class TestRatioStatsOracle:
             assert_close(mean, exact_mean, MEAN_TOL)
             assert_close(se, exact_se, SE_TOL)
 
+    def test_tallies_of_a_trillion_shots(self, monkeypatch):
+        # the cost does not grow with the shots; the tallies stay Python ints, so the statistics stay exact
+        seen = []
+        ratio_stats = swaptest._ratio_stats
+        monkeypatch.setattr(swaptest, "_ratio_stats", lambda *a: seen.append(a) or ratio_stats(*a))
+        p, target, q_max = mc_2q_inputs()
+        est = mc_reverse_gradient_thermal(p, target, 1, 10**12, np.random.default_rng(0), q_max)
+        assert math.isfinite(est.mean) and 0.0 < est.std_error < 1e-5
+        (args,) = seen
+        assert all(type(a) is int for a in args[:5])
+        exact_mean, exact_se = ratio_stats_mp(*args)
+        assert_close(est.mean, exact_mean, MEAN_TOL)
+        assert_close(est.std_error, exact_se, SE_TOL)
+
     @pytest.mark.parametrize(
         "u_counts,v_counts",
         [
@@ -547,12 +598,13 @@ class TestRatioStatsOracle:
             swaptest._ratio_stats(s_u, ss_u, 0, n, n, 1.5)
 
 
-def mc_2q_inputs():
+def mc_2q_inputs(n_h=None):
+    """The mc_2q model, target and series cutoff; n_h, if given, replaces the config's hidden qubit count."""
     doc = cli.load_experiment_config(cli.bundled_config_path("mc_2q.json"), "mc-estimate")
     rng = np.random.default_rng(0)
     h = cli._target_hamiltonian(doc["n_v"], doc["target"], rng)
     target = cli._scale_alpha_norm(h, doc["target_alpha_norm"])
-    return build_uqnn(doc["n_v"], doc["n_h"], rng), target, doc["q_max"]
+    return build_uqnn(doc["n_v"], doc["n_h"] if n_h is None else n_h, rng), target, doc["q_max"]
 
 
 class TestSamplerMemoryAndFailures:
@@ -588,7 +640,7 @@ class TestSamplerMemoryAndFailures:
         # (a float mean of the +-t_mass shot values is a rounding residue of about 1e-18)
         p, target, q_max = mc_2q_inputs()
         with pytest.raises(ArithmeticError, match="exactly zero"):
-            mc_reverse_gradient_thermal(p, target, 1, 30, np.random.default_rng(228), q_max)
+            mc_reverse_gradient_thermal(p, target, 1, 30, np.random.default_rng(34), q_max)
 
     @pytest.mark.parametrize("q_max", [170, 200])
     def test_series_cutoff_past_the_float_factorial_is_rejected(self, q_max):
@@ -610,66 +662,6 @@ class TestSamplerMemoryAndFailures:
             mc_reverse_gradient_thermal(p, target, 1, 1000, np.random.default_rng(2), q_max)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(
-    k_entries=st.integers(1, 700),
-    table_seed=st.integers(0, 2**32 - 1),
-    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
-    decay=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
-    size=st.one_of(st.integers(0, 3 * B), st.tuples(st.integers(0, B + 1), st.integers(1, 6))),
-    draw_seed=st.integers(0, 2**32 - 1),
-    weights=st.none(),
-)
-@example(k_entries=1, table_seed=0, zero_share=0.0, decay=0.0, size=B, draw_seed=0, weights=None)
-@example(k_entries=700, table_seed=1, zero_share=0.0, decay=0.0, size=(B + 1, 3), draw_seed=1, weights=None)
-@example(k_entries=257, table_seed=2, zero_share=0.3, decay=50.0, size=0, draw_seed=2, weights=None)
-# Explicit tables for the guide table's edge cases (k_entries, table_seed, zero_share
-# and decay are then unused); with 3 B draws every bucket of these tables is hit about
-# 190 times or more.
-# cdf entries 3/8 and 1/2, each exactly on a bucket edge
-@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=3, weights=[3, 1, 4])
-# entries 0.499925 and 0.499975 in one bucket, 0.500025 and 0.500075 in the next
-@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=4,
-         weights=[1, 1e-4, 1e-4, 1e-4, 1])
-# three entries 6, 4 and 2 ulps below 1.0, all in the last bucket
-@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=5,
-         weights=[0.5, 0.5, 2**-52, 2**-52, 2**-52])
-# one entry: cdf [1.0], so every draw is 0 and no bucket holds an entry
-@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=(B + 1, 3), draw_seed=6, weights=[2.5])
-# the only entries below 1.0 in the last bucket: one alone, then two together
-@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=7, weights=[999, 1])
-@example(k_entries=0, table_seed=0, zero_share=0.0, decay=0.0, size=3 * B, draw_seed=8, weights=[998, 1, 1])
-def test_inverse_cdf_equals_generator_choice(k_entries, table_seed, zero_share, decay, size, draw_seed, weights):
-    """The sampler's table lookup returns choice's indices and leaves the generator in choice's state."""
-    if weights is None:
-        # zero entries, and (decay) tails so small that the cdf reaches 1.0 long before the last entry
-        t = np.random.default_rng(table_seed)
-        w = t.random(k_entries) * np.exp(-decay * np.arange(k_entries)) * (t.random(k_entries) >= zero_share)
-        w[t.integers(k_entries)] += 1.0
-    else:
-        w = np.array(weights, dtype=float)
-    p = w / w.sum()
-    got_rng, ref_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
-    got = swaptest._inverse_cdf(p)(got_rng, size)
-    ref = ref_rng.choice(p.size, size=size, p=p)
-    assert got.shape == ref.shape and np.array_equal(got, ref)
-    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_inverse_cdf_counts_a_cdf_entry_equal_to_the_uniform():
-    # choice returns cdf.searchsorted(u, side="right"): an entry equal to u counts; a random
-    # uniform hits an entry with probability about 2^-53, so these uniforms are fixed
-    p = np.array([0.25, 0.25, 0.0, 0.5])  # cdf 0.25, 0.5, 0.5, 1.0, exact in binary
-    u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(0.25, 0.0), np.nextafter(1.0, 0.0)])
-
-    class FixedUniforms:
-        def random(self, size):
-            return u.reshape(size)
-
-    got = swaptest._inverse_cdf(p)(FixedUniforms(), u.shape)
-    assert got.tolist() == p.cumsum().searchsorted(u, side="right").tolist() == [0, 1, 3, 3, 0, 3]
-
-
 class ChoiceForbidden:
     """A Generator whose choice raises; every other method is the wrapped generator's."""
 
@@ -683,7 +675,7 @@ class ChoiceForbidden:
         raise AssertionError("the sampler called Generator.choice")
 
 
-@pytest.mark.parametrize("k,shots", [(1, 10**4), (8, B + 1)])
+@pytest.mark.parametrize("k,shots", [(1, 10**4), (8, 16385)])
 def test_sampler_draws_without_generator_choice(k, shots):
     p, target, q_max = mc_2q_inputs()
     got_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
@@ -697,7 +689,7 @@ def test_sampler_draws_without_generator_choice(k, shots):
 @given(
     nv=st.integers(1, 3),
     nh=st.integers(0, 1),
-    shots=st.sampled_from([1, 2, B - 1, B, B + 1]),
+    shots=st.sampled_from([1, 2, 30, 16385, 10**12]),
     q_max=st.integers(0, swaptest._Q_MAX_CAP),
     norm=st.floats(0.0, swaptest.ALPHA_NORM_GUARD),
     flip=st.booleans(),
