@@ -48,6 +48,7 @@ from .swaptest import (
     ALPHA_NORM_GUARD,
     DEFAULT_Q_MAX,
     SwapTestSpec,
+    _MC_MAX_N_V,
     _Q_MAX_CAP,
     _series_terms,
     cyclic_shift,
@@ -211,7 +212,8 @@ TABLES = {
     },
     "mc-estimate": {
         "seed": (0, _NATURAL),
-        "n_v": (REQUIRED, _COUNT),
+        "n_v": (REQUIRED, _need(lambda v: is_integer(v) and 1 <= v <= _MC_MAX_N_V,
+                                f"an integer in 1..{_MC_MAX_N_V}")),
         "n_h": (0, _NATURAL),
         "k": (1, _COUNT),
         "shots": (100000, _COUNT),

@@ -238,9 +238,13 @@ def _unit_terms(n: int, locality: int) -> tuple[PauliTerm, ...]:
     return tuple(PauliTerm(1.0, ax) for ax in axes)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2)
 def _unit_tables(n: int, locality: int) -> PauliTables:
-    """The read-only PauliTables of _unit_terms(n, locality), shared by every target drawn from them."""
+    """The read-only PauliTables of _unit_terms(n, locality), shared by every target drawn from them.
+
+    The two most recent (n, locality) stay cached for the life of the process (one run draws from
+    one); a three-local set on 12 qubits holds about 0.86 GB.
+    """
     tables = pauli_tables(_unit_terms(n, locality), n)
     for a in tables:
         a.flags.writeable = False

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .hamiltonians import LCUHamiltonian, PauliTerm, _parity, string_action
-from .models import UQNNParams, uqnn_statevector
+from .hamiltonians import LCUHamiltonian, PauliTerm, _parity
+from .models import UQNNParams, conjugated_generator_vec, uqnn_statevector
 from .states import DensityMatrix
 
 UNITARY_TOL = 1e-8
@@ -35,6 +35,9 @@ DEFAULT_Q_MAX = 30
 ALPHA_NORM_GUARD = 20.0
 # largest series cutoff: the weights divide by q! as a float up to q = q_max + 1, and 171! overflows one
 _Q_MAX_CAP = 169
+# largest visible register of a gradient estimate: its label laws hold (q_top + 1) 4^(n_v+1) floats
+# and cost O(q_top 8^n_v) (about 0.5 s and 140 MB at n_v = 8; each qubit more is about 4x the memory)
+_MC_MAX_N_V = 8
 
 _HAD1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -229,9 +232,10 @@ def mc_reverse_gradient_thermal(
     Shots are therefore drawn as counts, never one by one: per stream, the
     shots per order are one multinomial over the order weights, and the
     shots per label are one multinomial per order drawn, over that order's
-    label law. The trace is computed once per label that occurs. Given its
-    label, a shot's outcomes are independent Bernoulli draws, so they are
-    drawn per label as exact integer tallies: the denominator's +1 count
+    label law. The traces of all labels come from one Pauli expansion per
+    circuit (_pauli_expansion). Given its label, a shot's outcomes are
+    independent Bernoulli draws, so they are drawn per label as exact
+    integer tallies: the denominator's +1 count
     among the label's shots is binomial, and the histogram of the
     numerator's B1 + B2 - B3 - B4 over them (its four draw rows, two added
     and two subtracted) is multinomial on -2..2 (_net_law). Together these
@@ -243,8 +247,9 @@ def mc_reverse_gradient_thermal(
     over the orders 0..q_top, q_top the highest order either stream drew),
     the denominator's binomials and the numerator's multinomials, each over
     all labels in label order. The label laws are built once per estimate,
-    for both streams, at a cost of O(q_top * terms * 4^(n_v+1)); no step
-    grows with the shot count, and no array spans the shots.
+    for both streams, in O(q_top 8^n_v) time and O(q_top 4^(n_v+1)) memory,
+    whatever the number of target terms; n_v is capped at _MC_MAX_N_V. No
+    step grows with the shot count, and no array spans the shots.
     """
     if target_h.n_qubits != p.n_v:
         raise ValueError(
@@ -252,12 +257,14 @@ def mc_reverse_gradient_thermal(
         )
     if not 1 <= k <= len(p.generators):
         raise IndexError(f"k={k} out of range 1..{len(p.generators)}")
+    if p.thetas.ndim != 1 or p.n_v > _MC_MAX_N_V:
+        raise ValueError(f"an estimate takes one network of at most {_MC_MAX_N_V} visible qubits")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not 0 <= q_max <= _Q_MAX_CAP:
         raise ValueError(f"q_max must be in 0..{_Q_MAX_CAP}, got {q_max}")
 
-    terms, _, a1 = _series_terms(target_h)
+    terms, alpha, a1 = _series_terms(target_h)
     if not math.isfinite(a1):
         raise ValueError(f"coefficient l1 norm is {a1}; every target coefficient must be finite")
     if a1 > ALPHA_NORM_GUARD:
@@ -267,19 +274,15 @@ def mc_reverse_gradient_thermal(
         )
 
     dv = 2**p.n_v
-    # psi and H~_k psi = i psi(theta + (pi/2) e_k) (conjugated_generator_vec) as two member rows
-    # of a local model, so the block products of the caller's model stay uncached
-    thetas = np.stack([p.thetas, p.thetas])
-    thetas[1, k - 1] += np.pi / 2
-    psi, phi = uqnn_statevector(UQNNParams(p.n_v, p.n_h, p.generators, thetas, _blocks=p.blocks()))
-    phi = 1j * phi
-    psi_m = psi.reshape(dv, -1)
-    phi_m = phi.reshape(dv, -1)
+    # a local view of the model, so the caller's model keeps no cached block products
+    local = UQNNParams(p.n_v, p.n_h, p.generators, p.thetas, _blocks=p.blocks())
+    psi_m = uqnn_statevector(local).reshape(dv, -1)
+    phi_m = conjugated_generator_vec(local, k).reshape(dv, -1)
     sv = psi_m @ psi_m.conj().T  # Tr_h |psi><psi|
     a_mat = phi_m @ psi_m.conj().T  # Tr_h(H~_k |psi><psi|)
 
-    bs_den = [sv @ sv]
-    bs_num = [a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T]
+    # the denominator's circuit, then the numerator's four
+    bs = np.stack([sv @ sv, a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T])
 
     n = p.n_v
     orders = np.arange(q_max + 1)
@@ -289,27 +292,16 @@ def mc_reverse_gradient_thermal(
 
     n_q = rng.multinomial(shots, weights / t_mass, size=2)
     top = int(np.flatnonzero(n_q.any(axis=0))[-1])
-    laws = _label_laws(terms, n, top)
+    laws = _label_laws(terms, alpha / a1, n, top)
     counts_den, counts_num = (rng.multinomial(row[:top + 1], laws).sum(axis=0) for row in n_q)
 
-    def label_traces(counts: np.ndarray, bs: list[np.ndarray]) -> np.ndarray:
-        """Exact Tr(B U) per circuit B and per label that occurs, (len(bs), 4^(n_v + 1)).
-
-        Each is summed as pauli_traces sums it, sum_j col_phase[j] B[j, idx[j]] over U's string_action.
-        """
-        used = np.flatnonzero(counts)
-        lab = used[:, None]
-        idx, col_phase = string_action(lab >> (n + 2), (lab >> 2) & (dv - 1), n, lab & 3)
-        entries = np.stack(bs).reshape(len(bs), -1).take(idx + dv * np.arange(dv), axis=-1)
-        t_lab = np.zeros((len(bs), counts.size), dtype=complex)
-        t_lab[:, used] = np.sum(col_phase * entries, axis=-1)
-        if float(np.max(np.abs(t_lab[:, used]))) > 1.0 + 1e-9:
-            raise ArithmeticError("sampled trace left the unit disc; not a valid shot probability")
-        return t_lab
-
-    p_den = np.clip(0.5 * (1.0 + label_traces(counts_den, bs_den)[0].real), 0.0, 1.0)
+    # Tr(B i^e X^x Z^z) = i^e 2^n c(x, z) for every circuit B and label, c the Pauli expansion of B^T
+    t_lab = ((dv * _pauli_expansion(bs.swapaxes(1, 2), n))[..., None] * 1j ** np.arange(4)).reshape(5, -1)
+    if float(np.max(np.abs(t_lab))) > 1.0 + 1e-9:
+        raise ArithmeticError("a label's trace left the unit disc; not a valid shot probability")
+    p_den = np.clip(0.5 * (1.0 + t_lab[0].real), 0.0, 1.0)
     # ancilla phase-gate variant: success probability carries Im, not Re
-    p_num = np.clip(0.5 * (1.0 + label_traces(counts_num, bs_num).imag), 0.0, 1.0)
+    p_num = np.clip(0.5 * (1.0 + t_lab[1:].imag), 0.0, 1.0)
     n_plus = int(rng.binomial(counts_den, p_den).sum())
     # shots of each value of B1 + B2 - B3 - B4 in -2..2 (half the shot's outcome sum)
     hist = rng.multinomial(counts_num, _net_law(p_num)).sum(axis=0)
@@ -320,32 +312,55 @@ def mc_reverse_gradient_thermal(
     return MCEstimate(mean=mean, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
 
 
-def _label_laws(terms: list[PauliTerm], n: int, top: int) -> np.ndarray:
+def _label_laws(terms: list[PauliTerm], w: np.ndarray, n: int, top: int) -> np.ndarray:
     """Law of the label of U = P_1 ... P_q over the 4^(n+1) labels, one row per order q = 0..top.
 
-    Each P_i is one of the nonzero `terms` on n qubits, i.i.d. with
-    probability |alpha_l| / |alpha|_1, its coefficient's sign folded in.
-    Label i^e X^x Z^z is x << (n + 2) | z << 2 | e, and a negative
-    coefficient adds 2 to e; row 0 puts all mass on label 0, the identity.
-    As U_q = U_(q-1) P_q, law_q[l] = sum_j pick_j law_(q-1)[l P_j^-1]: one
-    gather through before[j, l] = l P_j^-1 and one product per order. The
-    inverse of i^e X^x Z^z is i^(2|x&z| - e) X^x Z^z, so no sort is needed.
+    Each P_i is terms[j] times the sign of w_j, i.i.d. with probability
+    |w_j| (w = alpha / |alpha|_1). Label i^e X^x Z^z is
+    x << (n + 2) | z << 2 | e; row 0 puts all mass on label 0, the identity.
+    The law of a product is a convolution power on the Pauli group, so it
+    is taken in the group's Fourier basis, f_c(x, z) = sum_e law(e, x, z) i^(ce):
+    a product's phase drops out of f_0 and f_2, which are XOR-convolution
+    powers (Walsh transforms over the x and z bits), and f_1 holds the
+    Pauli expansion of M^q, M = sum_j w_j P_j = H / |alpha|_1, with
+    f_3 = conj(f_1). Then law(e, x, z) = (f_0 + (-1)^e f_2 + 2 Re(i^-e f_1)) / 4,
+    clipped at 0 against rounding. The cost is O(top 8^n) and the memory
+    O(top 4^(n+1)), whatever the number of terms.
     """
-    laws = np.zeros((top + 1, 4 ** (n + 1)))
-    laws[0, 0] = 1.0
-    if top == 0:
-        return laws
-    x, z, ny = np.array([t.masks(n) for t in terms], dtype=np.int64).T
-    alpha = np.array([t.coeff for t in terms])
-    pick = np.abs(alpha) / float(np.sum(np.abs(alpha)))
-    inv = (x << (n + 2) | z << 2 | (2 * _parity(x & z) - ny - 2 * (alpha < 0.0)) & 3)[:, None]
-    lab = np.arange(laws.shape[1])
-    # (i^a X^x Z^z)(i^b X^x' Z^z') = i^(a+b+2|z&x'|) X^(x^x') Z^(z^z')
-    flip = (2 * _parity(np.arange(2**n))).take((lab >> 2) & (inv >> (n + 2)))
-    before = ((lab ^ inv) & ~3) | ((lab + inv + flip) & 3)
+    d = 2**n
+    x, z, ny = np.array([t.masks(n) for t in terms], dtype=np.int64).reshape(-1, 3).T
+    j, had = np.arange(d), _walsh_signs(n)
+    even = np.zeros((2, d, d))
+    even[0, x, z] = np.abs(w)
+    even[1, x, z] = np.abs(w) * (1 - 2 * (ny & 1))  # (-1)^e; a sign adds 2 to e
+    f0, f2 = had @ (had @ even @ had)[:, None] ** np.arange(top + 1)[:, None, None] @ had / d**2
+    f1 = np.zeros((d, d), dtype=complex)
+    f1[x, z] = w * 1j**ny
+    m = np.zeros((d, d), dtype=complex)
+    m[j ^ j[:, None], j] = f1 @ had  # M[j ^ x, j] = sum_z f_1(x, z) (-1)^|z & j|
+    powers = np.empty((top + 1, d, d), dtype=complex)
+    powers[0] = np.eye(d)
     for q in range(1, top + 1):
-        laws[q] = pick @ laws[q - 1].take(before)
-    return laws
+        powers[q] = powers[q - 1] @ m
+    f1 = _pauli_expansion(powers, n)
+    law = np.stack((f0 + f2 + 2 * f1.real, f0 - f2 + 2 * f1.imag, f0 + f2 - 2 * f1.real, f0 - f2 - 2 * f1.imag), -1)
+    law *= 0.25
+    return np.maximum(law, 0.0, out=law).reshape(top + 1, -1)
+
+
+def _pauli_expansion(m: np.ndarray, n: int) -> np.ndarray:
+    """c with m = sum_{x,z} c[x, z] X^x Z^z on n qubits: c[x, z] = 2^-n sum_j (-1)^|z & j| m[j ^ x, j].
+
+    Leading axes of m index a stack of matrices. One gather and one Walsh transform, O(8^n).
+    """
+    j = np.arange(2**n)
+    return m[..., j ^ j[:, None], j] @ _walsh_signs(n) / 2**n
+
+
+def _walsh_signs(n: int) -> np.ndarray:
+    """The Walsh transform on n bits as a matrix, (-1)^|a & b| at [a, b]."""
+    j = np.arange(2**n)
+    return 1.0 - 2.0 * _parity(j & j[:, None])
 
 
 def _net_law(p: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -552,12 +553,12 @@ class TestMCEstimate:
 
     @pytest.mark.parametrize(
         "seed,mean,std_error",
-        [(0, -0.29364349235554393, 0.014198389267732345), (1, 0.11929892514767115, 0.015381406281650595)],
+        [(0, -0.2933186328555678, 0.014311185726776804), (1, 0.16076752909493122, 0.01534907677781038)],
     )
     def test_bundled_estimate_is_pinned(self, tmp_path, seed, mean, std_error):
-        # means at z +0.64 and -1.14 from the exact gradients -0.302673 and 0.136844; each
-        # std_error is its 50-digit value 0.01419838926773234487... and
-        # 0.01538140628165059572..., correctly rounded
+        # means at z +0.65 and +1.56 from the exact gradients -0.302673 and 0.136844; each
+        # std_error is its 50-digit value 0.01431118572677680388... and
+        # 0.01534907677781037931..., correctly rounded
         out = tmp_path / "out"
         cfg = bundled_config_path("mc_2q.json")
         assert main(["mc-estimate", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
@@ -573,6 +574,21 @@ class TestMCEstimate:
         err = capsys.readouterr().err
         assert "config error: q_max must be an integer in 0..169, got 200" in err
         assert not (tmp_path / "o").exists()
+
+    def test_visible_register_past_the_label_law_limit_is_a_config_error(self, tmp_path, capsys):
+        # the label laws would hold (q_top + 1) 4^10 floats
+        doc = {"schema_version": 1, "experiment": "mc-estimate", "n_v": 9, "shots": 100}
+        assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: n_v must be an integer in 1..8, got 9" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_visible_register_runs(self, tmp_path):
+        # about 0.5 s and 140 MB of label laws at 10^6 shots and |alpha|_1 = 2
+        doc = {"schema_version": 1, "experiment": "mc-estimate", "n_v": 8, "shots": 10**6, "target_alpha_norm": 2}
+        out = tmp_path / "out"
+        assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        est = json.loads((out / "estimate.json").read_text())
+        assert math.isfinite(est["mean"]) and est["std_error"] > 0.0
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_alpha_norm_at_the_guard_runs(self, tmp_path, seed):

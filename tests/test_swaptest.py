@@ -16,7 +16,7 @@ from renyiqnn.hamiltonians import (
     pauli_tables,
     random_two_local,
 )
-from renyiqnn.models import build_uqnn, conjugated_generator_vec, uqnn_statevector
+from renyiqnn.models import UQNNParams, build_uqnn, conjugated_generator_vec, uqnn_statevector
 from renyiqnn.states import DensityMatrix, haar_unitaries, random_density_matrix, thermal_state
 from renyiqnn.swaptest import (
     MCEstimate,
@@ -252,6 +252,15 @@ class TestMCReverseGradient:
         est = mc_reverse_gradient_thermal(p, target, k, shots=100000, rng=rng_factory(23))
         assert abs(est.mean - exact[k - 1]) < 4 * est.std_error
 
+    def test_zero_target_supported(self, rng_factory):
+        # no nonzero term: every shot draws order 0, the identity label
+        rng = rng_factory(19)
+        p = build_uqnn(2, 1, rng)
+        zero = LCUHamiltonian(2, [PauliTerm(0.0, ((0, "z"),))])
+        exact = uqnn_grad_reverse(p, thermal_state(zero))
+        est = mc_reverse_gradient_thermal(p, zero, 2, shots=100000, rng=rng_factory(29))
+        assert est.std_error > 0 and abs(est.mean - exact[1]) < 4 * est.std_error
+
     def test_se_scales_with_shots(self, rng_factory):
         rng = rng_factory(31)
         p = build_uqnn(2, 0, rng)
@@ -302,6 +311,17 @@ class TestMCReverseGradient:
         mc_reverse_gradient_thermal(p, target, 2, shots=1000, rng=rng_factory(6))
         assert p._products is cached
 
+    def test_member_stack_and_wide_visible_register_rejected(self, rng_factory):
+        rng = rng_factory(59)
+        p = build_uqnn(2, 0, rng)
+        stacked = UQNNParams(2, 0, p.generators, np.stack([p.thetas, p.thetas]))
+        with pytest.raises(ValueError, match="one network of at most 8 visible qubits"):
+            mc_reverse_gradient_thermal(stacked, small_target(rng), 1, shots=10, rng=rng)
+        wide = build_uqnn(9, 0, rng)
+        target = LCUHamiltonian(9, [PauliTerm(0.5, ((0, "z"),))])
+        with pytest.raises(ValueError, match="one network of at most 8 visible qubits"):
+            mc_reverse_gradient_thermal(wide, target, 1, shots=10, rng=rng)
+
     def test_k_out_of_range(self, rng_factory):
         rng = rng_factory(43)
         p = build_uqnn(2, 0, rng)
@@ -344,17 +364,11 @@ def row_labels(picks, terms, n):
     return perm[:, 0] << (n + 2) | z << 2 | e
 
 
-def reference_tallies(p, target_h, k, counts_den, counts_num, shots, rng, q_max):
-    """The outcome stage, given the label counts: the arguments the estimator passes to _ratio_stats.
+def reference_probabilities(p, k, counts_den, counts_num):
+    """Shot success probabilities per label that occurs, each trace summed over the label's dense (perm, phase) rows.
 
-    Each label's trace is summed over its dense (perm, phase) rows; the
-    outcomes are drawn over the full label vector, in label order: one
-    binomial for the denominator and one multinomial over the enumerated law
-    of B1 + B2 - B3 - B4 for the numerator.
+    Returns p_den (L,) and p_num (4, L) over the 4^(n_v+1) labels, 0.5 at the labels no shot drew.
     """
-    a1 = float(np.sum(np.abs([t.coeff for t in target_h.terms if t.coeff != 0.0])))
-    orders = np.arange(q_max + 1)
-    t_mass = float(np.sum(a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)))
     dv = 2**p.n_v
     psi_m = uqnn_statevector(p).reshape(dv, -1)
     phi_m = conjugated_generator_vec(p, k).reshape(dv, -1)
@@ -374,9 +388,21 @@ def reference_tallies(p, target_h, k, counts_den, counts_num, shots, rng, q_max)
         return t_lab
 
     p_den = np.clip(0.5 * (1.0 + traces(counts_den, bs_den)[0].real), 0.0, 1.0)
-    p_num = np.clip(0.5 * (1.0 + traces(counts_num, bs_num).imag), 0.0, 1.0)
+    return p_den, np.clip(0.5 * (1.0 + traces(counts_num, bs_num).imag), 0.0, 1.0)
+
+
+def reference_tallies(target_h, p_den, net_law, counts_den, counts_num, shots, rng, q_max):
+    """The outcome draws, given the label counts and laws: the arguments the estimator passes to _ratio_stats.
+
+    The outcomes are drawn over the full label vector, in label order: one
+    binomial for the denominator and one multinomial over the law of
+    B1 + B2 - B3 - B4 on -2..2 for the numerator.
+    """
+    a1 = float(np.sum(np.abs([t.coeff for t in target_h.terms if t.coeff != 0.0])))
+    orders = np.arange(q_max + 1)
+    t_mass = float(np.sum(a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)))
     n_plus = int(rng.binomial(counts_den, p_den).sum())
-    hist = [int(c) for c in rng.multinomial(counts_num, enumerated_net_law(p_num)).sum(axis=0)]
+    hist = [int(c) for c in rng.multinomial(counts_num, net_law).sum(axis=0)]
     return (*tallies(U_VALUES, hist), 2 * n_plus - shots, shots, shots, t_mass)
 
 
@@ -404,7 +430,7 @@ def test_label_laws_equal_the_enumerated_products(nv, flip):
     # every pick sequence up to order 3, weighted by its probability and labelled by dense rows
     _, h = mc_pair(nv, 0, 0.8, flip, seed=nv)
     terms, alpha, a1 = swaptest._series_terms(h)
-    laws = swaptest._label_laws(terms, nv, 3)
+    laws = swaptest._label_laws(terms, alpha / a1, nv, 3)
     assert laws.shape == (4, 4 ** (nv + 1))
     for q in range(4):
         seqs = list(itertools.product(range(len(terms)), repeat=q))
@@ -415,7 +441,7 @@ def test_label_laws_equal_the_enumerated_products(nv, flip):
 
 
 class OutcomeRecorder:
-    """A Generator that keeps the label counts its outcome draws take, and its state before them.
+    """A Generator that keeps the label counts and laws its outcome draws take, and its state before them.
 
     The estimator's binomial is its first outcome draw; the numerator's multinomial over
     the outcome law is its last multinomial.
@@ -428,16 +454,18 @@ class OutcomeRecorder:
         return getattr(self._rng, name)
 
     def binomial(self, n, p):
-        self.counts_den, self.state = n, self._rng.bit_generator.state
+        self.counts_den, self.p_den, self.state = n, p, self._rng.bit_generator.state
         return self._rng.binomial(n, p)
 
     def multinomial(self, n, pvals, size=None):
-        self.counts_num = n
+        self.counts_num, self.net_law = n, pvals
         return self._rng.multinomial(n, pvals, size)
 
 
 @pytest.mark.parametrize("nv,nh,q_max,norm,flip", SAMPLER_CASES)
 def test_outcome_stage_matches_the_reference(monkeypatch, nv, nh, q_max, norm, flip):
+    # the outcome laws of every label drawn agree with the dense-row traces and the enumerated net law
+    # to rounding; given the estimator's counts and laws, the reference's draws give bit-identical tallies
     p, h = mc_pair(nv, nh, norm, flip, seed=100 * nv + 10 * nh + q_max)
     seen = []
     monkeypatch.setattr(swaptest, "_ratio_stats", lambda *a: seen.append(a) or (0.0, 0.0))
@@ -446,9 +474,13 @@ def test_outcome_stage_matches_the_reference(monkeypatch, nv, nh, q_max, norm, f
         rec = OutcomeRecorder(np.random.default_rng(shots))
         mc_reverse_gradient_thermal(p, h, k, shots, rec, q_max)
         assert rec.counts_den.sum() == rec.counts_num.sum() == shots
+        want_den, want_num = reference_probabilities(p, k, rec.counts_den, rec.counts_num)
+        assert np.max(np.abs(rec.p_den - want_den)[rec.counts_den > 0]) <= 1e-15, shots
+        assert np.max(np.abs(rec.net_law - enumerated_net_law(want_num))[rec.counts_num > 0]) <= 1e-15, shots
         ref_rng = np.random.default_rng()
         ref_rng.bit_generator.state = rec.state
-        assert reference_tallies(p, h, k, rec.counts_den, rec.counts_num, shots, ref_rng, q_max) == seen[-1], shots
+        got = reference_tallies(h, rec.p_den, rec.net_law, rec.counts_den, rec.counts_num, shots, ref_rng, q_max)
+        assert got == seen[-1], shots
         assert ref_rng.bit_generator.state == rec.bit_generator.state, shots
 
 
@@ -640,7 +672,7 @@ class TestSamplerMemoryAndFailures:
         # (a float mean of the +-t_mass shot values is a rounding residue of about 1e-18)
         p, target, q_max = mc_2q_inputs()
         with pytest.raises(ArithmeticError, match="exactly zero"):
-            mc_reverse_gradient_thermal(p, target, 1, 30, np.random.default_rng(34), q_max)
+            mc_reverse_gradient_thermal(p, target, 1, 30, np.random.default_rng(44), q_max)
 
     @pytest.mark.parametrize("q_max", [170, 200])
     def test_series_cutoff_past_the_float_factorial_is_rejected(self, q_max):
