@@ -36,7 +36,7 @@ ALPHA_NORM_GUARD = 20.0
 # largest series cutoff: the weights divide by q! as a float up to q = q_max + 1, and 171! overflows one
 _Q_MAX_CAP = 169
 # largest visible register of a gradient estimate: its label laws hold (q_top + 1) 4^(n_v+1) floats
-# and cost O(q_top 8^n_v) (about 0.5 s and 140 MB at n_v = 8; each qubit more is about 4x the memory)
+# and cost O(q_top 8^n_v) time (n_v = 8: 0.4-0.65 s on one BLAS thread, about 110 MB; 4x the memory per qubit more)
 _MC_MAX_N_V = 8
 
 _HAD1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)

@@ -583,7 +583,7 @@ class TestMCEstimate:
         assert not (tmp_path / "o").exists()
 
     def test_largest_visible_register_runs(self, tmp_path):
-        # about 0.5 s and 140 MB of label laws at 10^6 shots and |alpha|_1 = 2
+        # 0.4-0.65 s and about 110 MB at 10^6 shots and |alpha|_1 = 2, one BLAS thread
         doc = {"schema_version": 1, "experiment": "mc-estimate", "n_v": 8, "shots": 10**6, "target_alpha_norm": 2}
         out = tmp_path / "out"
         assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
