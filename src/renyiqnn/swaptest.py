@@ -10,15 +10,17 @@ expanded as a power series and sampled term by term.
 
 Shot outcomes are Bernoulli draws at exactly computed success
 probabilities, drawn as counts: one binomial for a trace power. A gradient
-entry draws its sampled series terms as counts too, shots per expansion
-order and then shots per label (sampled Pauli product) from that order's
-exact label law, and then a binomial and a multinomial per label over the
-shots that drew it. Their statistics are identical to per-shot circuit
-execution, and no cost grows with the shot count.
+entry draws its sampled series terms as counts too: the shots per label
+(sampled Pauli product) of each stream are one multinomial over the exact
+label law of a shot, the mixture of the expansion orders' laws, and then a
+binomial or a multinomial per label over the shots that drew it. Their
+statistics are identical to per-shot circuit execution, and no cost grows
+with the shot count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import qmath
 from .hamiltonians import LCUHamiltonian, PauliTerm, _parity
-from .models import UQNNParams, conjugated_generator_vec, uqnn_statevector
+from .models import UQNNParams, uqnn_statevector
 from .states import DensityMatrix
 
 UNITARY_TOL = 1e-8
@@ -35,8 +37,8 @@ DEFAULT_Q_MAX = 30
 ALPHA_NORM_GUARD = 20.0
 # largest series cutoff: the weights divide by q! as a float up to q = q_max + 1, and 171! overflows one
 _Q_MAX_CAP = 169
-# largest visible register of a gradient estimate: its label laws hold (q_top + 1) 4^(n_v+1) floats
-# and cost O(q_top 8^n_v) time (n_v = 8: 0.4-0.65 s on one BLAS thread, about 110 MB; 4x the memory per qubit more)
+# largest visible register of a gradient estimate: its label law and label traces hold a few 4^(n_v+1)-entry
+# arrays and cost O(8^n_v) time (n_v = 8: 0.14-0.2 s on one BLAS thread, 46 MB traced; 4x the memory per qubit more)
 _MC_MAX_N_V = 8
 
 _HAD1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -220,7 +222,11 @@ def mc_reverse_gradient_thermal(
     probability of the sampled term is computed exactly and one Bernoulli
     outcome drawn per circuit; the numerator combines four circuits (the two
     operator orderings and their adjoints) whose imaginary parts add, while
-    the denominator is a single real-part test on sigma_v^2.
+    the denominator is a single real-part test on sigma_v^2. With no hidden
+    qubits, sigma_v A = <psi|H~_k|psi> sigma_v with a real factor, so the
+    ordering Tr(A e^H sigma_v) has no imaginary part: its two circuits share
+    their success probability at every label and add only variance, and the
+    numerator draws the other ordering's two circuits alone.
 
     `shots` counts samples per stream; the numerator and denominator streams
     are drawn independently and the ratio's std_error comes from first-order
@@ -228,28 +234,27 @@ def mc_reverse_gradient_thermal(
 
     A product of Pauli strings is again one string times a power of i, so
     a shot's sampled term is one of 4^(n_v+1) labels i^e X^x Z^z, and the
-    law of the label of an order-q product is exact and cheap (_label_laws).
-    Shots are therefore drawn as counts, never one by one: per stream, the
-    shots per order are one multinomial over the order weights, and the
-    shots per label are one multinomial per order drawn, over that order's
-    label law. The traces of all labels come from one Pauli expansion per
-    circuit (_pauli_expansion). Given its label, a shot's outcomes are
-    independent Bernoulli draws, so they are drawn per label as exact
-    integer tallies: the denominator's +1 count
-    among the label's shots is binomial, and the histogram of the
-    numerator's B1 + B2 - B3 - B4 over them (its four draw rows, two added
-    and two subtracted) is multinomial on -2..2 (_net_law). Together these
-    are the joint law of the tallies of per-shot draws.
+    label of a shot, which draws its order and then its product, has one
+    exact law: the mixture of the order-q laws with the order weights
+    (_label_law). Shots are therefore drawn as counts, never one by one: the
+    shots per label of each stream are one multinomial over that law. The
+    traces of all labels come from one Pauli expansion per circuit
+    (_pauli_expansion). Given its label, a shot's outcomes are independent
+    Bernoulli draws, so they are drawn per label as exact integer tallies:
+    the denominator's +1 count among the label's shots is binomial, and the
+    histogram of the numerator's added draw rows minus its subtracted ones
+    over them (B1 + B2 - B3 - B4 on -2..2, or B1 - B4 on -1..1 with no
+    hidden qubits) is multinomial (_net_law). Together these are the joint
+    law of the tallies of per-shot draws.
 
-    The random stream is consumed in a fixed order: the orders of both
-    streams (one multinomial of two rows, denominator first), the label
-    counts of the denominator and then of the numerator (one multinomial
-    over the orders 0..q_top, q_top the highest order either stream drew),
-    the denominator's binomials and the numerator's multinomials, each over
-    all labels in label order. The label laws are built once per estimate,
-    for both streams, in O(q_top 8^n_v) time and O(q_top 4^(n_v+1)) memory,
-    whatever the number of target terms; n_v is capped at _MC_MAX_N_V. No
-    step grows with the shot count, and no array spans the shots.
+    The random stream is consumed in a fixed order: the label counts of
+    both streams (one multinomial of two rows, denominator first), the
+    denominator's binomials and the numerator's multinomials, each over all
+    labels in label order. The label law is built once per estimate, for
+    both streams, and with the label traces it takes O(q_max 4^n_v + 8^n_v)
+    time and O(4^(n_v+1)) memory, whatever the number of target terms; n_v
+    is capped at _MC_MAX_N_V. No step grows with the shot count, and no
+    array spans the shots.
     """
     if target_h.n_qubits != p.n_v:
         raise ValueError(
@@ -274,58 +279,62 @@ def mc_reverse_gradient_thermal(
         )
 
     dv = 2**p.n_v
-    # a local view of the model, so the caller's model keeps no cached block products
-    local = UQNNParams(p.n_v, p.n_h, p.generators, p.thetas, _blocks=p.blocks())
-    psi_m = uqnn_statevector(local).reshape(dv, -1)
-    phi_m = conjugated_generator_vec(local, k).reshape(dv, -1)
+    # psi and H~_k psi = i psi(theta + (pi/2) e_k) (models.conjugated_generator_vec) as one two-member
+    # statevector on the model's block table, so the caller's model keeps no cached block products
+    thetas = np.stack([p.thetas, p.thetas])
+    thetas[1, k - 1] += np.pi / 2
+    local = UQNNParams(p.n_v, p.n_h, p.generators, thetas, _blocks=p.blocks())
+    psi_m, phi_m = uqnn_statevector(local).reshape(2, dv, -1)
     sv = psi_m @ psi_m.conj().T  # Tr_h |psi><psi|
-    a_mat = phi_m @ psi_m.conj().T  # Tr_h(H~_k |psi><psi|)
+    a_mat = 1j * phi_m @ psi_m.conj().T  # Tr_h(H~_k |psi><psi|)
+    a_dag = a_mat.conj().T
 
-    # the denominator's circuit, then the numerator's four
-    bs = np.stack([sv @ sv, a_mat @ sv, sv @ a_mat, a_mat.conj().T @ sv, sv @ a_mat.conj().T])
+    # the denominator's circuit, then the numerator's added rows B1, B2 and subtracted rows B3, B4;
+    # with no hidden qubits B2 and B3 share every success probability, and only B1 and B4 are drawn
+    rows = [a_mat @ sv, sv @ a_mat, a_dag @ sv, sv @ a_dag] if p.n_h else [a_mat @ sv, sv @ a_dag]
+    bs = np.stack([sv @ sv, *rows])
 
     n = p.n_v
     orders = np.arange(q_max + 1)
     weights = a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)
     t_mass = float(weights.sum())
     tail = a1 ** (q_max + 1) / math.factorial(q_max + 1)
-
-    n_q = rng.multinomial(shots, weights / t_mass, size=2)
-    top = int(np.flatnonzero(n_q.any(axis=0))[-1])
-    laws = _label_laws(terms, alpha / a1, n, top)
-    counts_den, counts_num = (rng.multinomial(row[:top + 1], laws).sum(axis=0) for row in n_q)
+    counts_den, counts_num = rng.multinomial(shots, _label_law(terms, alpha / a1, n, weights / t_mass), size=2)
 
     # Tr(B i^e X^x Z^z) = i^e 2^n c(x, z) for every circuit B and label, c the Pauli expansion of B^T
-    t_lab = ((dv * _pauli_expansion(bs.swapaxes(1, 2), n))[..., None] * 1j ** np.arange(4)).reshape(5, -1)
+    t_lab = ((dv * _pauli_expansion(bs.swapaxes(1, 2), n))[..., None] * 1j ** np.arange(4)).reshape(len(bs), -1)
     if float(np.max(np.abs(t_lab))) > 1.0 + 1e-9:
         raise ArithmeticError("a label's trace left the unit disc; not a valid shot probability")
     p_den = np.clip(0.5 * (1.0 + t_lab[0].real), 0.0, 1.0)
     # ancilla phase-gate variant: success probability carries Im, not Re
     p_num = np.clip(0.5 * (1.0 + t_lab[1:].imag), 0.0, 1.0)
     n_plus = int(rng.binomial(counts_den, p_den).sum())
-    # shots of each value of B1 + B2 - B3 - B4 in -2..2 (half the shot's outcome sum)
+    # shots of each value of the added rows' sum minus the subtracted rows' sum (half the shot's outcome sum)
     hist = rng.multinomial(counts_num, _net_law(p_num)).sum(axis=0)
-    s_num = sum(u * int(c) for u, c in zip(range(-4, 5, 2), hist))
-    ss_num = sum(u * u * int(c) for u, c in zip(range(-4, 5, 2), hist))
+    values = range(1 - len(hist), len(hist), 2)
+    s_num = sum(u * int(c) for u, c in zip(values, hist))
+    ss_num = sum(u * u * int(c) for u, c in zip(values, hist))
 
     mean, se = _ratio_stats(s_num, ss_num, 2 * n_plus - shots, shots, shots, t_mass)
     return MCEstimate(mean=mean, std_error=se, shots=shots, q_max=q_max, tail_bound=tail)
 
 
-def _label_laws(terms: list[PauliTerm], w: np.ndarray, n: int, top: int) -> np.ndarray:
-    """Law of the label of U = P_1 ... P_q over the 4^(n+1) labels, one row per order q = 0..top.
+def _label_law(terms: list[PauliTerm], w: np.ndarray, n: int, c: np.ndarray) -> np.ndarray:
+    """Law of a shot's label over the 4^(n+1) labels: the mixture sum_q c[q] law_q of the order-q laws.
 
-    Each P_i is terms[j] times the sign of w_j, i.i.d. with probability
-    |w_j| (w = alpha / |alpha|_1). Label i^e X^x Z^z is
-    x << (n + 2) | z << 2 | e; row 0 puts all mass on label 0, the identity.
-    The law of a product is a convolution power on the Pauli group, so it
-    is taken in the group's Fourier basis, f_c(x, z) = sum_e law(e, x, z) i^(ce):
-    a product's phase drops out of f_0 and f_2, which are XOR-convolution
-    powers (Walsh transforms over the x and z bits), and f_1 holds the
-    Pauli expansion of M^q, M = sum_j w_j P_j = H / |alpha|_1, with
-    f_3 = conj(f_1). Then law(e, x, z) = (f_0 + (-1)^e f_2 + 2 Re(i^-e f_1)) / 4,
-    clipped at 0 against rounding. The cost is O(top 8^n) and the memory
-    O(top 4^(n+1)), whatever the number of terms.
+    law_q is the law of the label of U = P_1 ... P_q, each P_i terms[j] times
+    the sign of w_j, i.i.d. with probability |w_j| (w = alpha / |alpha|_1).
+    Label i^e X^x Z^z is x << (n + 2) | z << 2 | e; law_0 puts all mass on
+    label 0, the identity. The law of a product is a convolution power on the
+    Pauli group, so the mixture is taken in the group's Fourier basis,
+    f_c(x, z) = sum_e law(e, x, z) i^(ce). A product's phase drops out of f_0
+    and f_2, whose order-q parts are XOR-convolution powers: their mixture is
+    the series sum_q c_q s^q of their Walsh spectra s, by Horner's rule. f_1
+    is the Pauli expansion of sum_q c_q M^q, M = sum_j w_j P_j = H / |alpha|_1,
+    taken in M's eigenbasis, and f_3 = conj(f_1). Then
+    law(e, x, z) = (f_0 + (-1)^e f_2 + 2 Re(i^-e f_1)) / 4, clipped into [0, 1]
+    against rounding. The cost is O(len(c) 4^n + 8^n) time and O(4^(n+1))
+    memory, whatever the number of terms.
     """
     d = 2**n
     x, z, ny = np.array([t.masks(n) for t in terms], dtype=np.int64).reshape(-1, 3).T
@@ -333,19 +342,27 @@ def _label_laws(terms: list[PauliTerm], w: np.ndarray, n: int, top: int) -> np.n
     even = np.zeros((2, d, d))
     even[0, x, z] = np.abs(w)
     even[1, x, z] = np.abs(w) * (1 - 2 * (ny & 1))  # (-1)^e; a sign adds 2 to e
-    f0, f2 = had @ (had @ even @ had)[:, None] ** np.arange(top + 1)[:, None, None] @ had / d**2
     f1 = np.zeros((d, d), dtype=complex)
     f1[x, z] = w * 1j**ny
     m = np.zeros((d, d), dtype=complex)
     m[j ^ j[:, None], j] = f1 @ had  # M[j ^ x, j] = sum_z f_1(x, z) (-1)^|z & j|
-    powers = np.empty((top + 1, d, d), dtype=complex)
-    powers[0] = np.eye(d)
-    for q in range(1, top + 1):
-        powers[q] = powers[q - 1] @ m
-    f1 = _pauli_expansion(powers, n)
+    lam, v = np.linalg.eigh(m)
+    # one series over both Walsh spectra and the eigenvalues of M
+    series = _horner(c, np.concatenate(((had @ even @ had).ravel(), lam)))
+    f0, f2 = had @ series[:-d].reshape(2, d, d) @ had / d**2
+    f1 = _pauli_expansion((v * series[-d:]) @ v.conj().T, n)
     law = np.stack((f0 + f2 + 2 * f1.real, f0 - f2 + 2 * f1.imag, f0 + f2 - 2 * f1.real, f0 - f2 - 2 * f1.imag), -1)
     law *= 0.25
-    return np.maximum(law, 0.0, out=law).reshape(top + 1, -1)
+    return np.clip(law, 0.0, 1.0, out=law).ravel()
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_q c[q] x^q elementwise, by Horner's rule (a power table is slower from n_v = 6)."""
+    s = np.full(x.shape, c[-1])
+    for cq in c[-2::-1]:
+        s *= x
+        s += cq
+    return s
 
 
 def _pauli_expansion(m: np.ndarray, n: int) -> np.ndarray:
@@ -357,24 +374,30 @@ def _pauli_expansion(m: np.ndarray, n: int) -> np.ndarray:
     return m[..., j ^ j[:, None], j] @ _walsh_signs(n) / 2**n
 
 
+@functools.lru_cache(maxsize=_MC_MAX_N_V + 1)
 def _walsh_signs(n: int) -> np.ndarray:
-    """The Walsh transform on n bits as a matrix, (-1)^|a & b| at [a, b]."""
+    """The Walsh transform on n bits as a read-only matrix, (-1)^|a & b| at [a, b]."""
     j = np.arange(2**n)
-    return 1.0 - 2.0 * _parity(j & j[:, None])
+    had = 1.0 - 2.0 * _parity(j & j[:, None])
+    had.flags.writeable = False
+    return had
 
 
 def _net_law(p: np.ndarray) -> np.ndarray:
-    """Law of B1 + B2 - B3 - B4 on -2..2 for independent Bernoulli B_i with success probabilities p[i - 1].
+    """Law of B_1 + ... + B_r - B_{r+1} - ... - B_2r on -r..r for independent Bernoulli B_i at p[i - 1].
 
-    p has shape (4, L), one column per label; the law has shape (L, 5).
+    p has shape (2r, L), one column per label; the law has shape (L, 2r + 1).
+    Each row convolves one more Bernoulli into the law: an added B_i moves
+    mass up one value with probability p_i, a subtracted one keeps it with
+    probability p_i as the lowest value drops by one.
     """
-    q = 1.0 - p
-    plus = (q[0] * q[1], p[0] * q[1] + q[0] * p[1], p[0] * p[1])  # law of B1 + B2 on 0..2
-    minus = (q[2] * q[3], p[2] * q[3] + q[2] * p[3], p[2] * p[3])  # law of B3 + B4
-    law = np.zeros((p.shape[1], 5))
-    for i, a in enumerate(plus):
-        for j, b in enumerate(minus):
-            law[:, i - j + 2] += a * b
+    law = np.ones((p.shape[1], 1))
+    for i, pi in enumerate(p):
+        up, stay = (pi, 1.0 - pi) if i < len(p) // 2 else (1.0 - pi, pi)
+        nxt = np.zeros((len(law), law.shape[1] + 1))
+        nxt[:, 1:] = up[:, None] * law
+        nxt[:, :-1] += stay[:, None] * law
+        law = nxt
     return law
 
 

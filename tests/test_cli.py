@@ -553,12 +553,12 @@ class TestMCEstimate:
 
     @pytest.mark.parametrize(
         "seed,mean,std_error",
-        [(0, -0.2933186328555678, 0.014311185726776804), (1, 0.16076752909493122, 0.01534907677781038)],
+        [(0, -0.30161445994559977, 0.010296609499301463), (1, 0.11794748253432906, 0.010902199963249062)],
     )
     def test_bundled_estimate_is_pinned(self, tmp_path, seed, mean, std_error):
-        # means at z +0.65 and +1.56 from the exact gradients -0.302673 and 0.136844; each
-        # std_error is its 50-digit value 0.01431118572677680388... and
-        # 0.01534907677781037931..., correctly rounded
+        # means at z +0.10 and -1.73 from the exact gradients -0.302673 and 0.136844; each
+        # std_error is its 50-digit value 0.01029660949930146322... and
+        # 0.01090219996324906202..., correctly rounded
         out = tmp_path / "out"
         cfg = bundled_config_path("mc_2q.json")
         assert main(["mc-estimate", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
@@ -576,14 +576,14 @@ class TestMCEstimate:
         assert not (tmp_path / "o").exists()
 
     def test_visible_register_past_the_label_law_limit_is_a_config_error(self, tmp_path, capsys):
-        # the label laws would hold (q_top + 1) 4^10 floats
+        # the label law and the label traces would hold 4^10-entry arrays, at 8x the time of n_v 8
         doc = {"schema_version": 1, "experiment": "mc-estimate", "n_v": 9, "shots": 100}
         assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
         assert "config error: n_v must be an integer in 1..8, got 9" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_largest_visible_register_runs(self, tmp_path):
-        # 0.4-0.65 s and about 110 MB at 10^6 shots and |alpha|_1 = 2, one BLAS thread
+        # 0.14-0.2 s per estimate and 46 MB traced at 10^6 shots and |alpha|_1 = 2, one BLAS thread
         doc = {"schema_version": 1, "experiment": "mc-estimate", "n_v": 8, "shots": 10**6, "target_alpha_norm": 2}
         out = tmp_path / "out"
         assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0

@@ -333,11 +333,12 @@ class TestMCReverseGradient:
 
 
 def enumerated_net_law(p):
-    """Law of B1 + B2 - B3 - B4 on -2..2, summed over the 16 joint outcomes of four Bernoulli rows p (4, L)."""
-    law = np.zeros((p.shape[1], 5))
-    for bits in itertools.product((0, 1), repeat=4):
+    """Law of the first half of the Bernoulli rows p (2r, L) minus the second half on -r..r, over all joint outcomes."""
+    r = len(p) // 2
+    law = np.zeros((p.shape[1], 2 * r + 1))
+    for bits in itertools.product((0, 1), repeat=2 * r):
         prob = np.prod([pi if b else 1.0 - pi for pi, b in zip(p, bits)], axis=0)
-        law[:, bits[0] + bits[1] - bits[2] - bits[3] + 2] += prob
+        law[:, sum(bits[:r]) - sum(bits[r:]) + r] += prob
     return law
 
 
@@ -367,7 +368,8 @@ def row_labels(picks, terms, n):
 def reference_probabilities(p, k, counts_den, counts_num):
     """Shot success probabilities per label that occurs, each trace summed over the label's dense (perm, phase) rows.
 
-    Returns p_den (L,) and p_num (4, L) over the 4^(n_v+1) labels, 0.5 at the labels no shot drew.
+    Returns p_den (L,) and p_num over the 4^(n_v+1) labels, 0.5 at the labels no shot drew. p_num has
+    four rows, B1 = A sv, B2 = sv A, B3 = A^dag sv and B4 = sv A^dag, or at n_h = 0 only B1 and B4.
     """
     dv = 2**p.n_v
     psi_m = uqnn_statevector(p).reshape(dv, -1)
@@ -388,22 +390,28 @@ def reference_probabilities(p, k, counts_den, counts_num):
         return t_lab
 
     p_den = np.clip(0.5 * (1.0 + traces(counts_den, bs_den)[0].real), 0.0, 1.0)
-    return p_den, np.clip(0.5 * (1.0 + traces(counts_num, bs_num).imag), 0.0, 1.0)
+    p_num = np.clip(0.5 * (1.0 + traces(counts_num, bs_num).imag), 0.0, 1.0)
+    if p.n_h == 0:
+        # sv A = <psi|phi> sv with <psi|phi> real: B2 and B3 share every success probability
+        assert np.max(np.abs(p_num[1] - p_num[2])) <= 1e-15
+        p_num = p_num[[0, 3]]
+    return p_den, p_num
 
 
 def reference_tallies(target_h, p_den, net_law, counts_den, counts_num, shots, rng, q_max):
     """The outcome draws, given the label counts and laws: the arguments the estimator passes to _ratio_stats.
 
     The outcomes are drawn over the full label vector, in label order: one
-    binomial for the denominator and one multinomial over the law of
-    B1 + B2 - B3 - B4 on -2..2 for the numerator.
+    binomial for the denominator and one multinomial over the law of the
+    numerator's added rows minus its subtracted rows on -r..r, whose shot
+    value is twice that.
     """
     a1 = float(np.sum(np.abs([t.coeff for t in target_h.terms if t.coeff != 0.0])))
     orders = np.arange(q_max + 1)
     t_mass = float(np.sum(a1**orders / np.array([math.factorial(q) for q in orders], dtype=float)))
     n_plus = int(rng.binomial(counts_den, p_den).sum())
     hist = [int(c) for c in rng.multinomial(counts_num, net_law).sum(axis=0)]
-    return (*tallies(U_VALUES, hist), 2 * n_plus - shots, shots, shots, t_mass)
+    return (*tallies(range(1 - len(hist), len(hist), 2), hist), 2 * n_plus - shots, shots, shots, t_mass)
 
 
 # n_v, n_h, q_max, alpha norm, make every coefficient negative
@@ -427,17 +435,22 @@ def mc_pair(nv, nh, norm, flip, seed):
 @pytest.mark.parametrize("nv", [1, 2])
 @pytest.mark.parametrize("flip", [False, True])
 def test_label_laws_equal_the_enumerated_products(nv, flip):
-    # every pick sequence up to order 3, weighted by its probability and labelled by dense rows
+    # every pick sequence up to order 3, weighted by its probability and labelled by dense rows: with
+    # one-hot weights the mixture law is one order's law, with the series weights of q_max = 3 their mixture
     _, h = mc_pair(nv, 0, 0.8, flip, seed=nv)
     terms, alpha, a1 = swaptest._series_terms(h)
-    laws = swaptest._label_laws(terms, alpha / a1, nv, 3)
-    assert laws.shape == (4, 4 ** (nv + 1))
+    laws = []
     for q in range(4):
         seqs = list(itertools.product(range(len(terms)), repeat=q))
         picks = np.array(seqs, dtype=np.intp).reshape(len(seqs), q)
         prob = np.prod((np.abs(alpha) / a1)[picks], axis=1)
-        want = np.bincount(row_labels(picks, terms, nv), weights=prob, minlength=4 ** (nv + 1))
-        assert np.max(np.abs(laws[q] - want)) <= 1e-15, q
+        laws.append(np.bincount(row_labels(picks, terms, nv), weights=prob, minlength=4 ** (nv + 1)))
+    series = a1 ** np.arange(4) / np.array([1.0, 1.0, 2.0, 6.0])
+    for c in [*np.eye(4), series / series.sum()]:
+        law = swaptest._label_law(terms, alpha / a1, nv, c)
+        assert law.shape == (4 ** (nv + 1),)
+        want = sum(cq * lq for cq, lq in zip(c, laws))
+        assert np.max(np.abs(law - want)) <= 1e-15, c
 
 
 class OutcomeRecorder:
@@ -484,15 +497,16 @@ def test_outcome_stage_matches_the_reference(monkeypatch, nv, nh, q_max, norm, f
         assert ref_rng.bit_generator.state == rec.bit_generator.state, shots
 
 
-def test_net_law_equals_the_enumerated_outcomes():
+@pytest.mark.parametrize("rows", [2, 4])
+def test_net_law_equals_the_enumerated_outcomes(rows):
     rng = np.random.default_rng(7)
-    p = rng.random((4, 400))
+    p = rng.random((rows, 400))
     # certain and impossible outcomes in every row, and columns made of them alone
     p[rng.random(p.shape) < 0.2] = 0.0
     p[rng.random(p.shape) < 0.2] = 1.0
-    p[:, :16] = np.array(list(itertools.product((0.0, 1.0), repeat=4))).T
+    p[:, : 2**rows] = np.array(list(itertools.product((0.0, 1.0), repeat=rows))).T
     law = swaptest._net_law(p)
-    assert law.shape == (400, 5)
+    assert law.shape == (400, rows + 1)
     assert np.max(np.abs(law - enumerated_net_law(p))) <= 1e-15
 
 
@@ -524,7 +538,8 @@ def test_estimates_with_a_hidden_qubit_pool_to_a_unit_normal():
     assert 0.8 <= np.std(z, ddof=1) <= 1.2
 
 
-# Shot values of the sampler's numerator (u, the sum of four +-1 draws) and denominator (v, one draw).
+# Shot values of the sampler's numerator (u, the signed sum of four +-1 draws, two at n_h = 0) and
+# denominator (v, one draw).
 U_VALUES, V_VALUES = (-4, -2, 0, 2, 4), (-1, 1)
 # mean: five roundings (two divisions by n, two products with the scale, the ratio);
 # std_error: the integer division, halved by the square root, then the root itself
@@ -653,9 +668,8 @@ class TestSamplerMemoryAndFailures:
         assert peak < 32 * 2**20
 
     def test_no_float_array_grows_with_shots(self):
-        # orders, picks and labels are drawn and counted a block at a time and outcomes
-        # are drawn per label, so no array spans the shots; one float64 array per shot
-        # alone would add 8 bytes a shot
+        # label counts are one multinomial per stream and outcomes are drawn per label,
+        # so no array spans the shots; one float64 array per shot alone would add 8 bytes a shot
         p, target, q_max = mc_2q_inputs()
         peaks = {}
         for shots in (2 * 10**5, 10**6):
@@ -672,7 +686,7 @@ class TestSamplerMemoryAndFailures:
         # (a float mean of the +-t_mass shot values is a rounding residue of about 1e-18)
         p, target, q_max = mc_2q_inputs()
         with pytest.raises(ArithmeticError, match="exactly zero"):
-            mc_reverse_gradient_thermal(p, target, 1, 30, np.random.default_rng(44), q_max)
+            mc_reverse_gradient_thermal(p, target, 1, 30, np.random.default_rng(403), q_max)
 
     @pytest.mark.parametrize("q_max", [170, 200])
     def test_series_cutoff_past_the_float_factorial_is_rejected(self, q_max):
@@ -685,6 +699,14 @@ class TestSamplerMemoryAndFailures:
         p, target, _ = mc_2q_inputs()
         est = mc_reverse_gradient_thermal(p, target, 1, 1000, np.random.default_rng(0), 169)
         assert est.q_max == 169 and math.isfinite(est.mean) and est.tail_bound >= 0.0
+
+    def test_series_cutoff_zero_draws_only_the_identity_label(self):
+        # every shot draws order 0, the identity label; on mc_2q's target the transform-built law
+        # reads 1 + 2e-16 there, which the multinomial refuses unless the law is clipped into [0, 1]
+        p, target, _ = mc_2q_inputs()
+        rec = OutcomeRecorder(np.random.default_rng(0))
+        est = mc_reverse_gradient_thermal(p, target, 1, 10**5, rec, 0)
+        assert rec.counts_den[0] == rec.counts_num[0] == 10**5 and est.q_max == 0
 
     def test_trace_outside_unit_disc_raises(self, monkeypatch):
         p, target, q_max = mc_2q_inputs()
