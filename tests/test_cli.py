@@ -576,7 +576,7 @@ class TestMCEstimate:
         assert not (tmp_path / "o").exists()
 
     def test_visible_register_past_the_label_law_limit_is_a_config_error(self, tmp_path, capsys):
-        # the label law and the label traces would hold 4^10-entry arrays, at 8x the time of n_v 8
+        # the label law and the label traces would hold 4^10-entry arrays
         doc = {"schema_version": 1, "experiment": "mc-estimate", "n_v": 9, "shots": 100}
         assert main(["mc-estimate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
         assert "config error: n_v must be an integer in 1..8, got 9" in capsys.readouterr().err
